@@ -4,9 +4,9 @@
 // "Trace-based approaches have to deal with problems like ... the overhead
 // of storing voluminous trace files.  Unlike tracing, we numerically
 // quantify the extent of non-overlapped communication."  This driver runs
-// the same CG job with (a) the overlap framework alone and (b) an attached
-// event tracer, and compares the tracer's unbounded storage with the
-// framework's fixed event queue.
+// the same 2-rank job with the overlap framework and the src/trace
+// collector attached, and compares the storage of every trace record the
+// collector keeps with the framework's fixed event queue.
 //
 // The second table runs identical jobs with the bounded trace ring off and
 // on.  Because every trace record is charged host time (observer cost per
@@ -17,8 +17,6 @@
 #include <iostream>
 
 #include "mpi/machine.hpp"
-#include "mpi/trace.hpp"
-#include "nas/cg.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -53,30 +51,30 @@ int main(int argc, char** argv) {
   std::printf("=== extra_trace_cost ===\n"
               "Fixed-memory profiling (the framework) vs full event tracing "
               "on the same traffic.\n\n");
-  util::TextTable table({"iterations", "trace_events", "trace_kb",
+  util::TextTable table({"iterations", "trace_records", "trace_kb",
                          "framework_queue_kb", "framework_drains"});
   for (const int iters : {10, 40, 160}) {
     mpi::JobConfig cfg;
     cfg.nranks = 2;
     cfg.mpi.monitor.queue_capacity = 1024;
+    // The default ring is far larger than these runs, so it never drops:
+    // what it holds is what an unbounded trace would store.
+    cfg.trace.enabled = true;
     mpi::Machine machine(cfg);
-    mpi::TraceRecorder tracer;
     std::vector<std::uint8_t> buf(32 * 1024);
-    std::int64_t drains = 0;
-    machine.run([&](mpi::Mpi& mpi) {
-      if (mpi.rank() == 0) mpi.setHooks(tracer.hooks());
-      pingLoop(mpi, buf, iters);
-    });
-    drains = machine.reports()[0].queue_drains;
+    machine.run([&](mpi::Mpi& mpi) { pingLoop(mpi, buf, iters); });
+    const std::int64_t records = machine.traceCollector()->recordedTotal();
+    const std::int64_t drains = machine.reports()[0].queue_drains;
     const double queue_kb =
         static_cast<double>(cfg.mpi.monitor.queue_capacity *
                             sizeof(overlap::Event)) /
         1024.0;
     table.addRow({util::TextTable::integer(iters),
-                  util::TextTable::integer(
-                      static_cast<long long>(tracer.eventCount())),
+                  util::TextTable::integer(records),
                   util::TextTable::num(
-                      static_cast<double>(tracer.memoryBytes()) / 1024.0, 1),
+                      static_cast<double>(records * sizeof(trace::Record)) /
+                          1024.0,
+                      1),
                   util::TextTable::num(queue_kb, 1),
                   util::TextTable::integer(drains)});
   }

@@ -4,8 +4,9 @@
 #include <map>
 #include <ostream>
 #include <sstream>
-#include <string_view>
 #include <utility>
+
+#include "util/strings.hpp"
 
 namespace ovp::analysis {
 
@@ -63,7 +64,6 @@ const char* diagCodeName(DiagCode c) {
     case DiagCode::SymDeadlockCycle: return "SYM_DEADLOCK_CYCLE";
     case DiagCode::SymDeadlockUnproven: return "SYM_DEADLOCK_UNPROVEN";
     case DiagCode::SymBarrierDivergence: return "SYM_BARRIER_DIVERGENCE";
-    case DiagCode::SymInstantiateMismatch: return "SYM_INSTANTIATE_MISMATCH";
   }
   return "?";
 }
@@ -132,28 +132,6 @@ int exitCode(const std::vector<Diagnostic>& diags) {
   return clean(diags) ? 0 : 1;
 }
 
-namespace {
-
-void jsonEscapeTo(std::ostream& os, std::string_view in) {
-  for (const char ch : in) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(ch >> 4) & 0xf] << hex[ch & 0xf];
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 void writeDiagnosticsJson(const std::vector<Diagnostic>& diags,
                           std::ostream& os) {
   os << "[\n";
@@ -161,12 +139,10 @@ void writeDiagnosticsJson(const std::vector<Diagnostic>& diags,
     const Diagnostic& d = diags[i];
     os << "  {\"severity\":\"" << severityName(d.severity) << "\",\"code\":\""
        << diagCodeName(d.code) << "\",\"rank\":" << d.rank
-       << ",\"time_ns\":" << d.time << ",\"site\":\"";
-    jsonEscapeTo(os, d.site);
-    os << "\",\"gain_ns\":" << d.gain << ",\"count\":" << d.count
-       << ",\"detail\":\"";
-    jsonEscapeTo(os, d.detail);
-    os << "\"}";
+       << ",\"time_ns\":" << d.time << ",\"site\":\""
+       << util::jsonEscape(d.site) << "\",\"gain_ns\":" << d.gain
+       << ",\"count\":" << d.count << ",\"detail\":\""
+       << util::jsonEscape(d.detail) << "\"}";
     if (i + 1 < diags.size()) os << ',';
     os << '\n';
   }

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <ostream>
 
+#include "util/strings.hpp"
+
 namespace ovp::model {
 
 namespace {
@@ -52,27 +54,7 @@ bool accumMetric(const overlap::OverlapAccum& a, std::string_view metric,
   return true;
 }
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using util::jsonEscape;
 
 }  // namespace
 

@@ -1,11 +1,9 @@
-// Problem-class tables shared by the unrolled skeleton builders
-// (skeletons.cpp) and the rank-symbolic ones (symbolic.cpp).
+// Problem-class tables of the rank-symbolic skeleton builders
+// (symbolic.cpp), plus the element sizes the unrolled LU/SP/BT builders
+// (skeletons.cpp) also price messages with.
 //
-// Both builders must agree on these constants *exactly* — the symbolic
-// instantiation gate compares their output byte-for-byte at randomized
-// rank counts — so the tables live in one place instead of being
-// duplicated per builder.  (The executable kernels keep their own copies
-// on purpose; the per-kernel trace-conformance ctests tie those to these.)
+// The executable kernels keep their own copies on purpose; the per-kernel
+// trace-conformance ctests tie those to these.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,12 @@
 #include "nas/skeletons.hpp"
 
-#include <sstream>
+#include <algorithm>
+#include <utility>
 
 #include "nas/class_tables.hpp"
-#include "nas/fft.hpp"
+#include "nas/symbolic.hpp"
 #include "skeleton/builder.hpp"
+#include "skeleton/symbolic/instantiate.hpp"
 
 namespace ovp::nas {
 
@@ -12,7 +14,6 @@ namespace {
 
 using skel::Builder;
 using skel::RankBuilder;
-using tables::kC;
 using tables::kD;
 
 SkeletonBuildResult fail(std::string why) {
@@ -31,206 +32,17 @@ SkeletonBuildResult finish(Builder&& b) {
   return r;
 }
 
-// ---------------------------------------------------------------- CG ----
-
-using tables::cgSizes;
-using tables::CgSizes;
-using tables::kCgTagSeg;
-
-SkeletonBuildResult buildCg(const SkeletonParams& p) {
-  const CgSizes sz = cgSizes(p.cls);
-  const int niter = p.iterations > 0 ? p.iterations : sz.niter;
-  const int P = p.nranks;
-  const BlockDist dist = blockDistribute(sz.n, P);
-  Builder b("cg", P);
-  for (Rank me = 0; me < P; ++me) {
-    RankBuilder& rb = b.rank(me);
-    const int myn = dist.size[static_cast<std::size_t>(me)];
-    auto dot = [&] {
-      rb.site("cg.dot");
-      rb.compute(p.cost.flops(2 * myn));
-      rb.mpiAllreduce(1);
-    };
-    auto matvec = [&] {
-      rb.site("cg.matvec");
-      std::vector<int> reqs;
-      for (int d = 1; d < P; ++d) {
-        const Rank peer = static_cast<Rank>((me + d) % P);
-        reqs.push_back(rb.irecv(
-            peer, kCgTagSeg,
-            static_cast<Bytes>(dist.size[static_cast<std::size_t>(peer)]) *
-                kD));
-      }
-      for (int d = 1; d < P; ++d) {
-        const Rank peer = static_cast<Rank>((me + d) % P);
-        reqs.push_back(rb.isend(peer, kCgTagSeg,
-                                static_cast<Bytes>(myn) * kD));
-      }
-      rb.compute(p.cost.flops(10 * myn));
-      rb.waitall(std::move(reqs));
-      rb.compute(p.cost.flops(8 * myn));
-    };
-    for (int it = 0; it < niter; ++it) {
-      dot();  // rho = r.r
-      for (int cg = 0; cg < sz.cgit; ++cg) {
-        matvec();
-        dot();  // p.q
-        rb.site("cg.axpy");
-        rb.compute(p.cost.flops(4 * myn));
-        dot();  // new r.r
-        rb.site("cg.axpy");
-        rb.compute(p.cost.flops(2 * myn));
-      }
-      rb.site("cg.norm");
-      rb.compute(p.cost.flops(4 * myn));
-      rb.mpiAllreduce(2);
-      rb.compute(p.cost.flops(myn));
-      rb.site("cg.allgather");
-      if (sz.n % P == 0) {
-        rb.mpiAllgather(static_cast<Bytes>(myn) * kD);
-      } else {
-        std::vector<int> reqs;
-        for (int d = 1; d < P; ++d) {
-          const Rank peer = static_cast<Rank>((me + d) % P);
-          reqs.push_back(rb.irecv(
-              peer, kCgTagSeg + 1,
-              static_cast<Bytes>(dist.size[static_cast<std::size_t>(peer)]) *
-                  kD));
-        }
-        for (int d = 1; d < P; ++d) {
-          const Rank peer = static_cast<Rank>((me + d) % P);
-          reqs.push_back(rb.isend(peer, kCgTagSeg + 1,
-                                  static_cast<Bytes>(myn) * kD));
-        }
-        rb.waitall(std::move(reqs));
-      }
-    }
-  }
-  return finish(std::move(b));
-}
-
-// ---------------------------------------------------------------- EP ----
-
-using tables::epPairs;
-
-SkeletonBuildResult buildEp(const SkeletonParams& p) {
-  const std::int64_t pairs =
-      p.iterations > 0 ? static_cast<std::int64_t>(p.iterations)
-                       : epPairs(p.cls);
-  const int P = p.nranks;
-  const BlockDist dist = blockDistribute(static_cast<int>(pairs), P);
-  Builder b("ep", P);
-  for (Rank me = 0; me < P; ++me) {
-    RankBuilder& rb = b.rank(me);
-    const std::int64_t my_pairs =
-        dist.size[static_cast<std::size_t>(me)];
-    rb.site("ep.sample");
-    rb.compute(p.cost.flops(80 * my_pairs));
-    rb.site("ep.reduce");
-    rb.mpiAllreduce(2);   // (sx, sy)
-    rb.mpiAllreduce(10);  // annulus counts
-    rb.mpiAllreduce(1);   // accepted count
-  }
-  return finish(std::move(b));
-}
-
-// ---------------------------------------------------------------- IS ----
-
-using tables::isSizes;
-using tables::IsSizes;
-
-SkeletonBuildResult buildIs(const SkeletonParams& p) {
-  const IsSizes sz = isSizes(p.cls);
-  const int niter = p.iterations > 0 ? p.iterations : sz.niter;
-  const int P = p.nranks;
-  const BlockDist dist = blockDistribute(static_cast<int>(sz.keys), P);
-  Builder b("is", P);
-  for (Rank me = 0; me < P; ++me) {
-    RankBuilder& rb = b.rank(me);
-    const int my_n = dist.size[static_cast<std::size_t>(me)];
-    rb.site("is.init");
-    rb.compute(p.cost.flops(20LL * my_n));
-    for (int it = 0; it < niter; ++it) {
-      rb.site("is.histogram");
-      rb.compute(p.cost.flops(2LL * my_n));
-      rb.mpiAllreduce(sz.max_key);
-      rb.compute(p.cost.flops(sz.max_key));
-      rb.site("is.pack");
-      rb.compute(p.cost.flops(6LL * my_n));
-      rb.site("is.exchange");
-      rb.mpiAlltoall(static_cast<Bytes>(sizeof(double)));
-      rb.mpiAlltoallvAny();  // bucket payloads are data-dependent
-      rb.site("is.sort");
-      rb.compute(p.cost.flops(20LL * my_n));
-      rb.site("is.verify");
-      rb.mpiAllreduce(1);  // global count (Sum)
-      rb.mpiAllreduce(1);  // global ok (Min)
-    }
-    rb.site("is.checksum");
-    rb.mpiAllreduce(1);
-  }
-  return finish(std::move(b));
-}
-
-// ---------------------------------------------------------------- FT ----
-
-using tables::ftSizes;
-using tables::FtSizes;
-
-SkeletonBuildResult buildFt(const SkeletonParams& p) {
-  const FtSizes sz = ftSizes(p.cls);
-  const int niter = p.iterations > 0 ? p.iterations : sz.niter;
-  const int P = p.nranks;
-  if (sz.nx % P != 0 || sz.nz % P != 0) {
-    return fail("ft: nx and nz must be divisible by the rank count");
-  }
-  const int lnz = sz.nz / P, lnx = sz.nx / P, ny = sz.ny;
-  const std::int64_t npts = static_cast<std::int64_t>(lnz) * ny * sz.nx;
-  const Bytes block_bytes =
-      static_cast<Bytes>(lnz) * ny * lnx * kC;
-  Builder b("ft", P);
-  for (Rank me = 0; me < P; ++me) {
-    RankBuilder& rb = b.rank(me);
-    auto transpose = [&] {
-      rb.compute(p.cost.flops(2 * npts));  // pack
-      rb.mpiAlltoall(block_bytes);
-      rb.compute(p.cost.flops(2 * npts));  // unpack
-    };
-    rb.site("ft.init");
-    rb.compute(p.cost.flops(12 * npts));
-    rb.site("ft.fft_fwd");
-    rb.compute(p.cost.flops(static_cast<std::int64_t>(lnz) * ny *
-                            fftFlops(sz.nx)));
-    rb.compute(p.cost.flops(static_cast<std::int64_t>(lnz) * sz.nx *
-                            fftFlops(ny)));
-    rb.site("ft.transpose");
-    transpose();
-    rb.site("ft.fft_fwd");
-    rb.compute(p.cost.flops(static_cast<std::int64_t>(lnx) * ny *
-                            fftFlops(sz.nz)));
-    rb.site("ft.parseval");
-    rb.compute(p.cost.flops(3 * npts));
-    rb.mpiAllreduce(2);
-    for (int step = 1; step <= niter; ++step) {
-      rb.site("ft.evolve");
-      rb.compute(p.cost.flops(12 * npts));
-      rb.site("ft.fft_inv");
-      rb.compute(p.cost.flops(static_cast<std::int64_t>(lnx) * ny *
-                              fftFlops(sz.nz)));
-      rb.site("ft.transpose");
-      transpose();
-      rb.site("ft.fft_inv");
-      rb.compute(p.cost.flops(static_cast<std::int64_t>(lnz) * sz.nx *
-                              fftFlops(ny)));
-      rb.compute(p.cost.flops(static_cast<std::int64_t>(lnz) * ny *
-                              (fftFlops(sz.nx) + 2 * sz.nx)));
-      rb.site("ft.checksum");
-      rb.compute(p.cost.flops(4 * 1024 / P));
-      rb.mpiReduce(2, 0);
-      rb.mpiBcast(2 * kD, 0);
-    }
-  }
-  return finish(std::move(b));
+/// cg, ep, ft, is, mg: the rank-symbolic template, instantiated at P.
+SkeletonBuildResult instantiateSymbolic(const std::string& kernel,
+                                        const SkeletonParams& p) {
+  const SymSkeletonBuildResult sym = buildNasSymSkeleton(kernel, p);
+  if (!sym.ok()) return fail(sym.error);
+  skel::sym::InstantiateResult inst =
+      skel::sym::instantiate(sym.skeleton, p.nranks);
+  if (!inst.ok()) return fail(kernel + ": " + inst.error);
+  SkeletonBuildResult r;
+  r.skeleton = std::move(inst.skeleton);
+  return r;
 }
 
 // ---------------------------------------------------------------- LU ----
@@ -632,254 +444,21 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
   return finish(std::move(b));
 }
 
-// ---------------------------------------------------------------- MG ----
-
-using tables::kMgCoarseSweeps;
-using tables::kMgTagExch;
-using tables::mgSizes;
-using tables::MgSizes;
-
-struct MgLevel {
-  int lnx = 0, lny = 0, lnz = 0;
-  [[nodiscard]] std::int64_t points() const {
-    return static_cast<std::int64_t>(lnx) * lny * lnz;
-  }
-};
-
-int mgFaceCount(const MgLevel& L, int dir) {
-  switch (dir / 2) {
-    case 0: return L.lny * L.lnz;
-    case 1: return L.lnx * L.lnz;
-    default: return L.lnx * L.lny;
-  }
-}
-
-int mgFaceCountIncl(const MgLevel& L, int dir) {
-  switch (dir / 2) {
-    case 0: return L.lny * L.lnz;
-    case 1: return (L.lnx + 2) * L.lnz;
-    default: return (L.lnx + 2) * (L.lny + 2);
-  }
-}
-
-SkeletonBuildResult buildMg(const SkeletonParams& p) {
-  const MgSizes sz = mgSizes(p.cls);
-  const int cycles = p.iterations > 0 ? p.iterations : sz.cycles;
-  const int P = p.nranks;
-  const Grid3D pg = factor3d(P);
-  std::string variant = p.variant.empty() ? "armci-nb" : p.variant;
-  const bool is_mpi = variant == "mpi";
-  const bool nonblocking = variant == "armci-nb";
-  if (!is_mpi && variant != "armci" && variant != "armci-nb") {
-    return fail("mg: unknown variant '" + variant +
-                "' (want mpi|armci|armci-nb)");
-  }
-
-  std::vector<MgLevel> geom;
-  for (int n = sz.n;; n /= 2) {
-    if (n % pg.px != 0 || n % pg.py != 0 || n % pg.pz != 0) break;
-    const MgLevel L{n / pg.px, n / pg.py, n / pg.pz};
-    if (L.lnx < 1 || L.lny < 1 || L.lnz < 1) break;
-    geom.push_back(L);
-    if (n / 2 < 4) break;
-  }
-  const int nlevels = static_cast<int>(geom.size());
-  if (nlevels == 0) return fail("mg: grid does not fit the process grid");
-
-  Builder b(is_mpi ? "mg-mpi" : (nonblocking ? "mg-armci-nb" : "mg-armci"),
-            P);
-  for (Rank me = 0; me < P; ++me) {
-    RankBuilder& rb = b.rank(me);
-    auto neighbor = [&](int dir) -> Rank {
-      const int cx = static_cast<int>(me) % pg.px;
-      const int cy = (static_cast<int>(me) / pg.px) % pg.py;
-      const int cz = static_cast<int>(me) / (pg.px * pg.py);
-      int nx = cx, ny = cy, nzc = cz;
-      switch (dir) {
-        case 0: nx = cx - 1; break;
-        case 1: nx = cx + 1; break;
-        case 2: ny = cy - 1; break;
-        case 3: ny = cy + 1; break;
-        case 4: nzc = cz - 1; break;
-        case 5: nzc = cz + 1; break;
-        default: break;
-      }
-      if (nx < 0 || nx >= pg.px || ny < 0 || ny >= pg.py || nzc < 0 ||
-          nzc >= pg.pz) {
-        return -1;
-      }
-      return static_cast<Rank>((nzc * pg.py + ny) * pg.px + nx);
-    };
-    auto opposite = [](int dir) { return dir ^ 1; };
-
-    // `begin`/`end` mirror the staged 6-face exchange; `pending` carries
-    // the MPI request ids from begin to the matching end.
-    std::vector<int> pending;
-    auto begin = [&](int l) {
-      const MgLevel& L = geom[static_cast<std::size_t>(l)];
-      if (is_mpi) {
-        pending.clear();
-        for (int d = 0; d < 6; ++d) {
-          const Rank nb = neighbor(d);
-          if (nb < 0) continue;
-          // The receive buffer is the ghost-inclusive inbox, but the wire
-          // message (what MATCH records carry) is the sender's packed
-          // face — model the message, not the buffer.
-          pending.push_back(rb.irecv(
-              nb, kMgTagExch + l * 8 + d,
-              static_cast<Bytes>(mgFaceCount(L, d)) * kD));
-        }
-        for (int d = 0; d < 6; ++d) {
-          const Rank nb = neighbor(d);
-          if (nb < 0) continue;
-          pending.push_back(rb.isend(
-              nb, kMgTagExch + l * 8 + opposite(d),
-              static_cast<Bytes>(mgFaceCount(L, d)) * kD));
-        }
-      } else {
-        for (int d = 0; d < 6; ++d) {
-          const Rank nb = neighbor(d);
-          if (nb < 0) continue;
-          rb.put(nb, static_cast<Bytes>(mgFaceCount(L, d)) * kD,
-                 nonblocking);
-        }
-      }
-    };
-    auto end = [&] {
-      if (is_mpi) {
-        rb.waitall(std::move(pending));
-        pending.clear();
-      } else {
-        if (nonblocking) rb.fence(0);
-        rb.barrier();  // everyone's puts are in the inboxes
-        rb.barrier();  // inboxes free for reuse
-      }
-    };
-    auto seq = [&](int l) {
-      const MgLevel& L = geom[static_cast<std::size_t>(l)];
-      for (int axis = 0; axis < 3; ++axis) {
-        if (is_mpi) {
-          std::vector<int> rr;
-          for (int s = 0; s < 2; ++s) {
-            const int d = axis * 2 + s;
-            const Rank nb = neighbor(d);
-            if (nb < 0) continue;
-            rr.push_back(rb.irecv(
-                nb, kMgTagExch + l * 8 + d,
-                static_cast<Bytes>(mgFaceCountIncl(L, d)) * kD));
-          }
-          for (int s = 0; s < 2; ++s) {
-            const int d = axis * 2 + s;
-            const Rank nb = neighbor(d);
-            if (nb < 0) continue;
-            rr.push_back(rb.isend(
-                nb, kMgTagExch + l * 8 + opposite(d),
-                static_cast<Bytes>(mgFaceCountIncl(L, d)) * kD));
-          }
-          rb.waitall(std::move(rr));
-        } else {
-          for (int s = 0; s < 2; ++s) {
-            const int d = axis * 2 + s;
-            const Rank nb = neighbor(d);
-            if (nb < 0) continue;
-            rb.put(nb, static_cast<Bytes>(mgFaceCountIncl(L, d)) * kD,
-                   false);
-          }
-          rb.barrier();
-          rb.barrier();
-        }
-      }
-    };
-    auto sum = [&] {
-      if (is_mpi) {
-        rb.mpiAllreduce(1);
-      } else {
-        rb.barrier();  // Armci::allreduceSum = three barrier rounds
-        rb.barrier();
-        rb.barrier();
-      }
-    };
-
-    auto smooth = [&](int l) {
-      const MgLevel& L = geom[static_cast<std::size_t>(l)];
-      rb.site("mg.smooth");
-      begin(l);
-      if (L.lnx >= 3 && L.lny >= 3 && L.lnz >= 3) {
-        rb.compute(p.cost.flops(10LL * (L.lnx - 2) * (L.lny - 2) *
-                                (L.lnz - 2)));
-      }
-      end();
-      rb.compute(p.cost.flops(12 * L.points()));
-    };
-
-    std::function<void(int)> vcycle = [&](int l) {
-      const MgLevel& L = geom[static_cast<std::size_t>(l)];
-      if (l == nlevels - 1) {
-        for (int s = 0; s < kMgCoarseSweeps; ++s) smooth(l);
-        return;
-      }
-      smooth(l);
-      smooth(l);
-      rb.site("mg.residual");
-      begin(l);
-      if (L.lnx >= 3 && L.lny >= 3 && L.lnz >= 3) {
-        rb.compute(p.cost.flops(9LL * (L.lnx - 2) * (L.lny - 2) *
-                                (L.lnz - 2)));
-      }
-      end();
-      rb.compute(p.cost.flops(9 * L.points()));
-      const MgLevel& C = geom[static_cast<std::size_t>(l) + 1];
-      rb.site("mg.restrict");
-      begin(l);
-      const int cx2 = C.lnx - 1, cy2 = C.lny - 1, cz2 = C.lnz - 1;
-      if (cx2 >= 1 && cy2 >= 1 && cz2 >= 1) {
-        rb.compute(p.cost.flops(9LL * cx2 * cy2 * cz2));
-      }
-      end();
-      rb.compute(p.cost.flops(9 * C.points()));
-      vcycle(l + 1);
-      rb.site("mg.prolong");
-      seq(l + 1);
-      rb.compute(p.cost.flops(12 * L.points()));
-      smooth(l);
-      smooth(l);
-    };
-
-    auto residualNorm = [&] {
-      const MgLevel& L = geom[0];
-      rb.site("mg.norm");
-      begin(0);
-      end();
-      rb.compute(p.cost.flops(9 * L.points()));
-      rb.compute(p.cost.flops(2 * L.points()));
-      sum();
-    };
-
-    rb.site("mg.init");
-    rb.compute(p.cost.flops(8 * geom[0].points()));
-    residualNorm();
-    for (int c = 0; c < cycles; ++c) vcycle(0);
-    residualNorm();
-  }
-  return finish(std::move(b));
-}
-
 }  // namespace
 
 SkeletonBuildResult buildNasSkeleton(const std::string& kernel,
                                      const SkeletonParams& params) {
   if (params.nranks < 1) return fail("need at least one rank");
-  if (kernel == "cg") return buildCg(params);
-  if (kernel == "ep") return buildEp(params);
-  if (kernel == "is") return buildIs(params);
-  if (kernel == "ft") return buildFt(params);
   if (kernel == "lu") return buildLu(params);
   if (kernel == "sp") return buildSp(params);
   if (kernel == "bt") return buildBt(params);
-  if (kernel == "mg") return buildMg(params);
-  std::ostringstream os;
-  os << "unknown kernel '" << kernel << "' (want bt|cg|ep|ft|is|lu|mg|sp)";
-  return fail(os.str());
+  const std::vector<std::string>& converted = nasSymbolicKernels();
+  if (std::find(converted.begin(), converted.end(), kernel) !=
+      converted.end()) {
+    return instantiateSymbolic(kernel, params);
+  }
+  return fail("unknown kernel '" + kernel +
+              "' (want bt|cg|ep|ft|is|lu|mg|sp)");
 }
 
 const std::vector<std::string>& nasSkeletonKernels() {

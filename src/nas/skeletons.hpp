@@ -1,15 +1,18 @@
 // Static communication skeletons of the NAS kernel reproductions.
 //
-// Each builder unrolls the exact per-rank op sequence its kernel executes —
-// same peers, same tags, same byte counts, same collective decompositions —
-// but *without running the simulator*: the result is a declarative
-// skel::Skeleton that ovprof_check analyzes statically (matching, deadlock,
-// overlap windows) and that live traces are conformance-checked against.
+// A skeleton is the exact per-rank op sequence its kernel executes — same
+// peers, same tags, same byte counts, same collective decompositions — but
+// built *without running the simulator*: a declarative skel::Skeleton that
+// ovprof_check analyzes statically (matching, deadlock, overlap windows)
+// and that live traces are conformance-checked against.
 //
-// The builders intentionally duplicate the kernels' problem-class tables
+// Each kernel's communication is described once.  cg, ep, ft, is and mg
+// are their rank-symbolic templates (symbolic.hpp) instantiated at
+// `nranks`; lu, sp and bt are unrolled per rank in skeletons.cpp.  The
+// descriptions intentionally duplicate the kernels' problem-class tables
 // and communication constants; the per-kernel conformance ctests (a traced
-// run embedded into the skeleton's match relation) are what keep the two
-// copies honest.  Iteration counts need not agree with a particular run —
+// run embedded into the skeleton's match relation) are what keep them
+// honest.  Iteration counts need not agree with a particular run —
 // conformance checks edge-set admissibility, not multiset equality — but
 // peers/tags/bytes must.
 #pragma once
@@ -35,7 +38,8 @@ struct SkeletonParams {
 
 struct SkeletonBuildResult {
   skel::Skeleton skeleton;
-  /// Non-empty on failure (unknown kernel, indivisible decomposition...).
+  /// Non-empty on failure (unknown kernel, indivisible decomposition...);
+  /// failures of a buildable kernel start with "<kernel>: ".
   std::string error;
   [[nodiscard]] bool ok() const { return error.empty(); }
 };

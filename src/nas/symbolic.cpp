@@ -212,7 +212,7 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
   b.family({Cond{mod(n, px), CmpOp::Eq, cst(0)},
             Cond{mod(n, py), CmpOp::Eq, cst(0)},
             Cond{mod(n, pz), CmpOp::Eq, cst(0)}});
-  // Closed form of the geometry loop in skeletons.cpp: levels are pushed
+  // Closed form of the level-geometry loop in mg.cpp: levels are pushed
   // while n / 2^l stays divisible (first failure at n_l < pz) and the next
   // grid is at least 4 cells; both stops collapse to this expression.
   const ExprP nlevels =
@@ -277,7 +277,7 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
         const Dir dir = dirAt(d);
         b.guarded(dir.g, [&] {
           // Message = sender's packed face (not the ghost-inclusive
-          // receive buffer), same as the unrolled builder.
+          // receive buffer): MATCH records carry the sender's bytes.
           b.irecv(dir.peer, tagAt(l, d), mul(faceAt(l, d), cst(kD)));
         });
       }
@@ -375,7 +375,7 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
   b.compute(mul(cst(8), pointsAt(cst(0))));
   residualNorm();
   b.loop("c", cst(0), cst(cycles), [&] {
-    // The V-cycle recursion of skeletons.cpp, flattened: descend through
+    // The V-cycle recursion of mg.cpp, flattened: descend through
     // levels 0..nlevels-2, relax at the coarsest, ascend back up.
     b.loop("l", cst(0), sub(nlevels, cst(1)), [&] {
       const ExprP l = var("l");

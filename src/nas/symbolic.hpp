@@ -1,20 +1,18 @@
 // Rank-symbolic skeletons of the NAS kernel reproductions.
 //
 // Each builder emits ONE skel::sym::SymSkeleton template describing every
-// rank at every admissible job size P, where skeletons.cpp unrolls one op
-// list per rank at one concrete P.  The two are tied together by the
-// instantiation gate (tests/symbolic_test.cpp + the sym_equiv_* ctest
-// gates): instantiate(symbolic, P) must equal the unrolled builder's
-// output byte-for-byte at randomized P.  On top of the symbolic form,
-// ovprof_check --symbolic proves per-(src,dst,tag) matching and
-// deadlock-freedom for the whole rank-count family in one run and
-// extracts closed-form per-site cost terms for the model layer.
+// rank at every admissible job size P.  For the converted kernels this is
+// the only description of their communication: buildNasSkeleton returns
+// instantiate(template, P), and ovprof_check --symbolic proves
+// per-(src,dst,tag) matching and deadlock-freedom for the whole rank-count
+// family in one run and extracts closed-form per-site cost terms for the
+// model layer.
 //
 // Converted kernels: cg, ep, is, ft, and mg (all three variants).  IS's
-// data-dependent alltoallv keeps kAnyBytes wildcard terms, exactly like
-// the unrolled builder.  LU/SP/BT stay unrolled-only for now (their
-// stage-pipelined sweeps use per-stage Wait, which the symbolic IR's
-// implicit-request model does not cover).
+// data-dependent alltoallv keeps kAnyBytes wildcard terms.  LU/SP/BT stay
+// unrolled in skeletons.cpp for now (their stage-pipelined sweeps use
+// per-stage Wait, which the symbolic IR's implicit-request model does not
+// cover).
 #pragma once
 
 #include <string>

@@ -2,7 +2,8 @@
 //
 // RankBuilder assembles one rank's unrolled op list with automatic request
 // numbering and a current call-site label; Builder bundles one RankBuilder
-// per rank and assembles the final Skeleton.
+// per rank and assembles the final Skeleton.  The unrolled LU/SP/BT
+// builders and skel::sym::instantiate() both emit through it.
 //
 // The mpi* methods expand MPI collectives into the exact point-to-point
 // decomposition src/mpi/collectives.cpp executes (same algorithms, same
@@ -11,6 +12,8 @@
 // skeleton's static match relation, so a skeleton built with these helpers
 // stays byte-for-byte admissible for a live traced run — and the ctest
 // sweep over all NAS kernels is what keeps the two decompositions in sync.
+// The other collectives are expanded by the symbolic twin
+// (skeleton/symbolic/builder.hpp) only.
 #pragma once
 
 #include <string>
@@ -59,16 +62,9 @@ class RankBuilder {
   void fence(Rank target);
 
   // ---- MPI collective expansions (see src/mpi/collectives.cpp) ----
-  void mpiBarrier();
   void mpiBcast(Bytes n, Rank root);
   void mpiReduce(int count, Rank root);
   void mpiAllreduce(int count);  // reduce to 0 + bcast from 0
-  void mpiAlltoall(Bytes bytes_per_rank);
-  /// alltoallv with data-dependent counts: kAnyBytes to/from every peer.
-  void mpiAlltoallvAny();
-  void mpiAllgather(Bytes bytes_per_rank);
-  void mpiGather(Bytes n, Rank root);
-  void mpiScatter(Bytes n, Rank root);
 
   [[nodiscard]] Program take() { return std::move(prog_); }
 

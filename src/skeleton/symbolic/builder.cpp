@@ -124,8 +124,8 @@ void SymBuilder::guarded(Guard g, const std::function<void()>& body) {
 // ---- MPI collective expansions ----
 //
 // Each expansion instantiates, per rank and per P, to exactly the op
-// sequence RankBuilder's concrete twin emits; the derivations are spelled
-// out in DESIGN.md 5.16 and enforced by the instantiation gate.
+// sequence of the matching algorithm in src/mpi/collectives.cpp; the
+// derivations are spelled out in DESIGN.md 5.16.
 
 void SymBuilder::mpiBarrier() {
   // Dissemination rounds k = 0 .. clog2(P)-1: concrete `for (k = 1; k < P;

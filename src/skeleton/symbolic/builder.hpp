@@ -4,11 +4,11 @@
 // for all ranks and all job sizes instead of one op list per concrete
 // rank: loops take symbolic bounds plus a body callback, `guarded()` opens
 // a rank-role case split, and every peer/tag/bytes/flops argument is an
-// Expr.  The mpi* helpers expand collectives into the same point-to-point
-// decompositions as RankBuilder's (same reserved tags, same op order);
-// their loop/guard shapes are the canonical forms the symbolic matching
-// and deadlock provers recognize (see verify.cpp).  The instantiation gate
-// keeps the two decompositions byte-identical.
+// Expr.  The mpi* helpers expand collectives into the point-to-point
+// decompositions src/mpi/collectives.cpp executes (same reserved tags,
+// same op order); their loop/guard shapes are the canonical forms the
+// symbolic matching and deadlock provers recognize (see verify.cpp).  The
+// trace-conformance gates check the expansions against live runs.
 #pragma once
 
 #include <functional>

@@ -165,7 +165,7 @@ bool compare(std::int64_t a, CmpOp op, std::int64_t b) {
   return false;
 }
 
-bool evalIn(const Expr& e, Env& env, std::int64_t& out) {
+bool evalIn(const Expr& e, const Env& env, std::int64_t& out) {
   auto evalArg = [&](std::size_t i, std::int64_t& v) {
     return e.args[i] != nullptr && evalIn(*e.args[i], env, v);
   };
@@ -261,27 +261,16 @@ bool evalIn(const Expr& e, Env& env, std::int64_t& out) {
       if (!evalArg(0, b) || !evalArg(1, en)) return false;
       // Guard against runaway ranges: cost sums are O(P)-sized.
       if (en - b > (std::int64_t{1} << 24)) return false;
+      // The one binder: the body sees the bound variable in a local copy,
+      // so no other node pays for copying the environment.
+      Env inner = env;
+      std::int64_t& bound = inner.vars[e.var];
       std::int64_t total = 0;
-      const auto it = env.vars.find(e.var);
-      const bool had = it != env.vars.end();
-      const std::int64_t saved = had ? it->second : 0;
       for (std::int64_t v = b; v < en; ++v) {
-        env.vars[e.var] = v;
+        bound = v;
         std::int64_t body = 0;
-        if (!evalIn(*e.args[2], env, body)) {
-          if (had) {
-            env.vars[e.var] = saved;
-          } else {
-            env.vars.erase(e.var);
-          }
-          return false;
-        }
+        if (!evalIn(*e.args[2], inner, body)) return false;
         total += body;
-      }
-      if (had) {
-        env.vars[e.var] = saved;
-      } else {
-        env.vars.erase(e.var);
       }
       out = total;
       return true;
@@ -300,9 +289,7 @@ bool evalIn(const Expr& e, Env& env, std::int64_t& out) {
 }  // namespace
 
 bool eval(const ExprP& e, const Env& env, std::int64_t& out) {
-  if (e == nullptr) return false;
-  Env scratch = env;
-  return evalIn(*e, scratch, out);
+  return e != nullptr && evalIn(*e, env, out);
 }
 
 bool evalCond(const Cond& c, const Env& env, bool& out) {

@@ -13,8 +13,7 @@
 //
 // Division and modulo are *floor* variants (result of mod is in [0, m) for
 // m > 0); on the non-negative operands the builders produce this agrees
-// with the C++ semantics the unrolled builders use, which is what the
-// instantiation gate checks byte-for-byte.
+// with C++ `/` and `%`.
 //
 // `Sum` and `Ind` exist for the closed-form cost layer: a cost term is an
 // expression over P only, where residues the simplifier cannot collapse

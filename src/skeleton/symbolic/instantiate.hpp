@@ -1,12 +1,11 @@
 // Lowering a symbolic skeleton template to the unrolled IR at concrete P.
 //
-// This is the bridge the instantiation gate stands on: for every
-// admissible P, instantiate() must produce byte-for-byte the same
-// Skeleton (via skeletonToString) as the hand-unrolled builder, so the
-// symbolic layer is *validated against* the concrete one rather than
-// trusted alongside it.  Request numbering, compute-cost pricing and
-// zero-cost-drop semantics are inherited from skel::RankBuilder so the
-// two paths cannot drift in those details.
+// For the converted NAS kernels this IS the concrete skeleton:
+// nas::buildNasSkeleton returns instantiate(template, P), so the fixed-P
+// checker, the trace-conformance gate and the skeleton goldens read the
+// same description the symbolic provers reason about.  Request numbering,
+// compute-cost pricing and zero-cost-drop semantics come from
+// skel::RankBuilder, shared with the unrolled LU/SP/BT builders.
 #pragma once
 
 #include <string>

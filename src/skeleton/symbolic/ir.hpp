@@ -7,9 +7,7 @@
 // trees over the symbolic rank `r`, the job size `P`, and enclosing loop
 // variables.  One template describes the behaviour of every rank at every
 // admissible job size; `instantiate()` (instantiate.hpp) lowers it to the
-// unrolled IR for a concrete P, and the instantiation gate in
-// tests/symbolic_test.cpp checks that lowering is byte-identical to the
-// hand-unrolled builders.
+// unrolled IR for a concrete P.
 //
 // Semantics notes:
 //  * Request management is implicit.  Isend/Irecv open requests; a Waitall

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "trace/critical_path.hpp"
+#include "util/strings.hpp"
 
 namespace ovp::trace {
 
@@ -33,25 +34,7 @@ void appendf(std::string& s, const char* fmt, ...) {
   if (n > 0) s.append(buf, static_cast<std::size_t>(n));
 }
 
-std::string jsonEscape(std::string_view in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char ch : in) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          appendf(out, "\\u%04x", static_cast<unsigned>(ch) & 0xff);
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
+using util::jsonEscape;
 
 /// Nanoseconds as fixed-point microseconds ("123.456") — integers only, so
 /// the text is deterministic.

@@ -30,4 +30,9 @@ namespace ovp::util {
 /// Renders a duration with an auto-selected unit (ns / us / ms / s).
 [[nodiscard]] std::string humanDuration(DurationNs ns);
 
+/// Escapes `text` for a JSON string literal: quote, backslash, \n and \t
+/// get their short escapes, other control bytes become \u00xx (lower-case
+/// hex), everything else is copied unchanged.
+[[nodiscard]] std::string jsonEscape(std::string_view text);
+
 }  // namespace ovp::util

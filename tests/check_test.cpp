@@ -1,5 +1,5 @@
 // Tests for the static skeleton analyzer (src/skeleton) and the NAS
-// skeleton builders (src/nas/skeletons.cpp):
+// skeletons (nas::buildNasSkeleton):
 //
 //   * seeded-defect fixtures — an unmatched send, a tag mismatch, a
 //     rendezvous send/send deadlock, and a zero-compute overlap window —

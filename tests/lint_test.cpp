@@ -446,8 +446,12 @@ TEST(Advisor, FlagsSerializedEarlyAndLateWaits) {
   EXPECT_TRUE(hasCode(diags, DiagCode::LateWait));
   for (const Diagnostic& d : diags) {
     EXPECT_EQ(d.severity, Severity::Note);  // advice never fails a run
-    if (d.code == DiagCode::SerializedTransfer) EXPECT_GT(d.gain, 0);
-    if (d.code == DiagCode::LateWait) EXPECT_EQ(d.gain, 0);
+    if (d.code == DiagCode::SerializedTransfer) {
+      EXPECT_GT(d.gain, 0);
+    }
+    if (d.code == DiagCode::LateWait) {
+      EXPECT_EQ(d.gain, 0);
+    }
   }
   EXPECT_TRUE(analysis::clean(diags));
 }

@@ -3,11 +3,9 @@
 // perturbing virtual time or the framework's own accounting.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "mpi/machine.hpp"
-#include "mpi/trace.hpp"
 
 namespace ovp::mpi {
 namespace {
@@ -18,13 +16,21 @@ struct Trace {
   int xfers_begun = 0;
   int xfers_ended = 0;
   Bytes bytes_begun = 0;
+  TimeNs entered_at = 0;
+  DurationNs call_time = 0;  // summed enter -> exit brackets
   std::vector<Status> matches;
 };
 
 void attachTrace(Mpi& mpi, Trace& t) {
   EventHooks hooks;
-  hooks.on_call_enter = [&t](TimeNs) { ++t.calls_entered; };
-  hooks.on_call_exit = [&t](TimeNs) { ++t.calls_exited; };
+  hooks.on_call_enter = [&t](TimeNs now) {
+    ++t.calls_entered;
+    t.entered_at = now;
+  };
+  hooks.on_call_exit = [&t](TimeNs now) {
+    ++t.calls_exited;
+    t.call_time += now - t.entered_at;
+  };
   hooks.on_xfer_begin = [&t](TimeNs, Bytes n) {
     ++t.xfers_begun;
     t.bytes_begun += n;
@@ -168,49 +174,17 @@ TEST(Hooks, WorkUninstrumented) {
   EXPECT_EQ(trace.xfers_begun, 1);
 }
 
-TEST(TraceRecorder, RecordsAllKindsAndWritesCsv) {
+TEST(Hooks, CallTimeMatchesFrameworkAccounting) {
+  // Call time summed from the hooks must agree with the framework's
+  // on-the-fly communication_call_time — two independent paths over the
+  // same events.
   JobConfig cfg;
   cfg.nranks = 2;
   Machine m(cfg);
-  TraceRecorder tracer;
-  int v = 3;
-  m.run([&](Mpi& mpi) {
-    if (mpi.rank() == 1) mpi.setHooks(tracer.hooks());
-    if (mpi.rank() == 0) {
-      mpi.send(&v, sizeof v, 1, 7);
-    } else {
-      int got = 0;
-      mpi.recv(&got, sizeof got, 0, 7);
-    }
-  });
-  EXPECT_GT(tracer.eventCount(), 2u);
-  bool saw_match = false;
-  for (const auto& e : tracer.entries()) {
-    if (e.kind == TraceRecorder::Kind::Match) {
-      saw_match = true;
-      EXPECT_EQ(e.tag, 7);
-    }
-  }
-  EXPECT_TRUE(saw_match);
-  std::ostringstream os;
-  tracer.writeCsv(os);
-  EXPECT_NE(os.str().find("MATCH"), std::string::npos);
-  EXPECT_NE(os.str().find("CALL_ENTER"), std::string::npos);
-  EXPECT_GT(tracer.memoryBytes(), 0u);
-  tracer.clear();
-  EXPECT_EQ(tracer.eventCount(), 0u);
-}
-
-TEST(TraceRecorder, CallTimeMatchesFrameworkAccounting) {
-  // The trace, post-processed, must agree with the framework's on-the-fly
-  // communication_call_time — two independent paths over the same events.
-  JobConfig cfg;
-  cfg.nranks = 2;
-  Machine m(cfg);
-  TraceRecorder tracer;
+  Trace trace;
   std::vector<std::uint8_t> buf(50000);
   m.run([&](Mpi& mpi) {
-    if (mpi.rank() == 0) mpi.setHooks(tracer.hooks());
+    if (mpi.rank() == 0) attachTrace(mpi, trace);
     for (int i = 0; i < 5; ++i) {
       if (mpi.rank() == 0) {
         mpi.send(buf.data(), 50000, 1, 0);
@@ -220,12 +194,11 @@ TEST(TraceRecorder, CallTimeMatchesFrameworkAccounting) {
       mpi.compute(usec(50));
     }
   });
-  const DurationNs from_trace = tracer.callTimeFromTrace();
   const DurationNs from_framework =
       m.reports()[0].whole.communication_call_time;
-  // The trace hook fires just outside the monitor's stamps (the stamp
-  // itself costs a few ns of virtual time), so allow a tiny slack.
-  EXPECT_NEAR(static_cast<double>(from_trace),
+  // The hooks fire just outside the monitor's stamps (the stamp itself
+  // costs a few ns of virtual time), so allow a tiny slack.
+  EXPECT_NEAR(static_cast<double>(trace.call_time),
               static_cast<double>(from_framework),
               static_cast<double>(from_framework) * 0.01);
 }

@@ -1,7 +1,7 @@
 // Property tests for the ovprof-skeleton-v1 serializer (skeleton/serialize).
 //
-// The canonical text form underpins the instantiation gate, the golden
-// skeletons, and --write-skeleton/--conform interchange, so the writer and
+// The canonical text form underpins the golden skeletons and
+// --write-skeleton/--conform interchange, so the writer and
 // the strict parser must stay exact inverses over the WHOLE op vocabulary —
 // wildcards, empty waitall sets, RMA nb flags, site labels included.  A
 // seeded fuzzer generates random valid skeletons and round-trips them;

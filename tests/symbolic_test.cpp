@@ -1,10 +1,9 @@
-// Tests for the rank-symbolic skeleton layer (src/skeleton/symbolic).
-//
-// The anchor is the instantiation gate: instantiate(symbolic, P) must
-// reproduce the unrolled builder's skeleton BYTE-FOR-BYTE (via the
-// canonical serializer) at randomized admissible P for every converted
-// kernel.  Everything else (matching/deadlock proofs, cost terms) builds
-// on that equivalence.
+// Tests for the rank-symbolic skeleton layer (src/skeleton/symbolic):
+// the all-P matching/deadlock proofs, the closed-form cost terms (checked
+// against an independent interpreter and the instantiated skeletons), the
+// grid evaluators and the template goldens.  The converted kernels'
+// instantiated skeletons themselves are pinned by check_test's
+// skeleton_*.txt goldens and the trace-conformance ctests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +17,6 @@
 #include "nas/common.hpp"
 #include "nas/skeletons.hpp"
 #include "nas/symbolic.hpp"
-#include "skeleton/serialize.hpp"
 #include "skeleton/symbolic/builder.hpp"
 #include "skeleton/symbolic/cost.hpp"
 #include "skeleton/symbolic/expr.hpp"
@@ -52,61 +50,6 @@ std::vector<int> sampleProcs(const skel::sym::SymSkeleton& s, int want,
     if (!dup) out.push_back(p);
   }
   return out;
-}
-
-void expectEquivalent(const std::string& kernel, const SkeletonParams& p,
-                      std::uint64_t seed) {
-  const auto sym = nas::buildNasSymSkeleton(kernel, p);
-  ASSERT_TRUE(sym.ok()) << kernel << ": " << sym.error;
-  const auto procs = sampleProcs(sym.skeleton, 5, seed);
-  ASSERT_GE(procs.size(), 3u) << kernel << ": too few admissible P found";
-  for (const int nprocs : procs) {
-    SkeletonParams up = p;
-    up.nranks = nprocs;
-    const auto unrolled = nas::buildNasSkeleton(kernel, up);
-    ASSERT_TRUE(unrolled.ok())
-        << kernel << " P=" << nprocs << ": " << unrolled.error;
-    const auto inst = instantiate(sym.skeleton, nprocs);
-    ASSERT_TRUE(inst.ok()) << kernel << " P=" << nprocs << ": " << inst.error;
-    EXPECT_EQ(skel::skeletonToString(inst.skeleton),
-              skel::skeletonToString(unrolled.skeleton))
-        << kernel << " diverges at P=" << nprocs;
-  }
-}
-
-TEST(SymbolicEquivalence, CgMatchesUnrolled) {
-  expectEquivalent("cg", {}, 0xc601);
-}
-
-TEST(SymbolicEquivalence, EpMatchesUnrolled) {
-  expectEquivalent("ep", {}, 0xe901);
-}
-
-TEST(SymbolicEquivalence, IsMatchesUnrolled) {
-  expectEquivalent("is", {}, 0x1501);
-}
-
-TEST(SymbolicEquivalence, FtMatchesUnrolled) {
-  expectEquivalent("ft", {}, 0xf701);
-}
-
-TEST(SymbolicEquivalence, MgMatchesUnrolledAllVariants) {
-  std::uint64_t seed = 0x3601;
-  for (const char* variant : {"mpi", "armci", "armci-nb"}) {
-    SkeletonParams p;
-    p.variant = variant;
-    expectEquivalent("mg", p, seed++);
-  }
-}
-
-TEST(SymbolicEquivalence, ClassAAndBStayEquivalent) {
-  for (const auto cls : {nas::Class::A, nas::Class::B}) {
-    for (const auto& kernel : nas::nasSymbolicKernels()) {
-      SkeletonParams p;
-      p.cls = cls;
-      expectEquivalent(kernel, p, 0xab01 + static_cast<std::uint64_t>(cls));
-    }
-  }
 }
 
 // ---- matching / deadlock provers ----

@@ -124,6 +124,11 @@ TEST(Strings, HumanDuration) {
   EXPECT_EQ(humanDuration(sec(1)), "1.000 s");
 }
 
+TEST(Strings, JsonEscape) {
+  EXPECT_EQ(jsonEscape("a\"b\\c\nd\te\x01"), "a\\\"b\\\\c\\nd\\te\\u0001");
+  EXPECT_EQ(jsonEscape("plain text"), "plain text");
+}
+
 TEST(Stats, RunningStatsBasics) {
   RunningStats s;
   s.add(1.0);

@@ -502,9 +502,8 @@ ArmciMachine::ArmciMachine(ArmciJobConfig cfg) : cfg_(std::move(cfg)) {}
 void ArmciMachine::run(const std::function<void(Armci&)>& rankMain) {
   net::Fabric fabric(engine_, cfg_.fabric, cfg_.nranks);
   // Collectives keep owner-local state and talk over the NIC, so ARMCI
-  // jobs parallelize like MPI ones; only the fault model (which mutates
-  // remote NIC state synchronously) forces sequential execution.
-  engine_.setWorkers(fabric.faultEnabled() ? 1 : cfg_.workers);
+  // jobs parallelize like MPI ones, lossy fabric included.
+  engine_.setWorkers(cfg_.workers);
   auto barrier = std::make_shared<SharedBarrier>(cfg_.nranks);
   reports_.assign(
       cfg_.armci.instrument ? static_cast<std::size_t>(cfg_.nranks) : 0,

@@ -238,8 +238,8 @@ struct ArmciJobConfig {
   net::FabricParams fabric;
   ArmciConfig armci;
   trace::CollectorConfig trace;
-  /// Engine worker threads; forced to 1 when the fault model is enabled
-  /// (the reliability protocol mutates remote NIC state synchronously).
+  /// Engine worker threads; results are bit-identical at any value, fault
+  /// injection included.
   int workers = 1;
 };
 

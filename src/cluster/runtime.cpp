@@ -93,7 +93,7 @@ CampaignResult ClusterRuntime::run(std::vector<JobSpec> jobs,
   net::Fabric fabric(engine, cfg_.fabric, nworkers + 1);
   // The driver rank lands on its own alignment block (nworkers is a
   // multiple of ranks_per_node), so scheduler state stays single-threaded.
-  engine.setWorkers(fabric.faultEnabled() ? 1 : cfg_.workers);
+  engine.setWorkers(cfg_.workers);
   const DurationNs lookahead = engine.lookahead();
 
   Scheduler sched(cfg_.policy, cfg_.nodes, cfg_.ranks_per_node,
@@ -215,6 +215,7 @@ CampaignResult ClusterRuntime::run(std::vector<JobSpec> jobs,
   });
 
   reservations_ = sched.reservations();
+  workers_used_ = engine.workersUsed();
   result.jobs = static_cast<std::int64_t>(jobs.size());
   result.makespan = engine.finishTime();
   result.peak_open_jobs = agg.peakOpenJobs();

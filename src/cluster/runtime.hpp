@@ -96,6 +96,8 @@ class ClusterRuntime {
   [[nodiscard]] const std::vector<HeadReservation>& reservations() const {
     return reservations_;
   }
+  /// Engine workers the last run's campaign engine actually used.
+  [[nodiscard]] int workersUsed() const { return workers_used_; }
 
  private:
   struct Solo {
@@ -112,6 +114,7 @@ class ClusterRuntime {
   std::vector<LaunchEvent> launch_log_;
   std::vector<HeadReservation> reservations_;
   std::int64_t baseline_runs_ = 0;
+  int workers_used_ = 1;
 };
 
 }  // namespace ovp::cluster

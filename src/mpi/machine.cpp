@@ -58,7 +58,7 @@ bool Machine::writeReports(const std::string& prefix) const {
 
 void Machine::run(const std::function<void(Mpi&)>& rankMain) {
   net::Fabric fabric(engine_, cfg_.fabric, cfg_.nranks);
-  engine_.setWorkers(fabric.faultEnabled() ? 1 : cfg_.workers);
+  engine_.setWorkers(cfg_.workers);
   reports_.assign(
       cfg_.mpi.instrument ? static_cast<std::size_t>(cfg_.nranks) : 0,
       overlap::Report{});

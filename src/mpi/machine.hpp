@@ -24,8 +24,7 @@ struct JobConfig {
   MpiConfig mpi;
   trace::CollectorConfig trace;
   /// Engine worker threads (conservative parallel mode; results are
-  /// bit-identical at any value).  Forced to 1 when fault injection is
-  /// enabled: the fault RNG is consumed in global event order.
+  /// bit-identical at any value, fault injection included).
   int workers = 1;
 };
 

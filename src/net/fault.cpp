@@ -1,7 +1,10 @@
 #include "net/fault.hpp"
 
 #include <cstdlib>
+#include <initializer_list>
 #include <sstream>
+
+#include "util/rng.hpp"
 
 namespace ovp::net {
 
@@ -61,6 +64,22 @@ bool applyKey(FaultModel& m, std::string_view key, std::string_view value) {
 bool rateValid(double r) { return r >= 0.0 && r <= 1.0; }
 
 }  // namespace
+
+double FaultModel::uniform(Rank src, Rank dst, std::int64_t tx_seq,
+                           int attempt, FaultDie purpose) const {
+  // Counter-based: each key field is folded into a SplitMix64 chain, so
+  // keys differing in any field give independent-looking words.
+  std::uint64_t h = seed;
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)),
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)),
+        static_cast<std::uint64_t>(tx_seq),
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(attempt)),
+        static_cast<std::uint64_t>(purpose)}) {
+    h = util::splitmix64(h + (v + 1) * util::kGoldenGamma);
+  }
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
 
 bool FaultModel::parse(std::string_view spec, FaultModel& out) {
   FaultModel m = out;  // keep caller defaults for unmentioned keys

@@ -8,19 +8,20 @@
 // lets every existing workload double as a robustness scenario: packets on
 // a link can be dropped, corrupted (received but CRC-discarded), duplicated,
 // delayed (uniform jitter) or reordered (held back so later packets
-// overtake).  All randomness comes from one seeded xoshiro stream consumed
-// in deterministic event order, so a given (FabricParams, seed) pair
-// replays bit-identically.
+// overtake).  Every die is a pure hash of (seed, src, dst, transmission id,
+// attempt, purpose), so a given (FabricParams, seed) pair replays
+// bit-identically in any event order, at any engine worker count.
 //
 // When any fault knob is active the NICs switch to a reliable-delivery
 // protocol: each work request is acknowledged by the receiving NIC, the
 // sender retransmits on an exponentially backed-off timeout, receivers
 // de-duplicate by transmission id (and re-ack, covering lost acks), and a
 // work request whose retries are exhausted surfaces a RetryExhausted
-// completion through the CQ.  With every knob at zero the legacy lossless
-// fast path is used and timing is bit-identical to the pre-fault model.
+// completion through the CQ.  With every knob at zero the local completion
+// fires at last-byte-out and timing is bit-identical to the pre-fault model.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -38,6 +39,12 @@ struct FaultRates {
   double reorder = 0.0;    // P(packet held back so later packets overtake)
   DurationNs jitter = 0;   // max uniform extra latency per attempt
 
+  /// Extra latency in [0, jitter] for a die in [0, 1).
+  [[nodiscard]] DurationNs jitterFor(double die) const {
+    return std::min(jitter, static_cast<DurationNs>(
+                                die * static_cast<double>(jitter + 1)));
+  }
+
   [[nodiscard]] bool any() const {
     return drop > 0 || corrupt > 0 || duplicate > 0 || reorder > 0 ||
            jitter > 0;
@@ -51,14 +58,21 @@ struct LinkFault {
   FaultRates rates;
 };
 
+/// What a fault die decides; the DupAck* dice roll for the ack of a
+/// duplicated delivery.
+enum class FaultDie : std::uint8_t {
+  Drop, Corrupt, Duplicate, Reorder, Jitter,
+  AckDrop, AckJitter, DupAckDrop, DupAckJitter,
+};
+
 struct FaultModel {
   /// Fabric-wide default rates; `links` overrides per directed link
   /// (first match wins).
   FaultRates rates;
   std::vector<LinkFault> links;
 
-  /// Seed of the fabric's fault RNG.  Draws happen in deterministic event
-  /// order, so (params, seed) -> bit-identical replay.
+  /// Seed of every fault die (see uniform()): (params, seed) ->
+  /// bit-identical replay.
   std::uint64_t seed = 1;
 
   // ---- reliability protocol ----
@@ -73,8 +87,9 @@ struct FaultModel {
   DurationNs reorder_hold = 0;
 
   // ---- deterministic test hooks ----
-  /// Drop the first N data-packet attempts fabric-wide regardless of rates
-  /// (targeted retransmission tests without probability tuning).
+  /// Each NIC drops its first N attempts of host-posted transmissions (not
+  /// RDMA-read data legs) regardless of rates: targeted retransmission
+  /// tests without probability tuning.
   int deterministic_drops = 0;
   /// Run the ack/retransmit protocol even with all rates zero.
   bool force_reliable = false;
@@ -95,6 +110,12 @@ struct FaultModel {
     }
     return rates;
   }
+
+  /// The die for `purpose` on attempt `attempt` of transmission `tx_seq`
+  /// from src to dst: uniform in [0, 1) and a pure function of its
+  /// arguments and `seed`.
+  [[nodiscard]] double uniform(Rank src, Rank dst, std::int64_t tx_seq,
+                               int attempt, FaultDie purpose) const;
 
   /// Parses a --ovprof-fault= spec: comma-separated key=value pairs from
   /// {drop, corrupt, dup, reorder, jitter, seed, retries, rto}; a bare

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <type_traits>
 
 #include "net/observer.hpp"
 
@@ -16,6 +17,7 @@ Nic::Nic(Fabric& fabric, Rank owner)
   cq_.resize(channels);
   rq_.resize(channels);
   chan_busy_.assign(channels, 0);
+  forced_drops_left_ = fabric_.params().fault.deterministic_drops;
   if (v.enabled()) {
     vci_stats_.resize(channels * static_cast<std::size_t>(v.nclasses()));
   }
@@ -95,16 +97,15 @@ Nic::TxTimes Nic::reserveTx(Bytes wire_bytes, TimeNs ready, int vci) {
   return TxTimes{first_out, last_out};
 }
 
-void Nic::arrive(Rank src, int vci, Bytes wire_bytes, sim::InlineFn deliver) {
+TimeNs Nic::arrive(Rank src, int vci, Bytes wire_bytes) {
   // Runs as an event on this NIC's rank at the earliest possible
   // first-byte-in time; now() is that instant, so ingress contention is
   // resolved in arrival order, deterministically.
-  sim::Engine& eng = fabric_.engine();
   const FabricParams& p = fabric_.params();
   const DurationNs ser = p.serialize(wire_bytes);
   Fabric::Rail& rail =
       fabric_.linksOf(owner_).rx[static_cast<std::size_t>(fabric_.railOf(vci))];
-  const TimeNs now = eng.now();
+  const TimeNs now = fabric_.engine().now();
   const TimeNs first_in = now > rail.busy ? now : rail.busy;
   const int src_node = p.nodeOf(src);
   const DurationNs wait = first_in - now;
@@ -121,153 +122,246 @@ void Nic::arrive(Rank src, int vci, Bytes wire_bytes, sim::InlineFn deliver) {
   const TimeNs arrival = first_in + ser;
   rail.busy = arrival;
   rail.last = src_node;
-  eng.schedule(arrival, std::move(deliver));
+  return arrival;
 }
 
-Nic::WireTimes Nic::reserveWire(Nic& dst, Bytes wire_bytes, TimeNs ready,
-                                int vci) {
-  const FabricParams& p = fabric_.params();
-  const DurationNs ser = p.serialize(wire_bytes);
-  const TxTimes t = reserveTx(wire_bytes, ready, vci);
-  Fabric::Rail& rail = fabric_.linksOf(dst.owner_)
-                           .rx[static_cast<std::size_t>(fabric_.railOf(vci))];
-  const TimeNs earliest_in = t.first_byte_out + p.wire_latency;
-  const TimeNs first_in = earliest_in > rail.busy ? earliest_in : rail.busy;
-  const int src_node = p.nodeOf(owner_);
-  const DurationNs wait = first_in - earliest_in;
-  const DurationNs contended =
-      (wait > 0 && rail.last >= 0 && rail.last != src_node) ? wait : 0;
-  dst.rx_wait_ += contended;
-  if (VciCounters* vs = dst.vciSlot(vci, wire_bytes)) {
-    ++vs->deliveries;
-    vs->gap += wait - contended;
-    vs->incast_wait += contended;
+// ------------------------------------------------------------- transmit
+
+namespace {
+
+/// Stage step for a transmission out of host memory [src, src+size).
+auto stageCopy(std::shared_ptr<std::vector<std::byte>> staged,
+               const void* src, Bytes size) {
+  return [staged = std::move(staged), src, size] {
+    staged->resize(static_cast<std::size_t>(size));
+    std::memcpy(staged->data(), src, static_cast<std::size_t>(size));
+  };
+}
+
+}  // namespace
+
+template <class Deliver>
+auto Nic::arrivalStep(Deliver&& deliver) {
+  if constexpr (std::is_same_v<std::decay_t<Deliver>, Packet>) {
+    auto boxed = std::make_shared<Packet>(std::forward<Deliver>(deliver));
+    return [boxed](Nic& rx, int c) { rx.depositPacket(std::move(*boxed), c); };
+  } else {
+    return std::forward<Deliver>(deliver);
   }
-  const TimeNs arrival = first_in + ser;
-  rail.busy = arrival;
-  rail.last = src_node;
-  return WireTimes{t.last_byte_out, arrival};
 }
 
-// --------------------------------------------- reliability (fault mode)
+template <class Stage, class Deliver>
+void Nic::transmit(Rank dst, int vci, Bytes wire_bytes, Leg leg,
+                   Completion work, Stage stage, Deliver deliver,
+                   const Packet* notify) {
+  const FabricParams& p = fabric_.params();
+  sim::Engine& eng = fabric_.engine();
+  const Bytes notify_wire =
+      notify == nullptr ? 0
+                        : static_cast<Bytes>(notify->payload.size()) +
+                              p.header_bytes;
+  if (!fabric_.faultEnabled()) {
+    // Two-phase wire: egress is reserved here, ingress is an event on dst's
+    // partition.  DMA semantics: the source is captured when the last byte
+    // leaves — the instant the host may reuse it — and read on dst no
+    // earlier than last_byte_out + L, so the window barrier orders the
+    // staged buffer's write and read.
+    Nic& peer = fabric_.nic(dst);
+    const auto ingress = [&](Bytes wire, TimeNs first_out, auto on_arrival) {
+      eng.scheduleFor(dst, first_out + p.wire_latency,
+                      [&peer, src = owner_, vci, wire,
+                       on_arrival = std::move(on_arrival)]() mutable {
+                        peer.fabric_.engine().schedule(
+                            peer.arrive(src, vci, wire),
+                            [&peer, vci, on_arrival = std::move(on_arrival)]()
+                                mutable { on_arrival(peer, vci); });
+                      });
+    };
+    const TxTimes t = reserveTx(wire_bytes, eng.now() + p.nic_setup, vci);
+    if (leg == Leg::Posted) {
+      eng.schedule(t.last_byte_out,
+                   [this, work, vci, stage = std::move(stage)]() mutable {
+                     stage();
+                     depositCompletion(work, vci);
+                   });
+    } else if constexpr (!std::is_same_v<Stage, NoStage>) {
+      eng.schedule(t.last_byte_out, std::move(stage));
+    }
+    ingress(wire_bytes, t.first_byte_out, arrivalStep(std::move(deliver)));
+    if (notify != nullptr) {
+      // Same-QP ordering: the notification follows the data on the same
+      // channel.  Its egress slot starts no earlier than the data's
+      // last_byte_out, so its rx event lands strictly later and arrive()'s
+      // rail chaining keeps delivery behind the data placement.
+      const TxTimes nt = reserveTx(notify_wire, eng.now() + p.nic_setup, vci);
+      ingress(notify_wire, nt.first_byte_out, arrivalStep(*notify));
+    }
+    return;
+  }
 
-std::shared_ptr<Nic::ReliableTx> Nic::makeTx(Rank dst, Bytes wire_bytes,
-                                             int vci) {
   auto tx = std::make_shared<ReliableTx>();
   tx->tx_seq = next_tx_seq_++;
   tx->src = owner_;
   tx->dst = dst;
-  tx->wire_bytes = wire_bytes;
+  tx->wire_bytes = wire_bytes + notify_wire;
   tx->vci = vci;
-  tx->rto = fabric_.params().fault.rto_base;
-  return tx;
+  tx->leg = leg;
+  tx->rto = p.fault.rto_base;
+  if constexpr (!std::is_same_v<Stage, NoStage>) tx->stage = std::move(stage);
+  if (notify == nullptr) {
+    tx->deliver = arrivalStep(std::move(deliver));
+  } else {
+    // Data and its notification travel as one reliable transmission:
+    // retransmission keeps the data-before-notify order a real go-back-N
+    // QP guarantees.
+    tx->deliver = [data = arrivalStep(std::move(deliver)),
+                   note = arrivalStep(*notify)](Nic& rx, int c) {
+      data(rx, c);
+      note(rx, c);
+    };
+  }
+  if (leg == Leg::Posted) {
+    tx->on_acked = [this, work, vci] { depositCompletion(work, vci); };
+  }
+  tx->on_failed = [this, dst, leg, work, vci] {
+    const Completion failed{work.id, work.type, WorkStatus::RetryExhausted};
+    if (leg != Leg::Response) {
+      depositCompletion(failed, vci);
+      return;
+    }
+    // The requester owns the read: it learns of the failed data leg by an
+    // event on its own domain, one control-packet flight later.
+    const FabricParams& fp = fabric_.params();
+    sim::Engine& e = fabric_.engine();
+    Nic& requester = fabric_.nic(dst);
+    e.scheduleFor(dst,
+                  e.now() + fp.wire_latency + fp.serialize(fp.header_bytes),
+                  [&requester, failed, vci] {
+                    requester.depositCompletion(failed, vci);
+                  });
+  };
+  attemptTransmission(tx);
 }
+
+// --------------------------------------------- reliability (fault mode)
 
 void Nic::attemptTransmission(const std::shared_ptr<ReliableTx>& tx) {
   const FabricParams& p = fabric_.params();
   const FaultModel& fm = p.fault;
   sim::Engine& eng = fabric_.engine();
-  Nic& peer = fabric_.nic(tx->dst);
-  ++tx->attempt;
+  Attempt a;
+  a.n = ++tx->attempt;
   ++fault_counters_.attempts;
 
   // Every attempt — including retransmissions and packets that will be
   // lost — occupies both rails like any other packet.
-  const WireTimes t =
-      reserveWire(peer, tx->wire_bytes, eng.now() + p.nic_setup, tx->vci);
-  if (!tx->staged) {
+  const TxTimes t =
+      reserveTx(tx->wire_bytes, eng.now() + p.nic_setup, tx->vci);
+  if (a.n == 1 && tx->stage) {
     // Source bytes are captured once, at the first attempt's last-byte-out
     // (the DMA engine streams out of application memory; retransmissions
     // replay the staged copy, as the host may not reuse the buffer before
     // its completion).
-    tx->staged = true;
-    if (tx->stage) eng.schedule(t.last_byte_out, tx->stage);
+    eng.schedule(t.last_byte_out, tx->stage);
   }
 
-  // Fault dice, rolled in a fixed order so (params, seed) replays
-  // bit-identically.
+  // Fault dice: pure functions of this attempt's identity, so the fate of
+  // a transmission never depends on unrelated traffic or event order.
   const FaultRates& fr = fm.ratesFor(owner_, tx->dst);
-  const bool dropped =
-      fabric_.takeDeterministicDrop() ||
-      (fr.drop > 0 && fabric_.drawUniform() < fr.drop);
-  const bool corrupted =
-      !dropped && fr.corrupt > 0 && fabric_.drawUniform() < fr.corrupt;
-  const bool duplicated =
-      fr.duplicate > 0 && fabric_.drawUniform() < fr.duplicate;
-  const bool reordered =
-      fr.reorder > 0 && fabric_.drawUniform() < fr.reorder;
-  DurationNs extra = fabric_.drawJitter(fr.jitter);
-  if (reordered) {
+  const auto die = [&](FaultDie d) {
+    return fm.uniform(owner_, tx->dst, tx->tx_seq, a.n, d);
+  };
+  const auto roll = [&](FaultDie d, double rate) {
+    return rate > 0 && die(d) < rate;
+  };
+  const bool forced = tx->leg != Leg::Response && forced_drops_left_ > 0;
+  if (forced) --forced_drops_left_;
+  a.dropped = forced || roll(FaultDie::Drop, fr.drop);
+  a.corrupted = !a.dropped && roll(FaultDie::Corrupt, fr.corrupt);
+  a.duplicated =
+      !a.dropped && !a.corrupted && roll(FaultDie::Duplicate, fr.duplicate);
+  a.extra = fr.jitterFor(die(FaultDie::Jitter));
+  if (roll(FaultDie::Reorder, fr.reorder)) {
     // Held back past later traffic on the link: later packets overtake.
-    extra += fabric_.reorderHold();
+    a.extra += fm.reorder_hold > 0 ? fm.reorder_hold : 2 * p.wire_latency;
     ++fault_counters_.reorders;
   }
+  if (a.dropped) ++fault_counters_.drops;
+  if (a.duplicated) ++fault_counters_.duplicates;
 
-  if (dropped) {
-    ++fault_counters_.drops;
-  } else if (corrupted) {
-    // Fully received, then CRC-discarded by the receiving NIC.
-    ++peer.fault_counters_.corrupt_drops;
-  } else {
-    const TimeNs deliver_at = t.arrival + extra;
-    eng.schedule(deliver_at, [&peer, tx] { peer.receiveReliable(tx); });
-    if (duplicated) {
-      ++fault_counters_.duplicates;
-      eng.schedule(deliver_at + p.serialize(tx->wire_bytes),
-                   [&peer, tx] { peer.receiveReliable(tx); });
-    }
-  }
-
-  // The ack timeout is armed relative to this attempt's (known) arrival
-  // schedule plus the ack's flight time; the slack doubles per
-  // retransmission so congested paths back off.
-  const DurationNs ack_flight = p.wire_latency + p.serialize(p.header_bytes);
-  const TimeNs timeout_at = t.arrival + extra + ack_flight + tx->rto;
+  // The slack doubles per retransmission so congested paths back off.
+  a.rto = tx->rto;
   tx->rto = std::min<DurationNs>(
       fm.rto_max,
       static_cast<DurationNs>(static_cast<double>(tx->rto) * fm.rto_backoff));
-  const int attempt = tx->attempt;
-  eng.schedule(timeout_at, [this, tx, attempt] { onAckTimeout(tx, attempt); });
+  Nic& peer = fabric_.nic(tx->dst);
+  eng.scheduleFor(tx->dst, t.first_byte_out + p.wire_latency,
+                  [&peer, tx, a] { peer.receiveAttempt(tx, a); });
 }
 
-void Nic::receiveReliable(const std::shared_ptr<ReliableTx>& tx) {
-  // Late arrival after the sender already declared failure: the work
-  // request has completed with RetryExhausted; do not deliver behind it.
-  if (tx->failed) return;
+void Nic::receiveAttempt(const std::shared_ptr<ReliableTx>& tx,
+                         const Attempt& a) {
+  const FabricParams& p = fabric_.params();
+  sim::Engine& eng = fabric_.engine();
+  const TimeNs deliver_at = arrive(tx->src, tx->vci, tx->wire_bytes) + a.extra;
+
+  // The sender's ack timeout, anchored at this attempt's actual arrival
+  // plus the ack's flight time plus the backed-off slack.  Armed from here
+  // it lies at least one ack flight (>= one lookahead) ahead.
+  const DurationNs ack_flight = p.wire_latency + p.serialize(p.header_bytes);
+  Nic& sender = fabric_.nic(tx->src);
+  eng.scheduleFor(tx->src, deliver_at + ack_flight + a.rto,
+                  [&sender, tx, n = a.n] { sender.onAckTimeout(tx, n); });
+
+  if (a.dropped) return;
+  if (a.corrupted) {
+    // Fully received, then CRC-discarded: no delivery, no ack.
+    ++fault_counters_.corrupt_drops;
+    return;
+  }
+  eng.schedule(deliver_at,
+               [this, tx, n = a.n] { receiveReliable(tx, n, false); });
+  if (a.duplicated) {
+    eng.schedule(deliver_at + p.serialize(tx->wire_bytes),
+                 [this, tx, n = a.n] { receiveReliable(tx, n, true); });
+  }
+}
+
+void Nic::receiveReliable(const std::shared_ptr<ReliableTx>& tx, int attempt,
+                          bool duplicate) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(tx->src)) << 40) |
       static_cast<std::uint64_t>(tx->tx_seq);
   if (delivered_tx_.insert(key).second) {
-    if (tx->deliver) tx->deliver();
+    tx->deliver(*this, tx->vci);
   } else {
     ++fault_counters_.dup_discards;
   }
-  // Always ack, even duplicates: the original ack may have been lost.
-  sendAck(tx);
-}
-
-void Nic::sendAck(const std::shared_ptr<ReliableTx>& tx) {
+  // Always ack, even duplicates: the original ack may have been lost.  Acks
+  // ride a dedicated control channel (latency + header serialization +
+  // jitter, no data-rail contention) and can be lost too.
   const FabricParams& p = fabric_.params();
-  const FaultRates& fr = p.fault.ratesFor(owner_, tx->src);
-  if (fr.drop > 0 && fabric_.drawUniform() < fr.drop) {
+  const FaultModel& fm = p.fault;
+  const FaultRates& fr = fm.ratesFor(owner_, tx->src);
+  const auto die = [&](FaultDie d) {
+    return fm.uniform(tx->src, tx->dst, tx->tx_seq, attempt, d);
+  };
+  if (fr.drop > 0 &&
+      die(duplicate ? FaultDie::DupAckDrop : FaultDie::AckDrop) < fr.drop) {
     ++fault_counters_.acks_dropped;
     return;
   }
   ++fault_counters_.acks_sent;
-  // Acks ride a dedicated control channel: latency + header serialization
-  // (+ jitter), no data-rail contention.
-  const DurationNs extra = fabric_.drawJitter(fr.jitter);
-  Nic& sender = fabric_.nic(tx->src);
+  const DurationNs extra = fr.jitterFor(
+      die(duplicate ? FaultDie::DupAckJitter : FaultDie::AckJitter));
   sim::Engine& eng = fabric_.engine();
-  eng.schedule(
-      eng.now() + p.wire_latency + p.serialize(p.header_bytes) + extra,
-      [&sender, tx] { sender.handleAck(tx); });
-}
-
-void Nic::handleAck(const std::shared_ptr<ReliableTx>& tx) {
-  if (tx->acked || tx->failed) return;
-  tx->acked = true;
-  if (tx->on_acked) tx->on_acked();
+  eng.scheduleFor(
+      tx->src, eng.now() + p.wire_latency + p.serialize(p.header_bytes) + extra,
+      [tx] {  // the ack lands on the sender
+        if (tx->acked || tx->failed) return;
+        tx->acked = true;
+        if (tx->on_acked) tx->on_acked();
+      });
 }
 
 void Nic::onAckTimeout(const std::shared_ptr<ReliableTx>& tx, int attempt) {
@@ -282,7 +376,7 @@ void Nic::onAckTimeout(const std::shared_ptr<ReliableTx>& tx, int attempt) {
   if (tx->attempt > fabric_.params().fault.max_retries) {
     tx->failed = true;
     ++fault_counters_.retry_exhausted;
-    if (tx->on_failed) tx->on_failed();
+    tx->on_failed();
     return;
   }
   ++fault_counters_.retransmissions;
@@ -297,123 +391,30 @@ void Nic::onAckTimeout(const std::shared_ptr<ReliableTx>& tx, int attempt) {
 // -------------------------------------------------------- work requests
 
 WorkId Nic::postSend(Rank dst, Packet pkt, int vci) {
-  const FabricParams& p = fabric_.params();
-  sim::Engine& eng = fabric_.engine();
-  Nic& peer = fabric_.nic(dst);
-  const Bytes wire = static_cast<Bytes>(pkt.payload.size()) + p.header_bytes;
+  const Bytes wire =
+      static_cast<Bytes>(pkt.payload.size()) + fabric_.params().header_bytes;
   const WorkId id = next_work_++;
   const int ch = resolveVci(dst, vci);
   notifyPost(dst, id, WorkType::Send, wire, ch);
-
-  if (fabric_.faultEnabled()) {
-    auto boxed = std::make_shared<Packet>(std::move(pkt));
-    auto tx = makeTx(dst, wire, ch);
-    tx->deliver = [&peer, boxed, ch] { peer.depositPacket(*boxed, ch); };
-    tx->on_acked = [this, id, ch] {
-      depositCompletion({id, WorkType::Send, WorkStatus::Ok}, ch);
-    };
-    tx->on_failed = [this, id, ch] {
-      depositCompletion({id, WorkType::Send, WorkStatus::RetryExhausted}, ch);
-    };
-    attemptTransmission(tx);
-    return id;
-  }
-
-  // Two-phase wire model (parallel-safe): phase 1 reserves the egress rail
-  // here, touching only sender-node state; phase 2 is an event on the
-  // *receiving* rank's partition at first_byte_out + L, where arrive()
-  // resolves ingress contention against rx state owned by that partition.
-  const TxTimes t = reserveTx(wire, eng.now() + p.nic_setup, ch);
-  eng.schedule(t.last_byte_out,
-               [this, id, ch] { depositCompletion({id, WorkType::Send}, ch); });
-  auto boxed = std::make_shared<Packet>(std::move(pkt));
-  eng.scheduleFor(dst, t.first_byte_out + p.wire_latency,
-                  [&peer, src = owner_, ch, wire, boxed] {
-                    peer.arrive(src, ch, wire, [&peer, ch, boxed] {
-                      peer.depositPacket(std::move(*boxed), ch);
-                    });
-                  });
+  transmit(dst, ch, wire, Leg::Posted, {id, WorkType::Send}, NoStage{},
+           std::move(pkt));
   return id;
 }
 
 WorkId Nic::postRdmaWrite(Rank dst, const void* src, void* dst_ptr, Bytes size,
                           const Packet* notify, int vci) {
-  const FabricParams& p = fabric_.params();
-  sim::Engine& eng = fabric_.engine();
-  Nic& peer = fabric_.nic(dst);
+  const Bytes wire = size + fabric_.params().header_bytes;
   const WorkId id = next_work_++;
   const int ch = resolveVci(dst, vci);
-  notifyPost(dst, id, WorkType::RdmaWrite, size + p.header_bytes, ch);
+  notifyPost(dst, id, WorkType::RdmaWrite, wire, ch);
   auto staged = std::make_shared<std::vector<std::byte>>();
-
-  if (fabric_.faultEnabled()) {
-    // Data and the optional same-QP notification travel as one reliable
-    // transmission: retransmission preserves the data-before-notify order a
-    // real go-back-N QP guarantees.
-    std::shared_ptr<Packet> boxed_notify;
-    Bytes wire = size + p.header_bytes;
-    if (notify != nullptr) {
-      boxed_notify = std::make_shared<Packet>(*notify);
-      wire += static_cast<Bytes>(boxed_notify->payload.size()) + p.header_bytes;
-    }
-    auto tx = makeTx(dst, wire, ch);
-    tx->stage = [staged, src, size] {
-      staged->resize(static_cast<std::size_t>(size));
-      std::memcpy(staged->data(), src, static_cast<std::size_t>(size));
-    };
-    tx->deliver = [&peer, staged, dst_ptr, size, boxed_notify, ch] {
-      std::memcpy(dst_ptr, staged->data(), static_cast<std::size_t>(size));
-      if (boxed_notify) peer.depositPacket(*boxed_notify, ch);
-    };
-    tx->on_acked = [this, id, ch] {
-      depositCompletion({id, WorkType::RdmaWrite, WorkStatus::Ok}, ch);
-    };
-    tx->on_failed = [this, id, ch] {
-      depositCompletion({id, WorkType::RdmaWrite, WorkStatus::RetryExhausted},
-                        ch);
-    };
-    attemptTransmission(tx);
-    return id;
-  }
-
-  const Bytes wire = size + p.header_bytes;
-  const TxTimes t = reserveTx(wire, eng.now() + p.nic_setup, ch);
-
-  // DMA semantics: the NIC streams directly out of application memory; we
-  // capture the bytes when the last byte leaves the source (the sender's
-  // library will not touch the buffer before its local completion, which is
-  // the same instant) and place them remotely at arrival.  The staged
-  // buffer is written here and read on the destination partition no earlier
-  // than last_byte_out + L, so the window barrier orders the accesses.
-  eng.schedule(t.last_byte_out, [this, id, ch, staged, src, size] {
-    staged->resize(static_cast<std::size_t>(size));
-    std::memcpy(staged->data(), src, static_cast<std::size_t>(size));
-    depositCompletion({id, WorkType::RdmaWrite}, ch);
-  });
-  eng.scheduleFor(dst, t.first_byte_out + p.wire_latency,
-                  [&peer, self = owner_, ch, wire, staged, dst_ptr, size] {
-                    peer.arrive(self, ch, wire, [staged, dst_ptr, size] {
-                      std::memcpy(dst_ptr, staged->data(),
-                                  static_cast<std::size_t>(size));
-                    });
-                  });
-
-  if (notify != nullptr) {
-    // Same-QP ordering: the notification follows the data on the same
-    // channel.  Its egress slot starts no earlier than the data's
-    // last_byte_out, so its rx event lands strictly later and arrive()'s
-    // rail chaining keeps delivery behind the data placement.
-    auto boxed = std::make_shared<Packet>(*notify);
-    const Bytes nwire =
-        static_cast<Bytes>(boxed->payload.size()) + p.header_bytes;
-    const TxTimes nt = reserveTx(nwire, eng.now() + p.nic_setup, ch);
-    eng.scheduleFor(dst, nt.first_byte_out + p.wire_latency,
-                    [&peer, self = owner_, ch, nwire, boxed] {
-                      peer.arrive(self, ch, nwire, [&peer, ch, boxed] {
-                        peer.depositPacket(std::move(*boxed), ch);
-                      });
-                    });
-  }
+  transmit(dst, ch, wire, Leg::Posted, {id, WorkType::RdmaWrite},
+           stageCopy(staged, src, size),
+           [staged, dst_ptr, size](Nic&, int) {
+             std::memcpy(dst_ptr, staged->data(),
+                         static_cast<std::size_t>(size));
+           },
+           notify);
   return id;
 }
 
@@ -421,136 +422,45 @@ WorkId Nic::postRdmaApply(
     Rank dst, const void* src, void* dst_ptr, Bytes size,
     std::function<void(const std::byte* staged, void* dst, Bytes n)> apply,
     int vci) {
-  const FabricParams& p = fabric_.params();
-  sim::Engine& eng = fabric_.engine();
-  Nic& peer = fabric_.nic(dst);
+  const Bytes wire = size + fabric_.params().header_bytes;
   const WorkId id = next_work_++;
   const int ch = resolveVci(dst, vci);
-  notifyPost(dst, id, WorkType::RdmaWrite, size + p.header_bytes, ch);
+  notifyPost(dst, id, WorkType::RdmaWrite, wire, ch);
   auto staged = std::make_shared<std::vector<std::byte>>();
   auto boxed_apply = std::make_shared<decltype(apply)>(std::move(apply));
-
-  if (fabric_.faultEnabled()) {
-    auto tx = makeTx(dst, size + p.header_bytes, ch);
-    tx->stage = [staged, src, size] {
-      staged->resize(static_cast<std::size_t>(size));
-      std::memcpy(staged->data(), src, static_cast<std::size_t>(size));
-    };
-    // De-duplication makes the target-side combine exactly-once, which is
-    // what keeps accumulate semantics correct under duplication faults.
-    tx->deliver = [staged, boxed_apply, dst_ptr, size] {
-      (*boxed_apply)(staged->data(), dst_ptr, size);
-    };
-    tx->on_acked = [this, id, ch] {
-      depositCompletion({id, WorkType::RdmaWrite, WorkStatus::Ok}, ch);
-    };
-    tx->on_failed = [this, id, ch] {
-      depositCompletion({id, WorkType::RdmaWrite, WorkStatus::RetryExhausted},
-                        ch);
-    };
-    attemptTransmission(tx);
-    return id;
-  }
-
-  const Bytes wire = size + p.header_bytes;
-  const TxTimes t = reserveTx(wire, eng.now() + p.nic_setup, ch);
-  eng.schedule(t.last_byte_out, [this, id, ch, staged, src, size] {
-    staged->resize(static_cast<std::size_t>(size));
-    std::memcpy(staged->data(), src, static_cast<std::size_t>(size));
-    depositCompletion({id, WorkType::RdmaWrite}, ch);
-  });
-  eng.scheduleFor(dst, t.first_byte_out + p.wire_latency,
-                  [&peer, self = owner_, ch, wire, staged, boxed_apply, dst_ptr,
-                   size] {
-                    peer.arrive(self, ch, wire,
-                                [staged, boxed_apply, dst_ptr, size] {
-                                  (*boxed_apply)(staged->data(), dst_ptr, size);
-                                });
-                  });
+  // Under the fault model, receiver de-duplication makes the target-side
+  // combine exactly-once, which keeps accumulate semantics correct.
+  transmit(dst, ch, wire, Leg::Posted, {id, WorkType::RdmaWrite},
+           stageCopy(staged, src, size),
+           [staged, boxed_apply, dst_ptr, size](Nic&, int) {
+             (*boxed_apply)(staged->data(), dst_ptr, size);
+           });
   return id;
 }
 
 WorkId Nic::postRdmaRead(Rank target, void* local_dst, const void* remote_src,
                          Bytes size, int vci) {
-  const FabricParams& p = fabric_.params();
-  sim::Engine& eng = fabric_.engine();
-  Nic& peer = fabric_.nic(target);
+  const Bytes header = fabric_.params().header_bytes;
   const WorkId id = next_work_++;
   const int ch = resolveVci(target, vci);
-  notifyPost(target, id, WorkType::RdmaRead, size + p.header_bytes, ch);
-
-  if (fabric_.faultEnabled()) {
-    // Two reliable legs: the read request to the target NIC, then the data
-    // streamed back by the target's DMA engine (still no target-host
-    // involvement).  The requester's CQE appears when the data lands; a
-    // failure of either leg surfaces RetryExhausted on the requester's CQ
-    // (its own response timeout).
-    auto req = makeTx(target, p.header_bytes, ch);
-    req->deliver = [this, &peer, id, ch, local_dst, remote_src, size] {
-      auto staged = std::make_shared<std::vector<std::byte>>();
-      auto data =
-          peer.makeTx(owner_, size + fabric_.params().header_bytes, ch);
-      data->stage = [staged, remote_src, size] {
-        staged->resize(static_cast<std::size_t>(size));
-        std::memcpy(staged->data(), remote_src,
-                    static_cast<std::size_t>(size));
-      };
-      data->deliver = [this, id, ch, staged, local_dst, size] {
-        std::memcpy(local_dst, staged->data(), static_cast<std::size_t>(size));
-        depositCompletion({id, WorkType::RdmaRead, WorkStatus::Ok}, ch);
-      };
-      data->on_failed = [this, id, ch] {
-        depositCompletion({id, WorkType::RdmaRead, WorkStatus::RetryExhausted},
-                          ch);
-      };
-      peer.attemptTransmission(data);
-    };
-    req->on_failed = [this, id, ch] {
-      depositCompletion({id, WorkType::RdmaRead, WorkStatus::RetryExhausted},
-                        ch);
-    };
-    attemptTransmission(req);
-    return id;
-  }
-
-  // Read request travels to the target NIC; at its arrival the target's
-  // DMA engine streams the data back, with no target-host involvement
-  // whatsoever (this is what makes RDMA Read rendezvous fully overlappable
-  // for the sender-side process).  Each leg is the two-phase pattern: tx
-  // reservation on the partition that owns the egress rail, rx resolution
-  // as an event on the partition that owns the ingress rail.  Both legs
-  // ride the request's channel.
-  const TxTimes req = reserveTx(p.header_bytes, eng.now() + p.nic_setup, ch);
-  eng.scheduleFor(
-      target, req.first_byte_out + p.wire_latency,
-      [this, &peer, id, ch, local_dst, remote_src, size] {
-        const Bytes req_wire = fabric_.params().header_bytes;
-        peer.arrive(owner_, ch, req_wire,
-                    [this, &peer, id, ch, local_dst, remote_src, size] {
-          // Target side, at the request's arrival instant.
-          const FabricParams& tp = fabric_.params();
-          sim::Engine& teng = fabric_.engine();
-          const Bytes wire = size + tp.header_bytes;
-          const TxTimes data =
-              peer.reserveTx(wire, teng.now() + tp.nic_setup, ch);
-          auto staged = std::make_shared<std::vector<std::byte>>();
-          teng.schedule(data.last_byte_out, [staged, remote_src, size] {
-            staged->resize(static_cast<std::size_t>(size));
-            std::memcpy(staged->data(), remote_src,
-                        static_cast<std::size_t>(size));
-          });
-          const Rank target_rank = peer.owner_;
-          teng.scheduleFor(
-              owner_, data.first_byte_out + tp.wire_latency,
-              [this, target_rank, ch, wire, id, staged, local_dst, size] {
-                arrive(target_rank, ch, wire,
-                       [this, id, ch, staged, local_dst, size] {
-                         std::memcpy(local_dst, staged->data(),
-                                     static_cast<std::size_t>(size));
-                         depositCompletion({id, WorkType::RdmaRead}, ch);
-                       });
-              });
-        });
+  notifyPost(target, id, WorkType::RdmaRead, size + header, ch);
+  // The read request travels to the target NIC; at its delivery the
+  // target's DMA engine streams the data back on the same channel, with no
+  // target-host involvement whatsoever (this is what makes RDMA Read
+  // rendezvous fully overlappable for the sender-side process).  The
+  // requester's completion lands with the data.
+  transmit(
+      target, ch, header, Leg::Request, {id, WorkType::RdmaRead}, NoStage{},
+      [requester = owner_, id, local_dst, remote_src, size](Nic& rx, int c) {
+        auto staged = std::make_shared<std::vector<std::byte>>();
+        rx.transmit(requester, c, size + rx.fabric_.params().header_bytes,
+                    Leg::Response, {id, WorkType::RdmaRead},
+                    stageCopy(staged, remote_src, size),
+                    [id, staged, local_dst, size](Nic& req, int rc) {
+                      std::memcpy(local_dst, staged->data(),
+                                  static_cast<std::size_t>(size));
+                      req.depositCompletion({id, WorkType::RdmaRead}, rc);
+                    });
       });
   return id;
 }
@@ -640,9 +550,7 @@ void Nic::depositPacket(Packet pkt, int vci) {
 Fabric::Fabric(sim::Engine& engine, FabricParams params, int nranks)
     : engine_(engine),
       params_(params),
-      fault_enabled_(params_.fault.enabled()),
-      fault_rng_(params_.fault.seed),
-      deterministic_drops_left_(params_.fault.deterministic_drops) {
+      fault_enabled_(params_.fault.enabled()) {
   engine_.setLookahead(params_.lookahead());
   if (params_.ranks_per_node < 1) params_.ranks_per_node = 1;
   if (params_.vci.channels < 0) params_.vci.channels = 0;

@@ -29,14 +29,14 @@
 // channel on one rail reproduces the historical single-queue model
 // bit-for-bit.
 // When FabricParams::fault is enabled the fabric becomes lossy and every
-// NIC runs a reliability protocol on top of the same wire model: each data
+// NIC runs a reliability protocol over the same two-phase wire: each data
 // transmission is acked by the receiving NIC, lost/corrupted packets are
 // retransmitted on an exponentially backed-off timeout, receivers
 // de-duplicate (and re-ack) by per-sender transmission id, and a work
 // request whose retries are exhausted completes with
 // WorkStatus::RetryExhausted.  Local completions are then delivered at ack
-// arrival (delivery-implies-completion); with the fault model disabled the
-// legacy lossless path below is used unchanged.
+// arrival (delivery-implies-completion).  In both modes every handler
+// touches only its own rank's NIC state, at any engine worker count.
 #pragma once
 
 #include <deque>
@@ -51,7 +51,6 @@
 #include "net/packet.hpp"
 #include "net/params.hpp"
 #include "sim/engine.hpp"
-#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace ovp::net {
@@ -193,24 +192,14 @@ class Nic {
   };
   TxTimes reserveTx(Bytes wire_bytes, TimeNs ready, int vci);
 
-  /// Ingress arbitration + delivery, the second phase of a transfer.
-  /// Runs as an event on *this* (receiving) NIC's rank at the earliest
-  /// first-byte-in time (sender's first_byte_out + wire latency): computes
-  /// the actual arrival under rx-rail contention (incast-wait when the
-  /// rail's previous occupant came from a different node than `src`),
-  /// updates the rail, and schedules `deliver` at arrival.  Keeping all rx
-  /// state changes on the owner's partition is what makes the lossless
-  /// path parallel-safe.
-  void arrive(Rank src, int vci, Bytes wire_bytes, sim::InlineFn deliver);
-
-  /// Legacy one-shot reservation of both sides (fault path only — fault
-  /// mode forces sequential execution, where the synchronous remote
-  /// rx-rail update is safe).  Returns {last_byte_out, arrival}.
-  struct WireTimes {
-    TimeNs last_byte_out;
-    TimeNs arrival;
-  };
-  WireTimes reserveWire(Nic& dst, Bytes wire_bytes, TimeNs ready, int vci);
+  /// Ingress arbitration, the second phase of a transfer.  Runs as an
+  /// event on *this* (receiving) NIC's rank at the earliest first-byte-in
+  /// time (sender's first_byte_out + wire latency): computes the actual
+  /// arrival under rx-rail contention (incast-wait when the rail's previous
+  /// occupant came from a different node than `src`), updates the rail and
+  /// returns the arrival time.  Keeping all rx state changes on the owner's
+  /// partition is what makes the wire parallel-safe.
+  TimeNs arrive(Rank src, int vci, Bytes wire_bytes);
 
   void depositCompletion(Completion c, int vci);
   void depositPacket(Packet pkt, int vci);
@@ -218,39 +207,78 @@ class Nic {
   void notifyPost(Rank dst, WorkId id, WorkType type, Bytes wire_bytes,
                   int vci);
 
+  /// Which part of a work request a transmission carries, which decides
+  /// where the request completes.  Posted (send / RDMA write): here, at
+  /// last byte out (lossless) or at the ack (reliable).  Request (RDMA-read
+  /// request): with its Response; a failure completes here.  Response
+  /// (RDMA-read data, sent by the target): `deliver` completes the read; a
+  /// failure completes on dst, the requester.
+  enum class Leg : std::uint8_t { Posted, Request, Response };
+
+  /// Source-capture step of a transmission that reads no host memory.
+  struct NoStage { void operator()() const {} };
+
+  /// The one transmit step behind every post.  `stage` captures the source
+  /// bytes when the (first) last byte leaves; `deliver(rx, vci)` runs once
+  /// on the receiving NIC at arrival (a Packet deliver is deposited in its
+  /// receive queue); `notify`, if set, follows the data to that queue.
+  /// Lossless, this is a two-phase wire transfer (plus a second one for
+  /// `notify`) whose local completion fires at last-byte-out; reliable, it
+  /// is one acked ReliableTx whose completion fires at the ack.
+  template <class Stage, class Deliver>
+  void transmit(Rank dst, int vci, Bytes wire_bytes, Leg leg, Completion work,
+                Stage stage, Deliver deliver, const Packet* notify = nullptr);
+  /// `deliver` as an arrival step; a Packet becomes a step that deposits
+  /// it.  Its box is allocated here, once the local completion is queued:
+  /// the registration cache keys on host addresses, so the order of heap
+  /// allocations shows in virtual time.
+  template <class Deliver>
+  static auto arrivalStep(Deliver&& deliver);
+
   // ---- reliability protocol (fault mode only) ----
 
   /// One reliable logical transmission: the unit that is acked, timed out
-  /// and retransmitted.  `deliver` runs exactly once on the receiving NIC
-  /// (duplicates are discarded there); `stage` captures source bytes at the
-  /// first attempt's last-byte-out; `on_acked`/`on_failed` run on the
-  /// sending NIC.  Every attempt rides the transmission's channel.
+  /// and retransmitted on its channel.  The receiving NIC reads only the
+  /// fields fixed at creation and runs `deliver` exactly once (duplicates
+  /// are discarded there); the rest, `stage`, `on_acked` and `on_failed`
+  /// included, belongs to the sending NIC.
   struct ReliableTx {
     std::int64_t tx_seq = 0;  // unique per sending NIC
     Rank src = -1;
     Rank dst = -1;
     Bytes wire_bytes = 0;
     int vci = 0;
+    Leg leg = Leg::Posted;
     int attempt = 0;  // transmissions so far (1 = original)
     DurationNs rto = 0;
-    bool staged = false;
     bool acked = false;
     bool failed = false;
     std::function<void()> stage;
-    std::function<void()> deliver;
+    std::function<void(Nic& rx, int vci)> deliver;
     std::function<void()> on_acked;
     std::function<void()> on_failed;
   };
 
-  std::shared_ptr<ReliableTx> makeTx(Rank dst, Bytes wire_bytes, int vci);
-  /// Sends (or re-sends) `tx` over the wire, rolling fault dice for this
-  /// attempt, and arms the ack timeout.
+  /// One attempt's fate, rolled by the sender and carried to the receiver
+  /// in the arrival event.
+  struct Attempt {
+    int n = 0;             // attempt number (1 = original)
+    DurationNs rto = 0;    // ack-timeout slack armed for this attempt
+    DurationNs extra = 0;  // jitter + reorder hold before delivery
+    bool dropped = false;
+    bool corrupted = false;
+    bool duplicated = false;
+  };
+
+  /// Sends (or re-sends) `tx`: reserves egress, rolls this attempt's fault
+  /// dice, and schedules the attempt's arrival on the receiver.
   void attemptTransmission(const std::shared_ptr<ReliableTx>& tx);
+  /// Receiver side of one attempt, at its earliest first-byte-in: ingress
+  /// arbitration, the sender's ack timeout, and the deliveries that survive.
+  void receiveAttempt(const std::shared_ptr<ReliableTx>& tx, const Attempt& a);
   /// Receiver side: de-duplicates, runs deliver once, always (re-)acks.
-  void receiveReliable(const std::shared_ptr<ReliableTx>& tx);
-  /// Schedules the ack flight back to the sender (acks can be lost too).
-  void sendAck(const std::shared_ptr<ReliableTx>& tx);
-  void handleAck(const std::shared_ptr<ReliableTx>& tx);
+  void receiveReliable(const std::shared_ptr<ReliableTx>& tx, int attempt,
+                       bool duplicate);
   void onAckTimeout(const std::shared_ptr<ReliableTx>& tx, int attempt);
 
   Fabric& fabric_;
@@ -269,6 +297,7 @@ class Nic {
   std::vector<TimeNs> chan_busy_;
   std::vector<VciCounters> vci_stats_;  // empty unless VCI layer enabled
   int rr_next_ = 0;                     // round-robin policy cursor
+  int forced_drops_left_ = 0;           // FaultModel::deterministic_drops
   DurationNs tx_wait_ = 0;
   DurationNs rx_wait_ = 0;
   WorkId next_work_ = 1;
@@ -346,33 +375,12 @@ class Fabric {
     return vci % params_.vci.railCount();
   }
 
-  /// Deterministic fault dice; consumed in engine event order only.
-  [[nodiscard]] double drawUniform() { return fault_rng_.uniform(); }
-  [[nodiscard]] DurationNs drawJitter(DurationNs max_jitter) {
-    return max_jitter <= 0
-               ? 0
-               : static_cast<DurationNs>(fault_rng_.below(
-                     static_cast<std::uint64_t>(max_jitter) + 1));
-  }
-  /// Consumes one deterministic-drop token; true if this attempt must drop.
-  [[nodiscard]] bool takeDeterministicDrop() {
-    if (deterministic_drops_left_ <= 0) return false;
-    --deterministic_drops_left_;
-    return true;
-  }
-  [[nodiscard]] DurationNs reorderHold() const {
-    return params_.fault.reorder_hold > 0 ? params_.fault.reorder_hold
-                                          : 2 * params_.wire_latency;
-  }
-
   sim::Engine& engine_;
   FabricParams params_;
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<NodeLinks> links_;
   WireObserver* observer_ = nullptr;
   bool fault_enabled_ = false;
-  util::Rng fault_rng_;
-  int deterministic_drops_left_ = 0;
 };
 
 }  // namespace ovp::net

@@ -28,9 +28,8 @@
 // that domain's private creation counter.  Each domain's execution history
 // is identical in both modes (induction over windows), so keys — and with
 // them every observable: event counts, finish times, traces, reports — are
-// bit-identical at any worker count.  A run with the fault model enabled
-// must be sequential (the fault RNG is consumed in global event order);
-// mpi::Machine enforces this.
+// bit-identical at any worker count.  Fault injection keeps this: its dice
+// are counter-based per transmission (net/fault.hpp), not a shared stream.
 //
 // Rank code interacts with the engine through sim::Context:
 //   * compute(d)/advance(d): advance virtual time by d (the rank is busy).

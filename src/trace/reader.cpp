@@ -15,6 +15,7 @@ namespace {
 struct Row {
   Record rec;
   std::string name;  // SectionBegin rows carry the interned section name
+  std::size_t lineno = 0;
 };
 
 std::string lineError(std::size_t lineno, const std::string& what) {
@@ -36,6 +37,7 @@ ReadResult readCsv(std::istream& is) {
   std::vector<std::pair<Rank, std::int64_t>> dropped;
   std::vector<std::tuple<Rank, std::int64_t, Bytes>> segments;
   std::vector<Row> rows;
+  std::vector<std::pair<std::int64_t, std::size_t>> meta_ranks;  // rank, line
   bool header_seen = false;
 
   std::string line;
@@ -57,15 +59,18 @@ ReadResult readCsv(std::istream& is) {
       } else if (key == "end_time" && f.size() >= 3 && parseField(f[1], a) &&
                  parseField(f[2], b)) {
         end_times.emplace_back(static_cast<Rank>(a), b);
+        meta_ranks.push_back({a, lineno});
       } else if (key == "xfer_point" && f.size() >= 3 && parseField(f[1], a) &&
                  parseField(f[2], b)) {
         xfer_points.emplace_back(a, b);
       } else if (key == "dropped" && f.size() >= 3 && parseField(f[1], a) &&
                  parseField(f[2], b)) {
         dropped.emplace_back(static_cast<Rank>(a), b);
+        meta_ranks.push_back({a, lineno});
       } else if (key == "segment" && f.size() >= 4 && parseField(f[1], a) &&
                  parseField(f[2], b) && parseField(f[3], c)) {
         segments.emplace_back(static_cast<Rank>(a), b, c);
+        meta_ranks.push_back({a, lineno});
       }
       continue;
     }
@@ -106,12 +111,17 @@ ReadResult readCsv(std::istream& is) {
       result.error = lineError(lineno, "unknown record kind '" + f[3] + "'");
       return result;
     }
+    if (rank != static_cast<Rank>(rank) || peer != static_cast<Rank>(peer)) {
+      result.error = lineError(lineno, "rank or peer out of range");
+      return result;
+    }
     row.rec.kind = kind;
     row.rec.rank = static_cast<Rank>(rank);
     row.rec.peer = static_cast<Rank>(peer);
     row.rec.tag = static_cast<std::int32_t>(tag);
     row.rec.aux = static_cast<std::uint8_t>(aux);
     row.name = std::move(name);
+    row.lineno = lineno;
     rows.push_back(std::move(row));
   }
   if (!header_seen) {
@@ -119,16 +129,42 @@ ReadResult readCsv(std::istream& is) {
     return result;
   }
 
+  // Without a "# ranks" line the job is as large as the ranks it names.
   std::int64_t nranks = declared_ranks;
-  for (const Row& row : rows) {
-    nranks = std::max<std::int64_t>(nranks, row.rec.rank + 1);
-  }
-  for (const auto& [r, t] : end_times) {
-    nranks = std::max<std::int64_t>(nranks, r + 1);
+  if (nranks < 0) {
+    for (const Row& row : rows) {
+      nranks = std::max<std::int64_t>(nranks, row.rec.rank + 1);
+    }
+    for (const auto& [r, at] : meta_ranks) {
+      nranks = std::max<std::int64_t>(nranks, r + 1);
+    }
   }
   if (nranks <= 0) {
     result.error = "trace names no ranks";
     return result;
+  }
+
+  // Every rank and peer indexes per-rank state downstream, so one outside
+  // the job fails the load.
+  const auto outside = [&](const char* what, std::int64_t v, std::int64_t lo,
+                           std::size_t at) {
+    if (v >= lo && v < nranks) return false;
+    result.error = lineError(at, std::string(what) + " " + std::to_string(v) +
+                                     " outside [" + std::to_string(lo) + ", " +
+                                     std::to_string(nranks) + ")");
+    return true;
+  };
+  for (const auto& [r, at] : meta_ranks) {
+    if (outside("rank", r, 0, at)) return result;
+  }
+  for (const Row& row : rows) {
+    // A send or match names a real endpoint; elsewhere -1 means none/any.
+    const bool endpoint = row.rec.kind == RecordKind::SendPost ||
+                          row.rec.kind == RecordKind::Match;
+    if (outside("rank", row.rec.rank, 0, row.lineno) ||
+        outside("peer", row.rec.peer, endpoint ? 0 : -1, row.lineno)) {
+      return result;
+    }
   }
 
   // Capacity must hold each rank's retained prefix exactly as exported.
@@ -151,9 +187,7 @@ ReadResult readCsv(std::istream& is) {
     }
   }
   for (const auto& [r, t] : end_times) collector->setEndTime(r, t);
-  for (const auto& [r, n] : dropped) {
-    if (r >= 0 && r < nranks) collector->restoreDropped(r, n);
-  }
+  for (const auto& [r, n] : dropped) collector->restoreDropped(r, n);
   if (!xfer_points.empty()) {
     overlap::XferTimeTable table;
     for (const auto& [size, time] : xfer_points) table.add(size, time);
@@ -162,7 +196,7 @@ ReadResult readCsv(std::istream& is) {
   // Segment ids are positional: restore in (owner, id) order.
   std::stable_sort(segments.begin(), segments.end());
   for (const auto& [r, seg, bytes] : segments) {
-    if (r >= 0 && r < nranks) collector->restoreSegment(r, bytes);
+    collector->restoreSegment(r, bytes);
   }
 
   result.collector = std::move(collector);

@@ -9,17 +9,24 @@
 
 namespace ovp::util {
 
+/// SplitMix64's increment (the 64-bit golden ratio) and its output
+/// finalizer, a bijective mix in which every input bit affects every
+/// output bit.
+inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) {
     // SplitMix64 seeding as recommended by the xoshiro authors.
     std::uint64_t x = seed;
     for (auto& word : s_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      x += kGoldenGamma;
+      word = splitmix64(x);
     }
   }
 

@@ -481,6 +481,31 @@ TEST(Campaign, BitIdenticalAcrossRerunsAndWorkerCounts) {
   }
 }
 
+TEST(Campaign, LossyCampaignBitIdenticalAcrossWorkerCounts) {
+  // Fault dice are per transmission, so a lossy fabric parallelizes like a
+  // lossless one: the requested workers are really used, and the records
+  // (retransmission-delayed durations included) do not move.
+  const std::vector<JobSpec> jobs = synthWorkload(6, 5, 4);
+  std::string baseline;
+  for (int workers : {1, 3}) {
+    ClusterConfig cfg = smallConfig();
+    cfg.fabric.fault.rates.drop = 0.02;
+    cfg.fabric.fault.rates.jitter = 500;
+    cfg.fabric.fault.seed = 11;
+    cfg.workers = workers;
+    ClusterRuntime runtime(cfg);
+    std::ostringstream os;
+    const CampaignResult result = runtime.run(jobs, os);
+    EXPECT_EQ(runtime.workersUsed(), workers);
+    EXPECT_EQ(result.records_written, 6);
+    if (baseline.empty()) {
+      baseline = os.str();
+    } else {
+      EXPECT_EQ(os.str(), baseline) << "workers=" << workers;
+    }
+  }
+}
+
 TEST(Campaign, SpillPathMatchesInMemoryPath) {
   const std::vector<JobSpec> jobs = synthWorkload(12, 9, 4);
   ClusterConfig cfg = smallConfig();

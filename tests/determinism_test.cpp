@@ -1,8 +1,8 @@
 // Determinism regression: running the same NAS kernel twice with identical
 // (FabricParams, fault seed) must produce bit-identical event streams and
 // reports; a different fault seed must diverge.  This pins the engine's
-// (time, insertion-seq) event ordering and the single-RNG fault draw
-// discipline end to end.
+// (time, src, seq) event ordering and the counter-based fault dice (one
+// hash per transmission attempt, no shared stream) end to end.
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -1,8 +1,9 @@
 // Fault-injection layer tests: the FaultModel spec parser, the NIC
 // reliability protocol (ack / timeout / backoff / retransmission /
-// de-duplication / retry exhaustion), deterministic replay, and the
-// pending-wake-token regression (a wake arriving mid-compute() while a
-// retransmission reschedules the same work id).
+// de-duplication / retry exhaustion), deterministic replay, per-transmission
+// fault draws, parallel runs, and the pending-wake-token regression (a wake
+// arriving mid-compute() while a retransmission reschedules the same work
+// id).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -353,6 +354,69 @@ TEST(Reliability, DifferentSeedDiverges) {
   EXPECT_NE(a, b);
 }
 
+// ------------------------------------------------- local fault draws
+
+// Rank 0 streams eight sends to rank 1 on a lossy fabric; ranks 2 and 3
+// either idle or run their own lossy exchange.  Returns what the 0->1 pair
+// saw: its fault counters and every completion and arrival time.
+std::string zeroToOneOutcome(bool neighbours_busy) {
+  FabricParams p = zeroHostParams();
+  p.fault.rates.drop = 0.25;
+  p.fault.rates.duplicate = 0.1;
+  p.fault.rates.jitter = 700;
+  p.fault.seed = 99;
+  Engine eng;
+  Fabric fabric(eng, p, 4);
+  constexpr int kMessages = 8;
+  std::vector<TimeNs> sent_done;
+  std::vector<TimeNs> arrived;
+  eng.run(4, [&](Context& ctx) {
+    const Rank me = ctx.rank();
+    Nic& nic = fabric.nic(me);
+    if (me == 0) {
+      for (int i = 0; i < kMessages; ++i) nic.postSend(1, makePacket(0, i, 64));
+      for (int i = 0; i < kMessages; ++i) {
+        EXPECT_EQ(blockingCompletion(ctx, nic).status, WorkStatus::Ok);
+        sent_done.push_back(ctx.now());
+      }
+    } else if (me == 1) {
+      for (int i = 0; i < kMessages; ++i) {
+        (void)blockingRecv(ctx, nic);
+        arrived.push_back(ctx.now());
+      }
+    } else if (neighbours_busy) {
+      const Rank peer = me == 2 ? 3 : 2;
+      for (int i = 0; i < kMessages; ++i) {
+        nic.postSend(peer, makePacket(me, i, 64));
+      }
+      for (int i = 0; i < kMessages; ++i) {
+        (void)blockingCompletion(ctx, nic);
+        (void)blockingRecv(ctx, nic);
+      }
+    }
+  });
+  if (neighbours_busy) {
+    EXPECT_GT(fabric.nic(2).faultCounters().attempts, kMessages);
+  }
+  const FaultCounters& tx = fabric.nic(0).faultCounters();
+  const FaultCounters& rx = fabric.nic(1).faultCounters();
+  EXPECT_GT(tx.drops, 0) << "the 0->1 stream must actually be lossy";
+  std::ostringstream os;
+  os << "a" << tx.attempts << " d" << tx.drops << " r" << tx.retransmissions
+     << " t" << tx.timeouts << " q" << rx.dup_discards << " k" << rx.acks_sent
+     << " x" << rx.acks_dropped << " |";
+  for (const TimeNs t : sent_done) os << ' ' << t;
+  os << " |";
+  for (const TimeNs t : arrived) os << ' ' << t;
+  return os.str();
+}
+
+TEST(Reliability, FaultDrawsIgnoreUnrelatedTraffic) {
+  // Each die hashes its own transmission's identity, so an unrelated lossy
+  // pair on other nodes cannot change which 0->1 attempts are lost.
+  EXPECT_EQ(zeroToOneOutcome(false), zeroToOneOutcome(true));
+}
+
 // -------------------------------------- pending wake token (regression)
 
 // A wake() that lands while the rank is busy inside compute() must be
@@ -439,6 +503,45 @@ TEST(MpiFault, PingPongCompletesWithRetriesAndCleanData) {
   overlap::FaultStats merged;
   for (const auto& r : machine.reports()) merged += r.faults;
   EXPECT_EQ(merged.attempts, machine.faultTotals().attempts);
+}
+
+TEST(MpiFault, ParallelRunMatchesSequential) {
+  // A lossy job runs on the requested workers, and its reports (fault
+  // counters included) match the sequential run exactly.
+  std::string baseline;
+  for (int workers : {1, 3}) {
+    mpi::JobConfig cfg;
+    cfg.nranks = 6;
+    cfg.workers = workers;
+    cfg.fabric.fault.rates.drop = 0.05;
+    cfg.fabric.fault.rates.duplicate = 0.02;
+    cfg.fabric.fault.rates.jitter = 1000;
+    cfg.fabric.fault.seed = 7;
+    mpi::Machine machine(cfg);
+    const Bytes msg = 32 * 1024;  // rendezvous-sized
+    machine.run([&](mpi::Mpi& mpi) {
+      std::vector<std::uint8_t> sbuf(msg, 0x3c);
+      std::vector<std::uint8_t> rbuf(msg, 0);
+      const Rank next = (mpi.rank() + 1) % mpi.size();
+      const Rank prev = (mpi.rank() + mpi.size() - 1) % mpi.size();
+      for (int i = 0; i < 4; ++i) {
+        mpi::Request r = mpi.irecv(rbuf.data(), msg, prev, i);
+        mpi.send(sbuf.data(), msg, next, i);
+        mpi.wait(r);
+        EXPECT_EQ(rbuf[msg - 1], 0x3c);
+      }
+    });
+    EXPECT_EQ(machine.engine().workersUsed(), workers);
+    EXPECT_GT(machine.faultTotals().drops, 0);
+    std::ostringstream os;
+    os << machine.finishTime() << '\n';
+    for (const overlap::Report& r : machine.reports()) r.save(os);
+    if (baseline.empty()) {
+      baseline = os.str();
+    } else {
+      EXPECT_EQ(os.str(), baseline) << "workers=" << workers;
+    }
+  }
 }
 
 TEST(MpiFault, RetryExhaustionSurfacesAsError) {

@@ -14,7 +14,9 @@
 # KERNEL (default cg), PROCS (default 9), WORKERS (default 3), VARIANT
 # (kernel variant flag value, e.g. armci-nb for the one-sided MG path),
 # VCI (channel spec passed as --ovprof-vci to BOTH runs, so the gate also
-# covers the channelized arbitrator), RAILS (passed as --ovprof-vci-rails).
+# covers the channelized arbitrator), RAILS (passed as --ovprof-vci-rails),
+# FAULT (fault spec passed as --ovprof-fault to BOTH runs, so the gate also
+# covers the NIC reliability protocol).
 foreach(var NAS_RUN WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "parallel_equiv.cmake: -D${var}=... is required")
@@ -41,6 +43,10 @@ set(RAILS_ARG "")
 if(DEFINED RAILS)
   set(RAILS_ARG "--ovprof-vci-rails=${RAILS}")
 endif()
+set(FAULT_ARG "")
+if(DEFINED FAULT)
+  set(FAULT_ARG "--ovprof-fault=${FAULT}")
+endif()
 
 # Each run gets its own directory but identical file names, so the report
 # text (which echoes the trace path) is comparable byte-for-byte.
@@ -49,7 +55,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}/seq" "${WORK_DIR}/par")
 function(run_traced workers dir)
   execute_process(COMMAND "${NAS_RUN}" --kernel=${KERNEL} --class=S
                           --procs=${PROCS} ${VARIANT_ARG} ${VCI_ARG}
-                          ${RAILS_ARG}
+                          ${RAILS_ARG} ${FAULT_ARG}
                           --ovprof-workers=${workers}
                           --ovprof-trace=trace.json
                   WORKING_DIRECTORY "${WORK_DIR}/${dir}"

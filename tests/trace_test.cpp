@@ -1,7 +1,8 @@
 // Tests for src/trace/: ring drop accounting, golden Chrome-JSON/CSV
 // exports, JSON well-formedness, exact window/report reconciliation,
-// bit-identical reruns, cross-rank matching and the critical path, and the
-// --ovprof-* flag validation that fronts it all.
+// bit-identical reruns, the CSV reader's rank/peer validation, cross-rank
+// matching and the critical path, and the --ovprof-* flag validation that
+// fronts it all.
 //
 // To regenerate the golden exports after an intentional format change:
 //   OVPROF_REGOLD=1 ./build/tests/trace_test
@@ -18,6 +19,7 @@
 #include "mpi/machine.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
+#include "trace/reader.hpp"
 #include "trace/ring.hpp"
 #include "trace/timeline.hpp"
 #include "util/flags.hpp"
@@ -320,6 +322,73 @@ TEST(TraceExport, RerunsAreBitIdentical) {
     return json.str() + "\x1e" + csv.str();
   };
   EXPECT_EQ(once(), once());
+}
+
+// ---------------------------------------------------------- CSV reader
+
+/// The traced workload's CSV export, one string per line.
+std::vector<std::string> tracedCsvLines() {
+  mpi::Machine machine(tracedConfig());
+  machine.run(tracedWorkload);
+  std::ostringstream os;
+  trace::writeCsv(*machine.traceCollector(), os);
+  std::vector<std::string> lines;
+  std::istringstream is(os.str());
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string readError(const std::vector<std::string>& lines) {
+  std::ostringstream os;
+  for (const std::string& line : lines) os << line << '\n';
+  std::istringstream is(os.str());
+  const trace::ReadResult r = trace::readCsv(is);
+  EXPECT_EQ(r.collector == nullptr, !r.error.empty());
+  return r.error;
+}
+
+// Each malformed rank or peer below would index per-rank state out of
+// bounds in the reader or in the cross-rank passes behind it.
+TEST(TraceReader, RejectsRowRankOutsideTheJob) {
+  std::vector<std::string> lines = tracedCsvLines();
+  std::size_t row = 0;
+  while (lines[row].rfind("rank,", 0) != 0) ++row;
+  ++row;  // first record after the header
+  ASSERT_EQ(lines[row].rfind("0,", 0), 0u);
+  lines[row] = "-1" + lines[row].substr(1);
+  EXPECT_EQ(readError(lines), "line " + std::to_string(row + 1) +
+                                  ": rank -1 outside [0, 2)");
+}
+
+TEST(TraceReader, RejectsMetadataRankOutsideTheJob) {
+  std::vector<std::string> lines = tracedCsvLines();
+  lines.push_back("# end_time,-1,5");
+  EXPECT_EQ(readError(lines), "line " + std::to_string(lines.size()) +
+                                  ": rank -1 outside [0, 2)");
+  lines.back() = "# dropped,2,1";
+  EXPECT_EQ(readError(lines), "line " + std::to_string(lines.size()) +
+                                  ": rank 2 outside [0, 2)");
+}
+
+TEST(TraceReader, RejectsSendOrMatchPeerOutsideTheJob) {
+  std::vector<std::string> lines = tracedCsvLines();
+  const std::string at = "line " + std::to_string(lines.size() + 1) + ": ";
+  lines.push_back("0,999,1,SEND_POST,1,9,0,8,0,0,");
+  EXPECT_EQ(readError(lines), at + "peer 9 outside [0, 2)");
+  lines.back() = "1,999,1,MATCH,1,-1,0,8,0,0,";
+  EXPECT_EQ(readError(lines), at + "peer -1 outside [0, 2)");
+}
+
+TEST(TraceReader, OtherPeersMayBeNoneButNotOutsideTheJob) {
+  std::vector<std::string> lines = tracedCsvLines();
+  lines.push_back("1,999,1,RECV_POST,1,-1,0,8,0,0,");  // any source
+  EXPECT_EQ(readError(lines), "");
+  lines.back() = "1,999,1,NIC_POST,1,2,0,8,0,0,";
+  EXPECT_EQ(readError(lines), "line " + std::to_string(lines.size()) +
+                                  ": peer 2 outside [-1, 2)");
+  lines.back() = "1,999,1,FENCE,1,-2,0,0,0,0,";
+  EXPECT_EQ(readError(lines), "line " + std::to_string(lines.size()) +
+                                  ": peer -2 outside [-1, 2)");
 }
 
 // --------------------------------------------------------- reconciliation

@@ -134,14 +134,34 @@ NasResult runIs(const NasParams& params) {
           static_cast<std::size_t>(total_in / static_cast<Bytes>(sizeof(int))));
       mpi.alltoallv(outgoing.data(), send_counts.data(), send_offsets.data(),
                     incoming.data(), recv_counts.data(), recv_offsets.data());
-      // Rank locally (counting sort over this bucket's key range).
+      // Rank locally: a counting sort over this bucket's key range, counted
+      // in `hist` (its histogram is spent for this iteration) and written
+      // back in place, so ranking allocates nothing.
       sorted = std::move(incoming);
-      std::sort(sorted.begin(), sorted.end());
+      const int lo = splitter[static_cast<std::size_t>(me)];
+      const int hi = splitter[static_cast<std::size_t>(me) + 1];
+      bool in_bucket = true;
+      std::fill(hist.begin() + lo, hist.begin() + hi, 0.0);
+      for (const int k : sorted) {
+        if (k < lo || k >= hi) {
+          in_bucket = false;
+          break;
+        }
+        hist[static_cast<std::size_t>(k)] += 1.0;
+      }
+      if (in_bucket) {
+        auto out = sorted.begin();
+        for (int k = lo; k < hi; ++k) {
+          const auto count =
+              static_cast<std::ptrdiff_t>(hist[static_cast<std::size_t>(k)]);
+          out = std::fill_n(out, count, k);
+        }
+      }
       mpi.compute(cost.flops(
           20LL * static_cast<std::int64_t>(sorted.size())));
 
       // Verification: local order + boundary order + global count.
-      bool ok = std::is_sorted(sorted.begin(), sorted.end());
+      bool ok = in_bucket && std::is_sorted(sorted.begin(), sorted.end());
       if (!sorted.empty()) {
         ok = ok && sorted.front() >= splitter[static_cast<std::size_t>(me)];
         ok = ok &&

@@ -1,5 +1,6 @@
 #include "skeleton/serialize.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -111,20 +112,12 @@ bool parseI64(std::string_view tok, std::int64_t any_sentinel,
     out = any_sentinel;
     return true;
   }
-  if (tok.empty()) return false;
+  // Optional '-' then digits; a value outside int64 is rejected.
   std::int64_t value = 0;
-  bool neg = false;
-  std::size_t i = 0;
-  if (tok[0] == '-') {
-    neg = true;
-    i = 1;
-    if (tok.size() == 1) return false;
-  }
-  for (; i < tok.size(); ++i) {
-    if (tok[i] < '0' || tok[i] > '9') return false;
-    value = value * 10 + (tok[i] - '0');
-  }
-  out = neg ? -value : value;
+  const auto [ptr, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), value);
+  if (ec != std::errc{} || ptr != tok.data() + tok.size()) return false;
+  out = value;
   return true;
 }
 

@@ -105,7 +105,9 @@ ExprP ind(ExprP lhs, CmpOp op, ExprP rhs) {
 // ---- grid factorizations (kept identical to src/nas/common.cpp; the
 // symbolic_test suite cross-checks them against the nas versions) ----
 
-Grid2 symFactor2d(std::int64_t p) {
+namespace {
+
+Grid2 factor2d(std::int64_t p) {
   Grid2 g;
   for (std::int64_t px = 1; px * px <= p; ++px) {
     if (p % px == 0) {
@@ -116,13 +118,13 @@ Grid2 symFactor2d(std::int64_t p) {
   return g;
 }
 
-Grid3 symFactor3d(std::int64_t p) {
+Grid3 factor3d(std::int64_t p) {
   Grid3 best;
   best.pz = p;
   double best_spread = static_cast<double>(p);
   for (std::int64_t a = 1; a * a * a <= p; ++a) {
     if (p % a != 0) continue;
-    const Grid2 rest = symFactor2d(p / a);
+    const Grid2 rest = factor2d(p / a);
     const std::int64_t b = std::min(rest.px, rest.py);
     const std::int64_t c = std::max(rest.px, rest.py);
     if (a > b) continue;
@@ -137,6 +139,27 @@ Grid3 symFactor3d(std::int64_t p) {
   }
   return best;
 }
+
+/// Remembers the last argument and result: one instantiation evaluates the
+/// same fac3x/fac3y/fac3z(P) at every op of every rank, and a trial
+/// division per call is most of what that evaluation costs.  Per thread,
+/// so concurrent instantiations share nothing.
+template <typename Grid, Grid (*Factor)(std::int64_t)>
+Grid memoized(std::int64_t p) {
+  thread_local std::int64_t last_p = 0;  // no grid has 0 ranks
+  thread_local Grid last;
+  if (p != last_p) {
+    last = Factor(p);
+    last_p = p;
+  }
+  return last;
+}
+
+}  // namespace
+
+Grid2 symFactor2d(std::int64_t p) { return memoized<Grid2, factor2d>(p); }
+
+Grid3 symFactor3d(std::int64_t p) { return memoized<Grid3, factor3d>(p); }
 
 // ---- evaluation ----
 

@@ -1,12 +1,17 @@
 #include "trace/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -25,77 +30,204 @@ constexpr int kTidNic = 3;
 constexpr int kTidSections = 4;
 constexpr int kTidWaits = 5;
 
-void appendf(std::string& s, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) s.append(buf, static_cast<std::size_t>(n));
-}
-
-using util::jsonEscape;
-
-/// Nanoseconds as fixed-point microseconds ("123.456") — integers only, so
-/// the text is deterministic.
-std::string usFixed(TimeNs ns) {
-  std::string s;
-  appendf(s, "%" PRId64 ".%03" PRId64, ns / 1000, ns % 1000);
-  return s;
-}
-
-const char* workTypeName(std::uint8_t aux) {
-  switch (aux) {
-    case 0: return "send";
-    case 1: return "rdma-write";
-    case 2: return "rdma-read";
-    default: return "work";
-  }
-}
-
-class EventSink {
+/// The one output buffer both exporters format into: integers go through
+/// std::to_chars, text is copied as is, and a full buffer goes to the
+/// stream in one write, so no event or row costs a heap string of its own
+/// and memory stays flat however long the trace is.
+class OutBuf {
  public:
-  void span(const std::string& name, const char* cat, int pid, int tid,
-            TimeNs begin, TimeNs end, const std::string& args = {}) {
-    std::string e;
-    appendf(e, "{\"name\":\"%s\",\"ph\":\"X\",\"cat\":\"%s\",\"ts\":%s,"
-               "\"dur\":%s,\"pid\":%d,\"tid\":%d",
-            jsonEscape(name).c_str(), cat, usFixed(begin).c_str(),
-            usFixed(end > begin ? end - begin : 0).c_str(), pid, tid);
-    if (!args.empty()) e += ",\"args\":{" + args + "}";
-    e += "}";
-    events_.push_back(std::move(e));
+  explicit OutBuf(std::ostream& os) : os_(os), buf_(new char[kSize]) {}
+
+  void put(char ch) {
+    if (len_ == kSize) flush();
+    buf_[len_++] = ch;
+  }
+  void put(std::string_view text) {
+    if (text.empty()) return;
+    if (text.size() > kSize - len_) {
+      flush();
+      if (text.size() > kSize) {
+        os_.write(text.data(), static_cast<std::streamsize>(text.size()));
+        return;
+      }
+    }
+    std::memcpy(buf_.get() + len_, text.data(), text.size());
+    len_ += text.size();
+  }
+  void num(std::int64_t v) {
+    if (kSize - len_ < kMaxDigits) flush();
+    char* const at = buf_.get() + len_;
+    len_ += static_cast<std::size_t>(
+        std::to_chars(at, buf_.get() + kSize, v).ptr - at);
   }
 
-  void instant(const std::string& name, const char* cat, int pid, int tid,
-               TimeNs t, const std::string& args = {}) {
-    std::string e;
-    appendf(e, "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"cat\":\"%s\","
-               "\"ts\":%s,\"pid\":%d,\"tid\":%d",
-            jsonEscape(name).c_str(), cat, usFixed(t).c_str(), pid, tid);
-    if (!args.empty()) e += ",\"args\":{" + args + "}";
-    e += "}";
-    events_.push_back(std::move(e));
+  /// Nanoseconds as fixed-point microseconds ("123.456") — integers only,
+  /// so the text is deterministic.
+  void usFixed(TimeNs ns) {
+    if (ns < 0) {  // printf's rendering of a negative remainder, kept as is
+      char tmp[48];
+      const int n = std::snprintf(tmp, sizeof tmp, "%" PRId64 ".%03" PRId64,
+                                  ns / 1000, ns % 1000);
+      put(std::string_view(tmp, static_cast<std::size_t>(n)));
+      return;
+    }
+    num(ns / 1000);
+    const auto frac = static_cast<int>(ns % 1000);
+    const char digits[4] = {'.', static_cast<char>('0' + frac / 100),
+                            static_cast<char>('0' + frac / 10 % 10),
+                            static_cast<char>('0' + frac % 10)};
+    put(std::string_view(digits, sizeof digits));
   }
 
-  void meta(const char* name, int pid, int tid, const std::string& value) {
-    std::string e;
-    appendf(e, "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-               "\"args\":{\"name\":\"%s\"}}",
-            name, pid, tid, jsonEscape(value).c_str());
-    events_.push_back(std::move(e));
-  }
-
-  void write(std::ostream& os) const {
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-      os << "    " << events_[i];
-      if (i + 1 < events_.size()) os << ",";
-      os << "\n";
+  /// Appends `text` as JSON string content; util::jsonEscape runs only
+  /// when a byte needs escaping.
+  void jsonText(std::string_view text) {
+    const bool plain = std::none_of(text.begin(), text.end(), [](char ch) {
+      return ch == '"' || ch == '\\' || static_cast<unsigned char>(ch) < 0x20;
+    });
+    if (plain) {
+      put(text);
+    } else {
+      put(util::jsonEscape(text));
     }
   }
 
+  /// One comma-separated CSV line: integers in decimal, text as is.
+  template <typename... Fields>
+  void csvLine(const Fields&... fields) {
+    bool first = true;
+    const auto field = [&](const auto& f) {
+      if (!first) put(',');
+      first = false;
+      if constexpr (std::is_integral_v<std::decay_t<decltype(f)>>) {
+        num(static_cast<std::int64_t>(f));
+      } else {
+        put(std::string_view(f));
+      }
+    };
+    (field(fields), ...);
+    put('\n');
+  }
+
+  void flush() {
+    os_.write(buf_.get(), static_cast<std::streamsize>(len_));
+    len_ = 0;
+  }
+
  private:
-  std::vector<std::string> events_;
+  static constexpr std::size_t kSize = std::size_t{1} << 18;
+  static constexpr std::size_t kMaxDigits = 20;  // "-9223372036854775808"
+
+  std::ostream& os_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t len_ = 0;
+};
+
+/// "<prefix><n><suffix>" on the stack, for numbered event names such as
+/// "xfer 4096B" (prefix and suffix are short literals).
+class Numbered {
+ public:
+  Numbered(std::string_view prefix, std::int64_t n,
+           std::string_view suffix = {}) {
+    char* p = std::copy(prefix.begin(), prefix.end(), buf_);
+    p = std::to_chars(p, buf_ + sizeof buf_, n).ptr;
+    p = std::copy(suffix.begin(), suffix.end(), p);
+    len_ = static_cast<std::size_t>(p - buf_);
+  }
+  operator std::string_view() const { return {buf_, len_}; }
+
+ private:
+  char buf_[64];
+  std::size_t len_ = 0;
+};
+
+const char* workTypeName(std::uint8_t aux, bool exhausted) {
+  switch (aux) {
+    case 0: return exhausted ? "send (retry exhausted)" : "send";
+    case 1: return exhausted ? "rdma-write (retry exhausted)" : "rdma-write";
+    case 2: return exhausted ? "rdma-read (retry exhausted)" : "rdma-read";
+    default: return exhausted ? "work (retry exhausted)" : "work";
+  }
+}
+
+/// An integer event argument; every argument the exporter writes is one.
+struct Arg {
+  const char* key;
+  std::int64_t value;
+};
+
+/// Writes Chrome trace events straight into the output buffer, one per
+/// line, comma-separated.
+class EventSink {
+ public:
+  explicit EventSink(OutBuf& out) : out_(out) {}
+
+  void span(std::string_view name, const char* cat, int pid, int tid,
+            TimeNs begin, TimeNs end, std::initializer_list<Arg> args = {}) {
+    open(name);
+    out_.put(R"(","ph":"X","cat":")");
+    out_.put(cat);
+    out_.put(R"(","ts":)");
+    out_.usFixed(begin);
+    out_.put(R"(,"dur":)");
+    out_.usFixed(end > begin ? end - begin : 0);
+    close(pid, tid, args);
+  }
+
+  void instant(std::string_view name, const char* cat, int pid, int tid,
+               TimeNs t, std::initializer_list<Arg> args = {}) {
+    open(name);
+    out_.put(R"(","ph":"i","s":"t","cat":")");
+    out_.put(cat);
+    out_.put(R"(","ts":)");
+    out_.usFixed(t);
+    close(pid, tid, args);
+  }
+
+  void meta(const char* name, int pid, int tid, std::string_view value) {
+    open(name);
+    out_.put(R"(","ph":"M","pid":)");
+    out_.num(pid);
+    out_.put(R"(,"tid":)");
+    out_.num(tid);
+    out_.put(R"(,"args":{"name":")");
+    out_.jsonText(value);
+    out_.put("\"}}");
+  }
+
+  /// Ends the event list (the last event carries no comma).
+  void finish() {
+    if (any_) out_.put('\n');
+  }
+
+ private:
+  void open(std::string_view name) {
+    out_.put(any_ ? ",\n    {\"name\":\"" : "    {\"name\":\"");
+    any_ = true;
+    out_.jsonText(name);
+  }
+
+  void close(int pid, int tid, std::initializer_list<Arg> args) {
+    out_.put(R"(,"pid":)");
+    out_.num(pid);
+    out_.put(R"(,"tid":)");
+    out_.num(tid);
+    if (args.size() > 0) {
+      const char* sep = R"(,"args":{")";
+      for (const Arg& a : args) {
+        out_.put(sep);
+        out_.put(a.key);
+        out_.put("\":");
+        out_.num(a.value);
+        sep = ",\"";
+      }
+      out_.put('}');
+    }
+    out_.put('}');
+  }
+
+  OutBuf& out_;
+  bool any_ = false;
 };
 
 void emitRank(EventSink& sink, const Collector& c, Rank r) {
@@ -104,8 +236,7 @@ void emitRank(EventSink& sink, const Collector& c, Rank r) {
   const TimeNs rank_end = std::max(
       c.endTime(r), ring.size() > 0 ? ring.at(ring.size() - 1).time : 0);
 
-  sink.meta("process_name", pid, 0,
-            "rank " + std::to_string(r));
+  sink.meta("process_name", pid, 0, Numbered("rank ", r));
   sink.meta("thread_name", pid, kTidCalls, "comm-calls");
   sink.meta("thread_name", pid, kTidXfers, "transfers");
   sink.meta("thread_name", pid, kTidCompute, "compute");
@@ -151,17 +282,13 @@ void emitRank(EventSink& sink, const Collector& c, Rank r) {
       case RecordKind::XferEnd: {
         const auto it = open_xfers.find(rec.id);
         if (it == open_xfers.end()) {
-          std::string args;
-          appendf(args, "\"bytes\":%" PRId64 ",\"case\":3", rec.bytes);
           sink.instant("xfer-end (case 3)", "xfer", pid, kTidXfers, rec.time,
-                       args);
+                       {{"bytes", rec.bytes}, {"case", 3}});
           break;
         }
-        std::string args;
-        appendf(args, "\"bytes\":%" PRId64 ",\"id\":%" PRId64,
-                it->second.second, rec.id);
-        sink.span("xfer " + std::to_string(it->second.second) + "B", "xfer",
-                  pid, kTidXfers, it->second.first, rec.time, args);
+        sink.span(Numbered("xfer ", it->second.second, "B"), "xfer", pid,
+                  kTidXfers, it->second.first, rec.time,
+                  {{"bytes", it->second.second}, {"id", rec.id}});
         open_xfers.erase(it);
         break;
       }
@@ -173,8 +300,8 @@ void emitRank(EventSink& sink, const Collector& c, Rank r) {
           const auto [begin, id] = section_stack.back();
           section_stack.pop_back();
           const std::string_view name = c.sectionName(r, id);
-          sink.span(name.empty() ? "section" : std::string(name), "section",
-                    pid, kTidSections, begin, rec.time);
+          sink.span(name.empty() ? "section" : name, "section", pid,
+                    kTidSections, begin, rec.time);
         }
         break;
       case RecordKind::Disable:
@@ -188,72 +315,60 @@ void emitRank(EventSink& sink, const Collector& c, Rank r) {
       case RecordKind::SendPost:
       case RecordKind::RecvPost:
         break;  // edges are rendered via matchMessages (waits track)
-      case RecordKind::Match: {
-        std::string args;
-        appendf(args, "\"src\":%d,\"tag\":%d,\"bytes\":%" PRId64, rec.peer,
-                rec.tag, rec.bytes);
-        sink.instant("match", "comm", pid, kTidCalls, rec.time, args);
+      case RecordKind::Match:
+        sink.instant("match", "comm", pid, kTidCalls, rec.time,
+                     {{"src", rec.peer},
+                      {"tag", rec.tag},
+                      {"bytes", rec.bytes}});
         break;
-      }
       case RecordKind::NicPost:
         open_work[rec.id] = {rec.time, rec.aux};
         break;
       case RecordKind::NicComplete: {
         const auto it = open_work.find(rec.id);
         if (it == open_work.end()) break;
-        std::string args;
-        appendf(args, "\"id\":%" PRId64 ",\"status\":%d", rec.id, rec.tag);
-        sink.span(std::string(workTypeName(it->second.second)) +
-                      (rec.tag != 0 ? " (retry exhausted)" : ""),
-                  "nic", pid, kTidNic, it->second.first, rec.time, args);
+        sink.span(workTypeName(it->second.second, rec.tag != 0), "nic", pid,
+                  kTidNic, it->second.first, rec.time,
+                  {{"id", rec.id}, {"status", rec.tag}});
         open_work.erase(it);
         break;
       }
-      case RecordKind::NicRetransmit: {
-        std::string args;
-        appendf(args, "\"attempt\":%d,\"dst\":%d,\"bytes\":%" PRId64, rec.tag,
-                rec.peer, rec.bytes);
-        sink.instant("retransmit", "nic", pid, kTidNic, rec.time, args);
+      case RecordKind::NicRetransmit:
+        sink.instant("retransmit", "nic", pid, kTidNic, rec.time,
+                     {{"attempt", rec.tag},
+                      {"dst", rec.peer},
+                      {"bytes", rec.bytes}});
         break;
-      }
-      case RecordKind::NicTimeout: {
-        std::string args;
-        appendf(args, "\"attempt\":%d", rec.tag);
-        sink.instant("ack-timeout", "nic", pid, kTidNic, rec.time, args);
+      case RecordKind::NicTimeout:
+        sink.instant("ack-timeout", "nic", pid, kTidNic, rec.time,
+                     {{"attempt", rec.tag}});
         break;
-      }
       case RecordKind::RmaPut:
       case RecordKind::RmaGet:
       case RecordKind::RmaAcc: {
-        std::string args;
-        appendf(args,
-                "\"target\":%d,\"segment\":%d,\"offset\":%" PRId64
-                ",\"bytes\":%" PRId64 ",\"op\":%" PRId64,
-                rec.peer, rec.tag, rec.addr, rec.bytes, rec.id);
         const char* name = rec.kind == RecordKind::RmaPut   ? "rma-put"
                            : rec.kind == RecordKind::RmaGet ? "rma-get"
                                                             : "rma-acc";
-        sink.instant(name, "rma", pid, kTidXfers, rec.time, args);
+        sink.instant(name, "rma", pid, kTidXfers, rec.time,
+                     {{"target", rec.peer},
+                      {"segment", rec.tag},
+                      {"offset", rec.addr},
+                      {"bytes", rec.bytes},
+                      {"op", rec.id}});
         break;
       }
-      case RecordKind::RmaComplete: {
-        std::string args;
-        appendf(args, "\"op\":%" PRId64, rec.id);
-        sink.instant("rma-complete", "rma", pid, kTidXfers, rec.time, args);
+      case RecordKind::RmaComplete:
+        sink.instant("rma-complete", "rma", pid, kTidXfers, rec.time,
+                     {{"op", rec.id}});
         break;
-      }
-      case RecordKind::Fence: {
-        std::string args;
-        appendf(args, "\"target\":%d", rec.peer);
-        sink.instant("fence", "rma", pid, kTidCalls, rec.time, args);
+      case RecordKind::Fence:
+        sink.instant("fence", "rma", pid, kTidCalls, rec.time,
+                     {{"target", rec.peer}});
         break;
-      }
-      case RecordKind::Barrier: {
-        std::string args;
-        appendf(args, "\"epoch\":%" PRId64, rec.id);
-        sink.instant("barrier", "comm", pid, kTidCalls, rec.time, args);
+      case RecordKind::Barrier:
+        sink.instant("barrier", "comm", pid, kTidCalls, rec.time,
+                     {{"epoch", rec.id}});
         break;
-      }
     }
   }
   // Close whatever is still open at the rank's horizon.
@@ -265,25 +380,40 @@ void emitRank(EventSink& sink, const Collector& c, Rank r) {
       open_xfers.begin(), open_xfers.end());
   std::sort(open.begin(), open.end());  // deterministic emission order
   for (const auto& [id, x] : open) {
-    std::string args;
-    appendf(args, "\"bytes\":%" PRId64 ",\"id\":%" PRId64 ",\"open\":1",
-            x.second, id);
-    sink.span("xfer " + std::to_string(x.second) + "B (open)", "xfer", pid,
-              kTidXfers, x.first, rank_end, args);
+    sink.span(Numbered("xfer ", x.second, "B (open)"), "xfer", pid, kTidXfers,
+              x.first, rank_end,
+              {{"bytes", x.second}, {"id", id}, {"open", 1}});
   }
 }
 
 }  // namespace
 
 void writeChromeJson(const Collector& c, std::ostream& os) {
-  EventSink sink;
+  // The header carries the critical path's edge counts, so the cross-rank
+  // passes run before any event is written.
+  const std::vector<MessageEdge> edges = matchMessages(c);
+  const CriticalPath path = computeCriticalPath(c, edges);
+
+  OutBuf out(os);
+  out.put("{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {\n"
+          "    \"tool\": \"ovprof\",\n    \"ranks\": \"");
+  out.num(c.nranks());
+  out.put("\",\n    \"records\": \"");
+  out.num(c.recordedTotal());
+  out.put("\",\n    \"dropped\": \"");
+  out.num(c.droppedTotal());
+  out.put("\",\n    \"late_sender_edges\": \"");
+  out.num(path.late_sender_edges);
+  out.put("\",\n    \"late_receiver_edges\": \"");
+  out.num(path.late_receiver_edges);
+  out.put("\"\n  },\n  \"traceEvents\": [\n");
+
+  EventSink sink(out);
   for (Rank r = 0; r < c.nranks(); ++r) emitRank(sink, c, r);
 
-  const std::vector<MessageEdge> edges = matchMessages(c);
   for (const MessageEdge& e : edges) {
-    std::string args;
-    appendf(args, "\"src\":%d,\"dst\":%d,\"tag\":%d,\"bytes\":%" PRId64,
-            e.src, e.dst, e.tag, e.bytes);
+    const std::initializer_list<Arg> args = {
+        {"src", e.src}, {"dst", e.dst}, {"tag", e.tag}, {"bytes", e.bytes}};
     if (e.lateSender()) {
       sink.span("late-sender wait", "wait", e.dst, kTidWaits, e.recv_post,
                 e.match, args);
@@ -293,31 +423,16 @@ void writeChromeJson(const Collector& c, std::ostream& os) {
     }
   }
 
-  const CriticalPath path = computeCriticalPath(c, edges);
   const int cluster_pid = c.nranks();
   sink.meta("process_name", cluster_pid, 0, "cluster");
   sink.meta("thread_name", cluster_pid, 0, "critical-path");
   for (const PathSegment& s : path.segments) {
-    std::string args;
-    appendf(args, "\"rank\":%d", s.rank);
-    sink.span("rank " + std::to_string(s.rank), "critical-path", cluster_pid,
-              0, s.begin, s.end, args);
+    sink.span(Numbered("rank ", s.rank), "critical-path", cluster_pid, 0,
+              s.begin, s.end, {{"rank", s.rank}});
   }
-
-  os << "{\n"
-     << "  \"displayTimeUnit\": \"ms\",\n"
-     << "  \"otherData\": {\n"
-     << "    \"tool\": \"ovprof\",\n"
-     << "    \"ranks\": \"" << c.nranks() << "\",\n"
-     << "    \"records\": \"" << c.recordedTotal() << "\",\n"
-     << "    \"dropped\": \"" << c.droppedTotal() << "\",\n"
-     << "    \"late_sender_edges\": \"" << path.late_sender_edges << "\",\n"
-     << "    \"late_receiver_edges\": \"" << path.late_receiver_edges
-     << "\"\n"
-     << "  },\n"
-     << "  \"traceEvents\": [\n";
-  sink.write(os);
-  os << "  ]\n}\n";
+  sink.finish();
+  out.put("  ]\n}\n");
+  out.flush();
 }
 
 bool writeChromeJsonFile(const Collector& c, const std::string& path) {
@@ -332,28 +447,28 @@ void writeCsv(const Collector& c, std::ostream& os) {
   // not per-record (ranks, horizons, xfer table, drop counters, registered
   // segment sizes) so readCsv can rebuild a Collector the offline analyzer
   // can run on.  Consumers that only want records skip '#' lines.
-  os << "# ovprof-trace-csv,2\n";
-  os << "# ranks," << c.nranks() << '\n';
+  OutBuf out(os);
+  out.csvLine("# ovprof-trace-csv", 2);
+  out.csvLine("# ranks", c.nranks());
   for (Rank r = 0; r < c.nranks(); ++r) {
-    os << "# end_time," << r << ',' << c.endTime(r) << '\n';
+    out.csvLine("# end_time", r, c.endTime(r));
   }
   const overlap::XferTimeTable& table = c.table();
   for (std::size_t i = 0; i < table.points(); ++i) {
     const auto [size, time] = table.point(i);
-    os << "# xfer_point," << size << ',' << time << '\n';
+    out.csvLine("# xfer_point", size, time);
   }
   for (Rank r = 0; r < c.nranks(); ++r) {
     if (c.ring(r).dropped() > 0) {
-      os << "# dropped," << r << ',' << c.ring(r).dropped() << '\n';
+      out.csvLine("# dropped", r, c.ring(r).dropped());
     }
   }
   for (Rank r = 0; r < c.nranks(); ++r) {
     for (std::int32_t s = 0; s < c.segmentCount(r); ++s) {
-      os << "# segment," << r << ',' << s << ',' << c.segmentBytes(r, s)
-         << '\n';
+      out.csvLine("# segment", r, s, c.segmentBytes(r, s));
     }
   }
-  os << "rank,seq,time_ns,kind,id,peer,tag,bytes,aux,addr,name\n";
+  out.put("rank,seq,time_ns,kind,id,peer,tag,bytes,aux,addr,name\n");
   for (Rank r = 0; r < c.nranks(); ++r) {
     const TraceRing& ring = c.ring(r);
     for (std::size_t i = 0; i < ring.size(); ++i) {
@@ -362,13 +477,12 @@ void writeCsv(const Collector& c, std::ostream& os) {
       if (rec.kind == RecordKind::SectionBegin) {
         name = c.sectionName(r, rec.id);
       }
-      os << r << ',' << i << ',' << rec.time << ','
-         << recordKindName(rec.kind) << ',' << rec.id << ',' << rec.peer
-         << ',' << rec.tag << ',' << rec.bytes << ','
-         << static_cast<int>(rec.aux) << ',' << rec.addr << ',' << name
-         << '\n';
+      out.csvLine(r, i, rec.time, recordKindName(rec.kind), rec.id, rec.peer,
+                  rec.tag, rec.bytes, static_cast<int>(rec.aux), rec.addr,
+                  name);
     }
   }
+  out.flush();
 }
 
 bool writeCsvFile(const Collector& c, const std::string& path) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -12,24 +14,66 @@ namespace ovp::trace {
 
 namespace {
 
+/// The largest job a trace may declare or name: the cap the .skel loader
+/// applies too.  Per-rank state is sized from it before any record loads.
+constexpr std::int64_t kMaxRanks = std::int64_t{1} << 20;
+
 struct Row {
   Record rec;
-  std::string name;  // SectionBegin rows carry the interned section name
   std::size_t lineno = 0;
+  std::string_view name;  // SectionBegin rows carry the interned section name
 };
 
 std::string lineError(std::size_t lineno, const std::string& what) {
   return "line " + std::to_string(lineno) + ": " + what;
 }
 
-bool parseField(const std::string& f, std::int64_t& out) {
-  return util::parseInt(util::trim(f), out);
+/// Splits `text` at its commas into at most `max` views of it, the last of
+/// which keeps the rest of the line, commas included.  Returns the number
+/// of views; fewer than `max` means the line has exactly that many fields.
+std::size_t splitFields(std::string_view text, std::string_view* out,
+                        std::size_t max) {
+  std::size_t n = 0;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i < text.size() && n + 1 < max; ++i) {
+    if (text[i] == ',') {
+      out[n++] = text.substr(start, i - start);
+      start = i + 1;
+    }
+  }
+  out[n++] = text.substr(start);
+  return n;
+}
+
+/// The rest of the stream, read in large blocks (sized up front when the
+/// stream can say how much is left).
+std::string slurp(std::istream& is) {
+  std::string text;
+  const std::streampos at = is.tellg();
+  if (at != std::streampos(-1)) {
+    is.seekg(0, std::ios::end);
+    const std::streampos end = is.tellg();
+    is.clear();
+    is.seekg(at);
+    if (end != std::streampos(-1) && end > at) {
+      text.reserve(static_cast<std::size_t>(end - at));
+    }
+  }
+  std::vector<char> block(std::size_t{1} << 16);
+  while (is.read(block.data(), static_cast<std::streamsize>(block.size())) ||
+         is.gcount() > 0) {
+    text.append(block.data(), static_cast<std::size_t>(is.gcount()));
+  }
+  return text;
 }
 
 }  // namespace
 
 ReadResult readCsv(std::istream& is) {
   ReadResult result;
+  // The whole text is read first: every field, section names included, is
+  // then a view into it, and the row count is known before any row loads.
+  const std::string text = slurp(is);
 
   std::int64_t declared_ranks = -1;
   std::vector<std::pair<Rank, TimeNs>> end_times;
@@ -37,38 +81,48 @@ ReadResult readCsv(std::istream& is) {
   std::vector<std::pair<Rank, std::int64_t>> dropped;
   std::vector<std::tuple<Rank, std::int64_t, Bytes>> segments;
   std::vector<Row> rows;
+  rows.reserve(static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n') + 1));
   std::vector<std::pair<std::int64_t, std::size_t>> meta_ranks;  // rank, line
   bool header_seen = false;
 
-  std::string line;
   std::size_t lineno = 0;
-  while (std::getline(is, line)) {
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', at), text.size());
+    const std::string_view line(text.data() + at, eol - at);
+    at = eol + 1;
     ++lineno;
     const std::string_view body = util::trim(line);
     if (body.empty()) continue;
     if (body.front() == '#') {
-      // Metadata: "# key,v1,v2,...".  Unknown keys are skipped so newer
-      // writers stay readable.
-      const std::vector<std::string> f =
-          util::split(util::trim(body.substr(1)), ',');
-      if (f.empty()) continue;
+      // Metadata: "# key,v1,v2,...".  Unknown keys and fields past the
+      // third value are skipped so newer writers stay readable.
+      std::string_view f[5];
+      const std::size_t n = splitFields(util::trim(body.substr(1)), f, 5);
       const std::string_view key = util::trim(f[0]);
       std::int64_t a = 0, b = 0, c = 0;
-      if (key == "ranks" && f.size() >= 2 && parseField(f[1], a)) {
+      if (key == "ranks" && n >= 2 && util::parseInt(f[1], a)) {
+        if (a <= 0 || a > kMaxRanks) {
+          result.error = lineError(lineno, "declared ranks " +
+                                               std::to_string(a) +
+                                               " outside [1, " +
+                                               std::to_string(kMaxRanks) + "]");
+          return result;
+        }
         declared_ranks = a;
-      } else if (key == "end_time" && f.size() >= 3 && parseField(f[1], a) &&
-                 parseField(f[2], b)) {
+      } else if (key == "end_time" && n >= 3 && util::parseInt(f[1], a) &&
+                 util::parseInt(f[2], b)) {
         end_times.emplace_back(static_cast<Rank>(a), b);
         meta_ranks.push_back({a, lineno});
-      } else if (key == "xfer_point" && f.size() >= 3 && parseField(f[1], a) &&
-                 parseField(f[2], b)) {
+      } else if (key == "xfer_point" && n >= 3 && util::parseInt(f[1], a) &&
+                 util::parseInt(f[2], b)) {
         xfer_points.emplace_back(a, b);
-      } else if (key == "dropped" && f.size() >= 3 && parseField(f[1], a) &&
-                 parseField(f[2], b)) {
+      } else if (key == "dropped" && n >= 3 && util::parseInt(f[1], a) &&
+                 util::parseInt(f[2], b)) {
         dropped.emplace_back(static_cast<Rank>(a), b);
         meta_ranks.push_back({a, lineno});
-      } else if (key == "segment" && f.size() >= 4 && parseField(f[1], a) &&
-                 parseField(f[2], b) && parseField(f[3], c)) {
+      } else if (key == "segment" && n >= 4 && util::parseInt(f[1], a) &&
+                 util::parseInt(f[2], b) && util::parseInt(f[3], c)) {
         segments.emplace_back(static_cast<Rank>(a), b, c);
         meta_ranks.push_back({a, lineno});
       }
@@ -83,32 +137,29 @@ ReadResult readCsv(std::istream& is) {
       continue;
     }
     // rank,seq,time_ns,kind,id,peer,tag,bytes,aux,addr,name — a v1 row has
-    // no addr column (10 fields); the name field may itself contain commas.
-    std::vector<std::string> f = util::split(body, ',');
-    if (f.size() < 10) {
+    // no addr column (10 fields); the name field may itself contain commas,
+    // so it is the rest of the row after the last fixed field.
+    std::string_view f[11];
+    const std::size_t n = splitFields(body, f, 11);
+    if (n < 10) {
       result.error = lineError(lineno, "too few fields");
       return result;
     }
-    const bool v2 = f.size() >= 11;
-    const std::size_t name_at = v2 ? 10 : 9;
-    std::string name = f[name_at];
-    for (std::size_t i = name_at + 1; i < f.size(); ++i) {
-      name += ',';
-      name += f[i];
-    }
+    const bool v2 = n == 11;
     Row row;
     std::int64_t rank = 0, peer = 0, tag = 0, aux = 0;
     RecordKind kind = RecordKind::CallEnter;
-    if (!parseField(f[0], rank) || !parseField(f[2], row.rec.time) ||
-        !parseField(f[4], row.rec.id) || !parseField(f[5], peer) ||
-        !parseField(f[6], tag) || !parseField(f[7], row.rec.bytes) ||
-        !parseField(f[8], aux) ||
-        (v2 && !parseField(f[9], row.rec.addr))) {
+    if (!util::parseInt(f[0], rank) || !util::parseInt(f[2], row.rec.time) ||
+        !util::parseInt(f[4], row.rec.id) || !util::parseInt(f[5], peer) ||
+        !util::parseInt(f[6], tag) || !util::parseInt(f[7], row.rec.bytes) ||
+        !util::parseInt(f[8], aux) ||
+        (v2 && !util::parseInt(f[9], row.rec.addr))) {
       result.error = lineError(lineno, "malformed numeric field");
       return result;
     }
     if (!recordKindFromName(util::trim(f[3]), kind)) {
-      result.error = lineError(lineno, "unknown record kind '" + f[3] + "'");
+      result.error = lineError(
+          lineno, "unknown record kind '" + std::string(f[3]) + "'");
       return result;
     }
     if (rank != static_cast<Rank>(rank) || peer != static_cast<Rank>(peer)) {
@@ -120,24 +171,26 @@ ReadResult readCsv(std::istream& is) {
     row.rec.peer = static_cast<Rank>(peer);
     row.rec.tag = static_cast<std::int32_t>(tag);
     row.rec.aux = static_cast<std::uint8_t>(aux);
-    row.name = std::move(name);
     row.lineno = lineno;
-    rows.push_back(std::move(row));
+    row.name = f[v2 ? 10 : 9];
+    rows.push_back(row);
   }
   if (!header_seen) {
     result.error = "missing CSV header row";
     return result;
   }
 
-  // Without a "# ranks" line the job is as large as the ranks it names.
+  // Without a "# ranks" line the job is as large as the ranks it names, up
+  // to the cap: a rank past it is reported below as outside the job.
   std::int64_t nranks = declared_ranks;
   if (nranks < 0) {
     for (const Row& row : rows) {
-      nranks = std::max<std::int64_t>(nranks, row.rec.rank + 1);
+      nranks = std::max(nranks, std::int64_t{row.rec.rank} + 1);
     }
     for (const auto& [r, at] : meta_ranks) {
-      nranks = std::max<std::int64_t>(nranks, r + 1);
+      nranks = std::max(nranks, std::min(r, kMaxRanks) + 1);
     }
+    nranks = std::min(nranks, kMaxRanks);
   }
   if (nranks <= 0) {
     result.error = "trace names no ranks";

@@ -1,50 +1,13 @@
 #include "util/strings.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 
 namespace ovp::util {
 
-std::vector<std::string> split(std::string_view text, char delim) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(delim, start);
-    if (pos == std::string_view::npos) {
-      fields.emplace_back(text.substr(start));
-      return fields;
-    }
-    fields.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-std::string_view trim(std::string_view text) {
-  while (!text.empty() &&
-         std::isspace(static_cast<unsigned char>(text.front()))) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() &&
-         std::isspace(static_cast<unsigned char>(text.back()))) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
-
 bool startsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-bool parseInt(std::string_view text, std::int64_t& out) {
-  text = trim(text);
-  std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
-  out = value;
-  return true;
 }
 
 bool parseDouble(std::string_view text, double& out) {

@@ -4,15 +4,17 @@
 // --write-skeleton/--conform interchange, so the writer and
 // the strict parser must stay exact inverses over the WHOLE op vocabulary —
 // wildcards, empty waitall sets, RMA nb flags, site labels included.  A
-// seeded fuzzer generates random valid skeletons and round-trips them;
-// rejection tests pin the strict-parser behaviour on malformed input
-// (truncated files, duplicated sections, trailing garbage).
+// seeded fuzzer generates random valid skeletons and round-trips them, and
+// a seeded line mutator (line_mutator.hpp) corrupts them; rejection tests
+// pin the strict-parser behaviour on malformed input (truncated files,
+// duplicated sections, trailing garbage).
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "line_mutator.hpp"
 #include "skeleton/ir.hpp"
 #include "skeleton/serialize.hpp"
 #include "util/rng.hpp"
@@ -180,6 +182,33 @@ TEST(SkeletonSerialize, FuzzedRoundTripIsExact) {
     EXPECT_EQ(skel::skeletonToString(parsed.skeleton), text)
         << "seed " << seed;
   }
+}
+
+// Seeded line mutants of valid skeletons (the line mutator the trace
+// reader's fuzz uses too): the parser never crashes, and whatever it
+// accepts passes validate() and prints back to text it parses again.
+TEST(SkeletonSerialize, MutatedLinesNeverCrash) {
+  int accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::vector<std::string> lines;
+    std::istringstream good(
+        skel::skeletonToString(fuzzSkeleton(seed % 20 + 1)));
+    for (std::string line; std::getline(good, line);) lines.push_back(line);
+    std::string text;
+    for (const std::string& line : fuzz::mutateLines(lines, seed, ' ')) {
+      text += line + "\n";
+    }
+    const skel::ParseResult parsed = parseString(text);
+    if (!parsed.ok()) continue;
+    ++accepted;
+    ASSERT_EQ(parsed.skeleton.validate(), "") << "seed " << seed;
+    const std::string printed = skel::skeletonToString(parsed.skeleton);
+    const skel::ParseResult again = parseString(printed);
+    ASSERT_TRUE(again.ok()) << "seed " << seed << ": " << again.error;
+    EXPECT_EQ(skel::skeletonToString(again.skeleton), printed)
+        << "seed " << seed;
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(SkeletonSerialize, RoundTripKeepsWildcardsAndEmptyWaitall) {

@@ -276,6 +276,23 @@ TEST(SymbolicGrid, FactorizationsMatchNas) {
   }
 }
 
+// The factorizations remember their last argument; a change of argument,
+// in either direction and between the two, must never return a stale grid.
+TEST(SymbolicGrid, MemoizedFactorsFollowTheArgument) {
+  for (const int p : {64, 12, 64, 64, 7, 4096, 1, 12, 30}) {
+    const auto g3 = skel::sym::symFactor3d(p);
+    const auto n3 = nas::factor3d(p);
+    EXPECT_EQ(g3.px * g3.py * g3.pz, p) << "P=" << p;
+    EXPECT_EQ(g3.px, n3.px) << "P=" << p;
+    EXPECT_EQ(g3.py, n3.py) << "P=" << p;
+    EXPECT_EQ(g3.pz, n3.pz) << "P=" << p;
+    const auto g2 = skel::sym::symFactor2d(p);
+    const auto n2 = nas::factor2d(p);
+    EXPECT_EQ(g2.px, n2.px) << "P=" << p;
+    EXPECT_EQ(g2.py, n2.py) << "P=" << p;
+  }
+}
+
 TEST(SymbolicGrid, BlockSizeMatchesBlockDistribute) {
   for (const int n : {1, 7, 1024, 4096, 16385}) {
     for (const int parts : {1, 2, 3, 5, 8, 64}) {

@@ -1,8 +1,8 @@
 // Tests for src/trace/: ring drop accounting, golden Chrome-JSON/CSV
 // exports, JSON well-formedness, exact window/report reconciliation,
-// bit-identical reruns, the CSV reader's rank/peer validation, cross-rank
-// matching and the critical path, and the --ovprof-* flag validation that
-// fronts it all.
+// bit-identical reruns, the CSV reader's rank/peer validation, round trip
+// and mutation fuzz, cross-rank matching and the critical path, and the
+// --ovprof-* flag validation that fronts it all.
 //
 // To regenerate the golden exports after an intentional format change:
 //   OVPROF_REGOLD=1 ./build/tests/trace_test
@@ -16,7 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "line_mutator.hpp"
 #include "mpi/machine.hpp"
+#include "nas/mg.hpp"
+#include "net/fault.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
 #include "trace/reader.hpp"
@@ -389,6 +392,108 @@ TEST(TraceReader, OtherPeersMayBeNoneButNotOutsideTheJob) {
   lines.back() = "1,999,1,FENCE,1,-2,0,0,0,0,";
   EXPECT_EQ(readError(lines), "line " + std::to_string(lines.size()) +
                                   ": peer -2 outside [-1, 2)");
+}
+
+// A declared job size is trusted to size per-rank state before any record
+// loads, so it is bounded like the .skel loader's: [1, 2^20].
+TEST(TraceReader, RejectsDeclaredRanksOutsideTheCap) {
+  const std::string header =
+      "rank,seq,time_ns,kind,id,peer,tag,bytes,aux,addr,name";
+  for (const std::string value :
+       {"9223372036854775807", "1048577", "0", "-3"}) {
+    EXPECT_EQ(readError({"# ovprof-trace-csv,2", "# ranks," + value, header}),
+              "line 2: declared ranks " + value + " outside [1, 1048576]");
+  }
+  EXPECT_EQ(readError({"# ranks,1", header, "0,0,1,BARRIER,1,-1,0,0,0,-1,"}),
+            "");
+}
+
+// Without a "# ranks" line the job is as large as the ranks it names, up to
+// the same cap.
+TEST(TraceReader, RejectsNamedRanksPastTheCap) {
+  const std::string header =
+      "rank,seq,time_ns,kind,id,peer,tag,bytes,aux,addr,name";
+  EXPECT_EQ(readError({header, "2147483647,0,1,BARRIER,1,-1,0,0,0,-1,"}),
+            "line 2: rank 2147483647 outside [0, 1048576)");
+  EXPECT_EQ(readError({"# end_time,9223372036854775807,5", header}),
+            "line 1: rank 9223372036854775807 outside [0, 1048576)");
+}
+
+// Live collector -> CSV -> readCsv -> CSV and Chrome JSON: the reloaded
+// exports are the live ones byte for byte.  Lossy one-sided MG carries
+// retransmit, timeout and RMA records; a section name with a comma checks
+// that the name stays the rest of its row.
+TEST(TraceReader, LossyArmciRoundTripIsByteIdentical) {
+  nas::MgParams p;
+  p.cls = nas::Class::S;
+  p.nranks = 4;
+  p.variant = nas::MgVariant::ArmciNonBlocking;
+  ASSERT_TRUE(net::FaultModel::parse("drop=0.05,seed=3", p.fabric.fault));
+  p.trace.enabled = true;
+  const nas::NasResult run = nas::runMg(p);
+  ASSERT_TRUE(run.verified);
+  ASSERT_NE(run.trace, nullptr);
+  trace::Collector& live = *run.trace;
+
+  constexpr std::int64_t kSection = 77;
+  ASSERT_TRUE(live.sectionName(0, kSection).empty());
+  const TimeNs t = live.ring(0).at(live.ring(0).size() - 1).time;
+  trace::Record rec;
+  rec.rank = 0;
+  rec.time = t;
+  rec.id = kSection;
+  rec.kind = trace::RecordKind::SectionBegin;
+  live.push(0, rec);
+  live.noteSectionName(0, kSection, "halo, west");
+  rec.kind = trace::RecordKind::SectionEnd;
+  live.push(0, rec);
+
+  std::ostringstream csv, json;
+  trace::writeCsv(live, csv);
+  trace::writeChromeJson(live, json);
+  for (const char* kind : {"NIC_RETRANSMIT", "NIC_TIMEOUT", "RMA_PUT",
+                           "RMA_COMPLETE", ",halo, west\n"}) {
+    EXPECT_NE(csv.str().find(kind), std::string::npos) << kind;
+  }
+
+  std::istringstream in(csv.str());
+  const trace::ReadResult loaded = trace::readCsv(in);
+  ASSERT_NE(loaded.collector, nullptr) << loaded.error;
+  std::ostringstream csv2, json2;
+  trace::writeCsv(*loaded.collector, csv2);
+  trace::writeChromeJson(*loaded.collector, json2);
+  EXPECT_TRUE(csv2.str() == csv.str()) << "CSV round trip drifted";
+  EXPECT_TRUE(json2.str() == json.str()) << "Chrome JSON round trip drifted";
+}
+
+// Seeded line mutants of a valid trace: the reader never crashes, reports
+// an error exactly when it returns no collector, and what it accepts
+// exports to a CSV it reads back unchanged.
+TEST(TraceReader, MutatedLinesNeverCrash) {
+  const std::vector<std::string> lines = tracedCsvLines();
+  int loaded = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    std::ostringstream text;
+    for (const std::string& line : fuzz::mutateLines(lines, seed, ',')) {
+      text << line << '\n';
+    }
+    std::istringstream in(text.str());
+    const trace::ReadResult r = trace::readCsv(in);
+    ASSERT_EQ(r.collector == nullptr, !r.error.empty()) << "seed " << seed;
+    if (r.collector == nullptr) continue;
+    ++loaded;
+    std::ostringstream once;
+    trace::writeCsv(*r.collector, once);
+    std::istringstream again(once.str());
+    const trace::ReadResult r2 = trace::readCsv(again);
+    ASSERT_NE(r2.collector, nullptr) << "seed " << seed << ": " << r2.error;
+    std::ostringstream twice;
+    trace::writeCsv(*r2.collector, twice);
+    EXPECT_TRUE(once.str() == twice.str()) << "seed " << seed;
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, 400);
 }
 
 // --------------------------------------------------------- reconciliation

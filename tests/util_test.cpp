@@ -142,15 +142,6 @@ TEST(RingBuffer, SlotsNeverMoveWhileFilling) {
   EXPECT_EQ(&rb.at(0), first);
 }
 
-TEST(Strings, SplitKeepsEmptyFields) {
-  const auto fields = split("a,,b,", ',');
-  ASSERT_EQ(fields.size(), 4u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[1], "");
-  EXPECT_EQ(fields[2], "b");
-  EXPECT_EQ(fields[3], "");
-}
-
 TEST(Strings, TrimBothEnds) {
   EXPECT_EQ(trim("  x \t\n"), "x");
   EXPECT_EQ(trim(""), "");

@@ -14,6 +14,12 @@ namespace {
 using trace::Record;
 using trace::RecordKind;
 
+// EARLY_WAIT's absolute floor on the blocked span (filters noise on tiny
+// transfers whose T is comparable to call overhead), and LATE_WAIT's
+// threshold: elapsed >= kLateWaitFactor * T.
+constexpr DurationNs kEarlyWaitFloor = 2 * 1000;  // 2 us
+constexpr double kLateWaitFactor = 2.0;
+
 struct OpenXfer {
   TimeNs begin = 0;
   Bytes bytes = 0;
@@ -22,8 +28,7 @@ struct OpenXfer {
 
 }  // namespace
 
-std::vector<Diagnostic> adviseOverlap(const trace::Collector& c,
-                                      const AdvisorConfig& cfg) {
+std::vector<Diagnostic> adviseOverlap(const trace::Collector& c) {
   std::vector<Diagnostic> out;
   const overlap::XferTimeTable& table = c.table();
 
@@ -75,7 +80,7 @@ std::vector<Diagnostic> adviseOverlap(const trace::Collector& c,
             }
           } else if (in_call && t_wire > 0) {
             const DurationNs blocked = rec.time - call_enter;
-            if (blocked >= cfg.early_wait_floor && 4 * blocked >= t_wire) {
+            if (blocked >= kEarlyWaitFloor && 4 * blocked >= t_wire) {
               Diagnostic d;
               d.severity = Severity::Note;
               d.code = DiagCode::EarlyWait;
@@ -92,8 +97,7 @@ std::vector<Diagnostic> adviseOverlap(const trace::Collector& c,
                          "wait to absorb the remainder";
               out.push_back(std::move(d));
             } else if (static_cast<double>(elapsed) >=
-                           cfg.late_wait_factor *
-                               static_cast<double>(t_wire) &&
+                           kLateWaitFactor * static_cast<double>(t_wire) &&
                        10 * blocked < t_wire) {
               Diagnostic d;
               d.severity = Severity::Note;

@@ -30,15 +30,6 @@
 
 namespace ovp::analysis {
 
-struct AdvisorConfig {
-  /// Absolute floor for EARLY_WAIT's blocked span (filters noise on tiny
-  /// transfers whose T is comparable to call overhead).
-  DurationNs early_wait_floor = 2 * 1000;  // 2 us
-  /// LATE_WAIT fires at elapsed >= late_wait_factor * T.
-  double late_wait_factor = 2.0;
-};
-
-[[nodiscard]] std::vector<Diagnostic> adviseOverlap(
-    const trace::Collector& c, const AdvisorConfig& cfg = {});
+[[nodiscard]] std::vector<Diagnostic> adviseOverlap(const trace::Collector& c);
 
 }  // namespace ovp::analysis

@@ -16,6 +16,13 @@ namespace {
 using trace::Record;
 using trace::RecordKind;
 
+// Head-of-line chain sweep: closed edges shorter than kMinChainBlock are
+// ignored, only the kMaxChainEdges longest are paired, and at most
+// kMaxChainNotes notes are reported.
+constexpr DurationNs kMinChainBlock = 50 * 1000;  // 50 us
+constexpr std::size_t kMaxChainEdges = 256;
+constexpr std::size_t kMaxChainNotes = 4;
+
 struct Post {
   TimeNs time = 0;
   TimeNs next_call_exit = kTimeNever;  // never: blocked until trace end
@@ -68,8 +75,7 @@ void collectPosts(const trace::Collector& c, Rank r, std::vector<Post>& sends,
 
 }  // namespace
 
-std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c,
-                                       const DeadlockConfig& cfg) {
+std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c) {
   std::vector<Diagnostic> out;
   const int nranks = c.nranks();
 
@@ -200,18 +206,18 @@ std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c,
   // stalled on r3.  Progress happened eventually, so this is advisory.
   std::vector<const Edge*> closed;
   for (const Edge& e : edges) {
-    if (!e.open() && e.span() >= cfg.min_chain_block) closed.push_back(&e);
+    if (!e.open() && e.span() >= kMinChainBlock) closed.push_back(&e);
   }
   std::sort(closed.begin(), closed.end(), [](const Edge* a, const Edge* b) {
     if (a->span() != b->span()) return a->span() > b->span();
     return std::tie(a->from, a->to, a->lo) < std::tie(b->from, b->to, b->lo);
   });
-  if (closed.size() > cfg.max_chain_edges) closed.resize(cfg.max_chain_edges);
+  if (closed.size() > kMaxChainEdges) closed.resize(kMaxChainEdges);
   std::size_t notes = 0;
   for (const Edge* e1 : closed) {
-    if (notes >= cfg.max_chain_notes) break;
+    if (notes >= kMaxChainNotes) break;
     for (const Edge* e2 : closed) {
-      if (notes >= cfg.max_chain_notes) break;
+      if (notes >= kMaxChainNotes) break;
       if (e2->from != e1->to || e2->to == e1->from) continue;
       // Simultaneously active?
       const TimeNs lo = std::max(e1->lo, e2->lo);

@@ -27,16 +27,8 @@
 
 namespace ovp::analysis {
 
-struct DeadlockConfig {
-  /// Report at most this many head-of-line chain notes.
-  std::size_t max_chain_notes = 4;
-  /// Ignore blocking edges shorter than this when looking for chains.
-  DurationNs min_chain_block = 50 * 1000;  // 50 us
-  /// Consider only the longest such edges (bounds the chain sweep).
-  std::size_t max_chain_edges = 256;
-};
-
-[[nodiscard]] std::vector<Diagnostic> analyzeWaitFor(
-    const trace::Collector& c, const DeadlockConfig& cfg = {});
+/// Chain notes consider closed edges of at least 50 us, only the 256
+/// longest of them, and stop after 4 notes.
+[[nodiscard]] std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c);
 
 }  // namespace ovp::analysis

@@ -1,10 +1,8 @@
 #include "analysis/hb_graph.hpp"
 
 #include <cstddef>
-#include <deque>
 #include <map>
 #include <set>
-#include <tuple>
 #include <utility>
 
 namespace ovp::analysis {
@@ -16,16 +14,25 @@ using trace::RecordKind;
 
 struct BarrierEpoch {
   VectorClock joined;
-  int arrivals = 0;
+  std::set<Rank> arrived;  // each ticked and joined on arrival
   bool forced = false;  // completed without all ranks (dropped records)
 };
 
 struct Builder {
-  explicit Builder(const trace::Collector& c)
-      : c_(c), nranks_(c.nranks()) {
-    clocks_.reserve(static_cast<std::size_t>(nranks_));
-    for (Rank r = 0; r < nranks_; ++r) clocks_.emplace_back(nranks_);
+  static constexpr std::size_t kNoEdge = ~std::size_t{0};
+
+  Builder(const trace::Collector& c,
+          const std::vector<trace::MessageEdge>& edges)
+      : c_(c), nranks_(c.nranks()), snapshots_(edges.size()) {
+    for (Rank r = 0; r < nranks_; ++r) {
+      clocks_.emplace_back(nranks_);
+      edge_at_.emplace_back(c.ring(r).size(), kNoEdge);
+    }
     pos_.assign(static_cast<std::size_t>(nranks_), 0);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      edge_at_[static_cast<std::size_t>(edges[e].src)][edges[e].send_at] = e;
+      edge_at_[static_cast<std::size_t>(edges[e].dst)][edges[e].match_at] = e;
+    }
   }
 
   HbGraph run() {
@@ -50,62 +57,55 @@ struct Builder {
     std::size_t& i = pos_[static_cast<std::size_t>(r)];
     bool progressed = false;
     while (i < ring.size()) {
-      const Record& rec = ring.at(i);
-      if (blockedOn(r, rec)) break;
-      consume(r, rec);
+      if (blockedOn(r, i)) break;
+      consume(r, i);
       ++i;
       progressed = true;
     }
     return progressed;
   }
 
-  [[nodiscard]] bool blockedOn(Rank r, const Record& rec) {
+  [[nodiscard]] bool blockedOn(Rank r, std::size_t i) {
+    const Record& rec = c_.ring(r).at(i);
     if (rec.kind == RecordKind::Match) {
-      // Needs the paired sender snapshot; the sender may not have produced
-      // it yet.  Wildcard receives (peer unknown) never join.
-      if (rec.peer < 0 || rec.peer >= nranks_) return false;
-      auto& q = sends_[key(rec.peer, r, rec.tag)];
-      return q.empty();
+      // Needs its SEND_POST's snapshot, which the sender may not have
+      // produced yet (or never recorded: then only forceProgress moves on).
+      const std::size_t e = edge_at_[static_cast<std::size_t>(r)][i];
+      return e == kNoEdge || snapshots_[e].size() == 0;
     }
     if (rec.kind == RecordKind::Barrier) {
       BarrierEpoch& e = epochs_[rec.id];
       if (e.joined.size() == 0) e.joined = VectorClock(nranks_);
       if (e.forced) return false;
       // Arrive once; releases when everyone has.
-      if (!arrived_[rec.id].insert(r).second) {
-        return e.arrivals < nranks_;
+      if (e.arrived.insert(r).second) {
+        VectorClock& my = clocks_[static_cast<std::size_t>(r)];
+        my.tick(r);  // the barrier record's own tick, before the join
+        e.joined.join(my);
       }
-      VectorClock& my = clocks_[static_cast<std::size_t>(r)];
-      my.tick(r);  // the barrier record's own tick, before the join
-      e.joined.join(my);
-      ++e.arrivals;
-      ticked_barrier_[rec.id].insert(r);
-      return e.arrivals < nranks_;
+      return static_cast<int>(e.arrived.size()) < nranks_;
     }
     return false;
   }
 
-  void consume(Rank r, const Record& rec) {
+  void consume(Rank r, std::size_t i) {
+    const Record& rec = c_.ring(r).at(i);
+    const std::size_t e = edge_at_[static_cast<std::size_t>(r)][i];
     VectorClock& my = clocks_[static_cast<std::size_t>(r)];
     // Barrier records tick at arrival time inside blockedOn (their tick must
     // be part of the epoch join); everything else ticks here.
-    const bool barrier_ticked =
-        rec.kind == RecordKind::Barrier &&
-        ticked_barrier_[rec.id].contains(r);
+    const bool barrier_ticked = rec.kind == RecordKind::Barrier &&
+                                epochs_[rec.id].arrived.contains(r);
     if (!barrier_ticked) my.tick(r);
 
     switch (rec.kind) {
       case RecordKind::SendPost:
-        sends_[key(r, rec.peer, rec.tag)].push_back(my);
+        if (e != kNoEdge) snapshots_[e] = my;
         break;
-      case RecordKind::Match: {
-        if (rec.peer < 0 || rec.peer >= nranks_) break;
-        auto& q = sends_[key(rec.peer, r, rec.tag)];
-        if (q.empty()) break;  // force-progressed: join unavailable
-        my.join(q.front());
-        q.pop_front();
+      case RecordKind::Match:
+        // Force-progressed without a snapshot: joining it is a no-op.
+        if (e != kNoEdge) my.join(snapshots_[e]);
         break;
-      }
       case RecordKind::Barrier: {
         my.join(epochs_[rec.id].joined);
         break;
@@ -158,7 +158,8 @@ struct Builder {
         epochs_[rec.id].forced = true;
         out_.incomplete_reasons.push_back(
             "barrier epoch " + std::to_string(rec.id) +
-            " released with " + std::to_string(epochs_[rec.id].arrivals) +
+            " released with " +
+            std::to_string(epochs_[rec.id].arrived.size()) +
             "/" + std::to_string(nranks_) + " arrivals (records dropped?)");
       } else {
         // A Match with no sender snapshot: consume without joining.
@@ -166,16 +167,11 @@ struct Builder {
             "rank " + std::to_string(r) + " match from rank " +
             std::to_string(rec.peer) +
             " had no recorded send (records dropped?)");
-        consume(r, rec);
+        consume(r, i);
         ++i;
       }
       return;
     }
-  }
-
-  using ChannelKey = std::tuple<Rank, Rank, std::int32_t>;
-  [[nodiscard]] static ChannelKey key(Rank src, Rank dst, std::int32_t tag) {
-    return {src, dst, tag};
   }
 
   const trace::Collector& c_;
@@ -183,17 +179,21 @@ struct Builder {
   HbGraph out_;
   std::vector<VectorClock> clocks_;
   std::vector<std::size_t> pos_;
-  /// FIFO of sender clock snapshots per (src, dst, tag).
-  std::map<ChannelKey, std::deque<VectorClock>> sends_;
+  /// Per rank and ring position: the message edge whose SEND_POST or
+  /// MATCH sits there.
+  std::vector<std::vector<std::size_t>> edge_at_;
+  /// Per edge: the sender's clock at its SEND_POST, once consumed.
+  std::vector<VectorClock> snapshots_;
   std::map<std::int64_t, BarrierEpoch> epochs_;
-  std::map<std::int64_t, std::set<Rank>> arrived_;
-  std::map<std::int64_t, std::set<Rank>> ticked_barrier_;
   /// (origin, op id) -> access indices awaiting their RMA_COMPLETE.
   std::map<std::pair<Rank, std::int64_t>, std::vector<std::size_t>> open_ops_;
 };
 
 }  // namespace
 
-HbGraph buildHbGraph(const trace::Collector& c) { return Builder(c).run(); }
+HbGraph buildHbGraph(const trace::Collector& c,
+                     const std::vector<trace::MessageEdge>& edges) {
+  return Builder(c, edges).run();
+}
 
 }  // namespace ovp::analysis

@@ -5,20 +5,20 @@
 // cross-rank synchronization sources join clocks:
 //
 //   * MATCH records (receiver side) join with the clock snapshot of the
-//     paired SEND_POST — pairing replays MPI's non-overtaking rule, k-th
-//     send from src to dst under a tag matches the k-th such match;
+//     SEND_POST that trace::matchMessages pairs them with (`edges`);
 //   * BARRIER records join every participating rank's clock at its own
 //     barrier record of the same epoch (records are stamped at barrier
 //     exit, so each rank's pre-join clock already covers the completions
 //     it drained while waiting inside the barrier).
 //
 // The walk is a worklist over per-rank cursors: a rank blocks at a MATCH
-// whose sender snapshot isn't produced yet and at a BARRIER whose epoch
-// hasn't seen all ranks.  On a complete trace the worklist drains exactly;
-// when records were dropped (keep-oldest ring overflow) a blocked cursor
-// can starve, and the builder then force-progresses the lowest blocked
-// rank without the join and marks the graph incomplete — the race
-// detector's verdicts stay available but are flagged as weakened.
+// whose sender snapshot isn't produced yet (or was never recorded) and at a
+// BARRIER whose epoch hasn't seen all ranks.  On a complete trace the
+// worklist drains exactly; when records were dropped (keep-oldest ring
+// overflow) a blocked cursor can starve, and the builder then
+// force-progresses the lowest blocked rank without the join and marks the
+// graph incomplete — the race detector's verdicts stay available but are
+// flagged as weakened.
 //
 // Output: clock snapshots for every RMA access (at post) and its
 // origin-side settle (RMA_COMPLETE), which is all the race detector needs.
@@ -29,6 +29,7 @@
 
 #include "analysis/vector_clock.hpp"
 #include "trace/collector.hpp"
+#include "trace/critical_path.hpp"
 #include "util/types.hpp"
 
 namespace ovp::analysis {
@@ -64,6 +65,7 @@ struct HbGraph {
   std::vector<std::string> incomplete_reasons;
 };
 
-[[nodiscard]] HbGraph buildHbGraph(const trace::Collector& c);
+[[nodiscard]] HbGraph buildHbGraph(
+    const trace::Collector& c, const std::vector<trace::MessageEdge>& edges);
 
 }  // namespace ovp::analysis

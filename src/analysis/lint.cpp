@@ -3,7 +3,10 @@
 #include <ostream>
 #include <utility>
 
+#include "analysis/advisor.hpp"
+#include "analysis/deadlock.hpp"
 #include "analysis/hb_graph.hpp"
+#include "analysis/race_detector.hpp"
 
 namespace ovp::analysis {
 
@@ -11,7 +14,7 @@ LintResult runLint(const trace::Collector& c, const LintConfig& cfg) {
   LintResult result;
 
   if (cfg.races) {
-    const HbGraph g = buildHbGraph(c);
+    const HbGraph g = buildHbGraph(c, trace::matchMessages(c));
     result.hb_incomplete = g.incomplete;
     for (const std::string& reason : g.incomplete_reasons) {
       Diagnostic d;
@@ -22,21 +25,21 @@ LintResult runLint(const trace::Collector& c, const LintConfig& cfg) {
       d.detail = reason;
       result.diagnostics.push_back(std::move(d));
     }
-    std::vector<Diagnostic> races = detectRaces(g, cfg.race);
+    std::vector<Diagnostic> races = detectRaces(g);
     result.diagnostics.insert(result.diagnostics.end(),
                               std::make_move_iterator(races.begin()),
                               std::make_move_iterator(races.end()));
   }
 
   if (cfg.deadlock) {
-    std::vector<Diagnostic> waits = analyzeWaitFor(c, cfg.wait_for);
+    std::vector<Diagnostic> waits = analyzeWaitFor(c);
     result.diagnostics.insert(result.diagnostics.end(),
                               std::make_move_iterator(waits.begin()),
                               std::make_move_iterator(waits.end()));
   }
 
   if (cfg.advisor) {
-    std::vector<Diagnostic> advice = adviseOverlap(c, cfg.advice);
+    std::vector<Diagnostic> advice = adviseOverlap(c);
     result.diagnostics.insert(result.diagnostics.end(),
                               std::make_move_iterator(advice.begin()),
                               std::make_move_iterator(advice.end()));

@@ -10,21 +10,16 @@
 #include <iosfwd>
 #include <vector>
 
-#include "analysis/advisor.hpp"
-#include "analysis/deadlock.hpp"
 #include "analysis/diagnostics.hpp"
-#include "analysis/race_detector.hpp"
 #include "trace/collector.hpp"
 
 namespace ovp::analysis {
 
+/// Which passes run (each backs an ovprof_lint flag).
 struct LintConfig {
   bool races = true;
   bool deadlock = true;
   bool advisor = true;
-  RaceDetectorConfig race;
-  DeadlockConfig wait_for;
-  AdvisorConfig advice;
 };
 
 struct LintResult {

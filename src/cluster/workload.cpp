@@ -58,6 +58,13 @@ bool parseWorkload(std::istream& is, std::vector<JobSpec>& out,
       out.clear();
       return false;
     }
+    if (j.arrival > kMaxWorkloadTimeNs || j.estimate > kMaxWorkloadTimeNs) {
+      fail(error, "line " + std::to_string(lineno) +
+                      ": arrival or estimate above the cap of " +
+                      std::to_string(kMaxWorkloadTimeNs) + " ns");
+      out.clear();
+      return false;
+    }
     if (!ids.insert(j.id).second) {
       fail(error, "line " + std::to_string(lineno) + ": duplicate job id " +
                       std::to_string(j.id));

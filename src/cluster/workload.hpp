@@ -6,6 +6,8 @@
 //   job <id> <kernel> <class> <nranks> <arrival_ns> <priority> <estimate_ns>
 //
 // e.g.  job 1 cg S 4 0 0 2500000
+//
+// Arrivals and estimates are at most kMaxWorkloadTimeNs.
 #pragma once
 
 #include <iosfwd>
@@ -16,9 +18,15 @@
 
 namespace ovp::cluster {
 
+/// Cap on a workload file's arrival and estimate: 2^50 ns, about 13 days
+/// of virtual time.  The scheduler adds estimates and run times to these,
+/// and the cap keeps every such sum far inside TimeNs.
+inline constexpr TimeNs kMaxWorkloadTimeNs = TimeNs{1} << 50;
+
 /// Parses a workload file; returns false (and clears `out`) on any
-/// malformed line, duplicate id, or unknown kernel name.  `error` (if
-/// non-null) receives a one-line description of the first problem.
+/// malformed line, duplicate id, unknown kernel name, or time past the
+/// cap.  `error` (if non-null) receives a one-line description of the
+/// first problem.
 [[nodiscard]] bool parseWorkload(std::istream& is, std::vector<JobSpec>& out,
                                  std::string* error = nullptr);
 

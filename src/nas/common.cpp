@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "skeleton/symbolic/expr.hpp"
+
 namespace ovp::nas {
 
 overlap::OverlapAccum aggregateWhole(
@@ -70,35 +72,14 @@ BlockDist blockDistribute(int n, int parts) {
 }
 
 Grid2D factor2d(int p) {
-  Grid2D g;
-  for (int px = 1; px * px <= p; ++px) {
-    if (p % px == 0) {
-      g.px = px;
-      g.py = p / px;
-    }
-  }
-  return g;
+  const skel::sym::Grid2 g = skel::sym::factor2d(p);
+  return {static_cast<int>(g.px), static_cast<int>(g.py)};
 }
 
 Grid3D factor3d(int p) {
-  Grid3D best;
-  best.pz = p;
-  double best_spread = static_cast<double>(p);
-  for (int a = 1; a * a * a <= p; ++a) {
-    if (p % a != 0) continue;
-    const Grid2D rest = factor2d(p / a);
-    const int b = std::min(rest.px, rest.py);
-    const int c = std::max(rest.px, rest.py);
-    if (a > b) continue;
-    const double spread = static_cast<double>(c) / a;
-    if (spread < best_spread) {
-      best_spread = spread;
-      best.px = a;
-      best.py = b;
-      best.pz = c;
-    }
-  }
-  return best;
+  const skel::sym::Grid3 g = skel::sym::factor3d(p);
+  return {static_cast<int>(g.px), static_cast<int>(g.py),
+          static_cast<int>(g.pz)};
 }
 
 }  // namespace ovp::nas

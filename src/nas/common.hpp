@@ -120,6 +120,8 @@ struct BlockDist {
 [[nodiscard]] BlockDist blockDistribute(int n, int parts);
 
 /// Largest px <= sqrt(p) with p % px == 0 (2D process-grid factorization).
+/// Both grids come from skel::sym::factor2d/factor3d, so a kernel and its
+/// symbolic template share one factorization.
 struct Grid2D {
   int px = 1;
   int py = 1;

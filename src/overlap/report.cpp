@@ -239,15 +239,18 @@ bool Report::load(std::istream& is) {
     for (std::int64_t& b : vci.class_bounds) {
       if (!(is >> b)) return false;
     }
+    // Counts read from the file are untrusted: rows and sections grow as
+    // entries parse, so a huge count fails at the first missing entry.
     const std::size_t nrows = static_cast<std::size_t>(vci.channels) *
                               static_cast<std::size_t>(vci.nclasses());
-    vci.rows.resize(nrows);
-    for (VciChannelClass& row : vci.rows) {
+    for (std::size_t k = 0; k < nrows; ++k) {
+      VciChannelClass row;
       if (!(is >> key) || key != "vcirow") return false;
       if (!(is >> row.posts >> row.deliveries >> row.bytes >> row.o_send >>
             row.o_recv >> row.gap >> row.link_wait >> row.incast_wait)) {
         return false;
       }
+      vci.rows.push_back(row);
     }
     if (!(is >> key)) return false;
   }
@@ -270,12 +273,13 @@ bool Report::load(std::istream& is) {
     return loadSection(is, s, classes.count());
   };
   if (!loadOne(whole)) return false;
-  sections.resize(nsections);
-  for (SectionReport& s : sections) {
+  for (std::size_t k = 0; k < nsections; ++k) {
+    SectionReport s;
     if (!loadOne(s)) {
       *this = Report{};
       return false;
     }
+    sections.push_back(std::move(s));
   }
   return true;
 }

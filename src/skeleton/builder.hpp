@@ -23,17 +23,15 @@
 
 namespace ovp::skel {
 
-/// Reserved collective tags, mirroring src/mpi/collectives.cpp (which keeps
-/// them in an anonymous namespace on purpose — application code must not
-/// use them).  The conformance tests fail if the two ever drift.
+/// Reserved tags of the collectives the builders expand, mirroring
+/// src/mpi/collectives.cpp (which keeps them in an anonymous namespace on
+/// purpose — application code must not use them).  The conformance tests
+/// fail if the two ever drift.
 namespace tags {
-inline constexpr int kBarrier = (1 << 20) + 1;
 inline constexpr int kBcast = (1 << 20) + 2;
 inline constexpr int kReduce = (1 << 20) + 3;
 inline constexpr int kAlltoall = (1 << 20) + 4;
 inline constexpr int kAllgather = (1 << 20) + 5;
-inline constexpr int kGather = (1 << 20) + 6;
-inline constexpr int kScatter = (1 << 20) + 7;
 inline constexpr int kAlltoallv = (1 << 20) + 8;
 }  // namespace tags
 

@@ -60,17 +60,6 @@ void SymBuilder::recv(ExprP src, ExprP tag, ExprP bytes) {
 
 void SymBuilder::waitall() { emitOp(OpKind::Waitall); }
 
-void SymBuilder::sendrecv(ExprP dst, ExprP stag, ExprP sbytes, ExprP src,
-                          ExprP rtag, ExprP rbytes) {
-  SymNode& n = emitOp(OpKind::Sendrecv);
-  n.peer = std::move(dst);
-  n.tag = std::move(stag);
-  n.bytes = std::move(sbytes);
-  n.src = std::move(src);
-  n.rtag = std::move(rtag);
-  n.rbytes = std::move(rbytes);
-}
-
 void SymBuilder::barrier() { emitOp(OpKind::Barrier); }
 
 void SymBuilder::put(ExprP target, ExprP bytes, bool nb) {
@@ -126,18 +115,6 @@ void SymBuilder::guarded(Guard g, const std::function<void()>& body) {
 // Each expansion instantiates, per rank and per P, to exactly the op
 // sequence of the matching algorithm in src/mpi/collectives.cpp; the
 // derivations are spelled out in DESIGN.md 5.16.
-
-void SymBuilder::mpiBarrier() {
-  // Dissemination rounds k = 0 .. clog2(P)-1: concrete `for (k = 1; k < P;
-  // k <<= 1)` runs exactly clog2(P) iterations with k = 2^round.
-  const std::string k = gensym();
-  loop(k, cst(0), clog2(procs()), [&] {
-    const ExprP step = pow2(var(k));
-    sendrecv(mod(add(rnk(), step), procs()), cst(tags::kBarrier), cst(1),
-             mod(add(sub(rnk(), step), procs()), procs()),
-             cst(tags::kBarrier), cst(1));
-  });
-}
 
 void SymBuilder::mpiBcast(ExprP n, ExprP root) {
   // Binomial tree from `root`, virtual rank vr = (r - root + P) mod P.
@@ -227,32 +204,6 @@ void SymBuilder::mpiAllgather(ExprP bytes_per_rank) {
   const std::string sv = gensym();
   ringExchange(*this, rv, sv, tags::kAllgather, bytes_per_rank,
                bytes_per_rank);
-}
-
-void SymBuilder::mpiGather(ExprP n, ExprP root) {
-  const std::string pv = gensym();
-  guarded({Cond{rnk(), CmpOp::Eq, root}}, [&] {
-    loop(pv, cst(0), procs(), [&] {
-      guarded({Cond{var(pv), CmpOp::Ne, root}},
-              [&] { irecv(var(pv), cst(tags::kGather), n); });
-    });
-    waitall();
-  });
-  guarded({Cond{rnk(), CmpOp::Ne, root}},
-          [&] { send(root, cst(tags::kGather), n); });
-}
-
-void SymBuilder::mpiScatter(ExprP n, ExprP root) {
-  const std::string pv = gensym();
-  guarded({Cond{rnk(), CmpOp::Eq, root}}, [&] {
-    loop(pv, cst(0), procs(), [&] {
-      guarded({Cond{var(pv), CmpOp::Ne, root}},
-              [&] { isend(var(pv), cst(tags::kScatter), n); });
-    });
-    waitall();
-  });
-  guarded({Cond{rnk(), CmpOp::Ne, root}},
-          [&] { recv(root, cst(tags::kScatter), n); });
 }
 
 SymSkeleton SymBuilder::take() { return std::move(skel_); }

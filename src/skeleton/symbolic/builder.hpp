@@ -4,11 +4,13 @@
 // for all ranks and all job sizes instead of one op list per concrete
 // rank: loops take symbolic bounds plus a body callback, `guarded()` opens
 // a rank-role case split, and every peer/tag/bytes/flops argument is an
-// Expr.  The mpi* helpers expand collectives into the point-to-point
-// decompositions src/mpi/collectives.cpp executes (same reserved tags,
-// same op order); their loop/guard shapes are the canonical forms the
-// symbolic matching and deadlock provers recognize (see verify.cpp).  The
-// trace-conformance gates check the expansions against live runs.
+// Expr.  The mpi* helpers expand the collectives the templates call into
+// the point-to-point decompositions src/mpi/collectives.cpp executes (same
+// reserved tags, same op order); their loop/guard shapes are the canonical
+// forms the symbolic matching and deadlock provers recognize (the ring and
+// tree lemmas, see verify.hpp).  The trace-conformance gates check the
+// expansions against live runs.  A collective no template calls has no
+// expansion here: it returns together with its first caller.
 #pragma once
 
 #include <functional>
@@ -39,8 +41,6 @@ class SymBuilder {
   void recv(ExprP src, ExprP tag, ExprP bytes);
   /// Retires every request opened since the previous waitall.
   void waitall();
-  void sendrecv(ExprP dst, ExprP stag, ExprP sbytes, ExprP src, ExprP rtag,
-                ExprP rbytes);
   void barrier();
   void put(ExprP target, ExprP bytes, bool nb);
   void get(ExprP target, ExprP bytes, bool nb);
@@ -56,15 +56,12 @@ class SymBuilder {
   void guarded(Guard g, const std::function<void()>& body);
 
   // -- MPI collective expansions (symbolic twins of RankBuilder's) --
-  void mpiBarrier();
   void mpiBcast(ExprP n, ExprP root);
   void mpiReduce(ExprP count, ExprP root);
   void mpiAllreduce(ExprP count);
   void mpiAlltoall(ExprP bytes_per_rank);
   void mpiAlltoallvAny();
   void mpiAllgather(ExprP bytes_per_rank);
-  void mpiGather(ExprP n, ExprP root);
-  void mpiScatter(ExprP n, ExprP root);
 
   [[nodiscard]] SymSkeleton take();
 

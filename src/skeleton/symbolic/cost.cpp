@@ -24,8 +24,7 @@ bool isWildcardBytes(const ExprP& e) {
 }
 
 bool sendLike(OpKind op) {
-  return op == OpKind::Isend || op == OpKind::Send ||
-         op == OpKind::Sendrecv || op == OpKind::RmaPut ||
+  return op == OpKind::Isend || op == OpKind::Send || op == OpKind::RmaPut ||
          op == OpKind::RmaGet;
 }
 

@@ -6,8 +6,7 @@
 // factors, and the per-rank term is summed over r in [0, P).  The result
 // is a set of closed-form cost terms —
 //
-//   msgs          messages initiated (isend/send/sendrecv send half,
-//                 put, get)
+//   msgs          messages initiated (isend, send, put, get)
 //   bytes         payload bytes of those messages (wildcard-sized
 //                 messages, bytes = -1, are counted in msgs but excluded
 //                 here)

@@ -102,10 +102,7 @@ ExprP ind(ExprP lhs, CmpOp op, ExprP rhs) {
   return make(std::move(e));
 }
 
-// ---- grid factorizations (kept identical to src/nas/common.cpp; the
-// symbolic_test suite cross-checks them against the nas versions) ----
-
-namespace {
+// ---- grid factorizations ----
 
 Grid2 factor2d(std::int64_t p) {
   Grid2 g;
@@ -139,6 +136,8 @@ Grid3 factor3d(std::int64_t p) {
   }
   return best;
 }
+
+namespace {
 
 /// Remembers the last argument and result: one instantiation evaluates the
 /// same fac3x/fac3y/fac3z(P) at every op of every rank, and a trial
@@ -719,28 +718,6 @@ ExprP substRank(const ExprP& e, const ExprP& replacement) {
   return mapTree(e, [&](const ExprP& n) -> ExprP {
     return n->kind == ExprKind::Rank ? replacement : nullptr;
   });
-}
-
-ExprP substVar(const ExprP& e, std::string_view name,
-               const ExprP& replacement) {
-  if (e == nullptr) return nullptr;
-  if (e->kind == ExprKind::Var && e->var == name) return replacement;
-  // A Sum that rebinds `name` shadows it: do not descend into its body.
-  const bool shadows = e->kind == ExprKind::Sum && e->var == name;
-  bool changed = false;
-  std::vector<ExprP> args;
-  args.reserve(e->args.size());
-  for (std::size_t i = 0; i < e->args.size(); ++i) {
-    const bool is_body = e->kind == ExprKind::Sum && i == 2;
-    ExprP na = (shadows && is_body) ? e->args[i]
-                                    : substVar(e->args[i], name, replacement);
-    changed = changed || na != e->args[i];
-    args.push_back(std::move(na));
-  }
-  if (!changed) return e;
-  Expr copy = *e;
-  copy.args = std::move(args);
-  return make(std::move(copy));
 }
 
 bool mentionsRank(const ExprP& e) {

@@ -132,9 +132,6 @@ struct Env {
 
 /// Replaces every Rank leaf with `replacement`.
 [[nodiscard]] ExprP substRank(const ExprP& e, const ExprP& replacement);
-/// Replaces every Var leaf named `name` (respects Sum shadowing).
-[[nodiscard]] ExprP substVar(const ExprP& e, std::string_view name,
-                             const ExprP& replacement);
 /// True when `e` mentions the Rank leaf / the named variable.
 [[nodiscard]] bool mentionsRank(const ExprP& e);
 [[nodiscard]] bool mentionsVar(const ExprP& e, std::string_view name);
@@ -146,15 +143,21 @@ struct Env {
 /// emission shape the schemas expect).
 [[nodiscard]] ExprP simplify(const ExprP& e);
 
-// Local copies of the process-grid factorizations from src/nas/common.cpp
-// (src/skeleton must not depend on src/nas; symbolic_test asserts the two
-// stay identical over a large P range).
+// The process-grid factorizations behind the fac2/fac3 atoms.  They are
+// the only copy: src/nas's kernels take their grids from here too, so a
+// template's grid is the kernel's grid by construction.
 struct Grid2 {
   std::int64_t px = 1, py = 1;
 };
 struct Grid3 {
   std::int64_t px = 1, py = 1, pz = 1;
 };
+/// Largest px <= sqrt(p) with p % px == 0, and py = p / px.
+[[nodiscard]] Grid2 factor2d(std::int64_t p);
+/// Near-cubic px <= py <= pz with px * py * pz == p (smallest pz / px).
+[[nodiscard]] Grid3 factor3d(std::int64_t p);
+/// The same, remembering the last argument per thread (Expr evaluation
+/// asks for one P at every op of every rank).
 [[nodiscard]] Grid2 symFactor2d(std::int64_t p);
 [[nodiscard]] Grid3 symFactor3d(std::int64_t p);
 

@@ -66,20 +66,6 @@ struct Lowering {
         rb.waitall(std::move(open));
         open.clear();
         return true;
-      case OpKind::Sendrecv: {
-        std::int64_t src = 0;
-        std::int64_t rtag = 0;
-        std::int64_t rbytes = 0;
-        if (!evalOr(n.peer, peer, "dst") || !evalOr(n.tag, tag, "stag") ||
-            !evalOr(n.bytes, bytes, "sbytes") ||
-            !evalOr(n.src, src, "src") || !evalOr(n.rtag, rtag, "rtag") ||
-            !evalOr(n.rbytes, rbytes, "rbytes")) {
-          return false;
-        }
-        rb.sendrecv(static_cast<Rank>(peer), static_cast<int>(tag), bytes,
-                    static_cast<Rank>(src), static_cast<int>(rtag), rbytes);
-        return true;
-      }
       case OpKind::Barrier:
         rb.barrier();
         return true;
@@ -100,9 +86,10 @@ struct Lowering {
         rb.fence(static_cast<Rank>(peer));
         return true;
       case OpKind::Wait:
-        return fail("Wait op in symbolic template");
+      case OpKind::Sendrecv:
+        break;  // validateSym rejects both before lowering
     }
-    return fail("unknown op kind");
+    return fail(std::string(opKindName(n.op)) + " op in symbolic template");
   }
 
   bool lowerBody(const std::vector<SymNodeP>& body) {

@@ -29,31 +29,6 @@ SymNodeP makeIfNode(Guard guard) {
   return n;
 }
 
-SymNode cloneNode(const SymNode& n) {
-  SymNode c;
-  c.node = n.node;
-  c.op = n.op;
-  c.peer = n.peer;
-  c.tag = n.tag;
-  c.bytes = n.bytes;
-  c.flops = n.flops;
-  c.src = n.src;
-  c.rtag = n.rtag;
-  c.rbytes = n.rbytes;
-  c.nb = n.nb;
-  c.site = n.site;
-  c.lvar = n.lvar;
-  c.begin = n.begin;
-  c.end = n.end;
-  c.forward = n.forward;
-  c.guard = n.guard;
-  c.body.reserve(n.body.size());
-  for (const SymNodeP& child : n.body) {
-    c.body.push_back(std::make_unique<SymNode>(cloneNode(*child)));
-  }
-  return c;
-}
-
 namespace {
 
 std::int64_t countNodes(const std::vector<SymNodeP>& body) {
@@ -100,21 +75,6 @@ void printOp(const SymNode& n, std::string& out) {
       expr(n.bytes);
       break;
     case OpKind::Waitall:
-      break;
-    case OpKind::Sendrecv:
-      out += " dst";
-      expr(n.peer);
-      out += " stag";
-      expr(n.tag);
-      out += " sbytes";
-      expr(n.bytes);
-      out += " src";
-      expr(n.src);
-      out += " rtag";
-      expr(n.rtag);
-      out += " rbytes";
-      expr(n.rbytes);
-      break;
     case OpKind::Barrier:
       break;
     case OpKind::RmaPut:
@@ -131,7 +91,8 @@ void printOp(const SymNode& n, std::string& out) {
       expr(n.peer);
       break;
     case OpKind::Wait:
-      // validateSym rejects Wait; keep the printer total anyway.
+    case OpKind::Sendrecv:
+      // validateSym rejects both; keep the printer total anyway.
       break;
   }
   if (!n.site.empty()) {
@@ -232,14 +193,6 @@ std::string checkBody(const std::vector<SymNodeP>& body,
             if (err.empty()) err = need(node->tag, "tag");
             if (err.empty()) err = need(node->bytes, "bytes");
             break;
-          case OpKind::Sendrecv:
-            err = need(node->peer, "dst");
-            if (err.empty()) err = need(node->tag, "stag");
-            if (err.empty()) err = need(node->bytes, "sbytes");
-            if (err.empty()) err = need(node->src, "src");
-            if (err.empty()) err = need(node->rtag, "rtag");
-            if (err.empty()) err = need(node->rbytes, "rbytes");
-            break;
           case OpKind::RmaPut:
           case OpKind::RmaGet:
             err = need(node->peer, "target");
@@ -254,6 +207,10 @@ std::string checkBody(const std::vector<SymNodeP>& body,
           case OpKind::Wait:
             err = "Wait ops are not representable symbolically "
                   "(requests are implicit; use Waitall)";
+            break;
+          case OpKind::Sendrecv:
+            err = "Sendrecv ops are not representable symbolically "
+                  "(use Isend, Irecv and Waitall)";
             break;
         }
         if (!err.empty()) return err;

@@ -12,8 +12,11 @@
 // Semantics notes:
 //  * Request management is implicit.  Isend/Irecv open requests; a Waitall
 //    node retires *all* requests opened since the previous Waitall (in
-//    emission order).  Every builder in this repo follows that discipline,
-//    so the symbolic IR does not carry request-id expressions at all.
+//    emission order).  Every template in this repo follows that discipline,
+//    so the symbolic IR does not carry request-id expressions at all, and
+//    a Wait node is invalid.
+//  * Sendrecv is concrete-only: no template emits the fused exchange, so
+//    validateSym rejects it too.  `.skel` files and RankBuilder keep it.
 //  * Compute nodes carry a flop-count expression; instantiation prices it
 //    through the same CostModel as the concrete builders (so the
 //    double-rounding behaviour matches exactly).
@@ -46,12 +49,9 @@ struct SymNode {
   // -- Op payload --
   OpKind op = OpKind::Compute;
   ExprP peer;    // dst for sends/puts/gets/fence, src for recvs
-  ExprP tag;     // message tag (send tag for Sendrecv)
-  ExprP bytes;   // payload bytes (send bytes for Sendrecv); -1 = wildcard
+  ExprP tag;     // message tag
+  ExprP bytes;   // payload bytes; -1 = wildcard
   ExprP flops;   // Compute only: flop count fed through the CostModel
-  ExprP src;     // Sendrecv: receive-side peer
-  ExprP rtag;    // Sendrecv: receive-side tag
-  ExprP rbytes;  // Sendrecv: receive-side bytes
   bool nb = false;  // RmaPut/RmaGet: non-blocking flavour
   std::string site;  // source-site label, same vocabulary as skel::Op
 
@@ -87,7 +87,6 @@ struct SymSkeleton {
 [[nodiscard]] SymNodeP makeLoopNode(std::string lvar, ExprP begin, ExprP end,
                                     bool forward);
 [[nodiscard]] SymNodeP makeIfNode(Guard guard);
-[[nodiscard]] SymNode cloneNode(const SymNode& n);
 
 /// Deterministic text rendering of the template (`# ovprof-symskel-template-v1`).
 /// Used for goldens; not round-tripped (the symbolic form is built in
@@ -95,7 +94,7 @@ struct SymSkeleton {
 [[nodiscard]] std::string symSkeletonToString(const SymSkeleton& s);
 
 /// Structural sanity: loop vars unique along each path, guard/loop-bound
-/// expressions only reference bound vars, Wait/unknown ops absent, family
+/// expressions only reference bound vars, Wait/Sendrecv ops absent, family
 /// guard mentions neither `r` nor loop vars.  Empty string = OK.
 [[nodiscard]] std::string validateSym(const SymSkeleton& s);
 

@@ -17,6 +17,11 @@ using analysis::DiagCode;
 using analysis::Diagnostic;
 using analysis::Severity;
 
+// Witness sweep for structure the prover cannot classify: instantiate at
+// most kWitnessLimit admissible P up to kWitnessMaxProcs.
+constexpr int kWitnessMaxProcs = 64;
+constexpr int kWitnessLimit = 12;
+
 // One enclosing control frame of a term: either a loop or a guard block.
 struct Frame {
   bool is_loop = false;
@@ -30,8 +35,6 @@ struct Frame {
 struct Term {
   bool is_send = false;
   bool blocking = false;        // blocking Send/Recv (not Isend/Irecv)
-  bool from_sendrecv = false;
-  int partner = -1;             // other half of the same Sendrecv node
   ExprP peer, tag, bytes;
   std::vector<Frame> frames;    // outermost..innermost
   std::string site;
@@ -121,30 +124,6 @@ void collectBody(const std::vector<SymNodeP>& body, std::vector<Frame>& ctx,
             out.terms.push_back(std::move(t));
             break;
           }
-          case OpKind::Sendrecv: {
-            Term s;
-            s.is_send = true;
-            s.from_sendrecv = true;
-            s.peer = n->peer;
-            s.tag = n->tag;
-            s.bytes = n->bytes;
-            s.frames = ctx;
-            s.site = n->site;
-            Term r;
-            r.is_send = false;
-            r.from_sendrecv = true;
-            r.peer = n->src;
-            r.tag = n->rtag;
-            r.bytes = n->rbytes;
-            r.frames = ctx;
-            r.site = n->site;
-            const int si = static_cast<int>(out.terms.size());
-            s.partner = si + 1;
-            r.partner = si;
-            out.terms.push_back(std::move(s));
-            out.terms.push_back(std::move(r));
-            break;
-          }
           case OpKind::Barrier:
           case OpKind::Fence: {
             CollectiveTerm c;
@@ -213,24 +192,17 @@ bool sameRankFreeOuter(const Term& a, const Term& b, std::size_t drop_a,
   return true;
 }
 
-/// Normalizes a peer expression into a rank shift: +1 for mod(r + D, P),
-/// -1 for mod((r - D) + P, P); 0 when neither shape fits or D mentions r.
-int shiftOffset(const ExprP& e, ExprP* delta) {
-  if (!e || e->kind != ExprKind::Mod || !isProcsE(e->args[1])) return 0;
+/// Matches a peer expression of the shape mod(r + D, P) with D free of r,
+/// and extracts D.
+bool rankShift(const ExprP& e, ExprP* delta) {
+  if (!e || e->kind != ExprKind::Mod || !isProcsE(e->args[1])) return false;
   const ExprP& in = e->args[0];
-  if (!in || in->kind != ExprKind::Add) return 0;
-  if (isRankE(in->args[0])) {
-    if (mentionsRank(in->args[1])) return 0;
-    *delta = in->args[1];
-    return 1;
+  if (!in || in->kind != ExprKind::Add || !isRankE(in->args[0]) ||
+      mentionsRank(in->args[1])) {
+    return false;
   }
-  if (in->args[0]->kind == ExprKind::Sub && isRankE(in->args[0]->args[0]) &&
-      isProcsE(in->args[1])) {
-    if (mentionsRank(in->args[0]->args[1])) return 0;
-    *delta = in->args[0]->args[1];
-    return -1;
-  }
-  return 0;
+  *delta = in->args[1];
+  return true;
 }
 
 /// Rebuilds `e` with every subtree structurally equal to `target` replaced
@@ -262,25 +234,6 @@ bool bytesCorrespond(const Term& s, const Term& r, const std::string& svar,
 
 enum class Fit : std::uint8_t { No, Matched, ByteMismatch };
 
-// ---- lemma: shift (Sendrecv rank rotation) ----------------------------
-
-Fit tryShift(const Term& s, const Term& r, int si, int ri,
-             std::string* detail) {
-  if (!s.from_sendrecv || !r.from_sendrecv) return Fit::No;
-  if (s.partner != ri || r.partner != si) return Fit::No;
-  ExprP ds, dr;
-  const int ss = shiftOffset(s.peer, &ds);
-  const int sr = shiftOffset(r.peer, &dr);
-  if (ss == 0 || sr != -ss || !equal(ds, dr)) return Fit::No;
-  if (!equal(s.tag, r.tag)) return Fit::No;
-  for (const Frame& f : s.frames) {
-    if (!frameRankFree(f)) return Fit::No;
-  }
-  *detail = "rotation by " + toString(ds);
-  if (!equal(s.bytes, r.bytes)) return Fit::ByteMismatch;
-  return Fit::Matched;
-}
-
 // ---- lemma: ring ------------------------------------------------------
 
 Fit tryRing(const Term& s, const Term& r, std::string* detail) {
@@ -293,8 +246,8 @@ Fit tryRing(const Term& s, const Term& r, std::string* detail) {
   if (!isConstE(fs.begin, 1) || !isProcsE(fs.end)) return Fit::No;
   if (!isConstE(fr.begin, 1) || !isProcsE(fr.end)) return Fit::No;
   ExprP ds, dr;
-  if (shiftOffset(s.peer, &ds) != 1 || !isVarE(ds, fs.lvar)) return Fit::No;
-  if (shiftOffset(r.peer, &dr) != 1 || !isVarE(dr, fr.lvar)) return Fit::No;
+  if (!rankShift(s.peer, &ds) || !isVarE(ds, fs.lvar)) return Fit::No;
+  if (!rankShift(r.peer, &dr) || !isVarE(dr, fr.lvar)) return Fit::No;
   if (!equal(s.tag, r.tag) || mentionsRank(s.tag) ||
       mentionsVar(s.tag, fs.lvar) || mentionsVar(r.tag, fr.lvar)) {
     return Fit::No;
@@ -407,79 +360,6 @@ Fit tryTree(const Term& s, const Term& r, std::string* detail) {
   return Fit::Matched;
 }
 
-// ---- lemma: star ------------------------------------------------------
-
-bool isRankCond(const Cond& c, CmpOp op, const ExprP& root) {
-  return isRankE(c.lhs) && c.op == op && equal(c.rhs, root);
-}
-
-// Root side: if (r == root) { for p in [0, P) { if (p != root) op(p) } }.
-bool matchStarRoot(const Term& t, ExprP* root, std::string* pvar) {
-  if (t.frames.size() < 3) return false;
-  const Frame& fg = t.frames[t.frames.size() - 3];
-  const Frame& fl = t.frames[t.frames.size() - 2];
-  const Frame& fi = t.frames.back();
-  if (fg.is_loop || !fl.is_loop || fi.is_loop) return false;
-  if (!fl.forward || !isConstE(fl.begin, 0) || !isProcsE(fl.end)) {
-    return false;
-  }
-  if (fg.guard.size() != 1 || fi.guard.size() != 1) return false;
-  const ExprP r = fg.guard[0].rhs;
-  if (mentionsRank(r)) return false;
-  if (!isRankCond(fg.guard[0], CmpOp::Eq, r)) return false;
-  const Cond& skip = fi.guard[0];
-  if (!isVarE(skip.lhs, fl.lvar) || skip.op != CmpOp::Ne ||
-      !equal(skip.rhs, r)) {
-    return false;
-  }
-  if (!isVarE(t.peer, fl.lvar)) return false;
-  *root = r;
-  *pvar = fl.lvar;
-  return true;
-}
-
-// Leaf side: if (r != root) op(root).
-bool matchStarLeaf(const Term& t, const ExprP& root) {
-  if (t.frames.empty()) return false;
-  const Frame& fi = t.frames.back();
-  if (fi.is_loop || fi.guard.size() != 1) return false;
-  if (!isRankCond(fi.guard[0], CmpOp::Ne, root)) return false;
-  return equal(t.peer, root);
-}
-
-Fit tryStar(const Term& s, const Term& r, std::string* detail) {
-  ExprP root;
-  std::string pvar;
-  const Term* root_side = nullptr;
-  const Term* leaf_side = nullptr;
-  std::size_t drop_root = 3;
-  if (matchStarRoot(s, &root, &pvar) && matchStarLeaf(r, root)) {
-    root_side = &s;
-    leaf_side = &r;
-  } else if (matchStarRoot(r, &root, &pvar) && matchStarLeaf(s, root)) {
-    root_side = &r;
-    leaf_side = &s;
-  } else {
-    return Fit::No;
-  }
-  if (!equal(s.tag, r.tag) || mentionsRank(s.tag) ||
-      mentionsVar(s.tag, pvar)) {
-    return Fit::No;
-  }
-  if (!sameRankFreeOuter(*root_side, *leaf_side, drop_root, 1)) {
-    return Fit::No;
-  }
-  *detail = "star rooted at " + toString(root);
-  const bool root_sends = root_side->is_send;
-  const Term& send = root_sends ? *root_side : *leaf_side;
-  const Term& recv = root_sends ? *leaf_side : *root_side;
-  if (!bytesCorrespond(send, recv, root_sends ? pvar : std::string{},
-                       root_sends ? std::string{} : pvar)) {
-    return Fit::ByteMismatch;
-  }
-  return Fit::Matched;
-}
-
 // ---- lemma: halo-dual -------------------------------------------------
 
 struct HaloSide {
@@ -582,8 +462,7 @@ std::string termLabel(const Term& t) {
 
 }  // namespace
 
-SymVerifyResult verifySymbolic(const SymSkeleton& s,
-                               const SymVerifyConfig& cfg) {
+SymVerifyResult verifySymbolic(const SymSkeleton& s) {
   SymVerifyResult out;
   {
     std::ostringstream fam;
@@ -611,23 +490,17 @@ SymVerifyResult verifySymbolic(const SymSkeleton& s,
 
   // ---- matching: cover every term family with a lemma ----
   bool byte_mismatch = false;
-  for (int si = 0; si < static_cast<int>(ex.terms.size()); ++si) {
-    Term& send = ex.terms[si];
+  for (Term& send : ex.terms) {
     if (!send.is_send || send.matched) continue;
-    for (int ri = 0; ri < static_cast<int>(ex.terms.size()); ++ri) {
-      Term& recv = ex.terms[ri];
+    for (Term& recv : ex.terms) {
       if (recv.is_send || recv.matched) continue;
       std::string detail;
       const char* rule = nullptr;
-      Fit fit = tryShift(send, recv, si, ri, &detail);
+      Fit fit = tryRing(send, recv, &detail);
       if (fit != Fit::No) {
-        rule = "shift";
-      } else if ((fit = tryRing(send, recv, &detail)) != Fit::No) {
         rule = "ring";
       } else if ((fit = tryTree(send, recv, &detail)) != Fit::No) {
         rule = "tree";
-      } else if ((fit = tryStar(send, recv, &detail)) != Fit::No) {
-        rule = "star";
       } else if ((fit = tryHalo(send, recv, &detail)) != Fit::No) {
         rule = "halo-dual";
       }
@@ -680,21 +553,11 @@ SymVerifyResult verifySymbolic(const SymSkeleton& s,
   // ---- deadlock-freedom over the safe fragments ----
   bool hazard = false;
   for (const Term& t : ex.terms) {
-    if (t.from_sendrecv) {
-      if (t.is_send && t.rule != "shift") {
-        hazard = true;
-        out.diagnostics.push_back(makeDiag(
-            Severity::Warning, DiagCode::SymDeadlockUnproven, t.site,
-            "sendrecv outside the rank-rotation fragment: " + termLabel(t),
-            "dl|" + t.site));
-      }
-      continue;
-    }
-    if (t.blocking && t.rule != "tree" && t.rule != "star") {
+    if (t.blocking && t.rule != "tree") {
       hazard = true;
       out.diagnostics.push_back(makeDiag(
           Severity::Warning, DiagCode::SymDeadlockUnproven, t.site,
-          "blocking op outside the tree/star fragments: " + termLabel(t),
+          "blocking op outside the tree fragment: " + termLabel(t),
           "dl|" + t.site));
     }
   }
@@ -717,8 +580,8 @@ SymVerifyResult verifySymbolic(const SymSkeleton& s,
   if (hazard || uncovered || divergence) {
     std::vector<int> sampled, failing;
     for (int p = std::max(1, s.min_procs);
-         p <= cfg.witness_max_procs &&
-         static_cast<int>(sampled.size()) < cfg.witness_limit;
+         p <= kWitnessMaxProcs &&
+         static_cast<int>(sampled.size()) < kWitnessLimit;
          ++p) {
       if (!familyAdmits(s, p, nullptr)) continue;
       sampled.push_back(p);

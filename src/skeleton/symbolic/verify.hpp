@@ -6,23 +6,18 @@
 // family of op instances parameterized by (r, P, loop vars).  Matching for
 // every admissible P at once is proven by normalizing peer expressions and
 // case-splitting on guards against a small set of lemmas, one per
-// communication idiom the builders emit:
+// communication idiom the templates emit:
 //
 //   ring          sends to mod(r + d, P) over d in [1, P) pair with
 //                 receives from mod(r + e, P) under the bijection
 //                 (r, d) -> (mod(r + d, P), P - d); bytes may depend on
 //                 the peer rank (segmented rings size by the sender's
 //                 block).
-//   shift         a Sendrecv to mod(r + D, P) from mod(r - D + P, P) is a
-//                 rank rotation: the send half of r is the receive half of
-//                 mod(r + D, P).
 //   tree          binomial parent links (guard vr mod 2^(k+1) == 2^k, peer
 //                 vr -/+ 2^k) pair with child links (guard vr mod 2^(k+1)
 //                 == 0 && vr + 2^k < P) over the level range
 //                 [0, clog2(P)); this is bcast and reduce in both
 //                 directions.
-//   star          a root-guarded loop over all peers pairs with the
-//                 leaf-guarded single op (gather/scatter).
 //   halo-dual     the six face-exchange directions of the fac3 grid pair
 //                 as d <-> d^1 under coordinate-guard duality
 //                 (cx >= 1 at r  <=>  cx <= px - 2 at r - 1).
@@ -33,15 +28,16 @@
 // for the whole rank-count family, not a sample.  Terms outside every
 // schema degrade honestly: SYM_MATCH_UNPROVEN (warning) when a
 // tag-compatible partner exists, SYM_UNMATCHED_SEND/RECV (error) when none
-// can.
+// can.  An idiom no template emits has no lemma here; it returns together
+// with its first template.
 //
-// Deadlock-freedom reuses the matching proof: nonblocking post regions and
-// proven shift rounds cannot hang, proven tree/star pairings are acyclic
-// by construction, and barriers/fences demand rank-independent guards
-// (SYM_BARRIER_DIVERGENCE otherwise).  Blocking structure outside those
-// fragments is SYM_DEADLOCK_UNPROVEN; a bounded sweep of concrete
-// instantiations then tries to upgrade the warning to SYM_DEADLOCK_CYCLE,
-// naming the rank counts (the family) that exhibit the cycle.
+// Deadlock-freedom reuses the matching proof: nonblocking post regions
+// cannot hang, proven tree pairings are acyclic by construction, and
+// barriers/fences demand rank-independent guards (SYM_BARRIER_DIVERGENCE
+// otherwise).  Blocking structure outside those fragments is
+// SYM_DEADLOCK_UNPROVEN; a bounded sweep of concrete instantiations then
+// tries to upgrade the warning to SYM_DEADLOCK_CYCLE, naming the rank
+// counts (the family) that exhibit the cycle.
 #pragma once
 
 #include <cstdint>
@@ -53,18 +49,9 @@
 
 namespace ovp::skel::sym {
 
-struct SymVerifyConfig {
-  /// Bounded witness sweep for structures the prover cannot classify:
-  /// instantiate at admissible P up to this bound and run the concrete
-  /// match + deadlock passes to find (and name) a failing family.
-  int witness_max_procs = 64;
-  /// At most this many admissible counts are instantiated in the sweep.
-  int witness_limit = 12;
-};
-
 /// One proved pairing: which lemma covered which send/receive term family.
 struct SymProofStep {
-  std::string rule;       // "ring", "shift", "tree", "star", "halo-dual"
+  std::string rule;       // "ring", "tree", "halo-dual"
   std::string send_site;  // site label of the send-side term
   std::string recv_site;
   std::string detail;     // normalized peer/offset forms, for the report
@@ -94,9 +81,10 @@ struct SymVerifyResult {
 };
 
 /// Runs both provers.  The skeleton must pass validateSym first; invalid
-/// input yields a single error diagnostic.
-[[nodiscard]] SymVerifyResult verifySymbolic(const SymSkeleton& s,
-                                             const SymVerifyConfig& cfg = {});
+/// input yields a single error diagnostic.  When either proof fails, a
+/// witness sweep instantiates the first 12 admissible P up to 64 and runs
+/// the concrete match + deadlock passes to name a failing family.
+[[nodiscard]] SymVerifyResult verifySymbolic(const SymSkeleton& s);
 
 /// Renders the proof log + diagnostics as the ovprof_check text report
 /// section.

@@ -22,18 +22,17 @@ struct PendingRecv {
 
 std::vector<MessageEdge> matchMessages(const Collector& c) {
   const int n = c.nranks();
-  // Per sender, FIFO of SEND_POSTs keyed by (dst, tag) — MPI's
-  // non-overtaking order for one (src, dst, tag) stream.
-  std::vector<std::map<std::pair<Rank, std::int32_t>, std::deque<TimeNs>>>
+  // Per sender, FIFO of SEND_POST ring positions keyed by (dst, tag) —
+  // MPI's non-overtaking order for one (src, dst, tag) stream.
+  std::vector<std::map<std::pair<Rank, std::int32_t>, std::deque<std::size_t>>>
       sends(static_cast<std::size_t>(n));
-  std::vector<std::vector<PendingRecv>> recvs(static_cast<std::size_t>(n));
+  std::vector<std::deque<PendingRecv>> recvs(static_cast<std::size_t>(n));
   for (Rank r = 0; r < n; ++r) {
     const TraceRing& ring = c.ring(r);
     for (std::size_t i = 0; i < ring.size(); ++i) {
       const Record& rec = ring.at(i);
       if (rec.kind == RecordKind::SendPost) {
-        sends[static_cast<std::size_t>(r)][{rec.peer, rec.tag}].push_back(
-            rec.time);
+        sends[static_cast<std::size_t>(r)][{rec.peer, rec.tag}].push_back(i);
       } else if (rec.kind == RecordKind::RecvPost) {
         recvs[static_cast<std::size_t>(r)].push_back(
             {rec.peer, rec.tag, rec.time, false});
@@ -44,21 +43,20 @@ std::vector<MessageEdge> matchMessages(const Collector& c) {
   std::vector<MessageEdge> edges;
   for (Rank r = 0; r < n; ++r) {
     const TraceRing& ring = c.ring(r);
+    std::deque<PendingRecv>& pending = recvs[static_cast<std::size_t>(r)];
     for (std::size_t i = 0; i < ring.size(); ++i) {
       const Record& rec = ring.at(i);
       if (rec.kind != RecordKind::Match) continue;
-      MessageEdge e;
-      e.src = rec.peer;
-      e.dst = r;
-      e.tag = rec.tag;
-      e.bytes = rec.bytes;
-      e.match = rec.time;
+      MessageEdge e{.src = rec.peer, .dst = r, .tag = rec.tag,
+                    .bytes = rec.bytes, .recv_post = -1, .match = rec.time,
+                    .match_at = i};
       auto& q = sends[static_cast<std::size_t>(e.src)][{r, e.tag}];
       if (q.empty()) continue;  // send fell outside the retained prefix
-      e.send_post = q.front();
+      e.send_at = q.front();
+      e.send_post = c.ring(e.src).at(e.send_at).time;
       q.pop_front();
-      e.recv_post = -1;
-      for (PendingRecv& pr : recvs[static_cast<std::size_t>(r)]) {
+      while (!pending.empty() && pending.front().consumed) pending.pop_front();
+      for (PendingRecv& pr : pending) {
         if (pr.consumed || pr.time > e.match) continue;
         if ((pr.src == kAny || pr.src == e.src) &&
             (pr.tag == kAny || pr.tag == e.tag)) {

@@ -44,6 +44,8 @@ struct MessageEdge {
   TimeNs send_post = 0;
   TimeNs recv_post = 0;  // -1 when no RECV_POST was observed (dropped)
   TimeNs match = 0;
+  std::size_t send_at = 0;   // ring position of the SEND_POST on src
+  std::size_t match_at = 0;  // ring position of the MATCH on dst
   [[nodiscard]] bool lateSender() const {
     return recv_post >= 0 && recv_post < send_post;
   }

@@ -419,6 +419,26 @@ TEST(Workload, ParsesCommentsAndRejectsBadLines) {
   }
 }
 
+// Arrivals and estimates feed sums of virtual time: past the documented
+// cap (2^50 ns) a line is rejected with its number instead of overflowing
+// the campaign's start and end times.
+TEST(Workload, RejectsTimesAboveTheCap) {
+  std::vector<JobSpec> jobs;
+  std::string error;
+  std::istringstream at_cap(
+      "job 1 cg S 4 1125899906842624 0 1125899906842624\n");
+  ASSERT_TRUE(parseWorkload(at_cap, jobs, &error)) << error;
+  for (const char* bad : {"job 1 cg S 4 9223372036854775807 0 1000\n",
+                          "# estimate one past the cap\n"
+                          "job 2 ep S 1 0 0 1125899906842625\n"}) {
+    std::istringstream is(bad);
+    EXPECT_FALSE(parseWorkload(is, jobs, &error)) << bad;
+    EXPECT_TRUE(jobs.empty());
+    EXPECT_EQ(error.rfind("line ", 0), 0U) << error;
+    EXPECT_NE(error.find("cap"), std::string::npos) << error;
+  }
+}
+
 TEST(Workload, RoundTripsThroughSaveAndParse) {
   const std::vector<JobSpec> jobs = synthWorkload(25, 42, 8);
   std::ostringstream os;

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/advisor.hpp"
+#include "analysis/deadlock.hpp"
 #include "analysis/hb_graph.hpp"
 #include "analysis/interval_index.hpp"
 #include "analysis/lint.hpp"
@@ -183,13 +185,15 @@ trace::Collector rmaPairTrace(bool synchronized) {
 
 TEST(HbGraph, MessageJoinOrdersRmaAccesses) {
   const trace::Collector unsynced = rmaPairTrace(false);
-  const analysis::HbGraph g1 = analysis::buildHbGraph(unsynced);
+  const analysis::HbGraph g1 =
+      analysis::buildHbGraph(unsynced, trace::matchMessages(unsynced));
   EXPECT_FALSE(g1.incomplete);
   ASSERT_EQ(g1.accesses.size(), 2u);
   EXPECT_TRUE(hasCode(analysis::detectRaces(g1, {}), DiagCode::RmaRace));
 
   const trace::Collector synced = rmaPairTrace(true);
-  const analysis::HbGraph g2 = analysis::buildHbGraph(synced);
+  const analysis::HbGraph g2 =
+      analysis::buildHbGraph(synced, trace::matchMessages(synced));
   EXPECT_FALSE(g2.incomplete);
   EXPECT_TRUE(analysis::detectRaces(g2, {}).empty());
 }
@@ -211,7 +215,8 @@ TEST(RaceDetector, DisjointRangesAndReadsDoNotRace) {
   c.push(0, rec(RecordKind::RmaAcc, 0, 30, 3, 2, 2, 64, 300));
   c.push(1, rec(RecordKind::RmaAcc, 1, 30, 3, 2, 2, 64, 300));
   for (Rank r = 0; r < 3; ++r) c.setEndTime(r, 100);
-  const analysis::HbGraph g = analysis::buildHbGraph(c);
+  const analysis::HbGraph g =
+      analysis::buildHbGraph(c, trace::matchMessages(c));
   EXPECT_TRUE(analysis::detectRaces(g, {}).empty());
 }
 
@@ -265,7 +270,8 @@ TEST(RaceDetector, MatchesBruteForceOnRandomSchedules) {
       }
     }
     for (Rank r = 0; r < 4; ++r) c.setEndTime(r, t + 10);
-    const analysis::HbGraph g = analysis::buildHbGraph(c);
+    const analysis::HbGraph g =
+        analysis::buildHbGraph(c, trace::matchMessages(c));
     ASSERT_FALSE(g.incomplete);
 
     // Quadratic reference: the definition, verbatim.
@@ -364,7 +370,7 @@ TEST(Deadlock, SeededSendSendCycleDetected) {
   c.push(1, rec(RecordKind::SendPost, 1, 110, 0, /*peer=*/0, /*tag=*/0, 64));
   c.setEndTime(0, 1000);
   c.setEndTime(1, 1000);
-  const std::vector<Diagnostic> diags = analysis::analyzeWaitFor(c, {});
+  const std::vector<Diagnostic> diags = analysis::analyzeWaitFor(c);
   ASSERT_TRUE(hasCode(diags, DiagCode::DeadlockCycle));
   const analysis::LintResult lr = analysis::runLint(c);
   EXPECT_TRUE(hasCode(lr.diagnostics, DiagCode::DeadlockCycle));
@@ -385,7 +391,7 @@ TEST(Deadlock, SendrecvExchangeIsNotACycle) {
     c.setEndTime(r, 1000);
   }
   EXPECT_FALSE(
-      hasCode(analysis::analyzeWaitFor(c, {}), DiagCode::DeadlockCycle));
+      hasCode(analysis::analyzeWaitFor(c), DiagCode::DeadlockCycle));
 }
 
 TEST(Deadlock, HeadOfLineChainReported) {
@@ -405,7 +411,7 @@ TEST(Deadlock, HeadOfLineChainReported) {
   c.push(1, rec(RecordKind::SendPost, 1, 410000, 0, /*peer=*/0, 0, 64));
   c.push(1, rec(RecordKind::CallExit, 1, 415000));
   for (Rank r = 0; r < 3; ++r) c.setEndTime(r, 500000);
-  const std::vector<Diagnostic> diags = analysis::analyzeWaitFor(c, {});
+  const std::vector<Diagnostic> diags = analysis::analyzeWaitFor(c);
   EXPECT_FALSE(hasCode(diags, DiagCode::DeadlockCycle));
   EXPECT_TRUE(hasCode(diags, DiagCode::BlockingChain));
 }
@@ -440,7 +446,7 @@ trace::Collector advisorTrace() {
 
 TEST(Advisor, FlagsSerializedEarlyAndLateWaits) {
   const trace::Collector c = advisorTrace();
-  const std::vector<Diagnostic> diags = analysis::adviseOverlap(c, {});
+  const std::vector<Diagnostic> diags = analysis::adviseOverlap(c);
   EXPECT_TRUE(hasCode(diags, DiagCode::SerializedTransfer));
   EXPECT_TRUE(hasCode(diags, DiagCode::EarlyWait));
   EXPECT_TRUE(hasCode(diags, DiagCode::LateWait));

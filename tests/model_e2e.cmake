@@ -6,7 +6,9 @@
 #   * ovprof_model eval exits 0: the measured B run reproduces the predicted
 #     mean transfer time and overlap-bound percentages within the documented
 #     tolerances (EvalGate defaults, DESIGN.md 5.12);
-#   * the fit JSON is bit-identical across reruns (deterministic output).
+#   * the fit JSON is bit-identical across reruns (deterministic output);
+#   * fit, predict and eval write valid JSON when a section name holds a
+#     quote and a backslash (SP's section, renamed in its samples).
 #
 # Required -D variables: NAS_RUN, OVPROF_MODEL (binary paths), WORK_DIR.
 foreach(var NAS_RUN OVPROF_MODEL WORK_DIR)
@@ -53,4 +55,45 @@ run_checked("${OVPROF_MODEL}" predict cg_S.sample cg_A.sample
 run_checked("${OVPROF_MODEL}" eval cg_S.sample cg_A.sample
             --heldout=cg_B.sample --out=eval.json)
 
-message(STATUS "model e2e OK: fit deterministic, held-out B within tolerance")
+# 5. Section names are free text.  Rename SP's section in samples at 1, 4
+#    and 9 ranks; every output must parse, and predict must give the name
+#    back unchanged.
+set(odd_name "solve\"ov\\lap")
+foreach(p 1 4 9)
+  run_checked("${NAS_RUN}" --kernel=sp --class=S --procs=${p}
+              --ovprof-model=sp_${p}.sample)
+  file(READ "${WORK_DIR}/sp_${p}.sample" text)
+  string(REPLACE "section.begin solve-overlap\n"
+                 "section.begin ${odd_name}\n" text "${text}")
+  file(WRITE "${WORK_DIR}/sp_odd_${p}.sample" "${text}")
+endforeach()
+run_checked("${OVPROF_MODEL}" fit sp_odd_1.sample sp_odd_4.sample
+            --out=odd_fit.json)
+run_checked("${OVPROF_MODEL}" predict sp_odd_1.sample sp_odd_4.sample
+            --at=7000 --out=odd_predict.json)
+run_checked("${OVPROF_MODEL}" eval sp_odd_1.sample sp_odd_4.sample
+            --heldout=sp_odd_9.sample --out=odd_eval.json)
+foreach(out odd_fit odd_predict odd_eval)
+  file(READ "${WORK_DIR}/${out}.json" json)
+  string(JSON type ERROR_VARIABLE err TYPE "${json}")
+  if(err)
+    message(FATAL_ERROR "${out}.json is not valid JSON: ${err}")
+  endif()
+endforeach()
+file(READ "${WORK_DIR}/odd_predict.json" json)
+string(JSON n LENGTH "${json}" predictions)
+set(named 0)
+math(EXPR last "${n} - 1")
+foreach(i RANGE ${last})
+  string(JSON section GET "${json}" predictions ${i} section)
+  if(section STREQUAL odd_name)
+    math(EXPR named "${named} + 1")
+  endif()
+endforeach()
+if(named EQUAL 0)
+  message(FATAL_ERROR "odd_predict.json lost the section name ${odd_name}")
+endif()
+
+message(STATUS "model e2e OK: fit deterministic, held-out B within tolerance, "
+               "odd section names escaped")
+

@@ -2,7 +2,8 @@
 // round-trips, model-set fitting/JSON determinism (with a golden file),
 // the fitted xfer-time model, and what-if prediction — including the
 // in-process end-to-end: fit a CG class sweep, predict the held-out class,
-// and check the measured run lands within the documented tolerances.
+// and check the measured run lands within the documented tolerances; and
+// a seeded line-mutation fuzz of the sample and report loaders.
 //
 // To regenerate the golden after an intentional change:
 //   OVPROF_REGOLD=1 ./build/tests/model_test
@@ -10,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "line_mutator.hpp"
 #include "model/model_set.hpp"
 #include "model/predict.hpp"
 #include "model/sample.hpp"
@@ -478,6 +481,94 @@ model::RunSample cgSample(nas::Class cls, const char* name) {
   return model::RunSample::fromReports(result.reports, "cg", name,
                                        mpi::presetName(params.preset), "",
                                        params.nranks, params.iterations);
+}
+
+constexpr int kMutants = 1000;
+
+/// Feeds kMutants seeded line mutants of `text` to T::load.  The loader
+/// must neither throw nor crash, and what it accepts must save to text it
+/// loads back to the same bytes.  Returns how many mutants loaded.
+template <typename T>
+int fuzzLoader(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream good(text);
+  for (std::string line; std::getline(good, line);) lines.push_back(line);
+  int loaded = 0;
+  for (std::uint64_t seed = 1; seed <= kMutants; ++seed) {
+    std::ostringstream mutant;
+    for (const std::string& line : fuzz::mutateLines(lines, seed, ' ')) {
+      mutant << line << '\n';
+    }
+    T value;
+    std::istringstream in(mutant.str());
+    bool ok = false;
+    EXPECT_NO_THROW(ok = value.load(in)) << "seed " << seed;
+    if (!ok) continue;
+    ++loaded;
+    std::ostringstream once;
+    value.save(once);
+    T again;
+    std::istringstream reread(once.str());
+    EXPECT_TRUE(again.load(reread)) << "seed " << seed;
+    std::ostringstream twice;
+    again.save(twice);
+    EXPECT_TRUE(once.str() == twice.str()) << "seed " << seed;
+  }
+  return loaded;
+}
+
+// Counts in a sample or report file are untrusted: a huge `sections` or
+// vci channel count is rejected, never allocated, and seeded line mutants
+// of a cg S/4 sample and of a report with faults and vci blocks never
+// make the loaders throw.
+TEST(SampleLoad, MutatedLinesNeverCrash) {
+  const model::RunSample sample = cgSample(nas::Class::S, "S");
+  std::ostringstream sample_text;
+  sample.save(sample_text);
+  for (const char* count : {"9223372036854775807", "100000000000", "-1"}) {
+    std::string text = sample_text.str();
+    const std::size_t at = text.find("\nsections ") + 10;
+    text.replace(at, text.find('\n', at) - at, count);
+    model::RunSample s;
+    std::istringstream in(text);
+    bool ok = true;
+    EXPECT_NO_THROW(ok = s.load(in)) << count;
+    EXPECT_FALSE(ok) << count;
+  }
+
+  overlap::Report report = sample.merged;
+  report.faults.attempts = 120;
+  report.faults.drops = 6;
+  report.faults.retransmissions = 7;
+  report.faults.timeouts = 2;
+  report.faults.acks_sent = 114;
+  report.vci.channels = 2;
+  report.vci.class_bounds = {256, 8192};
+  overlap::VciChannelClass row;
+  row.posts = 40;
+  row.deliveries = 39;
+  row.bytes = 4096;
+  row.link_wait = 350;
+  report.vci.rows.assign(6, row);
+  std::ostringstream report_text;
+  report.save(report_text);
+  ASSERT_NE(report_text.str().find("\nfaults "), std::string::npos);
+  ASSERT_NE(report_text.str().find("\nvcirow "), std::string::npos);
+  std::string huge_vci = report_text.str();
+  const std::size_t vci_at = huge_vci.find("\nvci 2 ") + 5;
+  huge_vci.replace(vci_at, 1, "2147483647");
+  overlap::Report r;
+  std::istringstream in(huge_vci);
+  bool ok = true;
+  EXPECT_NO_THROW(ok = r.load(in));
+  EXPECT_FALSE(ok);
+
+  // Both outcomes occur, so neither branch is vacuous.
+  for (const int loaded : {fuzzLoader<model::RunSample>(sample_text.str()),
+                           fuzzLoader<overlap::Report>(report_text.str())}) {
+    EXPECT_GT(loaded, 0);
+    EXPECT_LT(loaded, kMutants);
+  }
 }
 
 TEST(EndToEnd, CgSweepPredictsHeldOutClassWithinTolerance) {

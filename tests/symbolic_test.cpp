@@ -1,8 +1,8 @@
 // Tests for the rank-symbolic skeleton layer (src/skeleton/symbolic):
 // the all-P matching/deadlock proofs, the closed-form cost terms (checked
 // against an independent interpreter and the instantiated skeletons), the
-// grid evaluators and the template goldens.  The converted kernels'
-// instantiated skeletons themselves are pinned by check_test's
+// grid evaluators and the template and proof-log goldens.  The converted
+// kernels' instantiated skeletons themselves are pinned by check_test's
 // skeleton_*.txt goldens and the trace-conformance ctests.
 #include <gtest/gtest.h>
 
@@ -52,9 +52,8 @@ std::vector<int> sampleProcs(const skel::sym::SymSkeleton& s, int want,
   return out;
 }
 
-// ---- matching / deadlock provers ----
-
-TEST(SymbolicVerify, ProvesAllConvertedKernels) {
+// The seven templates: every converted kernel, MG in each variant.
+std::vector<std::pair<std::string, std::string>> templateCases() {
   std::vector<std::pair<std::string, std::string>> cases;
   for (const auto& kernel : nas::nasSymbolicKernels()) {
     if (kernel == "mg") continue;
@@ -63,7 +62,13 @@ TEST(SymbolicVerify, ProvesAllConvertedKernels) {
   cases.emplace_back("mg", "mpi");
   cases.emplace_back("mg", "armci");
   cases.emplace_back("mg", "armci-nb");
-  for (const auto& [kernel, variant] : cases) {
+  return cases;
+}
+
+// ---- matching / deadlock provers ----
+
+TEST(SymbolicVerify, ProvesAllConvertedKernels) {
+  for (const auto& [kernel, variant] : templateCases()) {
     SkeletonParams p;
     p.variant = variant;
     const auto sym = nas::buildNasSymSkeleton(kernel, p);
@@ -156,6 +161,34 @@ TEST(SymbolicVerify, ByteMismatchedRingIsReported) {
     mismatch = mismatch || d.code == analysis::DiagCode::SymMatchMismatch;
   }
   EXPECT_TRUE(mismatch);
+}
+
+// Requests are implicit in the symbolic IR and it has no fused exchange:
+// validateSym refuses a Wait or a Sendrecv node, and so do instantiation
+// and the provers.
+TEST(SymbolicVerify, ValidateRejectsWaitAndSendrecv) {
+  using namespace skel::sym;  // NOLINT(google-build-using-namespace)
+  for (const skel::OpKind kind : {skel::OpKind::Wait, skel::OpKind::Sendrecv}) {
+    SymBuilder b("explicit-request");
+    b.site("bad.op");
+    b.isend(mod(add(rnk(), cst(1)), procs()), cst(3), cst(64));
+    b.irecv(mod(add(sub(rnk(), cst(1)), procs()), procs()), cst(3), cst(64));
+    b.waitall();
+    SymSkeleton s = b.take();
+    ASSERT_EQ(validateSym(s), "");
+    SymNodeP n = makeOpNode();
+    n->op = kind;
+    n->peer = mod(add(rnk(), cst(1)), procs());
+    n->tag = cst(3);
+    n->bytes = cst(64);
+    n->site = "bad.op";
+    s.body.push_back(std::move(n));
+    EXPECT_NE(validateSym(s), "") << skel::opKindName(kind);
+    EXPECT_FALSE(instantiate(s, 4).ok()) << skel::opKindName(kind);
+    const auto v = verifySymbolic(s);
+    EXPECT_FALSE(v.clean()) << skel::opKindName(kind);
+    EXPECT_FALSE(v.matching_proven) << skel::opKindName(kind);
+  }
 }
 
 // ---- closed-form cost terms ----
@@ -260,34 +293,18 @@ TEST(SymbolicCost, StrictParserRejectsMalformedInput) {
                                      &err));
 }
 
-// The symbolic layer re-implements the nas grid factorizations as Expr
-// node evaluators; pin them to the concrete ones over a wide P range.
-TEST(SymbolicGrid, FactorizationsMatchNas) {
-  for (int p = 1; p <= 4096; ++p) {
-    const auto g2 = skel::sym::symFactor2d(p);
-    const auto n2 = nas::factor2d(p);
-    EXPECT_EQ(g2.px, n2.px) << "P=" << p;
-    EXPECT_EQ(g2.py, n2.py) << "P=" << p;
-    const auto g3 = skel::sym::symFactor3d(p);
-    const auto n3 = nas::factor3d(p);
-    EXPECT_EQ(g3.px, n3.px) << "P=" << p;
-    EXPECT_EQ(g3.py, n3.py) << "P=" << p;
-    EXPECT_EQ(g3.pz, n3.pz) << "P=" << p;
-  }
-}
-
 // The factorizations remember their last argument; a change of argument,
 // in either direction and between the two, must never return a stale grid.
 TEST(SymbolicGrid, MemoizedFactorsFollowTheArgument) {
   for (const int p : {64, 12, 64, 64, 7, 4096, 1, 12, 30}) {
     const auto g3 = skel::sym::symFactor3d(p);
-    const auto n3 = nas::factor3d(p);
+    const auto n3 = skel::sym::factor3d(p);
     EXPECT_EQ(g3.px * g3.py * g3.pz, p) << "P=" << p;
     EXPECT_EQ(g3.px, n3.px) << "P=" << p;
     EXPECT_EQ(g3.py, n3.py) << "P=" << p;
     EXPECT_EQ(g3.pz, n3.pz) << "P=" << p;
     const auto g2 = skel::sym::symFactor2d(p);
-    const auto n2 = nas::factor2d(p);
+    const auto n2 = skel::sym::factor2d(p);
     EXPECT_EQ(g2.px, n2.px) << "P=" << p;
     EXPECT_EQ(g2.py, n2.py) << "P=" << p;
   }
@@ -350,6 +367,23 @@ TEST(SymbolicGolden, TemplatesMatchGolden) {
     compareOrRegold("symskel_" + kernel + ".txt",
                     skel::sym::symSkeletonToString(sym.skeleton));
   }
+}
+
+// Which lemma proved which pairing, for every template: a prover change
+// that proves the same verdict by another route still shows here.
+TEST(SymbolicGolden, ProofLogsMatchGolden) {
+  std::ostringstream os;
+  for (const auto& [kernel, variant] : templateCases()) {
+    SkeletonParams p;
+    p.variant = variant;
+    const auto sym = nas::buildNasSymSkeleton(kernel, p);
+    ASSERT_TRUE(sym.ok()) << kernel << "/" << variant << ": " << sym.error;
+    os << "== " << kernel << (variant.empty() ? "" : "/" + variant)
+       << " ==\n";
+    skel::sym::printSymVerifyText(skel::sym::verifySymbolic(sym.skeleton),
+                                  os);
+  }
+  compareOrRegold("symproof_all.txt", os.str());
 }
 
 TEST(SymbolicGolden, CostTermsMatchGolden) {

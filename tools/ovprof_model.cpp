@@ -40,6 +40,7 @@
 #include "tool_main.hpp"
 #include "trace/reader.hpp"
 #include "util/flags.hpp"
+#include "util/strings.hpp"
 
 using namespace ovp;
 
@@ -126,16 +127,18 @@ int cmdPredict(const std::vector<std::string>& inputs,
   if (os == nullptr) return 2;
   *os << "{\n";
   *os << "  \"ovprof_predict_version\": 1,\n";
-  *os << "  \"param_name\": \"" << models.param_name << "\",\n";
+  *os << "  \"param_name\": \"" << util::jsonEscape(models.param_name)
+      << "\",\n";
   *os << "  \"at\": " << model::jsonNum(at) << ",\n";
   *os << "  \"predictions\": [";
   for (std::size_t i = 0; i < models.metrics.size(); ++i) {
     const model::FittedMetric& m = models.metrics[i];
     const model::Interval p = model::predictInterval(m.fit, at);
     *os << (i == 0 ? "\n" : ",\n");
-    *os << "    {\"section\": \"" << m.ref.section
+    *os << "    {\"section\": \"" << util::jsonEscape(m.ref.section)
         << "\", \"class\": " << m.ref.size_class << ", \"metric\": \""
-        << m.ref.metric << "\", \"model\": \"" << m.fit.model.describe()
+        << util::jsonEscape(m.ref.metric) << "\", \"model\": \""
+        << util::jsonEscape(m.fit.model.describe())
         << "\", \"value\": " << model::jsonNum(p.value)
         << ", \"lo\": " << model::jsonNum(p.lo)
         << ", \"hi\": " << model::jsonNum(p.hi) << "}";
@@ -172,7 +175,8 @@ int cmdEval(const std::vector<std::string>& inputs, const util::Flags& flags) {
   if (os == nullptr) return 2;
   *os << "{\n";
   *os << "  \"ovprof_eval_version\": 1,\n";
-  *os << "  \"param_name\": \"" << models.param_name << "\",\n";
+  *os << "  \"param_name\": \"" << util::jsonEscape(models.param_name)
+      << "\",\n";
   *os << "  \"heldout_param\": " << model::jsonNum(heldout.param) << ",\n";
   *os << "  \"mean_xfer_rel_tol\": " << model::jsonNum(gate.mean_xfer_rel_tol)
       << ",\n";
@@ -183,7 +187,7 @@ int cmdEval(const std::vector<std::string>& inputs, const util::Flags& flags) {
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
     const model::EvalRow& r = result.rows[i];
     *os << (i == 0 ? "\n" : ",\n");
-    *os << "    {\"metric\": \"" << r.metric
+    *os << "    {\"metric\": \"" << util::jsonEscape(r.metric)
         << "\", \"predicted\": " << model::jsonNum(r.predicted.value)
         << ", \"lo\": " << model::jsonNum(r.predicted.lo)
         << ", \"hi\": " << model::jsonNum(r.predicted.hi)

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "trace/record.hpp"
+#include "trace/timeline.hpp"
 
 namespace ovp::analysis {
 
 namespace {
-
-using trace::Record;
-using trace::RecordKind;
 
 // EARLY_WAIT's absolute floor on the blocked span (filters noise on tiny
 // transfers whose T is comparable to call overhead), and LATE_WAIT's
@@ -20,108 +16,78 @@ using trace::RecordKind;
 constexpr DurationNs kEarlyWaitFloor = 2 * 1000;  // 2 us
 constexpr double kLateWaitFactor = 2.0;
 
-struct OpenXfer {
-  TimeNs begin = 0;
-  Bytes bytes = 0;
-  std::int64_t call_seq = -1;  // which call posted it (-1: outside any call)
+/// Replay sink that turns priced transfers into advice; the payload of an
+/// open transfer is its BEGIN time.
+struct AdviceSink {
+  using Payload = TimeNs;
+  Rank rank;
+  std::vector<Diagnostic>& out;
+  TimeNs call_enter = 0;
+
+  void occupied(TimeNs /*a*/, TimeNs /*b*/, bool /*in_call*/) {}
+  void entered(TimeNs t) { call_enter = t; }
+  void begun(TimeNs t, TimeNs& begin) { begin = t; }
+  void priced(const overlap::PricedXfer& x, const TimeNs* begin);
+
+  void note(DiagCode code, TimeNs time, const char* site, DurationNs gain,
+            Bytes bytes, std::string detail) {
+    Diagnostic d;
+    d.severity = Severity::Note;
+    d.code = code;
+    d.rank = rank;
+    d.time = time;
+    d.site = site;
+    d.gain = gain;
+    d.group = std::to_string(rank) + ":" + std::to_string(bytes);
+    d.detail = std::move(detail);
+    out.push_back(std::move(d));
+  }
 };
+
+void AdviceSink::priced(const overlap::PricedXfer& x, const TimeNs* begin) {
+  // Only transfers with both stamps seen carry a schedule to advise on.
+  if (!x.in.begin_seen || !x.in.end_seen) return;
+  const DurationNs elapsed = x.end - *begin;
+  const DurationNs t_wire = x.in.xfer_time;
+  if (x.in.same_call) {
+    // Begun and finished inside one call: fully synchronous.
+    const DurationNs gain = std::min<DurationNs>(t_wire, elapsed);
+    if (gain > 0) {
+      note(DiagCode::SerializedTransfer, *begin, "blocking call", gain, x.size,
+           "transfer of " + std::to_string(x.size) +
+               " B begins and ends inside one library call; split into "
+               "post + wait and overlap computation to recover up to "
+               "xfer_time");
+    }
+  } else if (x.end_in_call && t_wire > 0) {
+    const DurationNs blocked = x.end - call_enter;
+    if (blocked >= kEarlyWaitFloor && 4 * blocked >= t_wire) {
+      note(DiagCode::EarlyWait, call_enter, "wait", blocked, x.size,
+           "wait entered " + std::to_string(blocked) + " ns before a " +
+               std::to_string(x.size) + " B transfer finished (xfer_time " +
+               std::to_string(t_wire) +
+               " ns); move independent computation before the wait to "
+               "absorb the remainder");
+    } else if (static_cast<double>(elapsed) >=
+                   kLateWaitFactor * static_cast<double>(t_wire) &&
+               10 * blocked < t_wire) {
+      note(DiagCode::LateWait, x.end, "wait", 0, x.size,
+           "transfer of " + std::to_string(x.size) + " B was retired " +
+               std::to_string(elapsed - t_wire) +
+               " ns after the wire finished; overlap is already full — "
+               "consume the completion earlier only if the buffer or "
+               "result is needed sooner");
+    }
+  }
+}
 
 }  // namespace
 
 std::vector<Diagnostic> adviseOverlap(const trace::Collector& c) {
   std::vector<Diagnostic> out;
-  const overlap::XferTimeTable& table = c.table();
-
   for (Rank r = 0; r < c.nranks(); ++r) {
-    const trace::TraceRing& ring = c.ring(r);
-    std::unordered_map<std::int64_t, OpenXfer> open;
-    std::int64_t call_seq = -1;   // increments at every CALL_ENTER
-    bool in_call = false;
-    TimeNs call_enter = 0;
-
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      const Record& rec = ring.at(i);
-      switch (rec.kind) {
-        case RecordKind::CallEnter:
-          ++call_seq;
-          in_call = true;
-          call_enter = rec.time;
-          break;
-        case RecordKind::CallExit:
-          in_call = false;
-          break;
-        case RecordKind::XferBegin:
-          open[rec.id] = {rec.time, rec.bytes, in_call ? call_seq : -1};
-          break;
-        case RecordKind::XferEnd: {
-          const auto it = open.find(rec.id);
-          if (it == open.end()) break;  // case 3: initiation unobserved
-          const OpenXfer& x = it->second;
-          const DurationNs elapsed = rec.time - x.begin;
-          const DurationNs t_wire = table.lookup(x.bytes);
-          if (in_call && x.call_seq == call_seq) {
-            // Begun and finished inside one call: fully synchronous.
-            const DurationNs gain =
-                std::min<DurationNs>(t_wire, rec.time - x.begin);
-            if (gain > 0) {
-              Diagnostic d;
-              d.severity = Severity::Note;
-              d.code = DiagCode::SerializedTransfer;
-              d.rank = r;
-              d.time = x.begin;
-              d.site = "blocking call";
-              d.gain = gain;
-              d.group = std::to_string(r) + ":" + std::to_string(x.bytes);
-              d.detail = "transfer of " + std::to_string(x.bytes) +
-                         " B begins and ends inside one library call; split "
-                         "into post + wait and overlap computation to "
-                         "recover up to xfer_time";
-              out.push_back(std::move(d));
-            }
-          } else if (in_call && t_wire > 0) {
-            const DurationNs blocked = rec.time - call_enter;
-            if (blocked >= kEarlyWaitFloor && 4 * blocked >= t_wire) {
-              Diagnostic d;
-              d.severity = Severity::Note;
-              d.code = DiagCode::EarlyWait;
-              d.rank = r;
-              d.time = call_enter;
-              d.site = "wait";
-              d.gain = blocked;
-              d.group = std::to_string(r) + ":" + std::to_string(x.bytes);
-              d.detail = "wait entered " + std::to_string(blocked) +
-                         " ns before a " + std::to_string(x.bytes) +
-                         " B transfer finished (xfer_time " +
-                         std::to_string(t_wire) +
-                         " ns); move independent computation before the "
-                         "wait to absorb the remainder";
-              out.push_back(std::move(d));
-            } else if (static_cast<double>(elapsed) >=
-                           kLateWaitFactor * static_cast<double>(t_wire) &&
-                       10 * blocked < t_wire) {
-              Diagnostic d;
-              d.severity = Severity::Note;
-              d.code = DiagCode::LateWait;
-              d.rank = r;
-              d.time = rec.time;
-              d.site = "wait";
-              d.gain = 0;
-              d.group = std::to_string(r) + ":" + std::to_string(x.bytes);
-              d.detail = "transfer of " + std::to_string(x.bytes) +
-                         " B was retired " + std::to_string(elapsed - t_wire) +
-                         " ns after the wire finished; overlap is already "
-                         "full — consume the completion earlier only if the "
-                         "buffer or result is needed sooner";
-              out.push_back(std::move(d));
-            }
-          }
-          open.erase(it);
-          break;
-        }
-        default:
-          break;
-      }
-    }
+    AdviceSink sink{r, out};
+    trace::replayRank(c, r, sink);
   }
   return out;
 }

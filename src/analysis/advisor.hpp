@@ -1,7 +1,10 @@
 // Overlap advisor: schedule anti-patterns the paper's bounds make
 // quantifiable, each with an estimated recoverable overlap from the
 // a-priori transfer table (xfer_time(size), the same table the runtime
-// bounds use) and a fix-it hint.
+// bounds use) and a fix-it hint.  It is a sink of trace::replayRank, so it
+// sees each transfer exactly as the Processor priced it: the same "same
+// call" test, the same xfer_time.  Only transfers with both stamps seen are
+// advised on.
 //
 // All findings are Note severity on purpose: an anti-pattern costs
 // performance, not correctness, and a clean-run gate (exit code, CI) must

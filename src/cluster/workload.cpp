@@ -58,10 +58,10 @@ bool parseWorkload(std::istream& is, std::vector<JobSpec>& out,
       out.clear();
       return false;
     }
-    if (j.arrival > kMaxWorkloadTimeNs || j.estimate > kMaxWorkloadTimeNs) {
+    if (j.arrival > kMaxInputTimeNs || j.estimate > kMaxInputTimeNs) {
       fail(error, "line " + std::to_string(lineno) +
                       ": arrival or estimate above the cap of " +
-                      std::to_string(kMaxWorkloadTimeNs) + " ns");
+                      std::to_string(kMaxInputTimeNs) + " ns");
       out.clear();
       return false;
     }

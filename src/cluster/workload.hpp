@@ -7,7 +7,7 @@
 //
 // e.g.  job 1 cg S 4 0 0 2500000
 //
-// Arrivals and estimates are at most kMaxWorkloadTimeNs.
+// Arrivals and estimates are at most kMaxInputTimeNs (util/types.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -17,11 +17,6 @@
 #include "cluster/job.hpp"
 
 namespace ovp::cluster {
-
-/// Cap on a workload file's arrival and estimate: 2^50 ns, about 13 days
-/// of virtual time.  The scheduler adds estimates and run times to these,
-/// and the cap keeps every such sum far inside TimeNs.
-inline constexpr TimeNs kMaxWorkloadTimeNs = TimeNs{1} << 50;
 
 /// Parses a workload file; returns false (and clears `out`) on any
 /// malformed line, duplicate id, unknown kernel name, or time past the

@@ -167,9 +167,11 @@ overlap::XferTimeTable scaleTable(const overlap::XferTimeTable& table,
 
 WhatIfResult whatIf(const trace::Collector& c, const WhatIfConfig& cfg) {
   WhatIfResult out;
-  out.baseline = sumRanks(trace::analyzeAllWindows(c, cfg.window_ns, nullptr));
+  out.baseline =
+      sumRanks(trace::analyzeAllWindows(c, kMaxInputTimeNs, nullptr));
   const overlap::XferTimeTable scaled = scaleTable(c.table(), cfg);
-  out.scenario = sumRanks(trace::analyzeAllWindows(c, cfg.window_ns, &scaled));
+  out.scenario =
+      sumRanks(trace::analyzeAllWindows(c, kMaxInputTimeNs, &scaled));
   return out;
 }
 

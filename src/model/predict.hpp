@@ -82,7 +82,6 @@ struct WhatIfConfig {
   double xfer_scale = 1.0;       ///< multiply every transfer time
   double bandwidth_scale = 1.0;  ///< divide every transfer time
   DurationNs latency_delta = 0;  ///< add to every transfer time
-  DurationNs window_ns = 1'000'000;
 };
 
 /// Maps every calibration point of `table` through the scenario transform.
@@ -102,7 +101,8 @@ struct WhatIfResult {
 };
 
 /// Replays the recorded schedule twice — untouched and repriced — so the
-/// caller can compare bound movements under the scenario.
+/// caller can compare bound movements under the scenario.  Whole-run
+/// totals only: the replay runs with one window that spans any run.
 [[nodiscard]] WhatIfResult whatIf(const trace::Collector& c,
                                   const WhatIfConfig& cfg);
 

@@ -1,12 +1,12 @@
 #include "overlap/processor.hpp"
 
-#include <cassert>
+#include <utility>
 
 namespace ovp::overlap {
 
 Processor::Processor(const XferTimeTable& table, SizeClasses classes)
-    : table_(&table), classes_(std::move(classes)) {
-  SectionAccum whole;
+    : classes_(std::move(classes)), replay_(table) {
+  SectionReport whole;
   whole.name = "<all>";
   whole.by_class.resize(static_cast<std::size_t>(classes_.count()));
   sections_.push_back(std::move(whole));
@@ -16,7 +16,7 @@ SectionId Processor::internSection(std::string_view name) {
   const auto it = section_ids_.find(std::string(name));
   if (it != section_ids_.end()) return it->second;
   const SectionId id = static_cast<SectionId>(sections_.size());
-  SectionAccum acc;
+  SectionReport acc;
   acc.name = std::string(name);
   acc.by_class.resize(static_cast<std::size_t>(classes_.count()));
   sections_.push_back(std::move(acc));
@@ -37,164 +37,72 @@ std::vector<SectionId> Processor::currentSections() const {
   return ids;
 }
 
-void Processor::advanceTo(TimeNs t) {
-  if (!started_) {
-    started_ = true;
-    first_time_ = last_time_ = t;
-    return;
-  }
-  assert(t >= last_time_ && "events must be time-ordered");
-  const DurationNs dt = t - last_time_;
-  last_time_ = t;
-  if (dt == 0) return;
-  if (disabled_) {
-    disabled_total_ += dt;
-    return;
-  }
-  if (in_call_) {
-    noncomp_cum_ += dt;
-    for (SectionId id : currentSections()) {
-      sections_[static_cast<std::size_t>(id)].communication_call_time += dt;
-    }
-  } else {
-    comp_cum_ += dt;
-    for (SectionId id : currentSections()) {
-      sections_[static_cast<std::size_t>(id)].computation_time += dt;
-    }
+void Processor::occupied(TimeNs a, TimeNs b, bool in_call) {
+  for (SectionId id : currentSections()) {
+    SectionReport& acc = sections_[static_cast<std::size_t>(id)];
+    (in_call ? acc.communication_call_time : acc.computation_time) += b - a;
   }
 }
 
-DurationNs Processor::pricedXferTime(Bytes size) {
-  const XferTimeTable::Lookup lu = table_->lookupEx(size);
-  if (lu.below_range) ++xfer_below_range_;
-  if (lu.above_range) ++xfer_above_range_;
-  return lu.time;
+void Processor::entered(TimeNs /*t*/) {
+  for (SectionId id : currentSections()) {
+    ++sections_[static_cast<std::size_t>(id)].calls;
+  }
 }
 
-void Processor::recordTransfer(const ActiveXfer& x, const BoundsInput& in) {
-  const Bounds b = computeBounds(in);
-  if (!in.begin_seen || !in.end_seen) {
+void Processor::begun(TimeNs /*t*/, Payload& attributed) {
+  attributed = currentSections();
+}
+
+void Processor::priced(const PricedXfer& x, const Payload* attributed) {
+  if (!x.in.begin_seen || !x.in.end_seen) {
     ++case3_;
-  } else if (in.same_call) {
+  } else if (x.in.same_call) {
     ++case1_;
   } else {
     ++case2_;
   }
+  // An END with no observed BEGIN goes to the sections active at the END.
+  const Payload at_end = attributed != nullptr ? Payload{} : currentSections();
   const int cls = classes_.classOf(x.size);
-  for (SectionId id : x.attributed) {
-    SectionAccum& acc = sections_[static_cast<std::size_t>(id)];
-    acc.total.addTransfer(x.size, in.xfer_time, b);
-    acc.by_class[static_cast<std::size_t>(cls)].addTransfer(x.size,
-                                                            in.xfer_time, b);
+  for (SectionId id : attributed != nullptr ? *attributed : at_end) {
+    SectionReport& acc = sections_[static_cast<std::size_t>(id)];
+    acc.total.addTransfer(x.size, x.in.xfer_time, x.bounds);
+    acc.by_class[static_cast<std::size_t>(cls)].addTransfer(
+        x.size, x.in.xfer_time, x.bounds);
   }
 }
 
 void Processor::consume(const Event& e) {
-  advanceTo(e.time);
-  switch (e.type) {
-    case EventType::CallEnter: {
-      in_call_ = true;
-      ++call_index_;
-      for (SectionId id : currentSections()) {
-        ++sections_[static_cast<std::size_t>(id)].calls;
-      }
-      break;
-    }
-    case EventType::CallExit: {
-      in_call_ = false;
-      break;
-    }
-    case EventType::XferBegin: {
-      ActiveXfer x;
-      x.size = e.size;
-      x.comp_at_begin = comp_cum_;
-      x.noncomp_at_begin = noncomp_cum_;
-      x.call_at_begin = call_index_;
-      x.attributed = currentSections();
-      active_.emplace(e.id, std::move(x));
-      break;
-    }
-    case EventType::XferEnd: {
-      const auto it = active_.find(e.id);
-      if (it == active_.end()) {
-        // END with no observed BEGIN: the paper's case 3 (e.g. an eagerly
-        // received message whose send initiation was invisible).
-        ActiveXfer x;
-        x.size = e.size;
-        x.attributed = currentSections();
-        BoundsInput in;
-        in.begin_seen = false;
-        in.end_seen = true;
-        in.xfer_time = pricedXferTime(e.size);
-        recordTransfer(x, in);
-        break;
-      }
-      const ActiveXfer& x = it->second;
-      BoundsInput in;
-      in.begin_seen = true;
-      in.end_seen = true;
-      in.same_call = in_call_ && x.call_at_begin == call_index_;
-      in.computation = comp_cum_ - x.comp_at_begin;
-      in.noncomputation = noncomp_cum_ - x.noncomp_at_begin;
-      in.xfer_time = pricedXferTime(x.size);
-      recordTransfer(x, in);
-      active_.erase(it);
-      break;
-    }
-    case EventType::SectionBegin: {
-      section_stack_.push_back(static_cast<SectionId>(e.id));
-      break;
-    }
-    case EventType::SectionEnd: {
-      if (!section_stack_.empty()) section_stack_.pop_back();
-      break;
-    }
-    case EventType::Disable: {
-      disabled_ = true;
-      break;
-    }
-    case EventType::Enable: {
-      disabled_ = false;
-      break;
-    }
+  replay_.consume(e, *this);
+  if (e.type == EventType::SectionBegin) {
+    section_stack_.push_back(static_cast<SectionId>(e.id));
+  } else if (e.type == EventType::SectionEnd && !section_stack_.empty()) {
+    section_stack_.pop_back();
   }
 }
 
 Report Processor::finalize(Rank rank, TimeNs end_time) {
-  if (started_ && end_time > last_time_) advanceTo(end_time);
   // Transfers whose END was never observed are inconclusive (case 3).
-  for (const auto& [id, x] : active_) {
-    (void)id;
-    BoundsInput in;
-    in.begin_seen = true;
-    in.end_seen = false;
-    in.xfer_time = pricedXferTime(x.size);
-    recordTransfer(x, in);
-  }
-  active_.clear();
+  replay_.finish(end_time, *this);
 
   Report r;
   r.rank = rank;
   r.classes = classes_;
-  r.monitored_time = started_ ? (last_time_ - first_time_) - disabled_total_ : 0;
+  r.monitored_time = replay_.monitoredTime();
   r.case_same_call = case1_;
   r.case_split_call = case2_;
   r.case_inconclusive = case3_;
-  r.xfer_below_range = xfer_below_range_;
-  r.xfer_above_range = xfer_above_range_;
-  auto toReport = [](const SectionAccum& acc) {
-    SectionReport s;
-    s.name = acc.name;
-    s.total = acc.total;
-    s.by_class = acc.by_class;
-    s.computation_time = acc.computation_time;
-    s.communication_call_time = acc.communication_call_time;
-    s.calls = acc.calls;
-    return s;
-  };
-  r.whole = toReport(sections_.front());
+  r.xfer_below_range = replay_.belowRange();
+  r.xfer_above_range = replay_.aboveRange();
+  r.whole = sections_.front();
   for (std::size_t i = 1; i < sections_.size(); ++i) {
-    r.sections.push_back(toReport(sections_[i]));
+    // Assign into a fresh report, then grow the vector: the sizes and order
+    // of these allocations reach IS's output until registrations follow
+    // buffer lifetimes (ROADMAP item 1).
+    SectionReport s;
+    s = sections_[i];
+    r.sections.push_back(std::move(s));
   }
   return r;
 }

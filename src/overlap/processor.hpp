@@ -1,15 +1,14 @@
 // Data-processing module (paper Sec. 2.4).
 //
 // Consumes timestamped events in order and updates overlap measures
-// on-the-fly: no trace is kept; the only retained state is (a) running
-// integrals of user-computation and in-library time, (b) one small record
-// per *currently active* transfer, and (c) the per-section/per-size-class
-// accumulators.  This is what lets the collection queue be a fixed-size
-// circular structure that is simply reset after each drain.
-//
-// Computation/non-computation attribution between a transfer's BEGIN and
-// END is O(1) per transfer: we snapshot the two integrals at BEGIN and take
-// deltas at END, rather than re-walking events.
+// on-the-fly: no trace is kept.  The paper's state machine — the running
+// integrals of user-computation and in-library time, the call index, the
+// disabled time and one small record per *currently active* transfer — is
+// overlap::Replay (replay.hpp), the same one the offline window analysis
+// and the advisor run over a trace.  The Processor is its live sink: it
+// keeps only the stack of open named sections and the per-section and
+// per-size-class accumulators.  This is what lets the collection queue be
+// a fixed-size circular structure that is simply reset after each drain.
 #pragma once
 
 #include <string>
@@ -17,8 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "overlap/bounds.hpp"
 #include "overlap/events.hpp"
+#include "overlap/replay.hpp"
 #include "overlap/report.hpp"
 #include "overlap/size_classes.hpp"
 #include "overlap/xfer_table.hpp"
@@ -45,53 +44,33 @@ class Processor {
   /// final report.  The processor must not be fed further events after this.
   [[nodiscard]] Report finalize(Rank rank, TimeNs end_time);
 
-  [[nodiscard]] std::size_t activeTransfers() const { return active_.size(); }
+  [[nodiscard]] std::size_t activeTransfers() const {
+    return replay_.openTransfers();
+  }
 
  private:
-  struct ActiveXfer {
-    Bytes size = 0;
-    DurationNs comp_at_begin = 0;
-    DurationNs noncomp_at_begin = 0;
-    std::int64_t call_at_begin = -1;
-    std::vector<SectionId> attributed;  // sections active at BEGIN (incl. 0)
-  };
-  struct SectionAccum {
-    std::string name;
-    OverlapAccum total;
-    std::vector<OverlapAccum> by_class;
-    DurationNs computation_time = 0;
-    DurationNs communication_call_time = 0;
-    std::int64_t calls = 0;
-  };
+  template <typename>
+  friend class Replay;  // calls the sink hooks below
 
-  /// Advances the integrals from the previous event time to t.
-  void advanceTo(TimeNs t);
-  /// Table lookup that counts out-of-range (extrapolated) pricings.
-  [[nodiscard]] DurationNs pricedXferTime(Bytes size);
-  void recordTransfer(const ActiveXfer& x, const BoundsInput& in);
+  // Replay sink: the payload of an open transfer is the sections active at
+  // its BEGIN (incl. 0), which the transfer is attributed to.
+  using Payload = std::vector<SectionId>;
+  void occupied(TimeNs a, TimeNs b, bool in_call);
+  void entered(TimeNs t);
+  void begun(TimeNs t, Payload& attributed);
+  void priced(const PricedXfer& x, const Payload* attributed);
+
   [[nodiscard]] std::vector<SectionId> currentSections() const;
 
-  const XferTimeTable* table_;
   SizeClasses classes_;
 
-  std::vector<SectionAccum> sections_;  // index == SectionId
+  std::vector<SectionReport> sections_;  // index == SectionId
   std::unordered_map<std::string, SectionId> section_ids_;
   std::vector<SectionId> section_stack_;  // active named sections
 
-  std::unordered_map<TransferId, ActiveXfer> active_;
-
-  bool started_ = false;
-  bool in_call_ = false;
-  bool disabled_ = false;
-  TimeNs last_time_ = 0;
-  TimeNs first_time_ = 0;
-  DurationNs comp_cum_ = 0;
-  DurationNs noncomp_cum_ = 0;
-  DurationNs disabled_total_ = 0;
-  std::int64_t call_index_ = 0;
+  Replay<Payload> replay_;
 
   std::int64_t case1_ = 0, case2_ = 0, case3_ = 0;
-  std::int64_t xfer_below_range_ = 0, xfer_above_range_ = 0;
 };
 
 }  // namespace ovp::overlap

@@ -6,19 +6,21 @@ namespace ovp::trace {
 
 namespace {
 
-RecordKind kindOf(overlap::EventType t) {
-  switch (t) {
-    case overlap::EventType::CallEnter: return RecordKind::CallEnter;
-    case overlap::EventType::CallExit: return RecordKind::CallExit;
-    case overlap::EventType::XferBegin: return RecordKind::XferBegin;
-    case overlap::EventType::XferEnd: return RecordKind::XferEnd;
-    case overlap::EventType::SectionBegin: return RecordKind::SectionBegin;
-    case overlap::EventType::SectionEnd: return RecordKind::SectionEnd;
-    case overlap::EventType::Disable: return RecordKind::Disable;
-    case overlap::EventType::Enable: return RecordKind::Enable;
-  }
-  return RecordKind::CallEnter;
+using overlap::EventType;
+
+// Monitor-origin records carry their event type's own value, so
+// onMonitorEvent and replayRank convert between the two by a cast.
+constexpr bool sameKind(RecordKind k, EventType t) {
+  return static_cast<int>(k) == static_cast<int>(t);
 }
+static_assert(sameKind(RecordKind::CallEnter, EventType::CallEnter));
+static_assert(sameKind(RecordKind::CallExit, EventType::CallExit));
+static_assert(sameKind(RecordKind::XferBegin, EventType::XferBegin));
+static_assert(sameKind(RecordKind::XferEnd, EventType::XferEnd));
+static_assert(sameKind(RecordKind::SectionBegin, EventType::SectionBegin));
+static_assert(sameKind(RecordKind::SectionEnd, EventType::SectionEnd));
+static_assert(sameKind(RecordKind::Disable, EventType::Disable));
+static_assert(sameKind(RecordKind::Enable, EventType::Enable));
 
 }  // namespace
 
@@ -84,7 +86,7 @@ Bytes Collector::segmentBytes(Rank owner, std::int32_t seg) const {
 
 void Collector::onMonitorEvent(Rank r, const overlap::Event& e) {
   Record rec;
-  rec.kind = kindOf(e.type);
+  rec.kind = static_cast<RecordKind>(e.type);
   rec.rank = r;
   rec.time = e.time;
   rec.id = e.id;

@@ -85,6 +85,14 @@ ReadResult readCsv(std::istream& is) {
       std::count(text.begin(), text.end(), '\n') + 1));
   std::vector<std::pair<std::int64_t, std::size_t>> meta_ranks;  // rank, line
   bool header_seen = false;
+  // Every time a trace carries lies in [0, kMaxInputTimeNs].
+  const auto uncapped = [&](std::size_t at, const char* what, TimeNs t) {
+    if (t >= 0 && t <= kMaxInputTimeNs) return false;
+    result.error = lineError(at, std::string(what) + " " + std::to_string(t) +
+                                     " outside [0, " +
+                                     std::to_string(kMaxInputTimeNs) + "]");
+    return true;
+  };
 
   std::size_t lineno = 0;
   for (std::size_t at = 0; at < text.size();) {
@@ -112,6 +120,7 @@ ReadResult readCsv(std::istream& is) {
         declared_ranks = a;
       } else if (key == "end_time" && n >= 3 && util::parseInt(f[1], a) &&
                  util::parseInt(f[2], b)) {
+        if (uncapped(lineno, "end time", b)) return result;
         end_times.emplace_back(static_cast<Rank>(a), b);
         meta_ranks.push_back({a, lineno});
       } else if (key == "xfer_point" && n >= 3 && util::parseInt(f[1], a) &&
@@ -157,6 +166,7 @@ ReadResult readCsv(std::istream& is) {
       result.error = lineError(lineno, "malformed numeric field");
       return result;
     }
+    if (uncapped(lineno, "time", row.rec.time)) return result;
     if (!recordKindFromName(util::trim(f[3]), kind)) {
       result.error = lineError(
           lineno, "unknown record kind '" + std::string(f[3]) + "'");
@@ -221,9 +231,26 @@ ReadResult readCsv(std::istream& is) {
   }
 
   // Capacity must hold each rank's retained prefix exactly as exported.
+  // The overlap replay folds a rank's monitor-origin records in order, so
+  // one earlier than the rank's previous one fails the load; hook and NIC
+  // records reach the ring out of order by design.
   std::vector<std::size_t> per_rank(static_cast<std::size_t>(nranks), 0);
+  std::vector<TimeNs> monitor_time(static_cast<std::size_t>(nranks), 0);
   for (const Row& row : rows) {
-    ++per_rank[static_cast<std::size_t>(row.rec.rank)];
+    const auto r = static_cast<std::size_t>(row.rec.rank);
+    ++per_rank[r];
+    if (!isMonitorOrigin(row.rec.kind)) continue;
+    if (row.rec.time < monitor_time[r]) {
+      result.error = lineError(
+          row.lineno, std::string(recordKindName(row.rec.kind)) + " at " +
+                          std::to_string(row.rec.time) +
+                          " ns is earlier than rank " +
+                          std::to_string(row.rec.rank) +
+                          "'s previous monitor record at " +
+                          std::to_string(monitor_time[r]) + " ns");
+      return result;
+    }
+    monitor_time[r] = row.rec.time;
   }
   CollectorConfig cfg;
   cfg.enabled = true;

@@ -11,7 +11,10 @@
 // The reader is strict about what it understands and lenient about what it
 // doesn't: unknown '#' metadata lines are skipped, while a malformed record
 // row fails the whole load with a line-numbered error (a trace that cannot
-// be trusted should not be silently analyzed).
+// be trusted should not be silently analyzed).  Beyond the syntax, it
+// rejects what the passes behind it cannot replay: a rank or peer outside
+// the job, a record or end time outside [0, kMaxInputTimeNs], and a rank's
+// monitor-origin record earlier than the one before it.
 #pragma once
 
 #include <iosfwd>

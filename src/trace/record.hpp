@@ -88,6 +88,13 @@ enum class RecordKind : std::uint8_t {
   return "?";
 }
 
+/// CALL_ENTER ... ENABLE: the kinds a Monitor event becomes.  Their values
+/// are the overlap::EventType values (checked in collector.cpp), so either
+/// direction is a cast.
+[[nodiscard]] constexpr bool isMonitorOrigin(RecordKind k) {
+  return k <= RecordKind::Enable;
+}
+
 inline constexpr RecordKind kAllRecordKinds[] = {
     RecordKind::CallEnter,     RecordKind::CallExit,
     RecordKind::XferBegin,     RecordKind::XferEnd,

@@ -1,58 +1,73 @@
 #include "trace/timeline.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_map>
-
-#include "overlap/bounds.hpp"
 
 namespace ovp::trace {
 
 namespace {
 
-/// Exact proportional attribution of `v` over span [a, b) across the window
-/// grid: cumulative integer division guarantees the pieces sum to v.
-void spread(std::vector<WindowStats>& ws, DurationNs window_ns, TimeNs a,
-            TimeNs b, DurationNs v, DurationNs WindowStats::*field) {
-  if (v == 0 || ws.empty()) return;
-  auto clampWin = [&](TimeNs t) {
-    const std::size_t k = static_cast<std::size_t>(t / window_ns);
-    return std::min(k, ws.size() - 1);
-  };
-  if (b <= a) {
-    ws[clampWin(a)].*field += v;
-    return;
-  }
-  const DurationNs span = b - a;
-  DurationNs allocated = 0;
-  DurationNs cum = 0;
-  for (std::size_t k = clampWin(a); k <= clampWin(b - 1); ++k) {
-    const TimeNs lo = std::max<TimeNs>(a, static_cast<TimeNs>(k) * window_ns);
-    const TimeNs hi =
-        std::min<TimeNs>(b, (static_cast<TimeNs>(k) + 1) * window_ns);
-    cum += hi - lo;
-    const DurationNs share = static_cast<DurationNs>(
-        (static_cast<__int128>(v) * cum) / span);
-    ws[k].*field += share - allocated;
-    allocated = share;
-  }
-}
+/// Replay sink that attributes each transfer over the window grid; the
+/// payload of an open transfer is its BEGIN time.
+struct WindowSink {
+  using Payload = TimeNs;
+  RankWindows& out;
 
-/// Adds the occupancy interval [a, b) to `field`, split exactly at window
-/// borders.
-void occupy(std::vector<WindowStats>& ws, DurationNs window_ns, TimeNs a,
-            TimeNs b, DurationNs WindowStats::*field) {
-  if (b <= a || ws.empty()) return;
-  std::size_t k = std::min(static_cast<std::size_t>(a / window_ns),
-                           ws.size() - 1);
-  for (TimeNs t = a; t < b; ++k) {
-    const TimeNs hi = std::min<TimeNs>(
-        b, (static_cast<TimeNs>(k) + 1) * window_ns);
-    const TimeNs piece_end = k + 1 < ws.size() ? hi : b;
-    ws[k].*field += piece_end - t;
-    t = piece_end;
+  [[nodiscard]] std::size_t windowOf(TimeNs t) const {
+    return std::min(static_cast<std::size_t>(t / out.window_ns),
+                    out.windows.size() - 1);
   }
-}
+  [[nodiscard]] TimeNs windowEnd(std::size_t k) const {
+    return (static_cast<TimeNs>(k) + 1) * out.window_ns;
+  }
+
+  /// Exact proportional attribution of `v` over span [a, b) across the
+  /// grid: cumulative integer division guarantees the pieces sum to v.
+  void spread(TimeNs a, TimeNs b, DurationNs v,
+              DurationNs WindowStats::*field) {
+    if (v == 0) return;
+    if (b <= a) {
+      out.windows[windowOf(a)].*field += v;
+      return;
+    }
+    DurationNs allocated = 0;
+    DurationNs cum = 0;
+    for (std::size_t k = windowOf(a); k <= windowOf(b - 1); ++k) {
+      const TimeNs lo = std::max<TimeNs>(a, windowEnd(k) - out.window_ns);
+      cum += std::min<TimeNs>(b, windowEnd(k)) - lo;
+      const auto share = static_cast<DurationNs>(
+          (static_cast<__int128>(v) * cum) / (b - a));
+      out.windows[k].*field += share - allocated;
+      allocated = share;
+    }
+  }
+
+  /// Occupancy of [a, b), split exactly at window borders.
+  void occupied(TimeNs a, TimeNs b, bool in_call) {
+    (in_call ? out.comm_total : out.comp_total) += b - a;
+    DurationNs WindowStats::*field =
+        in_call ? &WindowStats::comm_time : &WindowStats::comp_time;
+    for (std::size_t k = windowOf(a); a < b; ++k) {
+      const TimeNs piece_end =
+          k + 1 < out.windows.size() ? std::min<TimeNs>(b, windowEnd(k)) : b;
+      out.windows[k].*field += piece_end - a;
+      a = piece_end;
+    }
+  }
+  void entered(TimeNs /*t*/) {}
+  void begun(TimeNs t, TimeNs& begin) { begin = t; }
+  void priced(const overlap::PricedXfer& x, const TimeNs* begin) {
+    // An END with no observed BEGIN lands in the window the library learned
+    // of the transfer in.
+    const TimeNs a = begin != nullptr ? *begin : x.end;
+    out.total.addTransfer(x.size, x.in.xfer_time, x.bounds);
+    WindowStats& end_win = out.windows[windowOf(x.end)];
+    ++end_win.transfers;
+    end_win.bytes += x.size;
+    spread(a, x.end, x.in.xfer_time, &WindowStats::data_transfer_time);
+    spread(a, x.end, x.bounds.min_overlap, &WindowStats::min_overlap);
+    spread(a, x.end, x.bounds.max_overlap, &WindowStats::max_overlap);
+  }
+};
 
 }  // namespace
 
@@ -70,141 +85,8 @@ RankWindows analyzeWindows(const Collector& c, Rank r, DurationNs window_ns,
                    : static_cast<std::size_t>((horizon - 1) / window_ns) + 1;
   out.windows.assign(nwin, WindowStats{});
 
-  // Replay state, mirroring overlap::Processor field-for-field.
-  struct ActiveXfer {
-    Bytes size = 0;
-    DurationNs comp_at_begin = 0;
-    DurationNs noncomp_at_begin = 0;
-    std::int64_t call_at_begin = -1;
-    TimeNs begin_time = 0;
-  };
-  std::unordered_map<std::int64_t, ActiveXfer> active;
-  bool started = false;
-  bool in_call = false;
-  bool disabled = false;
-  TimeNs last_time = 0;
-  DurationNs comp_cum = 0;
-  DurationNs noncomp_cum = 0;
-  std::int64_t call_index = 0;
-
-  auto advanceTo = [&](TimeNs t) {
-    if (!started) {
-      started = true;
-      last_time = t;
-      return;
-    }
-    assert(t >= last_time && "trace records must be time-ordered");
-    const TimeNs a = last_time;
-    last_time = t;
-    if (t == a || disabled) return;
-    if (in_call) {
-      noncomp_cum += t - a;
-      occupy(out.windows, window_ns, a, t, &WindowStats::comm_time);
-    } else {
-      comp_cum += t - a;
-      occupy(out.windows, window_ns, a, t, &WindowStats::comp_time);
-    }
-  };
-
-  auto clampWin = [&](TimeNs t) {
-    return std::min(static_cast<std::size_t>(t / window_ns),
-                    out.windows.size() - 1);
-  };
-
-  auto recordTransfer = [&](Bytes size, TimeNs begin_t, TimeNs end_t,
-                            const overlap::BoundsInput& in) {
-    const overlap::Bounds b = overlap::computeBounds(in);
-    out.total.addTransfer(size, in.xfer_time, b);
-    WindowStats& end_win = out.windows[clampWin(end_t)];
-    ++end_win.transfers;
-    end_win.bytes += size;
-    spread(out.windows, window_ns, begin_t, end_t, in.xfer_time,
-           &WindowStats::data_transfer_time);
-    spread(out.windows, window_ns, begin_t, end_t, b.min_overlap,
-           &WindowStats::min_overlap);
-    spread(out.windows, window_ns, begin_t, end_t, b.max_overlap,
-           &WindowStats::max_overlap);
-  };
-
-  const TraceRing& ring = c.ring(r);
-  const overlap::XferTimeTable& table =
-      table_override != nullptr ? *table_override : c.table();
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const Record& rec = ring.at(i);
-    if (rec.kind > RecordKind::Enable) continue;  // monitor-origin only
-    advanceTo(rec.time);
-    switch (rec.kind) {
-      case RecordKind::CallEnter:
-        in_call = true;
-        ++call_index;
-        break;
-      case RecordKind::CallExit:
-        in_call = false;
-        break;
-      case RecordKind::XferBegin: {
-        ActiveXfer x;
-        x.size = rec.bytes;
-        x.comp_at_begin = comp_cum;
-        x.noncomp_at_begin = noncomp_cum;
-        x.call_at_begin = call_index;
-        x.begin_time = rec.time;
-        active.emplace(rec.id, x);
-        break;
-      }
-      case RecordKind::XferEnd: {
-        const auto it = active.find(rec.id);
-        if (it == active.end()) {
-          // END with no observed BEGIN: paper case 3, attributed to the
-          // window the library learned of the transfer in.
-          overlap::BoundsInput in;
-          in.begin_seen = false;
-          in.end_seen = true;
-          in.xfer_time = table.lookup(rec.bytes);
-          recordTransfer(rec.bytes, rec.time, rec.time, in);
-          break;
-        }
-        const ActiveXfer& x = it->second;
-        overlap::BoundsInput in;
-        in.begin_seen = true;
-        in.end_seen = true;
-        in.same_call = in_call && x.call_at_begin == call_index;
-        in.computation = comp_cum - x.comp_at_begin;
-        in.noncomputation = noncomp_cum - x.noncomp_at_begin;
-        in.xfer_time = table.lookup(x.size);
-        recordTransfer(x.size, x.begin_time, rec.time, in);
-        active.erase(it);
-        break;
-      }
-      case RecordKind::SectionBegin:
-      case RecordKind::SectionEnd:
-        break;  // window stats are not section-scoped
-      case RecordKind::Disable:
-        disabled = true;
-        break;
-      case RecordKind::Enable:
-        disabled = false;
-        break;
-      default:
-        break;
-    }
-  }
-
-  // Close at the same instant the Processor finalized.
-  const TimeNs end_time = std::max(c.endTime(r), last_time);
-  if (started && end_time > last_time) advanceTo(end_time);
-  for (const auto& [id, x] : active) {
-    (void)id;
-    overlap::BoundsInput in;
-    in.begin_seen = true;
-    in.end_seen = false;
-    in.xfer_time = table.lookup(x.size);
-    recordTransfer(x.size, x.begin_time, end_time, in);
-  }
-
-  for (const WindowStats& w : out.windows) {
-    out.comm_total += w.comm_time;
-    out.comp_total += w.comp_time;
-  }
+  WindowSink sink{out};
+  replayRank(c, r, sink, table_override);
   return out;
 }
 

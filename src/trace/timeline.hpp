@@ -1,14 +1,13 @@
 // Time-resolved overlap analysis: the paper's 3-case bounds resolved over
 // fixed time windows instead of whole-run.
 //
-// The pass replays each rank's monitor-origin records (an exact prefix of
+// replayRank runs each rank's monitor-origin records (an exact prefix of
 // the event stream the Processor consumed — see TraceRing's keep-oldest
-// policy) through the Processor's own state machine: the same running
-// computation/non-computation integrals, the same call-index "same call"
-// test, the same a-priori XferTimeTable lookups, the same case-3 closing of
-// still-open transfers at the rank's finalize time.  Each completed
-// transfer therefore yields bit-identical (xfer_time, min, max) values to
-// the summary report; the only new step is attribution.
+// policy) through overlap::Replay, the Processor's own state machine, and
+// closes still-open transfers at the rank's finalize time.  Each transfer
+// therefore yields bit-identical (xfer_time, min, max) values to the
+// summary report; the window pass adds only attribution.  The advisor
+// (analysis/advisor.hpp) is a second sink of the same replay.
 //
 // Attribution over windows is exact, not approximate: a transfer's values
 // are spread over the windows its [begin, end) span intersects,
@@ -28,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "overlap/replay.hpp"
 #include "overlap/report.hpp"
 #include "trace/collector.hpp"
 #include "util/types.hpp"
@@ -61,6 +61,26 @@ struct RankWindows {
   /// only covers the retained prefix and totals will undershoot the report.
   std::int64_t dropped = 0;
 };
+
+/// Replays rank r's monitor-origin records through overlap::Replay, closing
+/// at the rank's end time, and hands `sink` every priced transfer (see
+/// replay.hpp for the sink's hooks).  `table_override`, when set, prices
+/// with that table instead of the collector's own.
+template <typename Sink>
+void replayRank(const Collector& c, Rank r, Sink& sink,
+                const overlap::XferTimeTable* table_override = nullptr) {
+  overlap::Replay<typename Sink::Payload> replay(
+      table_override != nullptr ? *table_override : c.table());
+  const TraceRing& ring = c.ring(r);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const Record& rec = ring.at(i);
+    if (!isMonitorOrigin(rec.kind)) continue;
+    replay.consume({static_cast<overlap::EventType>(rec.kind), rec.time,
+                    rec.id, rec.bytes},
+                   sink);
+  }
+  replay.finish(c.endTime(r), sink);
+}
 
 /// Bins rank r's timeline into fixed windows of `window_ns`.  All ranks
 /// share the window grid (anchored at t=0) and the job horizon, so every

@@ -19,6 +19,12 @@ using DurationNs = std::int64_t;
 /// Sentinel "never" timestamp.
 inline constexpr TimeNs kTimeNever = std::numeric_limits<TimeNs>::max();
 
+/// Cap on any time a loader accepts from a file (workload arrivals and
+/// estimates, trace record and end times): 2^50 ns, about 13 days of
+/// virtual time.  Consumers add and subtract such times, and the cap keeps
+/// every such sum far inside TimeNs.
+inline constexpr TimeNs kMaxInputTimeNs = TimeNs{1} << 50;
+
 /// Simulated process (rank) index within a job.
 using Rank = std::int32_t;
 

@@ -2,12 +2,12 @@
 // clocks, the interval index (property-tested against brute force), the
 // happens-before graph, seeded-race and seeded-deadlock detection, the
 // overlap advisor, zero-findings guards over unmodified NAS kernels,
-// CSV-reload parity, JSON determinism, a golden lint fixture, and the
-// --ovprof-lint* flag plumbing.
+// CSV-reload parity, JSON determinism, golden lint fixtures (one synthetic,
+// one over real NAS traces), and the --ovprof-lint* flag plumbing.
 //
-// To regenerate the golden fixture after an intentional format change:
+// To regenerate the golden fixtures after an intentional format change:
 //   OVPROF_REGOLD=1 ./build/tests/lint_test
-// then commit the updated file under tests/golden/.
+// then commit the updated files under tests/golden/.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +27,7 @@
 #include "armci/armci.hpp"
 #include "nas/cg.hpp"
 #include "nas/mg.hpp"
+#include "nas/sp.hpp"
 #include "trace/export.hpp"
 #include "trace/reader.hpp"
 #include "util/flags.hpp"
@@ -501,8 +502,10 @@ TEST(Lint, JsonIsDeterministicAcrossReruns) {
 TEST(Lint, GoldenSyntheticFixture) {
   // Fully synthetic trace combining a deadlock cycle and advisor findings:
   // bit-stable by construction (no simulation timestamps involved).
+  // The deadlock is a self-send nothing matches, recorded by its hook
+  // record alone: monitor records must stay in time order for the overlap
+  // replay, and rank 0's last one is at t=530200.
   trace::Collector c = advisorTrace();
-  c.push(0, rec(RecordKind::CallEnter, 0, 350000));
   c.push(0, rec(RecordKind::SendPost, 0, 350010, 0, /*peer=*/0, 0, 64));
   const analysis::LintResult lr = analysis::runLint(c);
   std::ostringstream os;
@@ -544,6 +547,40 @@ TEST(LintNas, ArmciMgTraceHasNoFindings) {
     EXPECT_NE(d.code, DiagCode::RmaRace) << d.toString();
     EXPECT_NE(d.code, DiagCode::DeadlockCycle) << d.toString();
   }
+}
+
+// The advisor's notes on real traces: CG, SP and one-sided MG at S/4
+// together raise all three advice codes, so this pins every heuristic on
+// the schedules the kernels actually produce, not only on the synthetic
+// fixture above.
+TEST(LintNas, GoldenAdviceOnNasTraces) {
+  const auto traced = [](nas::NasParams& p) {
+    p.cls = nas::Class::S;
+    p.nranks = 4;
+    p.trace.enabled = true;
+  };
+  nas::NasParams cg;
+  traced(cg);
+  nas::SpParams sp;
+  traced(sp);
+  nas::MgParams mg;
+  traced(mg);
+  mg.variant = nas::MgVariant::ArmciNonBlocking;
+  const std::pair<const char*, nas::NasResult> runs[] = {
+      {"cg", nas::runCg(cg)}, {"sp", nas::runSp(sp)}, {"mg", nas::runMg(mg)}};
+  std::ostringstream os;
+  std::string codes;
+  for (const auto& [name, r] : runs) {
+    ASSERT_TRUE(r.verified) << name;
+    ASSERT_NE(r.trace, nullptr) << name;
+    const std::string json = lintJson(*r.trace);
+    os << "--- " << name << " S/4 ---\n" << json;
+    codes += json;
+  }
+  for (const char* code : {"SERIALIZED_TRANSFER", "EARLY_WAIT", "LATE_WAIT"}) {
+    EXPECT_NE(codes.find(code), std::string::npos) << code;
+  }
+  compareOrRegold("lint_nas_advice.txt", os.str());
 }
 
 // ------------------------------------------------------------------ flags

@@ -6,7 +6,9 @@
 //    and the case-2 formulas.
 // 2. Monitor: random-but-valid hook interleavings, with the StreamVerifier
 //    attached, must produce a clean stream and a report whose accumulators
-//    satisfy the same bound invariants.
+//    satisfy the same bound invariants.  Each walk is also recorded into a
+//    trace::Collector, and the offline window pass over that trace must
+//    reproduce the report's totals and call/computation times exactly.
 // 3. The whole stack under injected faults: random lossy fabrics must still
 //    yield verifier-clean runs with sound per-rank reports.
 #include <gtest/gtest.h>
@@ -19,6 +21,8 @@
 #include "mpi/machine.hpp"
 #include "overlap/bounds.hpp"
 #include "overlap/monitor.hpp"
+#include "trace/collector.hpp"
+#include "trace/timeline.hpp"
 #include "util/rng.hpp"
 
 namespace ovp::overlap {
@@ -131,7 +135,8 @@ void checkReport(const Report& r, const std::string& what) {
 }
 
 // Drives one Monitor through a random-but-API-valid hook sequence and
-// checks the verifier stays clean and the report invariants hold.
+// checks the verifier stays clean, the report invariants hold, and the
+// offline window pass over the recorded trace agrees with the report.
 void runMonitorWalk(std::uint64_t seed) {
   util::Rng rng(seed);
   MonitorConfig cfg;
@@ -141,7 +146,15 @@ void runMonitorWalk(std::uint64_t seed) {
   }
   Monitor mon(cfg, /*rank=*/0);
   analysis::StreamVerifier verifier(0);
-  verifier.attach(mon);
+  trace::CollectorConfig tcfg;
+  tcfg.enabled = true;
+  tcfg.ring_capacity = 1u << 12;  // a walk logs well under 1000 events
+  trace::Collector tc(tcfg, /*nranks=*/1);
+  tc.setTable(cfg.table);
+  mon.setEventObserver([&](const Event& e) {
+    verifier.consume(e);
+    tc.onMonitorEvent(0, e);
+  });
 
   TimeNs t = 0;
   const auto tick = [&] { t += 1 + static_cast<DurationNs>(rng.below(5000)); };
@@ -221,6 +234,20 @@ void runMonitorWalk(std::uint64_t seed) {
   verifier.finish(mon.eventsLogged());
   EXPECT_TRUE(verifier.clean()) << "seed " << seed;
   checkReport(r, "seed " + std::to_string(seed));
+
+  tc.setEndTime(0, t);
+  const trace::RankWindows rw = trace::analyzeWindows(tc, 0, msec(1));
+  ASSERT_EQ(rw.dropped, 0) << "seed " << seed;
+  EXPECT_EQ(rw.total.transfers, r.whole.total.transfers) << "seed " << seed;
+  EXPECT_EQ(rw.total.bytes, r.whole.total.bytes) << "seed " << seed;
+  EXPECT_EQ(rw.total.data_transfer_time, r.whole.total.data_transfer_time)
+      << "seed " << seed;
+  EXPECT_EQ(rw.total.min_overlapped, r.whole.total.min_overlapped)
+      << "seed " << seed;
+  EXPECT_EQ(rw.total.max_overlapped, r.whole.total.max_overlapped)
+      << "seed " << seed;
+  EXPECT_EQ(rw.comm_total, r.whole.communication_call_time) << "seed " << seed;
+  EXPECT_EQ(rw.comp_total, r.whole.computation_time) << "seed " << seed;
 }
 
 TEST(MonitorProperty, RandomWalksStayCleanAndSound) {

@@ -1,7 +1,7 @@
 // Tests for src/trace/: ring drop accounting, golden Chrome-JSON/CSV
 // exports, JSON well-formedness, exact window/report reconciliation,
-// bit-identical reruns, the CSV reader's rank/peer validation, round trip
-// and mutation fuzz, cross-rank matching and the critical path, and the
+// bit-identical reruns, the CSV reader's rank/peer/time validation, round
+// trip and mutation fuzz, cross-rank matching and the critical path, and the
 // --ovprof-* flag validation that fronts it all.
 //
 // To regenerate the golden exports after an intentional format change:
@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/lint.hpp"
 #include "line_mutator.hpp"
+#include "model/predict.hpp"
 #include "mpi/machine.hpp"
 #include "nas/mg.hpp"
 #include "net/fault.hpp"
@@ -419,6 +421,68 @@ TEST(TraceReader, RejectsNamedRanksPastTheCap) {
             "line 1: rank 9223372036854775807 outside [0, 1048576)");
 }
 
+// The overlap replay folds each rank's monitor-origin records (CALL_ENTER
+// ... ENABLE) in time order, so one earlier than the rank's previous one
+// fails the load.  Hook and NIC records reach the ring out of order by
+// design and stay unchecked.
+TEST(TraceReader, RejectsMonitorRecordsOutOfTimeOrder) {
+  std::vector<std::string> lines = tracedCsvLines();
+  const auto field = [](const std::string& line, int k) {
+    std::size_t at = 0;
+    for (int i = 0; i < k; ++i) at = line.find(',', at) + 1;
+    return line.substr(at, line.find(',', at) - at);
+  };
+  std::size_t row = 0;
+  while (lines[row].rfind("rank,", 0) != 0) ++row;
+  std::string previous;  // time of rank 0's last monitor-origin record
+  for (++row; row < lines.size(); ++row) {
+    if (field(lines[row], 0) != "0") continue;
+    const std::string kind = field(lines[row], 3);
+    if (kind == "CALL_EXIT" && !previous.empty() &&
+        std::stoll(previous) >= 5000) {
+      break;
+    }
+    trace::RecordKind k{};
+    ASSERT_TRUE(trace::recordKindFromName(kind, k)) << kind;
+    if (trace::isMonitorOrigin(k)) previous = field(lines[row], 2);
+  }
+  ASSERT_LT(row, lines.size());
+  const std::string original = lines[row];
+  const std::string time = std::to_string(std::stoll(previous) - 5000);
+  const std::size_t at = original.find(',', original.find(',') + 1) + 1;
+  lines[row].replace(at, original.find(',', at) - at, time);
+  EXPECT_EQ(readError(lines), "line " + std::to_string(row + 1) +
+                                  ": CALL_EXIT at " + time +
+                                  " ns is earlier than rank 0's previous "
+                                  "monitor record at " + previous + " ns");
+  // A hook record earlier than everything ahead of it stays accepted.
+  lines[row] = original;
+  lines.push_back("0,999,0,RECV_POST,1,-1,0,8,0,0,");
+  EXPECT_EQ(readError(lines), "");
+}
+
+// Every time a trace carries, record or end time, lies in [0, 2^50] ns:
+// the replay's integrals and the window grid then stay far inside TimeNs.
+TEST(TraceReader, RejectsTimesOutsideTheCap) {
+  const std::string cap = std::to_string(kMaxInputTimeNs);
+  std::vector<std::string> lines = tracedCsvLines();
+  const std::string at = "line " + std::to_string(lines.size() + 1) + ": ";
+  lines.push_back("# end_time,0,4611686018427387904");
+  EXPECT_EQ(readError(lines),
+            at + "end time 4611686018427387904 outside [0, " + cap + "]");
+  lines.back() = "# end_time,1," + cap;
+  EXPECT_EQ(readError(lines), "");
+  lines.back() = "1,999,-1,RECV_POST,1,-1,0,8,0,0,";
+  EXPECT_EQ(readError(lines), at + "time -1 outside [0, " + cap + "]");
+  lines.back() = "1,999," + std::to_string(kMaxInputTimeNs + 1) +
+                 ",NIC_TIMEOUT,1,-1,0,0,0,-1,";
+  EXPECT_EQ(readError(lines), at + "time " +
+                                  std::to_string(kMaxInputTimeNs + 1) +
+                                  " outside [0, " + cap + "]");
+  lines.back() = "1,999," + cap + ",NIC_TIMEOUT,1,-1,0,0,0,-1,";
+  EXPECT_EQ(readError(lines), "");
+}
+
 // Live collector -> CSV -> readCsv -> CSV and Chrome JSON: the reloaded
 // exports are the live ones byte for byte.  Lossy one-sided MG carries
 // retransmit, timeout and RMA records; a section name with a comma checks
@@ -467,8 +531,9 @@ TEST(TraceReader, LossyArmciRoundTripIsByteIdentical) {
 }
 
 // Seeded line mutants of a valid trace: the reader never crashes, reports
-// an error exactly when it returns no collector, and what it accepts
-// exports to a CSV it reads back unchanged.
+// an error exactly when it returns no collector, what it accepts exports to
+// a CSV it reads back unchanged, and the offline passes behind it (lint and
+// the what-if replay) run on every accepted mutant.
 TEST(TraceReader, MutatedLinesNeverCrash) {
   const std::vector<std::string> lines = tracedCsvLines();
   int loaded = 0;
@@ -490,6 +555,8 @@ TEST(TraceReader, MutatedLinesNeverCrash) {
     std::ostringstream twice;
     trace::writeCsv(*r2.collector, twice);
     EXPECT_TRUE(once.str() == twice.str()) << "seed " << seed;
+    (void)analysis::runLint(*r.collector);
+    (void)model::whatIf(*r.collector, model::WhatIfConfig{});
   }
   // Both outcomes occur, so neither branch is vacuous.
   EXPECT_GT(loaded, 0);

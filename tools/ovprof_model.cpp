@@ -54,7 +54,7 @@ void printUsage() {
       "                    [--mean-xfer-tol=0.35] [--bounds-tol=40]\n"
       "       ovprof_model whatif TRACE.csv [--xfer-scale=S]\n"
       "                    [--bandwidth-scale=B] [--latency-delta=NS]\n"
-      "                    [--window=NS] [--out=FILE]\n"
+      "                    [--out=FILE]\n"
       "       ovprof_model costs SYMSKEL [--procs=SPEC] [--out=FILE]\n"
       "\n"
       "Fits Extra-P-style performance models (c + a*n^i*log2(n)^j) across a\n"
@@ -229,9 +229,7 @@ int cmdWhatIf(const std::vector<std::string>& inputs,
   cfg.xfer_scale = flags.getDouble("xfer-scale", cfg.xfer_scale);
   cfg.bandwidth_scale = flags.getDouble("bandwidth-scale", cfg.bandwidth_scale);
   cfg.latency_delta = flags.getInt("latency-delta", cfg.latency_delta);
-  cfg.window_ns = flags.getInt("window", cfg.window_ns);
-  if (cfg.xfer_scale < 0.0 || cfg.bandwidth_scale <= 0.0 ||
-      cfg.window_ns <= 0) {
+  if (cfg.xfer_scale < 0.0 || cfg.bandwidth_scale <= 0.0) {
     std::fprintf(stderr, "ovprof_model whatif: bad scenario parameters\n");
     return 2;
   }
@@ -240,12 +238,11 @@ int cmdWhatIf(const std::vector<std::string>& inputs,
   std::ostream* os = openOut(flags, file);
   if (os == nullptr) return 2;
   *os << "{\n";
-  *os << "  \"ovprof_whatif_version\": 1,\n";
+  *os << "  \"ovprof_whatif_version\": 2,\n";
   *os << "  \"xfer_scale\": " << model::jsonNum(cfg.xfer_scale) << ",\n";
   *os << "  \"bandwidth_scale\": " << model::jsonNum(cfg.bandwidth_scale)
       << ",\n";
   *os << "  \"latency_delta\": " << cfg.latency_delta << ",\n";
-  *os << "  \"window_ns\": " << cfg.window_ns << ",\n";
   writeTotals(*os, "baseline", result.baseline);
   *os << ",\n";
   writeTotals(*os, "scenario", result.scenario);

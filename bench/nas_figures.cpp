@@ -9,13 +9,7 @@ overlap::OverlapAccum aggregateSizeClass(
     const std::vector<overlap::Report>& reports, std::size_t cls) {
   overlap::OverlapAccum acc;
   for (const auto& r : reports) {
-    if (cls >= r.whole.by_class.size()) continue;
-    const auto& c = r.whole.by_class[cls];
-    acc.transfers += c.transfers;
-    acc.bytes += c.bytes;
-    acc.data_transfer_time += c.data_transfer_time;
-    acc.min_overlapped += c.min_overlapped;
-    acc.max_overlapped += c.max_overlapped;
+    if (cls < r.whole.by_class.size()) acc += r.whole.by_class[cls];
   }
   return acc;
 }

@@ -1,16 +1,10 @@
 #include "armci/armci.hpp"
 
 #include <cassert>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 
-#include <algorithm>
-#include <mutex>
-
-#include "analysis/stream_verifier.hpp"
 #include "mpi/config.hpp"  // analyticTable
-#include "trace/net_tap.hpp"
 
 namespace ovp::armci {
 
@@ -497,101 +491,6 @@ const overlap::Report& Armci::finalizeReport() {
   return monitor_->report(ctx_.now());
 }
 
-ArmciMachine::ArmciMachine(ArmciJobConfig cfg) : cfg_(std::move(cfg)) {}
-
-void ArmciMachine::run(const std::function<void(Armci&)>& rankMain) {
-  net::Fabric fabric(engine_, cfg_.fabric, cfg_.nranks);
-  // Collectives keep owner-local state and talk over the NIC, so ARMCI
-  // jobs parallelize like MPI ones, lossy fabric included.
-  engine_.setWorkers(cfg_.workers);
-  auto barrier = std::make_shared<SharedBarrier>(cfg_.nranks);
-  reports_.assign(
-      cfg_.armci.instrument ? static_cast<std::size_t>(cfg_.nranks) : 0,
-      overlap::Report{});
-  diagnostics_.clear();
-  trace_.reset();
-  std::unique_ptr<trace::NetTap> tap;
-  if (cfg_.trace.enabled) {
-    trace_ = std::make_shared<trace::Collector>(cfg_.trace, cfg_.nranks);
-    trace_->setTable(cfg_.armci.monitor.table.empty()
-                         ? mpi::analyticTable(cfg_.fabric)
-                         : cfg_.armci.monitor.table);
-    tap = std::make_unique<trace::NetTap>(*trace_);
-    fabric.setObserver(tap.get());
-  }
-  std::mutex reports_mu;
-  engine_.run(cfg_.nranks, [&](sim::Context& ctx) {
-    Armci armci(ctx, fabric, cfg_.armci, barrier);
-    if (trace_) armci.setTraceSink(trace_.get());
-    std::unique_ptr<analysis::StreamVerifier> verifier;
-    std::unique_ptr<analysis::UsageChecker> checker;
-    if (cfg_.armci.verify) {
-      if (armci.monitor() != nullptr) {
-        verifier = std::make_unique<analysis::StreamVerifier>(ctx.rank());
-      }
-      checker = std::make_unique<analysis::UsageChecker>(ctx.rank());
-      checker->setClock([cx = &ctx]() { return cx->now(); });
-      armci.setUsageChecker(checker.get());
-    }
-    if (overlap::Monitor* mon = armci.monitor();
-        mon != nullptr && (verifier || trace_)) {
-      analysis::StreamVerifier* v = verifier.get();
-      trace::Collector* tc = trace_.get();
-      const Rank r = ctx.rank();
-      mon->setEventObserver(
-          [mon, v, tc, r](const overlap::Event& e) {
-            if (v != nullptr) v->consume(e);
-            if (tc != nullptr) {
-              if (e.type == overlap::EventType::SectionBegin) {
-                tc->noteSectionName(
-                    r, e.id,
-                    mon->sectionName(static_cast<overlap::SectionId>(e.id)));
-              }
-              tc->onMonitorEvent(r, e);
-            }
-          },
-          trace_ ? cfg_.trace.record_cost : 0);
-    }
-    rankMain(armci);
-    if (armci.instrumented()) {
-      const overlap::Report& r = armci.finalizeReport();
-      std::lock_guard<std::mutex> lock(reports_mu);
-      reports_[static_cast<std::size_t>(ctx.rank())] = r;
-    }
-    if (trace_) trace_->setEndTime(ctx.rank(), ctx.now());
-    if (checker) checker->onFinalize("ARMCI_Finalize");
-    if (verifier) {
-      verifier->finish(armci.monitor() != nullptr
-                           ? armci.monitor()->eventsLogged()
-                           : -1);
-    }
-    if (verifier || checker) {
-      std::lock_guard<std::mutex> lock(reports_mu);
-      if (verifier) {
-        for (const auto& d : verifier->diagnostics()) diagnostics_.push_back(d);
-      }
-      if (checker) {
-        for (const auto& d : checker->diagnostics()) diagnostics_.push_back(d);
-      }
-    }
-  });
-  fault_totals_ = overlap::FaultStats{};
-  if (fabric.faultEnabled()) {
-    for (overlap::Report& r : reports_) {
-      r.faults.assignFrom(fabric.nic(r.rank).faultCounters());
-    }
-    fault_totals_.assignFrom(fabric.faultTotals());
-  }
-  if (!diagnostics_.empty()) {
-    std::stable_sort(
-        diagnostics_.begin(), diagnostics_.end(),
-        [](const analysis::Diagnostic& a, const analysis::Diagnostic& b) {
-          return a.rank < b.rank;
-        });
-    for (const analysis::Diagnostic& d : diagnostics_) {
-      std::fprintf(stderr, "ovprof-verify: %s\n", d.toString().c_str());
-    }
-  }
-}
-
 }  // namespace ovp::armci
+
+template class ovp::mpi::BasicMachine<ovp::armci::ArmciJob>;

@@ -12,7 +12,9 @@
 //
 // The same overlap::Monitor instruments this library, demonstrating the
 // framework's claim of working for both two-sided (MPI) and one-sided
-// (ARMCI) models.
+// (ARMCI) models, and the same job runner runs it: ArmciMachine is
+// mpi::BasicMachine over ArmciJob, which contributes only how a rank builds
+// its Armci, the job's SharedBarrier and the name ARMCI_Finalize.
 #pragma once
 
 #include <functional>
@@ -26,6 +28,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/usage_checker.hpp"
+#include "mpi/machine.hpp"
 #include "net/nic.hpp"
 #include "overlap/monitor.hpp"
 #include "sim/engine.hpp"
@@ -232,7 +235,6 @@ class Armci {
   std::map<std::int64_t, double> reduce_results_;
 };
 
-/// Cluster-of-ARMCI-processes job runner, mirroring mpi::Machine.
 struct ArmciJobConfig {
   int nranks = 2;
   net::FabricParams fabric;
@@ -243,37 +245,30 @@ struct ArmciJobConfig {
   int workers = 1;
 };
 
-class ArmciMachine {
- public:
-  explicit ArmciMachine(ArmciJobConfig cfg);
-  void run(const std::function<void(Armci&)>& rankMain);
-  [[nodiscard]] TimeNs finishTime() const { return engine_.finishTime(); }
-  [[nodiscard]] const std::vector<overlap::Report>& reports() const {
-    return reports_;
-  }
-  /// Analysis-layer findings (empty unless cfg.armci.verify).
-  [[nodiscard]] const std::vector<analysis::Diagnostic>& diagnostics() const {
-    return diagnostics_;
-  }
-  /// Job-wide fault/reliability counters of the last run (all zero unless
-  /// cfg.fabric.fault was enabled).
-  [[nodiscard]] const overlap::FaultStats& faultTotals() const {
-    return fault_totals_;
-  }
+/// ARMCI's part of a job (see mpi::BasicMachine): every rank's Armci shares
+/// the job's collective-memory registry.
+struct ArmciJob {
+  using Library = Armci;
+  using Config = ArmciJobConfig;
+  using Shared = std::shared_ptr<SharedBarrier>;
+  static constexpr std::string_view kFinalize = "ARMCI_Finalize";
 
-  /// Trace collector of the last run (null unless cfg.trace.enabled).
-  [[nodiscard]] const std::shared_ptr<trace::Collector>& traceCollector()
-      const {
-    return trace_;
+  static const ArmciConfig& library(const ArmciJobConfig& c) {
+    return c.armci;
   }
-
- private:
-  ArmciJobConfig cfg_;
-  sim::Engine engine_;
-  std::vector<overlap::Report> reports_;
-  std::vector<analysis::Diagnostic> diagnostics_;
-  overlap::FaultStats fault_totals_;
-  std::shared_ptr<trace::Collector> trace_;
+  static Shared share(int nranks) {
+    return std::make_shared<SharedBarrier>(nranks);
+  }
+  static Armci make(sim::Context& ctx, net::Fabric& fabric,
+                    const ArmciJobConfig& c, const Shared& shared) {
+    return Armci(ctx, fabric, c.armci, shared);
+  }
 };
 
+/// Cluster-of-ARMCI-processes job runner: mpi::Machine's runner over
+/// ArmciJob.
+using ArmciMachine = mpi::BasicMachine<ArmciJob>;
+
 }  // namespace ovp::armci
+
+extern template class ovp::mpi::BasicMachine<ovp::armci::ArmciJob>;

@@ -102,11 +102,7 @@ void addRatioRow(EvalResult& out, const ModelSet& models, const RunSample& run,
 WhatIfTotals sumRanks(const std::vector<trace::RankWindows>& per_rank) {
   WhatIfTotals t;
   for (const trace::RankWindows& rw : per_rank) {
-    t.accum.transfers += rw.total.transfers;
-    t.accum.bytes += rw.total.bytes;
-    t.accum.data_transfer_time += rw.total.data_transfer_time;
-    t.accum.min_overlapped += rw.total.min_overlapped;
-    t.accum.max_overlapped += rw.total.max_overlapped;
+    t.accum += rw.total;
     t.comm_time += rw.comm_total;
     t.comp_time += rw.comp_total;
   }

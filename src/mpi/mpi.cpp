@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "trace/collector.hpp"
+
 namespace ovp::mpi {
 
 using net::Packet;
@@ -135,9 +137,6 @@ void Mpi::compute(DurationNs d) { ctx_.compute(d); }
 
 void Mpi::stampXferBegin(TransferId& id_out, Bytes size) {
   if (size > 0 && hooks_.on_xfer_begin) hooks_.on_xfer_begin(ctx_.now(), size);
-  if (size > 0 && trace_hooks_.on_xfer_begin) {
-    trace_hooks_.on_xfer_begin(ctx_.now(), size);
-  }
   if (!monitor_ || size <= 0) {
     id_out = kInvalidTransfer;
     return;
@@ -149,39 +148,44 @@ void Mpi::stampXferBegin(TransferId& id_out, Bytes size) {
 
 void Mpi::stampXferEnd(TransferId id) {
   if (hooks_.on_xfer_end) hooks_.on_xfer_end(ctx_.now());
-  if (trace_hooks_.on_xfer_end) trace_hooks_.on_xfer_end(ctx_.now());
   if (!monitor_ || id == kInvalidTransfer) return;
   ctx_.advance(monitor_->xferEnd(ctx_.now(), id));
 }
 
 void Mpi::stampXferEndUnmatched(Bytes size) {
   if (size > 0 && hooks_.on_xfer_end) hooks_.on_xfer_end(ctx_.now());
-  if (size > 0 && trace_hooks_.on_xfer_end) {
-    trace_hooks_.on_xfer_end(ctx_.now());
-  }
   if (!monitor_ || size <= 0) return;
   ctx_.advance(monitor_->xferEndUnmatched(ctx_.now(), size));
 }
 
 void Mpi::notifyMatch(Rank source, int tag, Bytes bytes) {
   if (hooks_.on_match) hooks_.on_match(ctx_.now(), source, tag, bytes);
-  if (trace_hooks_.on_match) {
-    trace_hooks_.on_match(ctx_.now(), source, tag, bytes);
-  }
+  traceP2p(trace::RecordKind::Match, source, tag, bytes);
 }
 
 void Mpi::notifySendPost(Rank dst, int tag, Bytes bytes) {
   if (hooks_.on_send_post) hooks_.on_send_post(ctx_.now(), dst, tag, bytes);
-  if (trace_hooks_.on_send_post) {
-    trace_hooks_.on_send_post(ctx_.now(), dst, tag, bytes);
-  }
+  traceP2p(trace::RecordKind::SendPost, dst, tag, bytes);
 }
 
 void Mpi::notifyRecvPost(Rank source, int tag, Bytes bytes) {
   if (hooks_.on_recv_post) hooks_.on_recv_post(ctx_.now(), source, tag, bytes);
-  if (trace_hooks_.on_recv_post) {
-    trace_hooks_.on_recv_post(ctx_.now(), source, tag, bytes);
-  }
+  traceP2p(trace::RecordKind::RecvPost, source, tag, bytes);
+}
+
+/// One matching-stream record, charged to the rank exactly where a real
+/// tool's callback would run.
+void Mpi::traceP2p(trace::RecordKind kind, Rank peer, int tag, Bytes bytes) {
+  if (trace_sink_ == nullptr) return;
+  trace::Record rec;
+  rec.kind = kind;
+  rec.rank = ctx_.rank();
+  rec.peer = peer;
+  rec.tag = tag;
+  rec.time = ctx_.now();
+  rec.bytes = bytes;
+  trace_sink_->push(ctx_.rank(), rec);
+  ctx_.advance(trace_sink_->config().record_cost);
 }
 
 // -------------------------------------------------------------- progress

@@ -18,6 +18,10 @@
 //     itself with CALL_ENTER/CALL_EXIT; protocol code stamps
 //     XFER_BEGIN/XFER_END exactly where a real port would (post of a
 //     work request carrying user bytes / poll that detects its completion).
+//     The same points feed two optional observers: the application's
+//     PERUSE-style hooks (setHooks) and, in a traced job, the trace
+//     collector (setTraceSink), to which the library pushes its own
+//     send-post, recv-post and match records, as Armci does its RMA ones.
 #pragma once
 
 #include <deque>
@@ -34,7 +38,12 @@
 #include "net/nic.hpp"
 #include "overlap/monitor.hpp"
 #include "sim/engine.hpp"
+#include "trace/record.hpp"
 #include "util/types.hpp"
+
+namespace ovp::trace {
+class Collector;
+}  // namespace ovp::trace
 
 namespace ovp::mpi {
 
@@ -108,10 +117,11 @@ class Mpi {
   /// Registers PERUSE-style external callbacks (see mpi/hooks.hpp).
   void setHooks(EventHooks hooks) { hooks_ = std::move(hooks); }
 
-  /// Second, framework-internal hook slot used by the trace collector so it
-  /// never competes with application-installed hooks.  Both sets fire at
-  /// every instrumentation point (application hooks first).
-  void setTraceHooks(EventHooks hooks) { trace_hooks_ = std::move(hooks); }
+  /// Attaches the job's trace collector (not owned; may be null).  With a
+  /// sink installed the library pushes SEND_POST, RECV_POST and MATCH
+  /// records — the cross-rank matching stream — and charges the per-record
+  /// cost, right after the application's hooks at the same points.
+  void setTraceSink(trace::Collector* sink) { trace_sink_ = sink; }
 
   /// Attaches a library-misuse checker (not owned; may be null).  The
   /// library notifies it of request lifecycle and section marker calls.
@@ -152,22 +162,16 @@ class Mpi {
   // is fine — the Monitor and the hooks act only at the outermost level.
   struct CallGuard {
     explicit CallGuard(Mpi& m) : m_(m) {
-      if (m_.hook_call_depth_++ == 0) {
-        if (m_.hooks_.on_call_enter) m_.hooks_.on_call_enter(m_.ctx_.now());
-        if (m_.trace_hooks_.on_call_enter) {
-          m_.trace_hooks_.on_call_enter(m_.ctx_.now());
-        }
+      if (m_.hook_call_depth_++ == 0 && m_.hooks_.on_call_enter) {
+        m_.hooks_.on_call_enter(m_.ctx_.now());
       }
       if (m_.monitor_) m_.ctx_.advance(m_.monitor_->callEnter(m_.ctx_.now()));
       m_.ctx_.advance(m_.cfg_.call_overhead);
     }
     ~CallGuard() {
       if (m_.monitor_) m_.ctx_.advance(m_.monitor_->callExit(m_.ctx_.now()));
-      if (--m_.hook_call_depth_ == 0) {
-        if (m_.hooks_.on_call_exit) m_.hooks_.on_call_exit(m_.ctx_.now());
-        if (m_.trace_hooks_.on_call_exit) {
-          m_.trace_hooks_.on_call_exit(m_.ctx_.now());
-        }
+      if (--m_.hook_call_depth_ == 0 && m_.hooks_.on_call_exit) {
+        m_.hooks_.on_call_exit(m_.ctx_.now());
       }
     }
     CallGuard(const CallGuard&) = delete;
@@ -205,10 +209,12 @@ class Mpi {
   void stampXferEnd(TransferId id);
   void stampXferEndUnmatched(Bytes size);
 
-  // hook fan-out: fires the application hook set then the trace set
+  // matching-point notifications: the application hook, then the trace
+  // record (each a no-op when absent)
   void notifyMatch(Rank source, int tag, Bytes bytes);
   void notifySendPost(Rank dst, int tag, Bytes bytes);
   void notifyRecvPost(Rank source, int tag, Bytes bytes);
+  void traceP2p(trace::RecordKind kind, Rank peer, int tag, Bytes bytes);
 
   /// Global engine rank acting as job-local rank `local` (identity without
   /// a group).  Applied exactly where protocol code targets the fabric.
@@ -224,8 +230,8 @@ class Mpi {
   int lsize_ = 0;   // job size (group size, or world size)
   std::unique_ptr<overlap::Monitor> monitor_;
   EventHooks hooks_;
-  EventHooks trace_hooks_;
   analysis::UsageChecker* checker_ = nullptr;
+  trace::Collector* trace_sink_ = nullptr;
   int hook_call_depth_ = 0;
 
   // Matching structures.

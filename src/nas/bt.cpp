@@ -5,6 +5,8 @@
 #include <cstring>
 #include <vector>
 
+#include "nas/class_tables.hpp"
+
 namespace ovp::nas {
 
 namespace {
@@ -12,22 +14,7 @@ namespace {
 constexpr int kB = 5;           // block dimension
 constexpr int kBB = kB * kB;    // doubles per block
 
-struct BtSizes {
-  int nx, ny, nz, niter;
-};
-
-BtSizes sizesFor(Class c) {
-  switch (c) {
-    case Class::S: return {24, 24, 12, 2};
-    case Class::A: return {36, 36, 16, 3};
-    case Class::B: return {48, 48, 24, 3};
-  }
-  return {24, 24, 12, 2};
-}
-
-constexpr int kTagFace = 400;
-constexpr int kTagFwdX = 410, kTagBwdX = 411;
-constexpr int kTagFwdY = 412, kTagBwdY = 413;
+using namespace tables::bt;  // NOLINT(google-build-using-namespace)
 
 using Block = std::array<double, kBB>;  // row-major 5x5
 using Vec5 = std::array<double, kB>;
@@ -121,15 +108,10 @@ Block offBlock() {
   return b;
 }
 
-/// Line-boundary payloads: forward passes the normalized upper block Ĉ
-/// (25) + rhs (5); backward passes the first local solution vector (5).
-constexpr int kFwdDoubles = kBB + kB;
-constexpr int kBwdDoubles = kB;
-
 }  // namespace
 
 NasResult runBt(const NasParams& params) {
-  const BtSizes sz = sizesFor(params.cls);
+  const tables::GridSizes sz = sizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const Grid2D pg = factor2d(params.nranks);
   if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {

@@ -1,9 +1,12 @@
-// Problem-class tables of the rank-symbolic skeleton builders
-// (symbolic.cpp), plus the element sizes the unrolled LU/SP/BT builders
-// (skeletons.cpp) also price messages with.
+// Problem-class tables and message tags of the NAS kernels' skeletons.
 //
-// The executable kernels keep their own copies on purpose; the per-kernel
-// trace-conformance ctests tie those to these.
+// CG, EP, IS, FT and MG: read by the rank-symbolic skeleton builders
+// (symbolic.cpp).  Their executable kernels keep their own copies on
+// purpose; the per-kernel trace-conformance ctests tie those to these.
+//
+// LU, SP and BT: read by both the executable kernels (lu.cpp, sp.cpp,
+// bt.cpp) and their unrolled skeleton builders (skeletons.cpp), so the
+// skeleton describes exactly the iterations and messages the kernel runs.
 #pragma once
 
 #include <cstdint>
@@ -81,5 +84,66 @@ struct MgSizes {
 }
 inline constexpr int kMgTagExch = 500;  // + level*8 + dir
 inline constexpr int kMgCoarseSweeps = 4;
+
+// ---- LU, SP, BT (2-D process grid over nx x ny, nz planes) ----
+struct GridSizes {
+  int nx, ny, nz, niter;
+};
+/// Solution components per grid point, like NPB LU/SP/BT (BT's 5x5 block).
+inline constexpr int kNcomp = 5;
+
+namespace lu {
+[[nodiscard]] constexpr GridSizes sizes(Class c) {
+  switch (c) {
+    case Class::S: return {16, 16, 8, 3};
+    case Class::A: return {32, 32, 16, 4};
+    case Class::B: return {48, 48, 24, 4};
+  }
+  return {16, 16, 8, 3};
+}
+inline constexpr int kTagFaceW = 200, kTagFaceN = 201;
+inline constexpr int kTagSweepCol = 210;  // west->east boundary columns
+inline constexpr int kTagSweepRow = 211;  // north->south boundary rows
+inline constexpr int kTagBackCol = 212;   // east->west
+inline constexpr int kTagBackRow = 213;   // south->north
+}  // namespace lu
+
+namespace sp {
+[[nodiscard]] constexpr GridSizes sizes(Class c) {
+  switch (c) {
+    case Class::S: return {24, 24, 16, 3};
+    case Class::A: return {48, 48, 48, 3};
+    case Class::B: return {72, 72, 48, 3};
+  }
+  return {24, 24, 16, 3};
+}
+inline constexpr int kTagFace = 300;
+// Per-stage tags: stage index is added to the base (stages < 30).
+inline constexpr int kTagFwdX = 310, kTagBwdX = 340;
+inline constexpr int kTagFwdY = 370, kTagBwdY = 400;
+/// Forward-elimination boundary state per line: the two most recent
+/// normalized rows (d, e, r[5] each) -> 14 doubles.
+inline constexpr int kFwdDoubles = 2 * (2 + kNcomp);
+/// Back-substitution boundary: the two downstream solution points -> 10.
+inline constexpr int kBwdDoubles = 2 * kNcomp;
+}  // namespace sp
+
+namespace bt {
+[[nodiscard]] constexpr GridSizes sizes(Class c) {
+  switch (c) {
+    case Class::S: return {24, 24, 12, 2};
+    case Class::A: return {36, 36, 16, 3};
+    case Class::B: return {48, 48, 24, 3};
+  }
+  return {24, 24, 12, 2};
+}
+inline constexpr int kTagFace = 400;
+inline constexpr int kTagFwdX = 410, kTagBwdX = 411;
+inline constexpr int kTagFwdY = 412, kTagBwdY = 413;
+/// Line-boundary payloads: forward passes the normalized upper block Ĉ
+/// (5x5) + rhs (5); backward passes the first local solution vector (5).
+inline constexpr int kFwdDoubles = kNcomp * kNcomp + kNcomp;
+inline constexpr int kBwdDoubles = kNcomp;
+}  // namespace bt
 
 }  // namespace ovp::nas::tables

@@ -9,13 +9,7 @@ namespace ovp::nas {
 overlap::OverlapAccum aggregateWhole(
     const std::vector<overlap::Report>& reports) {
   overlap::OverlapAccum acc;
-  for (const auto& r : reports) {
-    acc.transfers += r.whole.total.transfers;
-    acc.bytes += r.whole.total.bytes;
-    acc.data_transfer_time += r.whole.total.data_transfer_time;
-    acc.min_overlapped += r.whole.total.min_overlapped;
-    acc.max_overlapped += r.whole.total.max_overlapped;
-  }
+  for (const auto& r : reports) acc += r.whole.total;
   return acc;
 }
 
@@ -23,13 +17,9 @@ overlap::OverlapAccum aggregateSection(
     const std::vector<overlap::Report>& reports, std::string_view name) {
   overlap::OverlapAccum acc;
   for (const auto& r : reports) {
-    const overlap::SectionReport* s = r.findSection(name);
-    if (s == nullptr) continue;
-    acc.transfers += s->total.transfers;
-    acc.bytes += s->total.bytes;
-    acc.data_transfer_time += s->total.data_transfer_time;
-    acc.min_overlapped += s->total.min_overlapped;
-    acc.max_overlapped += s->total.max_overlapped;
+    if (const overlap::SectionReport* s = r.findSection(name)) {
+      acc += s->total;
+    }
   }
   return acc;
 }

@@ -3,35 +3,19 @@
 #include <cmath>
 #include <vector>
 
+#include "nas/class_tables.hpp"
+
 namespace ovp::nas {
 
 namespace {
 
-constexpr int kNcomp = 5;  // components per grid point, like NPB LU
-
-struct LuSizes {
-  int nx, ny, nz, niter;
-};
-
-LuSizes sizesFor(Class c) {
-  switch (c) {
-    case Class::S: return {16, 16, 8, 3};
-    case Class::A: return {32, 32, 16, 4};
-    case Class::B: return {48, 48, 24, 4};
-  }
-  return {16, 16, 8, 3};
-}
-
-constexpr int kTagFaceW = 200, kTagFaceN = 201;
-constexpr int kTagSweepCol = 210;  // west->east boundary columns
-constexpr int kTagSweepRow = 211;  // north->south boundary rows
-constexpr int kTagBackCol = 212;   // east->west
-constexpr int kTagBackRow = 213;   // south->north
+using tables::kNcomp;
+using namespace tables::lu;  // NOLINT(google-build-using-namespace)
 
 }  // namespace
 
 NasResult runLu(const NasParams& params) {
-  const LuSizes sz = sizesFor(params.cls);
+  const tables::GridSizes sz = sizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const Grid2D pg = factor2d(params.nranks);
   if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {

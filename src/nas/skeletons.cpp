@@ -15,6 +15,7 @@ namespace {
 using skel::Builder;
 using skel::RankBuilder;
 using tables::kD;
+using tables::kNcomp;
 
 SkeletonBuildResult fail(std::string why) {
   SkeletonBuildResult r;
@@ -47,26 +48,9 @@ SkeletonBuildResult instantiateSymbolic(const std::string& kernel,
 
 // ---------------------------------------------------------------- LU ----
 
-struct LuSizes {
-  int nx, ny, nz, niter;
-};
-
-LuSizes luSizes(Class c) {
-  switch (c) {
-    case Class::S: return {16, 16, 8, 3};
-    case Class::A: return {32, 32, 16, 3};
-    case Class::B: return {48, 48, 24, 3};
-  }
-  return {16, 16, 8, 3};
-}
-
-constexpr int kLuTagFaceW = 200, kLuTagFaceN = 201;
-constexpr int kLuTagSweepCol = 210, kLuTagSweepRow = 211;
-constexpr int kLuTagBackCol = 212, kLuTagBackRow = 213;
-constexpr int kNcomp = 5;
-
 SkeletonBuildResult buildLu(const SkeletonParams& p) {
-  const LuSizes sz = luSizes(p.cls);
+  using namespace tables::lu;  // NOLINT(google-build-using-namespace)
+  const tables::GridSizes sz = sizes(p.cls);
   const int niter = p.iterations > 0 ? p.iterations : sz.niter;
   const int P = p.nranks;
   const Grid2D pg = factor2d(P);
@@ -88,14 +72,14 @@ SkeletonBuildResult buildLu(const SkeletonParams& p) {
     auto exchangeFaces = [&] {
       rb.site("lu.exchange");
       std::vector<int> reqs;
-      if (west >= 0) reqs.push_back(rb.irecv(west, kLuTagFaceW, fx * kD));
-      if (east >= 0) reqs.push_back(rb.irecv(east, kLuTagFaceW, fx * kD));
-      if (north >= 0) reqs.push_back(rb.irecv(north, kLuTagFaceN, fy * kD));
-      if (south >= 0) reqs.push_back(rb.irecv(south, kLuTagFaceN, fy * kD));
-      if (west >= 0) reqs.push_back(rb.isend(west, kLuTagFaceW, fx * kD));
-      if (east >= 0) reqs.push_back(rb.isend(east, kLuTagFaceW, fx * kD));
-      if (north >= 0) reqs.push_back(rb.isend(north, kLuTagFaceN, fy * kD));
-      if (south >= 0) reqs.push_back(rb.isend(south, kLuTagFaceN, fy * kD));
+      if (west >= 0) reqs.push_back(rb.irecv(west, kTagFaceW, fx * kD));
+      if (east >= 0) reqs.push_back(rb.irecv(east, kTagFaceW, fx * kD));
+      if (north >= 0) reqs.push_back(rb.irecv(north, kTagFaceN, fy * kD));
+      if (south >= 0) reqs.push_back(rb.irecv(south, kTagFaceN, fy * kD));
+      if (west >= 0) reqs.push_back(rb.isend(west, kTagFaceW, fx * kD));
+      if (east >= 0) reqs.push_back(rb.isend(east, kTagFaceW, fx * kD));
+      if (north >= 0) reqs.push_back(rb.isend(north, kTagFaceN, fy * kD));
+      if (south >= 0) reqs.push_back(rb.isend(south, kTagFaceN, fy * kD));
       rb.compute(p.cost.flops(4LL * (fx + fy)));
       rb.waitall(std::move(reqs));
       rb.compute(p.cost.flops(2LL * (fx + fy)));
@@ -111,8 +95,8 @@ SkeletonBuildResult buildLu(const SkeletonParams& p) {
       const Rank dn_x = forward ? east : west;
       const Rank up_y = forward ? north : south;
       const Rank dn_y = forward ? south : north;
-      const int ctag = forward ? kLuTagSweepCol : kLuTagBackCol;
-      const int rtag = forward ? kLuTagSweepRow : kLuTagBackRow;
+      const int ctag = forward ? kTagSweepCol : kTagBackCol;
+      const int rtag = forward ? kTagSweepRow : kTagBackRow;
       for (int k = 0; k < nz; ++k) {
         if (up_x >= 0) rb.recv(up_x, ctag, col * kD);
         if (up_y >= 0) rb.recv(up_y, rtag, row * kD);
@@ -137,27 +121,11 @@ SkeletonBuildResult buildLu(const SkeletonParams& p) {
 
 // ---------------------------------------------------------------- SP ----
 
-struct SpSizes {
-  int nx, ny, nz, niter;
-};
-
-SpSizes spSizes(Class c) {
-  switch (c) {
-    case Class::S: return {24, 24, 16, 3};
-    case Class::A: return {48, 48, 48, 3};
-    case Class::B: return {72, 72, 48, 3};
-  }
-  return {24, 24, 16, 3};
-}
-
-constexpr int kSpTagFace = 300;
-constexpr int kSpTagFwdX = 310, kSpTagBwdX = 340;
-constexpr int kSpTagFwdY = 370, kSpTagBwdY = 400;
 constexpr int kSpStages = 3;  // SpParams::stages default (nas_run)
-constexpr int kFwdDoubles = 14, kBwdDoubles = 10;
 
 SkeletonBuildResult buildSp(const SkeletonParams& p) {
-  const SpSizes sz = spSizes(p.cls);
+  using namespace tables::sp;  // NOLINT(google-build-using-namespace)
+  const tables::GridSizes sz = sizes(p.cls);
   const int niter = p.iterations > 0 ? p.iterations : sz.niter;
   const int P = p.nranks;
   const Grid2D pg = factor2d(P);
@@ -181,14 +149,14 @@ SkeletonBuildResult buildSp(const SkeletonParams& p) {
     auto copyFaces = [&] {
       rb.site("sp.copy_faces");
       std::vector<int> reqs;
-      if (west >= 0) reqs.push_back(rb.irecv(west, kSpTagFace, xface * kD));
-      if (east >= 0) reqs.push_back(rb.irecv(east, kSpTagFace, xface * kD));
-      if (north >= 0) reqs.push_back(rb.irecv(north, kSpTagFace, yface * kD));
-      if (south >= 0) reqs.push_back(rb.irecv(south, kSpTagFace, yface * kD));
-      if (west >= 0) reqs.push_back(rb.isend(west, kSpTagFace, xface * kD));
-      if (east >= 0) reqs.push_back(rb.isend(east, kSpTagFace, xface * kD));
-      if (north >= 0) reqs.push_back(rb.isend(north, kSpTagFace, yface * kD));
-      if (south >= 0) reqs.push_back(rb.isend(south, kSpTagFace, yface * kD));
+      if (west >= 0) reqs.push_back(rb.irecv(west, kTagFace, xface * kD));
+      if (east >= 0) reqs.push_back(rb.irecv(east, kTagFace, xface * kD));
+      if (north >= 0) reqs.push_back(rb.irecv(north, kTagFace, yface * kD));
+      if (south >= 0) reqs.push_back(rb.irecv(south, kTagFace, yface * kD));
+      if (west >= 0) reqs.push_back(rb.isend(west, kTagFace, xface * kD));
+      if (east >= 0) reqs.push_back(rb.isend(east, kTagFace, xface * kD));
+      if (north >= 0) reqs.push_back(rb.isend(north, kTagFace, yface * kD));
+      if (south >= 0) reqs.push_back(rb.isend(south, kTagFace, yface * kD));
       rb.compute(p.cost.flops(2LL * (xface + yface)));
       rb.waitall(std::move(reqs));
       rb.compute(p.cost.flops(2LL * (xface + yface)));
@@ -304,9 +272,9 @@ SkeletonBuildResult buildSp(const SkeletonParams& p) {
       rb.site("sp.rhs");
       rb.compute(p.cost.flops(25 * bp * kNcomp));
       normOf();
-      directional("sp.x_solve", west, east, kSpTagFwdX, kSpTagBwdX,
+      directional("sp.x_solve", west, east, kTagFwdX, kTagBwdX,
                   lny * nz, lnx);
-      directional("sp.y_solve", north, south, kSpTagFwdY, kSpTagBwdY,
+      directional("sp.y_solve", north, south, kTagFwdY, kTagBwdY,
                   lnx * nz, lny);
       directional("sp.z_solve", -1, -1, 0, 0, lnx * lny, nz);
       normOf();
@@ -320,26 +288,9 @@ SkeletonBuildResult buildSp(const SkeletonParams& p) {
 
 // ---------------------------------------------------------------- BT ----
 
-struct BtSizes {
-  int nx, ny, nz, niter;
-};
-
-BtSizes btSizes(Class c) {
-  switch (c) {
-    case Class::S: return {24, 24, 12, 2};
-    case Class::A: return {36, 36, 16, 3};
-    case Class::B: return {48, 48, 24, 3};
-  }
-  return {24, 24, 12, 2};
-}
-
-constexpr int kBtTagFace = 400;
-constexpr int kBtTagFwdX = 410, kBtTagBwdX = 411;
-constexpr int kBtTagFwdY = 412, kBtTagBwdY = 413;
-constexpr int kBtFwdDoubles = 30, kBtBwdDoubles = 5;  // 5x5 block + rhs / rhs
-
 SkeletonBuildResult buildBt(const SkeletonParams& p) {
-  const BtSizes sz = btSizes(p.cls);
+  using namespace tables::bt;  // NOLINT(google-build-using-namespace)
+  const tables::GridSizes sz = sizes(p.cls);
   const int niter = p.iterations > 0 ? p.iterations : sz.niter;
   const int P = p.nranks;
   const Grid2D pg = factor2d(P);
@@ -363,14 +314,14 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
     auto copyFaces = [&] {
       rb.site("bt.copy_faces");
       std::vector<int> reqs;
-      if (west >= 0) reqs.push_back(rb.irecv(west, kBtTagFace, xface * kD));
-      if (east >= 0) reqs.push_back(rb.irecv(east, kBtTagFace, xface * kD));
-      if (north >= 0) reqs.push_back(rb.irecv(north, kBtTagFace, yface * kD));
-      if (south >= 0) reqs.push_back(rb.irecv(south, kBtTagFace, yface * kD));
-      if (west >= 0) reqs.push_back(rb.isend(west, kBtTagFace, xface * kD));
-      if (east >= 0) reqs.push_back(rb.isend(east, kBtTagFace, xface * kD));
-      if (north >= 0) reqs.push_back(rb.isend(north, kBtTagFace, yface * kD));
-      if (south >= 0) reqs.push_back(rb.isend(south, kBtTagFace, yface * kD));
+      if (west >= 0) reqs.push_back(rb.irecv(west, kTagFace, xface * kD));
+      if (east >= 0) reqs.push_back(rb.irecv(east, kTagFace, xface * kD));
+      if (north >= 0) reqs.push_back(rb.irecv(north, kTagFace, yface * kD));
+      if (south >= 0) reqs.push_back(rb.irecv(south, kTagFace, yface * kD));
+      if (west >= 0) reqs.push_back(rb.isend(west, kTagFace, xface * kD));
+      if (east >= 0) reqs.push_back(rb.isend(east, kTagFace, xface * kD));
+      if (north >= 0) reqs.push_back(rb.isend(north, kTagFace, yface * kD));
+      if (south >= 0) reqs.push_back(rb.isend(south, kTagFace, yface * kD));
       rb.compute(p.cost.flops(2LL * (xface + yface)));
       rb.waitall(std::move(reqs));
       rb.compute(p.cost.flops(2LL * (xface + yface)));
@@ -387,23 +338,23 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
       int r_fwd = -1, s_fwd = -1, r_bwd = -1, s_bwd = -1;
       if (up >= 0) {
         r_fwd = rb.irecv(up, tag_fwd,
-                         static_cast<Bytes>(blines) * kBtFwdDoubles * kD);
+                         static_cast<Bytes>(blines) * kFwdDoubles * kD);
       }
       rb.compute(p.cost.flops(40LL * blines * bn * kNcomp));  // lhs window
       if (up >= 0) rb.wait(r_fwd);
       rb.compute(p.cost.flops(120LL * blines * bn * kNcomp));
       if (dn >= 0) {
         s_fwd = rb.isend(dn, tag_fwd,
-                         static_cast<Bytes>(blines) * kBtFwdDoubles * kD);
+                         static_cast<Bytes>(blines) * kFwdDoubles * kD);
         r_bwd = rb.irecv(dn, tag_bwd,
-                         static_cast<Bytes>(blines) * kBtBwdDoubles * kD);
+                         static_cast<Bytes>(blines) * kBwdDoubles * kD);
       }
       rb.compute(p.cost.flops(8LL * blines * bn * kNcomp));  // bookkeeping
       if (dn >= 0) rb.wait(r_bwd);
       rb.compute(p.cost.flops(30LL * blines * bn * kNcomp));
       if (up >= 0) {
         s_bwd = rb.isend(up, tag_bwd,
-                         static_cast<Bytes>(blines) * kBtBwdDoubles * kD);
+                         static_cast<Bytes>(blines) * kBwdDoubles * kD);
       }
       if (dn >= 0) rb.wait(s_fwd);
       if (up >= 0) rb.wait(s_bwd);
@@ -416,9 +367,9 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
       const int lines = isx ? lny * nz : (isy ? lnx * nz : lnx * lny);
       rb.compute(p.cost.flops(2 * bp * kNcomp));
       if (isx) {
-        solveBatch(west, east, kBtTagFwdX, kBtTagBwdX, lines, n);
+        solveBatch(west, east, kTagFwdX, kTagBwdX, lines, n);
       } else if (isy) {
-        solveBatch(north, south, kBtTagFwdY, kBtTagBwdY, lines, n);
+        solveBatch(north, south, kTagFwdY, kTagBwdY, lines, n);
       } else {
         solveBatch(-1, -1, 0, 0, lines, n);
       }

@@ -4,31 +4,17 @@
 #include <cstring>
 #include <vector>
 
+#include "nas/class_tables.hpp"
+
 namespace ovp::nas {
 
 namespace {
 
-constexpr int kNcomp = 5;
+using tables::kNcomp;
+using namespace tables::sp;  // NOLINT(google-build-using-namespace)
+
 constexpr double kOffA = 0.5;   // coupling to i-2 / i+2
 constexpr double kOffB = -1.5;  // coupling to i-1 / i+1
-
-struct SpSizes {
-  int nx, ny, nz, niter;
-};
-
-SpSizes sizesFor(Class c) {
-  switch (c) {
-    case Class::S: return {24, 24, 16, 3};
-    case Class::A: return {48, 48, 48, 3};
-    case Class::B: return {72, 72, 48, 3};
-  }
-  return {24, 24, 16, 3};
-}
-
-constexpr int kTagFace = 300;
-// Per-stage tags: stage index is added to the base (stages < 30).
-constexpr int kTagFwdX = 310, kTagBwdX = 340;
-constexpr int kTagFwdY = 370, kTagBwdY = 400;
 
 /// Pentadiagonal line batch in canonical layout: r[(line*n + i)*5 + c],
 /// cdiag[line*n + i].  After solve(), r holds the solution and dn/en the
@@ -52,16 +38,11 @@ struct PentaBatch {
   }
 };
 
-/// Forward-elimination boundary state per line: the two most recent
-/// normalized rows (d, e, r[5] each) -> 14 doubles.
-constexpr int kFwdDoubles = 2 * (2 + kNcomp);
-/// Back-substitution boundary: the two downstream solution points -> 10.
-constexpr int kBwdDoubles = 2 * kNcomp;
 
 }  // namespace
 
 NasResult runSp(const SpParams& params) {
-  const SpSizes sz = sizesFor(params.cls);
+  const tables::GridSizes sz = sizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const Grid2D pg = factor2d(params.nranks);
   if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {

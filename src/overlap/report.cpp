@@ -299,24 +299,16 @@ bool Report::loadFile(const std::string& path) {
 
 namespace {
 
-void mergeAccum(OverlapAccum& into, const OverlapAccum& from) {
-  into.transfers += from.transfers;
-  into.bytes += from.bytes;
-  into.data_transfer_time += from.data_transfer_time;
-  into.min_overlapped += from.min_overlapped;
-  into.max_overlapped += from.max_overlapped;
-}
-
 void mergeSection(SectionReport& into, const SectionReport& from) {
   into.calls += from.calls;
   into.computation_time += from.computation_time;
   into.communication_call_time += from.communication_call_time;
-  mergeAccum(into.total, from.total);
+  into.total += from.total;
   if (into.by_class.size() < from.by_class.size()) {
     into.by_class.resize(from.by_class.size());
   }
   for (std::size_t c = 0; c < from.by_class.size(); ++c) {
-    mergeAccum(into.by_class[c], from.by_class[c]);
+    into.by_class[c] += from.by_class[c];
   }
 }
 

@@ -31,6 +31,15 @@ struct OverlapAccum {
     max_overlapped += b.max_overlap;
   }
 
+  OverlapAccum& operator+=(const OverlapAccum& o) {
+    transfers += o.transfers;
+    bytes += o.bytes;
+    data_transfer_time += o.data_transfer_time;
+    min_overlapped += o.min_overlapped;
+    max_overlapped += o.max_overlapped;
+    return *this;
+  }
+
   /// Bounds as percentages of data transfer time (0 when no transfers).
   [[nodiscard]] double minPct() const {
     return data_transfer_time > 0 ? 100.0 * static_cast<double>(min_overlapped) /

@@ -2,16 +2,18 @@
 // context the analysis passes need (section names, the a-priori transfer
 // table, per-rank end times).
 //
-// The collector itself is passive: the machine layer installs thin adapters
-// (a Monitor event observer, library trace hooks, a net::WireObserver tap)
-// that translate their native event types into Records and push them here.
+// The collector itself is passive.  The job runner (mpi::BasicMachine)
+// installs a Monitor event observer and a net::WireObserver tap that
+// translate their native event types into Records, and hands the collector
+// to each rank's library (Mpi/Armci::setTraceSink), which pushes its own
+// send/recv/match or RMA/sync records here.
 // Rank threads never run concurrently in the simulator, so no locking is
 // needed; NIC-origin records are pushed from engine handlers, which are
 // serialized with rank code by construction.
 //
 // Cost model: monitor-origin records are charged through the Monitor's
-// observer cost (per event, folded into queue-drain cost); hook-origin
-// records are charged by the adapter via ctx.advance(config().record_cost).
+// observer cost (per event, folded into queue-drain cost); library-origin
+// records are charged by the library via ctx.advance(config().record_cost).
 // NIC-origin records are free, matching the NIC model (autonomous hardware
 // consumes no host time).
 #pragma once

@@ -9,8 +9,9 @@
 //
 //   * the overlap Monitor's event stream (CALL/XFER/SECTION/DISABLE events,
 //     observed at queue-drain time, timestamps preserved);
-//   * the PERUSE-style library hooks (send/recv posts and receiver-side
-//     matches, which give the cross-rank message edges);
+//   * the libraries' own trace points (MPI send/recv posts and
+//     receiver-side matches, which give the cross-rank message edges; ARMCI
+//     RMA accesses and synchronization);
 //   * the NIC (work-request post/completion and, under the fault model,
 //     retransmissions and ack timeouts).
 //
@@ -36,7 +37,7 @@ enum class RecordKind : std::uint8_t {
   SectionEnd,
   Disable,
   Enable,
-  // Library-hook-origin (cross-rank message bookkeeping).
+  // MPI-library-origin (cross-rank message bookkeeping).
   SendPost,  // a send operation was started: peer=dst, tag, bytes
   RecvPost,  // a receive was posted: peer=src (may be any), tag, bytes
   Match,     // an incoming message matched a receive: peer=src, tag, bytes

@@ -244,8 +244,8 @@ const char* ovprofHelpText() {
       "                               OVPROF_VCI_RAILS=R\n"
       "  --ovprof-workers=N           run the simulation engine with N worker\n"
       "                               threads (conservative parallel mode;\n"
-      "                               results are bit-identical to N=1; fault\n"
-      "                               injection forces N=1); also:\n"
+      "                               results are bit-identical to N=1, fault\n"
+      "                               injection included); also:\n"
       "                               OVPROF_WORKERS=N\n";
 }
 

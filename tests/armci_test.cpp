@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "armci/armci.hpp"
@@ -347,6 +349,54 @@ TEST(Armci, UninstrumentedRuns) {
   });
   EXPECT_TRUE(m.reports().empty());
   EXPECT_EQ(dst[99], 1);
+}
+
+/// Saved report text of a non-blocking put ring on a 4-channel, 2-rail
+/// fabric: each rank puts 4 messages of mixed size into its right
+/// neighbour's collective slab and waits for all of them.
+std::vector<std::string> vciRingReports(int workers) {
+  ArmciJobConfig cfg = baseConfig(4);
+  EXPECT_TRUE(net::VciParams::parse("4,round-robin", cfg.fabric.vci));
+  cfg.fabric.vci.rails = 2;
+  cfg.workers = workers;
+  ArmciMachine m(cfg);
+  std::vector<std::uint8_t> src(64 * 1024, 7);
+  m.run([&](Armci& a) {
+    const std::vector<void*> slabs = a.collectiveMalloc(4 * 64 * 1024);
+    const Rank right = (a.rank() + 1) % a.size();
+    auto* dst =
+        static_cast<std::uint8_t*>(slabs[static_cast<std::size_t>(right)]);
+    std::vector<NbHandle> handles;
+    for (int i = 0; i < 4; ++i) {
+      const Bytes n = i % 2 == 0 ? 1024 : 64 * 1024;
+      handles.push_back(a.nbPut(src.data(), dst + i * 64 * 1024, n, right));
+    }
+    a.compute(usec(200));
+    for (NbHandle& h : handles) a.wait(h);
+    a.barrier();
+  });
+  EXPECT_EQ(m.engine().workersUsed(), workers);
+  std::vector<std::string> saved;
+  for (const overlap::Report& r : m.reports()) {
+    EXPECT_TRUE(r.vci.any()) << "rank " << r.rank << " has no vci block";
+    EXPECT_EQ(r.vci.channels, 4);
+    std::int64_t posts = 0;
+    for (const overlap::VciChannelClass& row : r.vci.rows) posts += row.posts;
+    EXPECT_GT(posts, 0) << "rank " << r.rank;
+    std::ostringstream os;
+    r.save(os);
+    saved.push_back(os.str());
+  }
+  return saved;
+}
+
+// The job runner copies every NIC's VCI counters onto its rank's report for
+// ARMCI jobs as for MPI ones, identically at any engine worker count.
+TEST(Armci, VciCountersReachReportsAtAnyWorkerCount) {
+  const std::vector<std::string> seq = vciRingReports(1);
+  const std::vector<std::string> par = vciRingReports(4);
+  ASSERT_EQ(seq.size(), 4u);
+  EXPECT_EQ(seq, par);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //   * golden skeletons for every NAS kernel (class S, 4 ranks) under
 //     tests/golden/, regenerable with OVPROF_REGOLD=1;
 //   * conformance: a live traced run embeds into the matching skeleton and
-//     is rejected by a skeleton that cannot produce its edges.
+//     is rejected by a skeleton that cannot produce its edges; the unrolled
+//     LU/SP/BT skeletons pair exactly the messages their kernels send.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,7 +21,10 @@
 #include <vector>
 
 #include "mpi/machine.hpp"
+#include "nas/bt.hpp"
+#include "nas/lu.hpp"
 #include "nas/skeletons.hpp"
+#include "nas/sp.hpp"
 #include "skeleton/builder.hpp"
 #include "skeleton/check.hpp"
 #include "skeleton/serialize.hpp"
@@ -372,6 +376,32 @@ TEST(CheckConform, RankCountMismatchIsOneError) {
   const skel::CheckResult r =
       skel::runCheckConform(built.skeleton, cfg, *collector);
   EXPECT_TRUE(hasCode(r.diagnostics, DiagCode::ConformMismatch));
+}
+
+// The unrolled LU/SP/BT skeletons describe the iterations their kernels
+// run: at class A on 4 ranks, every MATCH a traced run records pairs with
+// exactly one static pair, not merely an admissible one.
+TEST(CheckConform, UnrolledSkeletonsCountTheKernelsMessages) {
+  for (const std::string kernel : {"lu", "sp", "bt"}) {
+    nas::SpParams run;
+    run.nranks = 4;
+    run.cls = nas::Class::A;
+    run.trace.enabled = true;
+    const nas::NasResult result = kernel == "lu"   ? nas::runLu(run)
+                                  : kernel == "sp" ? nas::runSp(run)
+                                                   : nas::runBt(run);
+    ASSERT_TRUE(result.trace) << kernel;
+    nas::SkeletonParams p;
+    p.nranks = 4;
+    p.cls = nas::Class::A;
+    const nas::SkeletonBuildResult built = nas::buildNasSkeleton(kernel, p);
+    ASSERT_TRUE(built.ok()) << kernel << ": " << built.error;
+    const skel::CheckResult r =
+        skel::runCheckConform(built.skeleton, {}, *result.trace);
+    EXPECT_TRUE(r.clean()) << kernel;
+    EXPECT_GT(r.conform_edges, 0) << kernel;
+    EXPECT_EQ(r.matched, r.conform_edges) << kernel;
+  }
 }
 
 }  // namespace

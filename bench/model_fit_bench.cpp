@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
           std::chrono::steady_clock::now() - fit_start)
           .count();
 
-  const model::EvalGate gate;
-  const model::EvalResult eval = model::evalHeldOut(models, heldout, gate);
+  const model::EvalResult eval = model::evalHeldOut(models, heldout);
   if (!eval.error.empty()) {
     std::fprintf(stderr, "model_fit_bench: %s\n", eval.error.c_str());
     return 1;

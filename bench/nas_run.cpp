@@ -9,34 +9,33 @@
 //           [--reports=/path/prefix] [--iterations=N] [--ovprof-verify]
 //           [--ovprof-fault=SPEC] [--ovprof-trace=FILE]
 //
-// --ovprof-verify (or OVPROF_VERIFY=1) attaches the analysis layer: a
-// StreamVerifier on every rank's event stream plus the library UsageChecker.
-// Findings are printed to stderr and make the run exit non-zero.
+// --ovprof-verify attaches the analysis layer: a StreamVerifier on every
+// rank's event stream plus the library UsageChecker.  Findings are printed
+// to stderr and make the run exit non-zero.
 //
-// --ovprof-fault=SPEC (or OVPROF_FAULT=SPEC) runs the kernel on a lossy
-// fabric with the NIC reliability protocol enabled, e.g.
-// --ovprof-fault=drop=0.05,jitter=2000,seed=7 (a bare number means
-// drop=<number>).  The run must still verify; fault counters are printed
-// and attached to the reports.
+// --ovprof-fault=SPEC runs the kernel on a lossy fabric with the NIC
+// reliability protocol enabled, e.g. --ovprof-fault=drop=0.05,jitter=2000,
+// seed=7 (a bare number means drop=<number>).  The run must still verify;
+// fault counters are printed and attached to the reports.
 //
-// --ovprof-trace=FILE (or OVPROF_TRACE=FILE) records every instrumentation,
-// matching, and NIC event into per-rank trace rings and writes a Chrome
-// trace-event JSON to FILE (load it in Perfetto) plus a lossless CSV to
-// FILE.csv; a time-resolved overlap table and the cross-rank critical path
-// are printed.  Tracing costs virtual time (it is charged per record, like
-// the monitor's own overhead), so traced and untraced timings differ — by
-// design, not by accident.
+// --ovprof-trace=FILE records every instrumentation, matching, and NIC event
+// into per-rank trace rings and writes a Chrome trace-event JSON to FILE
+// (load it in Perfetto) plus a lossless CSV to FILE.csv; a time-resolved
+// overlap table and the cross-rank critical path are printed.  Tracing
+// costs virtual time (it is charged per record, like the monitor's own
+// overhead), so traced and untraced timings differ — by design, not by
+// accident.
 //
-// --ovprof-lint (or OVPROF_LINT=1) runs the offline cross-rank lint over the
-// collected trace in-process after the run: RMA race detection, wait-for
-// deadlock/stall analysis, and the overlap advisor.  Implies trace
-// collection (no file is written unless --ovprof-trace is also given).
-// --ovprof-lint-json=FILE additionally writes the findings as JSON.
+// --ovprof-lint runs the offline cross-rank lint over the collected trace
+// in-process after the run: RMA race detection, wait-for deadlock/stall
+// analysis, and the overlap advisor.  Implies trace collection (no file is
+// written unless --ovprof-trace is also given).  --ovprof-lint-json=FILE
+// additionally writes the findings as JSON.
 //
-// --ovprof-model=FILE (or OVPROF_MODEL=FILE) saves a model sample — the
-// merged job report plus sweep metadata — for ovprof_model's multi-run
-// fitting.  --ovprof-model-param=X overrides the recorded sweep parameter
-// (default: mean bytes per transfer).
+// --ovprof-model=FILE saves a model sample — the merged job report plus
+// sweep metadata — for ovprof_model's multi-run fitting.
+// --ovprof-model-param=X overrides the recorded sweep parameter (default:
+// mean bytes per transfer).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -87,8 +86,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  nas::SpParams params;  // superset of NasParams (modified/stages unused
-                         // outside SP)
+  nas::SpParams params;  // superset of NasParams (modified unused outside
+                         // SP)
   const std::string cls = flags.getString("class", "S");
   params.cls = cls == "A" ? nas::Class::A
                           : (cls == "B" ? nas::Class::B : nas::Class::S);

@@ -110,17 +110,16 @@ int main(int argc, char** argv) {
   if (util::helpRequested(flags)) {
     std::printf(
         "usage: sim_bench [--procs=16] [--iters=400] [--halo=1024]\n"
-        "                 [--workers=1] [--out=BENCH_sim.json]\n"
-        "                 [--vci=N[,policy]] [--rail=R]\n"
+        "                 [--out=BENCH_sim.json]\n"
         "                 [--net-out=BENCH_net.json]\n"
         "Times the discrete-event engine on a synthetic halo-exchange job\n"
         "and records events/sec and peak RSS as a JSON bench artifact.\n"
-        "--workers=N runs the engine's conservative parallel mode (results\n"
-        "are bit-identical to --workers=1).\n"
-        "--vci/--rail channelize the fabric for the main run (shorthand for\n"
-        "--ovprof-vci/--ovprof-vci-rails).  --net-out=FILE additionally\n"
-        "sweeps 1/2/4 channels with one rail per channel and records\n"
-        "events/s plus achieved wire bandwidth per point.\n"
+        "--ovprof-workers=N runs the engine's conservative parallel mode\n"
+        "(results are bit-identical to N=1).\n"
+        "--ovprof-vci/--ovprof-vci-rails channelize the fabric for the main\n"
+        "run.  --net-out=FILE additionally sweeps 1/2/4 channels with one\n"
+        "rail per channel and records events/s plus achieved wire bandwidth\n"
+        "per point.\n"
         "framework flags (any ovprof binary):\n%s",
         util::ovprofHelpText());
     return 0;
@@ -128,18 +127,16 @@ int main(int argc, char** argv) {
   const int nranks = static_cast<int>(flags.getInt("procs", 16));
   const int iters = static_cast<int>(flags.getInt("iters", 400));
   const int halo = static_cast<int>(flags.getInt("halo", 1024));
-  const int workers = static_cast<int>(
-      flags.getInt("workers", util::workersRequested(flags)));
+  const int workers = util::workersRequested(flags);
 
   net::VciParams vci;  // disabled unless asked for
-  const std::string vci_spec =
-      flags.getString("vci", util::vciSpecRequested(flags));
+  const std::string vci_spec = util::vciSpecRequested(flags);
   if (!vci_spec.empty() && !net::VciParams::parse(vci_spec, vci)) {
-    std::fprintf(stderr, "sim_bench: bad --vci spec '%s'\n", vci_spec.c_str());
+    std::fprintf(stderr, "sim_bench: bad --ovprof-vci spec '%s'\n",
+                 vci_spec.c_str());
     return 2;
   }
-  vci.rails = static_cast<int>(
-      flags.getInt("rail", util::vciRailsRequested(flags)));
+  vci.rails = util::vciRailsRequested(flags);
 
   std::printf("=== sim_bench ===\n"
               "%d ranks, %d iters, %d-double halo exchange + allreduce, "

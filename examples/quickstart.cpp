@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   mpi::JobConfig job;
   job.nranks = 2;
   job.mpi.preset = mpi::Preset::Mvapich2;  // try OpenMpiPipelined!
-  // --ovprof-verify (or OVPROF_VERIFY=1) attaches the analysis layer.
+  // --ovprof-verify attaches the analysis layer.
   job.mpi.verify = util::verifyRequested(flags);
 
   constexpr Bytes kMessage = 1 << 20;

@@ -110,7 +110,7 @@ std::vector<Diagnostic> dedupDiagnostics(std::vector<Diagnostic> diags) {
     } else {
       Diagnostic& keep = out[it->second];
       keep.count += d.count;
-      keep.gain += d.gain;
+      keep.gain = satAdd(keep.gain, d.gain);
     }
   }
   return out;

@@ -10,10 +10,19 @@
 
 namespace ovp::analysis {
 
-LintResult runLint(const trace::Collector& c, const LintConfig& cfg) {
+namespace {
+
+void append(std::vector<Diagnostic>& to, std::vector<Diagnostic> from) {
+  to.insert(to.end(), std::make_move_iterator(from.begin()),
+            std::make_move_iterator(from.end()));
+}
+
+}  // namespace
+
+LintResult runLint(const trace::Collector& c) {
   LintResult result;
 
-  if (cfg.races) {
+  {
     const HbGraph g = buildHbGraph(c, trace::matchMessages(c));
     result.hb_incomplete = g.incomplete;
     for (const std::string& reason : g.incomplete_reasons) {
@@ -25,25 +34,10 @@ LintResult runLint(const trace::Collector& c, const LintConfig& cfg) {
       d.detail = reason;
       result.diagnostics.push_back(std::move(d));
     }
-    std::vector<Diagnostic> races = detectRaces(g);
-    result.diagnostics.insert(result.diagnostics.end(),
-                              std::make_move_iterator(races.begin()),
-                              std::make_move_iterator(races.end()));
+    append(result.diagnostics, detectRaces(g));
   }
-
-  if (cfg.deadlock) {
-    std::vector<Diagnostic> waits = analyzeWaitFor(c);
-    result.diagnostics.insert(result.diagnostics.end(),
-                              std::make_move_iterator(waits.begin()),
-                              std::make_move_iterator(waits.end()));
-  }
-
-  if (cfg.advisor) {
-    std::vector<Diagnostic> advice = adviseOverlap(c);
-    result.diagnostics.insert(result.diagnostics.end(),
-                              std::make_move_iterator(advice.begin()),
-                              std::make_move_iterator(advice.end()));
-  }
+  append(result.diagnostics, analyzeWaitFor(c));
+  append(result.diagnostics, adviseOverlap(c));
 
   // Per-rank dropped-record counts limit every pass, not just HB.
   for (Rank r = 0; r < c.nranks(); ++r) {

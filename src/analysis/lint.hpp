@@ -15,13 +15,6 @@
 
 namespace ovp::analysis {
 
-/// Which passes run (each backs an ovprof_lint flag).
-struct LintConfig {
-  bool races = true;
-  bool deadlock = true;
-  bool advisor = true;
-};
-
 struct LintResult {
   /// Deduped, severity/gain-ranked findings.
   std::vector<Diagnostic> diagnostics;
@@ -35,8 +28,8 @@ struct LintResult {
   }
 };
 
-[[nodiscard]] LintResult runLint(const trace::Collector& c,
-                                 const LintConfig& cfg = {});
+/// Runs all three passes over `c`.
+[[nodiscard]] LintResult runLint(const trace::Collector& c);
 
 /// Human-readable report (one line per finding plus a summary line).
 void printLintText(const LintResult& result, std::ostream& os);

@@ -29,7 +29,7 @@ struct CtrlMsg {
 struct Armci::CallGuard {
   explicit CallGuard(Armci& a) : a_(a) {
     if (a_.monitor_) a_.ctx_.advance(a_.monitor_->callEnter(a_.ctx_.now()));
-    a_.ctx_.advance(a_.cfg_.call_overhead);
+    a_.ctx_.advance(kCallOverhead);
   }
   ~CallGuard() {
     if (a_.monitor_) a_.ctx_.advance(a_.monitor_->callExit(a_.ctx_.now()));
@@ -84,7 +84,7 @@ void Armci::traceRma(trace::RecordKind kind, std::int64_t op_id, Rank target,
   rec.tag = ref.segment;
   rec.addr = ref.offset;
   trace_sink_->push(ctx_.rank(), rec);
-  ctx_.advance(trace_sink_->config().record_cost);
+  ctx_.advance(trace::kRecordCost);
 }
 
 void Armci::traceSync(trace::RecordKind kind, std::int64_t id, Rank peer) {
@@ -96,7 +96,7 @@ void Armci::traceSync(trace::RecordKind kind, std::int64_t id, Rank peer) {
   rec.time = ctx_.now();
   rec.id = id;
   trace_sink_->push(ctx_.rank(), rec);
-  ctx_.advance(trace_sink_->config().record_cost);
+  ctx_.advance(trace::kRecordCost);
 }
 
 void Armci::progress() {

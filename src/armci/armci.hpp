@@ -48,9 +48,10 @@ class NbHandle {
   std::int64_t id = -1;
 };
 
+/// Fixed host cost of entering an ARMCI call.
+inline constexpr DurationNs kCallOverhead = 120;
+
 struct ArmciConfig {
-  /// Fixed host cost of entering an ARMCI call.
-  DurationNs call_overhead = 120;
   bool instrument = true;
   overlap::MonitorConfig monitor;
   /// Attach the analysis layer per rank (see mpi::MpiConfig::verify).

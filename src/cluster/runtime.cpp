@@ -118,11 +118,17 @@ CampaignResult ClusterRuntime::run(std::vector<JobSpec> jobs,
       // ---- worker rank: mailbox loop, one kernel body per assignment ----
       Mailbox& mb = mail[static_cast<std::size_t>(ctx.rank())];
       const Rank g = ctx.rank();
+      const bool count_nic =
+          fabric.faultEnabled() || cfg_.fabric.vci.enabled();
       for (;;) {
         while (!mb.go && !mb.stop) ctx.sleep();
         if (mb.stop) break;
         mb.go = false;
         const DurationNs lw0 = fabric.linkWait(g);
+        // The report gets what this rank's NIC counted during the body.  A
+        // plain fabric counts nothing, so its campaign takes no snapshot.
+        mpi::NicCounters nic0;
+        if (count_nic) nic0 = mpi::nicCounters(fabric, g);
         {
           mpi::MpiConfig mcfg = cfg_.mpi;
           mcfg.group = mb.group;
@@ -130,6 +136,13 @@ CampaignResult ClusterRuntime::run(std::vector<JobSpec> jobs,
           runKernelBody(mpi, *mb.spec);
           mb.report =
               mpi.instrumented() ? mpi.finalizeReport() : overlap::Report{};
+          if (count_nic && mpi.instrumented()) {
+            mpi::NicCounters gained = mpi::nicCounters(fabric, g);
+            gained.faults -= nic0.faults;
+            gained.vci -= nic0.vci;
+            mb.report.faults = gained.faults;
+            mb.report.vci = std::move(gained.vci);
+          }
         }
         mb.link_wait_delta = fabric.linkWait(g) - lw0;
         mb.body_end = ctx.now();

@@ -18,10 +18,12 @@
 //     local ranks to its allocation) and runs the kernel body; bodies end
 //     in a barrier, so a finished job leaves no packets in flight and its
 //     ranks can be reused immediately.
-//   * finish: the worker stores its finalized overlap report, NIC link-wait
-//     delta and end time in the mailbox, then scheduleFor(driver, now+L,
-//     record-and-wake).  The driver folds the report into the streaming
-//     cluster::Aggregator and retires the job when its last rank reports.
+//   * finish: the worker stores its finalized overlap report (carrying
+//     what its NIC's fault and VCI counters gained during the body, when
+//     the fabric counts them), NIC link-wait delta and end time in the
+//     mailbox, then scheduleFor(driver, now+L, record-and-wake).  The
+//     driver folds the report into the streaming cluster::Aggregator and
+//     retires the job when its last rank reports.
 //
 // Interference metrics come from optional *solo baselines*: each distinct
 // (kernel, class, nranks) is run once on a dedicated idle fabric (before

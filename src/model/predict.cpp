@@ -103,8 +103,8 @@ WhatIfTotals sumRanks(const std::vector<trace::RankWindows>& per_rank) {
   WhatIfTotals t;
   for (const trace::RankWindows& rw : per_rank) {
     t.accum += rw.total;
-    t.comm_time += rw.comm_total;
-    t.comp_time += rw.comp_total;
+    t.comm_time = satAdd(t.comm_time, rw.comm_total);
+    t.comp_time = satAdd(t.comp_time, rw.comp_total);
   }
   return t;
 }
@@ -119,8 +119,7 @@ Interval predictInterval(const Fit& fit, double at) {
   return out;
 }
 
-EvalResult evalHeldOut(const ModelSet& models, const RunSample& heldout,
-                       const EvalGate& gate) {
+EvalResult evalHeldOut(const ModelSet& models, const RunSample& heldout) {
   EvalResult out;
   out.ok = true;
   // Gated, intensive metrics first.  mean_xfer_time is fitted directly:
@@ -128,13 +127,13 @@ EvalResult evalHeldOut(const ModelSet& models, const RunSample& heldout,
   // curve, which the normal form captures well.  The overlap percentages
   // are predicted as ratios of the fitted extensive models (addRatioRow).
   addRow(out, models, heldout, "mean_xfer_time", /*gated=*/true,
-         /*relative=*/true, gate.mean_xfer_rel_tol);
+         /*relative=*/true, kMeanXferRelTol);
   addRatioRow(out, models, heldout, "min_pct", "min_overlapped",
               "data_transfer_time", /*scale=*/100.0, /*pct=*/true,
-              /*relative=*/false, gate.bounds_abs_tol_pct);
+              /*relative=*/false, kBoundsAbsTolPct);
   addRatioRow(out, models, heldout, "max_pct", "max_overlapped",
               "data_transfer_time", /*scale=*/100.0, /*pct=*/true,
-              /*relative=*/false, gate.bounds_abs_tol_pct);
+              /*relative=*/false, kBoundsAbsTolPct);
   // Informational rows: extensive totals, reported but never gated.
   for (const char* metric :
        {"transfers", "bytes", "data_transfer_time", "min_overlapped",
@@ -156,7 +155,12 @@ overlap::XferTimeTable scaleTable(const overlap::XferTimeTable& table,
     const double scaled =
         static_cast<double>(cfg.latency_delta) +
         static_cast<double>(time) * scale;
-    out.add(size, std::max<DurationNs>(0, std::llround(scaled)));
+    // Clamped into [0, kMaxInputTimeNs] like every priced time (DESIGN
+    // §5.10), before the conversion a huge scale would make undefined.
+    out.add(size, scaled > 0.0
+                      ? std::llround(std::min(
+                            scaled, static_cast<double>(kMaxInputTimeNs)))
+                      : 0);
   }
   return out;
 }

@@ -43,18 +43,17 @@ struct Interval {
 /// Evaluates `fit` at parameter `at`; the band is +- max_abs_residual.
 [[nodiscard]] Interval predictInterval(const Fit& fit, double at);
 
-/// Tolerances for evalHeldOut.  Documented in DESIGN.md 5.12: generous on
-/// purpose — the models come from 2-3 point sweeps and the gate exists to
-/// catch wildly wrong models, not to certify precision.
-struct EvalGate {
-  /// Relative tolerance on whole-run mean transfer time.
-  double mean_xfer_rel_tol = 0.35;
-  /// Absolute tolerance, in percentage points, on min_pct / max_pct.
-  /// Deliberately wide: extrapolating overlap fractions across an eager/
-  /// rendezvous protocol threshold from a short-regime sweep is the
-  /// hardest case the gate must still admit.
-  double bounds_abs_tol_pct = 40.0;
-};
+// Tolerances of evalHeldOut.  Documented in DESIGN.md 5.12: generous on
+// purpose — the models come from 2-3 point sweeps and the gate exists to
+// catch wildly wrong models, not to certify precision.
+
+/// Relative tolerance on whole-run mean transfer time.
+inline constexpr double kMeanXferRelTol = 0.35;
+/// Absolute tolerance, in percentage points, on min_pct / max_pct.
+/// Deliberately wide: extrapolating overlap fractions across an eager/
+/// rendezvous protocol threshold from a short-regime sweep is the hardest
+/// case the gate must still admit.
+inline constexpr double kBoundsAbsTolPct = 40.0;
 
 struct EvalRow {
   std::string metric;
@@ -72,10 +71,9 @@ struct EvalResult {
 };
 
 /// Predicts the held-out run's whole-run metrics at its own parameter and
-/// compares against its measured values.
+/// compares against its measured values, within the tolerances above.
 [[nodiscard]] EvalResult evalHeldOut(const ModelSet& models,
-                                     const RunSample& heldout,
-                                     const EvalGate& gate);
+                                     const RunSample& heldout);
 
 /// Scenario knobs for the frozen-schedule replay.
 struct WhatIfConfig {

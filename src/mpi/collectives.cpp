@@ -117,7 +117,7 @@ void Mpi::reduce(const double* in, double* out, int count, Op op, Rank root) {
       const Rank child = static_cast<Rank>((vrank + mask + root) % P);
       recvT(incoming, count, child, kTagReduce);
       ctx_.advance(static_cast<DurationNs>(
-          cfg_.reduce_ns_per_byte * static_cast<double>(count) *
+          kReduceNsPerByte * static_cast<double>(count) *
           static_cast<double>(sizeof(double))));
       applyOp(op, incoming, acc, count);
     }

@@ -65,6 +65,13 @@ enum class RendezvousStyle : std::uint8_t {
   return RendezvousStyle::Read;
 }
 
+/// Fixed host cost of entering any library call (argument checking, queue
+/// locking...).
+inline constexpr DurationNs kCallOverhead = 150;
+
+/// Host cost per byte of applying a reduction operator.
+inline constexpr double kReduceNsPerByte = 0.25;
+
 struct MpiConfig {
   Preset preset = Preset::OpenMpiPipelined;
 
@@ -75,13 +82,6 @@ struct MpiConfig {
   /// Scaled with this repo's reduced problem sizes (Open MPI 1.0 used
   /// larger fragments against proportionally larger NAS messages).
   Bytes frag_size = 32 * 1024;
-
-  /// Fixed host cost of entering any library call (argument checking,
-  /// queue locking...).
-  DurationNs call_overhead = 150;
-
-  /// Host cost per byte of applying a reduction operator.
-  double reduce_ns_per_byte = 0.25;
 
   /// Whether the overlap instrumentation framework is compiled in for this
   /// run (Fig. 20 compares instrumented vs uninstrumented virtual times).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace ovp::mpi {
 
@@ -43,21 +44,27 @@ overlap::VciStats vciStatsFor(const net::Nic& nic,
 
 }  // namespace
 
+NicCounters nicCounters(net::Fabric& fabric, Rank rank) {
+  NicCounters out;
+  const net::Nic& nic = fabric.nic(rank);
+  if (fabric.faultEnabled()) out.faults.assignFrom(nic.faultCounters());
+  if (fabric.params().vci.enabled()) {
+    out.vci = vciStatsFor(nic, fabric.params());
+  }
+  return out;
+}
+
 void detail::finishJob(net::Fabric& fabric,
                        std::vector<overlap::Report>& reports,
                        overlap::FaultStats& fault_totals,
                        std::vector<analysis::Diagnostic>& diagnostics) {
-  const net::FabricParams& params = fabric.params();
   fault_totals = overlap::FaultStats{};
-  if (fabric.faultEnabled()) {
+  if (fabric.faultEnabled()) fault_totals.assignFrom(fabric.faultTotals());
+  if (fabric.faultEnabled() || fabric.params().vci.enabled()) {
     for (overlap::Report& r : reports) {
-      r.faults.assignFrom(fabric.nic(r.rank).faultCounters());
-    }
-    fault_totals.assignFrom(fabric.faultTotals());
-  }
-  if (params.vci.enabled()) {
-    for (overlap::Report& r : reports) {
-      r.vci = vciStatsFor(fabric.nic(r.rank), params);
+      NicCounters c = nicCounters(fabric, r.rank);
+      r.faults = c.faults;
+      r.vci = std::move(c.vci);
     }
   }
   if (!diagnostics.empty()) {

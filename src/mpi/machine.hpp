@@ -60,10 +60,20 @@ struct MpiJob {
   }
 };
 
+/// The NIC counters a rank's report carries: the rank's fault counters on
+/// a lossy fabric and its per-(channel, size-class) VCI counters on a
+/// multi-VCI one.  A block whose layer is off stays empty.  Counters are
+/// cumulative over the fabric's life; a campaign, whose ranks run job after
+/// job on one fabric, reports the difference of two snapshots.
+struct NicCounters {
+  overlap::FaultStats faults;
+  overlap::VciStats vci;
+};
+[[nodiscard]] NicCounters nicCounters(net::Fabric& fabric, Rank rank);
+
 namespace detail {
 
-/// The job-wide epilogue: copies each NIC's fault counters (lossy fabric)
-/// and per-(channel, size-class) VCI counters (multi-VCI fabric) onto its
+/// The job-wide epilogue: copies each NIC's counters (nicCounters) onto its
 /// rank's report, totals the faults, and prints the diagnostics to stderr
 /// in rank order.
 void finishJob(net::Fabric& fabric, std::vector<overlap::Report>& reports,
@@ -194,7 +204,7 @@ void BasicMachine<Job>::run(const std::function<void(Library&)>& rankMain) {
               tc->onMonitorEvent(r, e);
             }
           },
-          trace_ ? cfg_.trace.record_cost : 0);
+          trace_ ? trace::kRecordCost : 0);
     }
     rankMain(lib);
     if (lib.instrumented()) {

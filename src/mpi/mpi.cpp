@@ -185,7 +185,7 @@ void Mpi::traceP2p(trace::RecordKind kind, Rank peer, int tag, Bytes bytes) {
   rec.time = ctx_.now();
   rec.bytes = bytes;
   trace_sink_->push(ctx_.rank(), rec);
-  ctx_.advance(trace_sink_->config().record_cost);
+  ctx_.advance(trace::kRecordCost);
 }
 
 // -------------------------------------------------------------- progress

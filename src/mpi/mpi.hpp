@@ -166,7 +166,7 @@ class Mpi {
         m_.hooks_.on_call_enter(m_.ctx_.now());
       }
       if (m_.monitor_) m_.ctx_.advance(m_.monitor_->callEnter(m_.ctx_.now()));
-      m_.ctx_.advance(m_.cfg_.call_overhead);
+      m_.ctx_.advance(kCallOverhead);
     }
     ~CallGuard() {
       if (m_.monitor_) m_.ctx_.advance(m_.monitor_->callExit(m_.ctx_.now()));

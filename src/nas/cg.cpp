@@ -3,26 +3,11 @@
 #include <cmath>
 #include <vector>
 
+#include "nas/class_tables.hpp"
+
 namespace ovp::nas {
 
 namespace {
-
-struct CgSizes {
-  int n;        // matrix order
-  int niter;    // outer power iterations
-  int cgit;     // CG iterations per solve
-  int band1;    // off-diagonal offsets of the symmetric banded matrix
-  int band2;
-};
-
-CgSizes sizesFor(Class c) {
-  switch (c) {
-    case Class::S: return {1024, 2, 5, 3, 40};
-    case Class::A: return {4096, 3, 8, 5, 160};
-    case Class::B: return {16384, 3, 10, 7, 640};
-  }
-  return {1024, 2, 5, 3, 40};
-}
 
 /// Symmetric positive-definite banded test matrix: off-diagonals at
 /// +-band1, +-band2 with smooth values, diagonal strictly dominant.
@@ -43,12 +28,12 @@ struct SpdBanded {
   }
 };
 
-constexpr int kTagSeg = 100;  // vector-segment exchange
+using tables::kCgTagSeg;
 
 }  // namespace
 
 NasResult runCg(const NasParams& params) {
-  const CgSizes sz = sizesFor(params.cls);
+  const tables::CgSizes sz = tables::cgSizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   mpi::Machine machine(makeJobConfig(params));
   const BlockDist dist = blockDistribute(sz.n, params.nranks);
@@ -95,11 +80,11 @@ NasResult runCg(const NasParams& params) {
         const Rank peer = static_cast<Rank>((me + d) % P);
         reqs.push_back(mpi.irecvT(
             p_full.data() + dist.start[static_cast<std::size_t>(peer)],
-            dist.size[static_cast<std::size_t>(peer)], peer, kTagSeg));
+            dist.size[static_cast<std::size_t>(peer)], peer, kCgTagSeg));
       }
       for (int d = 1; d < P; ++d) {
         const Rank peer = static_cast<Rank>((me + d) % P);
-        reqs.push_back(mpi.isendT(pin.data(), myn, peer, kTagSeg));
+        reqs.push_back(mpi.isendT(pin.data(), myn, peer, kCgTagSeg));
       }
       // Local (diagonal-block) part while segments are in flight.
       std::copy(pin.begin(), pin.end(),
@@ -206,11 +191,11 @@ NasResult runCg(const NasParams& params) {
           const Rank peer = static_cast<Rank>((me + d) % P);
           reqs.push_back(mpi.irecvT(
               x.data() + dist.start[static_cast<std::size_t>(peer)],
-              dist.size[static_cast<std::size_t>(peer)], peer, kTagSeg + 1));
+              dist.size[static_cast<std::size_t>(peer)], peer, kCgTagSeg + 1));
         }
         for (int d = 1; d < P; ++d) {
           const Rank peer = static_cast<Rank>((me + d) % P);
-          reqs.push_back(mpi.isendT(zn.data(), myn, peer, kTagSeg + 1));
+          reqs.push_back(mpi.isendT(zn.data(), myn, peer, kCgTagSeg + 1));
         }
         std::copy(zn.begin(), zn.end(), x.begin() + my0);
         mpi.waitall(reqs.data(), static_cast<int>(reqs.size()));

@@ -1,12 +1,10 @@
-// Problem-class tables and message tags of the NAS kernels' skeletons.
+// Problem-class tables and message tags of the NAS kernels, kept once.
 //
-// CG, EP, IS, FT and MG: read by the rank-symbolic skeleton builders
-// (symbolic.cpp).  Their executable kernels keep their own copies on
-// purpose; the per-kernel trace-conformance ctests tie those to these.
-//
-// LU, SP and BT: read by both the executable kernels (lu.cpp, sp.cpp,
-// bt.cpp) and their unrolled skeleton builders (skeletons.cpp), so the
-// skeleton describes exactly the iterations and messages the kernel runs.
+// Each executable kernel (cg.cpp ... sp.cpp) and its skeleton builder read
+// the same entry: the rank-symbolic templates (symbolic.cpp) for CG, EP,
+// IS, FT and MG, the unrolled builders (skeletons.cpp) for LU, SP and BT.
+// So a skeleton describes exactly the iterations and messages its kernel
+// runs, at every class.
 #pragma once
 
 #include <cstdint>
@@ -20,17 +18,21 @@ inline constexpr Bytes kC = 16;  // sizeof(Complex)
 
 // ---- CG ----
 struct CgSizes {
-  int n, niter, cgit;
+  int n;      // matrix order
+  int niter;  // outer power iterations
+  int cgit;   // CG iterations per solve
+  int band1;  // off-diagonal offsets of the symmetric banded matrix
+  int band2;
 };
 [[nodiscard]] constexpr CgSizes cgSizes(Class c) {
   switch (c) {
-    case Class::S: return {1024, 2, 5};
-    case Class::A: return {4096, 3, 8};
-    case Class::B: return {16384, 3, 10};
+    case Class::S: return {1024, 2, 5, 3, 40};
+    case Class::A: return {4096, 3, 8, 5, 160};
+    case Class::B: return {16384, 3, 10, 7, 640};
   }
-  return {1024, 2, 5};
+  return {1024, 2, 5, 3, 40};
 }
-inline constexpr int kCgTagSeg = 100;
+inline constexpr int kCgTagSeg = 100;  // p exchange; +1: uneven z gather
 
 // ---- EP ----
 [[nodiscard]] constexpr std::int64_t epPairs(Class c) {
@@ -45,7 +47,7 @@ inline constexpr int kCgTagSeg = 100;
 // ---- IS ----
 struct IsSizes {
   std::int64_t keys;
-  int max_key;
+  int max_key;  // keys are uniform in [0, max_key)
   int niter;
 };
 [[nodiscard]] constexpr IsSizes isSizes(Class c) {
@@ -117,10 +119,16 @@ namespace sp {
   }
   return {24, 24, 16, 3};
 }
+/// Stage count of the line-solve pipeline (NPB SP's multipartition
+/// processes a line in per-cell stages; we stage the k-plane blocks).
+/// Staging is what makes boundary messages arrive *during* the next
+/// stage's lhs computation — the overlap the code attempts.
+inline constexpr int kStages = 3;
 inline constexpr int kTagFace = 300;
-// Per-stage tags: stage index is added to the base (stages < 30).
+// Per-stage tags: the stage index is added to the base.
 inline constexpr int kTagFwdX = 310, kTagBwdX = 340;
 inline constexpr int kTagFwdY = 370, kTagBwdY = 400;
+static_assert(kStages < 30, "SP's per-stage tag ranges would overlap");
 /// Forward-elimination boundary state per line: the two most recent
 /// normalized rows (d, e, r[5] each) -> 14 doubles.
 inline constexpr int kFwdDoubles = 2 * (2 + kNcomp);

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <vector>
 
+#include "nas/class_tables.hpp"
+
 namespace ovp::nas {
 
 namespace {
@@ -50,15 +52,6 @@ double skipAhead(std::int64_t k, double seed) {
   return x;
 }
 
-std::int64_t pairsFor(Class c) {
-  switch (c) {
-    case Class::S: return 1LL << 16;
-    case Class::A: return 1LL << 19;
-    case Class::B: return 1LL << 21;
-  }
-  return 1LL << 16;
-}
-
 constexpr int kAnnuli = 10;
 constexpr double kLcgFlopsPerPair = 80.0;  // generation + rejection test
 
@@ -67,7 +60,7 @@ constexpr double kLcgFlopsPerPair = 80.0;  // generation + rejection test
 NasResult runEp(const NasParams& params) {
   const std::int64_t total_pairs =
       params.iterations > 0 ? static_cast<std::int64_t>(params.iterations)
-                            : pairsFor(params.cls);
+                            : tables::epPairs(params.cls);
   mpi::Machine machine(makeJobConfig(params));
 
   double checksum = 0.0;

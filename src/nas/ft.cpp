@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "nas/class_tables.hpp"
 #include "nas/fft.hpp"
 #include "util/rng.hpp"
 
@@ -10,26 +11,13 @@ namespace ovp::nas {
 
 namespace {
 
-struct FtSizes {
-  int nx, ny, nz, niter;
-};
-
-FtSizes sizesFor(Class c) {
-  switch (c) {
-    case Class::S: return {32, 32, 32, 2};
-    case Class::A: return {64, 64, 64, 3};
-    case Class::B: return {128, 64, 64, 3};
-  }
-  return {32, 32, 32, 2};
-}
-
 constexpr double kPi = 3.14159265358979323846;
 constexpr double kAlpha = 1e-6;
 
 }  // namespace
 
 NasResult runFt(const NasParams& params) {
-  const FtSizes sz = sizesFor(params.cls);
+  const tables::FtSizes sz = tables::ftSizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const int P = params.nranks;
   if (sz.nx % P != 0 || sz.nz % P != 0) {

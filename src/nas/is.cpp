@@ -3,31 +3,13 @@
 #include <algorithm>
 #include <vector>
 
+#include "nas/class_tables.hpp"
 #include "util/rng.hpp"
 
 namespace ovp::nas {
 
-namespace {
-
-struct IsSizes {
-  std::int64_t keys;
-  int max_key;  // keys are uniform in [0, max_key)
-  int niter;
-};
-
-IsSizes sizesFor(Class c) {
-  switch (c) {
-    case Class::S: return {1LL << 15, 1 << 11, 3};
-    case Class::A: return {1LL << 18, 1 << 14, 3};
-    case Class::B: return {1LL << 20, 1 << 16, 3};
-  }
-  return {1LL << 15, 1 << 11, 3};
-}
-
-}  // namespace
-
 NasResult runIs(const NasParams& params) {
-  const IsSizes sz = sizesFor(params.cls);
+  const tables::IsSizes sz = tables::isSizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   mpi::Machine machine(makeJobConfig(params));
 

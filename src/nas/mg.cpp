@@ -5,27 +5,16 @@
 #include <vector>
 
 #include "armci/armci.hpp"
+#include "nas/class_tables.hpp"
 
 namespace ovp::nas {
 
 namespace {
 
-struct MgSizes {
-  int n, cycles;
-};
-
-MgSizes sizesFor(Class c) {
-  switch (c) {
-    case Class::S: return {16, 2};
-    case Class::A: return {32, 3};
-    case Class::B: return {64, 3};
-  }
-  return {16, 2};
-}
+using tables::kMgCoarseSweeps;
+using tables::kMgTagExch;
 
 constexpr double kOmega = 2.0 / 3.0;  // damped-Jacobi weight
-constexpr int kCoarseSweeps = 4;
-constexpr int kTagExch = 500;  // + level*8 + dir
 
 /// One level of the local multigrid hierarchy (interior 1..ln, ghosts at 0
 /// and ln+1, Dirichlet zero outside the global domain).
@@ -297,7 +286,7 @@ void prolongAdd(const Level& coarse, Level& fine) {
 }  // namespace
 
 NasResult runMg(const MgParams& params) {
-  const MgSizes sz = sizesFor(params.cls);
+  const tables::MgSizes sz = tables::mgSizes(params.cls);
   const int cycles = params.iterations > 0 ? params.iterations : sz.cycles;
   const int P = params.nranks;
   const Grid3D pg = factor3d(P);
@@ -395,7 +384,7 @@ NasResult runMg(const MgParams& params) {
     std::function<void(int)> vcycle = [&](int l) {
       Level& L = levels[static_cast<std::size_t>(l)];
       if (l == nlevels - 1) {
-        for (int s = 0; s < kCoarseSweeps; ++s) smooth(l);
+        for (int s = 0; s < kMgCoarseSweeps; ++s) smooth(l);
         return;
       }
       smooth(l);
@@ -510,7 +499,7 @@ NasResult runMg(const MgParams& params) {
                           [static_cast<std::size_t>(me)]
                           [static_cast<std::size_t>(d)];
           reqs.push_back(mpi.irecvT(in.data(), static_cast<int>(in.size()),
-                                    nb, kTagExch + l * 8 + d));
+                                    nb, kMgTagExch + l * 8 + d));
         }
         for (int d = 0; d < 6; ++d) {
           const Rank nb = neighbor(me, d);
@@ -519,7 +508,7 @@ NasResult runMg(const MgParams& params) {
           ob.resize(static_cast<std::size_t>(faceCount(L, d)));
           packFace(L, field, d, ob);
           reqs.push_back(mpi.isendT(ob.data(), static_cast<int>(ob.size()),
-                                    nb, kTagExch + l * 8 + opposite(d)));
+                                    nb, kMgTagExch + l * 8 + opposite(d)));
         }
       };
       auto end = [&](int l, std::vector<double>& field) {
@@ -553,7 +542,7 @@ NasResult runMg(const MgParams& params) {
                             [static_cast<std::size_t>(me)]
                             [static_cast<std::size_t>(d)];
             rr.push_back(mpi.irecvT(in.data(), static_cast<int>(in.size()),
-                                    nb, kTagExch + l * 8 + d));
+                                    nb, kMgTagExch + l * 8 + d));
           }
           for (int s = 0; s < 2; ++s) {
             const int d = axis * 2 + s;
@@ -563,7 +552,7 @@ NasResult runMg(const MgParams& params) {
             ob.resize(static_cast<std::size_t>(faceCountIncl(L, d)));
             packFaceIncl(L, field, d, ob);
             rr.push_back(mpi.isendT(ob.data(), static_cast<int>(ob.size()),
-                                    nb, kTagExch + l * 8 + opposite(d)));
+                                    nb, kMgTagExch + l * 8 + opposite(d)));
           }
           mpi.waitall(rr.data(), static_cast<int>(rr.size()));
           for (int s = 0; s < 2; ++s) {

@@ -121,8 +121,6 @@ SkeletonBuildResult buildLu(const SkeletonParams& p) {
 
 // ---------------------------------------------------------------- SP ----
 
-constexpr int kSpStages = 3;  // SpParams::stages default (nas_run)
-
 SkeletonBuildResult buildSp(const SkeletonParams& p) {
   using namespace tables::sp;  // NOLINT(google-build-using-namespace)
   const tables::GridSizes sz = sizes(p.cls);
@@ -168,12 +166,11 @@ SkeletonBuildResult buildSp(const SkeletonParams& p) {
       rb.mpiAllreduce(1);
     };
 
-    // Mirrors runSp's stage-pipelined solveBatch (nas_run defaults:
-    // stages=3, unmodified, so the Iprobe chunking collapses into one
-    // compute per window).
+    // Mirrors runSp's stage-pipelined solveBatch in the unmodified kernel,
+    // so the Iprobe chunking collapses into one compute per window.
     auto solveBatch = [&](Rank up, Rank dn, int tag_fwd, int tag_bwd,
                           int lines, int n) {
-      const int S = std::max(1, std::min(kSpStages, lines));
+      const int S = std::max(1, std::min(kStages, lines));
       auto stage = [&](int s) {
         return std::pair<int, int>{lines * s / S, lines * (s + 1) / S};
       };

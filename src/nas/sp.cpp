@@ -13,6 +13,10 @@ namespace {
 using tables::kNcomp;
 using namespace tables::sp;  // NOLINT(google-build-using-namespace)
 
+/// How many chunks the overlapped computation is split into (an Iprobe
+/// runs between chunks when `modified`).
+constexpr int kIprobeChunks = 8;
+
 constexpr double kOffA = 0.5;   // coupling to i-2 / i+2
 constexpr double kOffB = -1.5;  // coupling to i-1 / i+1
 
@@ -225,22 +229,21 @@ NasResult runSp(const SpParams& params) {
     // Iprobes between them (the paper's modification).
     auto computeLhsChunked = [&](int l0, int l1,
                                  const std::function<void(int, int)>& fill) {
-      const int chunks = params.iprobe_chunks > 0 ? params.iprobe_chunks : 1;
       int done = l0;
-      for (int ch = 0; ch < chunks; ++ch) {
-        const int upto = l0 + (l1 - l0) * (ch + 1) / chunks;
+      for (int ch = 0; ch < kIprobeChunks; ++ch) {
+        const int upto = l0 + (l1 - l0) * (ch + 1) / kIprobeChunks;
         if (upto > done) {
           fill(done, upto);
           mpi.compute(cost.flops(48LL * (upto - done) * batch.n * kNcomp));
           done = upto;
         }
-        if (params.modified && ch + 1 < chunks) {
+        if (params.modified && ch + 1 < kIprobeChunks) {
           (void)mpi.iprobe(mpi::kAnySource, mpi::kAnyTag);
         }
       }
     };
 
-    // The solve is pipelined in `stages` blocks of lines: while stage s's
+    // The solve is pipelined in kStages blocks of lines: while stage s's
     // boundary data is in flight from the upstream rank, this rank is busy
     // on stage s's lhs — the "computing in between the posting of an Irecv
     // and waiting" structure of NPB SP.  Under the polling engine that
@@ -321,8 +324,7 @@ NasResult runSp(const SpParams& params) {
     auto solveBatch = [&](Rank up, Rank dn, int tag_fwd, int tag_bwd,
                           const std::function<void(int, int)>& fillLhs) {
       const int lines = batch.nlines;
-      const int S =
-          std::max(1, std::min(params.stages > 0 ? params.stages : 1, lines));
+      const int S = std::max(1, std::min(kStages, lines));
       fwd_in.assign(static_cast<std::size_t>(lines) * kFwdDoubles, 0.0);
       fwd_out.assign(static_cast<std::size_t>(lines) * kFwdDoubles, 0.0);
       bwd_in.assign(static_cast<std::size_t>(lines) * kBwdDoubles, 0.0);
@@ -366,10 +368,10 @@ NasResult runSp(const SpParams& params) {
       // computation window.
       auto bookkeeping = [&](int s) {
         const auto [l0, l1] = stage(s);
-        const int chunks = params.iprobe_chunks > 0 ? params.iprobe_chunks : 1;
-        for (int ch = 0; ch < chunks; ++ch) {
-          mpi.compute(cost.flops(14LL * (l1 - l0) * batch.n * kNcomp / chunks));
-          if (params.modified && ch + 1 < chunks) {
+        for (int ch = 0; ch < kIprobeChunks; ++ch) {
+          mpi.compute(
+              cost.flops(14LL * (l1 - l0) * batch.n * kNcomp / kIprobeChunks));
+          if (params.modified && ch + 1 < kIprobeChunks) {
             (void)mpi.iprobe(mpi::kAnySource, mpi::kAnyTag);
           }
         }

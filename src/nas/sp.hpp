@@ -32,14 +32,6 @@ struct SpParams : NasParams {
   /// Apply the paper's modification: Iprobe calls inside the computation
   /// of the overlapping sections.
   bool modified = false;
-  /// How many chunks the overlapped computation is split into (an Iprobe
-  /// runs between chunks when `modified`).
-  int iprobe_chunks = 8;
-  /// Stage count of the line-solve pipeline (NPB SP's multipartition
-  /// processes a line in per-cell stages; we stage the k-plane blocks).
-  /// Staging is what makes boundary messages arrive *during* the next
-  /// stage's lhs computation — the overlap the code attempts.
-  int stages = 3;
 };
 
 /// Runs SP; checksum = final solution norm (partition-invariant up to

@@ -23,20 +23,22 @@ struct OverlapAccum {
   DurationNs min_overlapped = 0;
   DurationNs max_overlapped = 0;
 
+  // The sums saturate (satAdd): a loaded trace can price any number of
+  // transfers at up to kMaxInputTimeNs each.
   void addTransfer(Bytes size, DurationNs xfer_time, const Bounds& b) {
     ++transfers;
-    bytes += size;
-    data_transfer_time += xfer_time;
-    min_overlapped += b.min_overlap;
-    max_overlapped += b.max_overlap;
+    bytes = satAdd(bytes, size);
+    data_transfer_time = satAdd(data_transfer_time, xfer_time);
+    min_overlapped = satAdd(min_overlapped, b.min_overlap);
+    max_overlapped = satAdd(max_overlapped, b.max_overlap);
   }
 
   OverlapAccum& operator+=(const OverlapAccum& o) {
     transfers += o.transfers;
-    bytes += o.bytes;
-    data_transfer_time += o.data_transfer_time;
-    min_overlapped += o.min_overlapped;
-    max_overlapped += o.max_overlapped;
+    bytes = satAdd(bytes, o.bytes);
+    data_transfer_time = satAdd(data_transfer_time, o.data_transfer_time);
+    min_overlapped = satAdd(min_overlapped, o.min_overlapped);
+    max_overlapped = satAdd(max_overlapped, o.max_overlapped);
     return *this;
   }
 
@@ -126,6 +128,22 @@ struct FaultStats {
     acks_dropped += o.acks_dropped;
     return *this;
   }
+
+  /// What a counter snapshot gained since an earlier snapshot `o`.
+  FaultStats& operator-=(const FaultStats& o) {
+    attempts -= o.attempts;
+    drops -= o.drops;
+    corrupt_drops -= o.corrupt_drops;
+    duplicates -= o.duplicates;
+    dup_discards -= o.dup_discards;
+    reorders -= o.reorders;
+    retransmissions -= o.retransmissions;
+    timeouts -= o.timeouts;
+    retry_exhausted -= o.retry_exhausted;
+    acks_sent -= o.acks_sent;
+    acks_dropped -= o.acks_dropped;
+    return *this;
+  }
 };
 
 /// Per-channel, per-size-class LogGP-style wire accounting, attached to a
@@ -163,6 +181,18 @@ struct VciChannelClass {
     incast_wait += o.incast_wait;
     return *this;
   }
+
+  VciChannelClass& operator-=(const VciChannelClass& o) {
+    posts -= o.posts;
+    deliveries -= o.deliveries;
+    bytes -= o.bytes;
+    o_send -= o.o_send;
+    o_recv -= o.o_recv;
+    gap -= o.gap;
+    link_wait -= o.link_wait;
+    incast_wait -= o.incast_wait;
+    return *this;
+  }
 };
 
 struct VciStats {
@@ -194,6 +224,16 @@ struct VciStats {
     if (channels != o.channels || class_bounds != o.class_bounds) return *this;
     for (std::size_t i = 0; i < rows.size() && i < o.rows.size(); ++i) {
       rows[i] += o.rows[i];
+    }
+    return *this;
+  }
+
+  /// What a counter snapshot gained since an earlier snapshot `o` of the
+  /// same fabric (same shape; a different shape leaves this unchanged).
+  VciStats& operator-=(const VciStats& o) {
+    if (channels != o.channels || class_bounds != o.class_bounds) return *this;
+    for (std::size_t i = 0; i < rows.size() && i < o.rows.size(); ++i) {
+      rows[i] -= o.rows[i];
     }
     return *this;
   }

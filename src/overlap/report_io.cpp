@@ -62,12 +62,4 @@ bool ReportIo::loadFiles(const std::vector<std::string>& paths,
   return true;
 }
 
-bool ReportIo::loadMerged(const std::vector<std::string>& paths,
-                          Report& merged, std::string* error) {
-  std::vector<Report> reports;
-  if (!loadFiles(paths, reports, error)) return false;
-  merged = mergeReports(reports);
-  return true;
-}
-
 }  // namespace ovp::overlap

@@ -37,11 +37,6 @@ struct ReportIo {
   [[nodiscard]] static bool loadFiles(const std::vector<std::string>& paths,
                                       std::vector<Report>& out,
                                       std::string* error = nullptr);
-
-  /// loadFiles + mergeReports in one step (the common consumer shape).
-  [[nodiscard]] static bool loadMerged(const std::vector<std::string>& paths,
-                                       Report& merged,
-                                       std::string* error = nullptr);
 };
 
 }  // namespace ovp::overlap

@@ -12,14 +12,6 @@ SizeClasses SizeClasses::shortLong(Bytes threshold) {
   return c;
 }
 
-SizeClasses SizeClasses::powersOfTwo(Bytes min_size, Bytes max_size) {
-  SizeClasses c;
-  for (Bytes b = min_size; b <= max_size; b *= 2) {
-    c.upper_bounds_.push_back(b);
-  }
-  return c;
-}
-
 SizeClasses SizeClasses::single() { return SizeClasses{}; }
 
 SizeClasses SizeClasses::fromBounds(std::vector<Bytes> bounds) {

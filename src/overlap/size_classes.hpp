@@ -4,8 +4,8 @@
 // distribution, such as 'short' versus 'long', or a more detailed size
 // distribution, will reveal the particular message transfers that are
 // affecting application performance the most."  The framework supports both
-// granularities: a two-class short/long split at a threshold, and a
-// power-of-two histogram.
+// granularities: a two-class short/long split at a threshold, and any
+// ascending list of class bounds.
 #pragma once
 
 #include <string>
@@ -19,9 +19,6 @@ class SizeClasses {
  public:
   /// Two classes: [0, threshold) = "short", [threshold, inf) = "long".
   [[nodiscard]] static SizeClasses shortLong(Bytes threshold);
-
-  /// Power-of-two bins from <= min_size up to > max_size.
-  [[nodiscard]] static SizeClasses powersOfTwo(Bytes min_size, Bytes max_size);
 
   /// Single catch-all class (no breakdown).
   [[nodiscard]] static SizeClasses single();

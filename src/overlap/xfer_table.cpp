@@ -9,6 +9,24 @@
 
 namespace ovp::overlap {
 
+namespace {
+
+/// Truncates `v` into [-kMaxInputTimeNs, kMaxInputTimeNs]: a double outside
+/// the int64 range has no defined conversion.
+DurationNs truncNs(double v) {
+  constexpr double kCap = static_cast<double>(kMaxInputTimeNs);
+  if (std::isnan(v)) return 0;
+  return static_cast<DurationNs>(std::clamp(v, -kCap, kCap));
+}
+
+/// A priced transfer time lies in [0, kMaxInputTimeNs], whatever the
+/// table's points or extrapolation give (DESIGN §5.10).
+DurationNs priced(DurationNs t) {
+  return std::clamp<DurationNs>(t, 0, kMaxInputTimeNs);
+}
+
+}  // namespace
+
 void XferTimeTable::add(Bytes size, DurationNs time) {
   // Replace an existing point for the same size.
   for (auto& p : points_) {
@@ -34,8 +52,7 @@ XferTimeTable::Lookup XferTimeTable::lookupEx(Bytes size) const {
     // than the point itself is extrapolation.
     const double scale =
         static_cast<double>(size) / static_cast<double>(points_[0].size);
-    out.time = static_cast<DurationNs>(static_cast<double>(points_[0].time) *
-                                       scale);
+    out.time = priced(truncNs(static_cast<double>(points_[0].time) * scale));
     out.below_range = size < points_[0].size;
     out.above_range = size > points_[0].size;
     return out;
@@ -50,7 +67,7 @@ XferTimeTable::Lookup XferTimeTable::lookupEx(Bytes size) const {
                      static_cast<double>(b.size - a.size);
     const double v = static_cast<double>(a.time) +
                      t * static_cast<double>(b.time - a.time);
-    out.time = v < 0 ? 0 : static_cast<DurationNs>(v);
+    out.time = priced(truncNs(v));
     return out;
   }
   if (size > points_.back().size) {
@@ -60,15 +77,15 @@ XferTimeTable::Lookup XferTimeTable::lookupEx(Bytes size) const {
     const Point& b = points_.back();
     const double slope = static_cast<double>(b.time - a.time) /
                          static_cast<double>(b.size - a.size);
-    out.time = b.time + static_cast<DurationNs>(
-                            slope * static_cast<double>(size - b.size));
+    out.time = priced(satAdd(
+        b.time, truncNs(slope * static_cast<double>(size - b.size))));
     return out;
   }
   const auto hi = std::lower_bound(
       points_.begin(), points_.end(), size,
       [](const Point& p, Bytes s) { return p.size < s; });
   if (hi->size == size) {
-    out.time = hi->time;
+    out.time = priced(hi->time);
     return out;
   }
   const auto lo = hi - 1;
@@ -81,16 +98,16 @@ XferTimeTable::Lookup XferTimeTable::lookupEx(Bytes size) const {
     const double ls = std::log(static_cast<double>(lo->size));
     const double hs = std::log(static_cast<double>(hi->size));
     const double t = (std::log(static_cast<double>(size)) - ls) / (hs - ls);
-    out.time = static_cast<DurationNs>(
-        std::llround(std::exp(lt + t * (ht - lt))));
+    const double v = std::exp(lt + t * (ht - lt));
+    out.time = priced(
+        std::llround(std::min(v, static_cast<double>(kMaxInputTimeNs))));
     return out;
   }
   // A zero-time endpoint has no logarithm; fall back to linear.
   const double t = static_cast<double>(size - lo->size) /
                    static_cast<double>(hi->size - lo->size);
-  out.time =
-      lo->time +
-      static_cast<DurationNs>(t * static_cast<double>(hi->time - lo->time));
+  out.time = priced(
+      lo->time + truncNs(t * static_cast<double>(hi->time - lo->time)));
   return out;
 }
 

@@ -44,9 +44,11 @@ class XferTimeTable {
   /// near power-law in size; linear interpolation systematically overprices
   /// the inside of wide segments), falling back to linear when an endpoint
   /// time is zero.  Outside the calibrated range the estimate is explicit
-  /// extrapolation: the first segment's line (clamped at 0) below, the last
-  /// segment's bandwidth slope above — both flagged in the result.
-  /// Returns 0 for an empty table or non-positive size.
+  /// extrapolation: the first segment's line below, the last segment's
+  /// bandwidth slope above — both flagged in the result.  Every result is
+  /// clamped into [0, kMaxInputTimeNs], so no table prices a transfer
+  /// outside the range a loaded trace may carry.  Returns 0 for an empty
+  /// table or non-positive size.
   [[nodiscard]] Lookup lookupEx(Bytes size) const;
 
   /// lookupEx without the range flags.

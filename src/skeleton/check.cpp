@@ -12,21 +12,17 @@ CheckResult runPasses(const Skeleton& skel, const CheckConfig& cfg,
   result.ops = skel.totalOps();
   std::vector<analysis::Diagnostic> all;
 
-  // The deadlock pass consumes the match pairing, so matching always runs;
-  // cfg.match only controls whether its findings are reported.
+  // The deadlock pass consumes the match pairing.
   const MatchResult match = runMatch(skel);
   result.matched = match.matched;
   result.unmatched = match.unmatched;
-  if (cfg.match) {
-    all.insert(all.end(), match.diagnostics.begin(),
-               match.diagnostics.end());
-  }
-  if (cfg.deadlock) {
+  all.insert(all.end(), match.diagnostics.begin(), match.diagnostics.end());
+  {
     const DeadlockResult dl = runDeadlock(skel, match, cfg.deadlock_cfg);
     result.blocking_nodes = dl.nodes;
     all.insert(all.end(), dl.diagnostics.begin(), dl.diagnostics.end());
   }
-  if (cfg.overlap) {
+  {
     OverlapWindowResult ow = runOverlapWindow(skel, cfg.table);
     result.windows = ow.windows;
     result.sites = std::move(ow.sites);

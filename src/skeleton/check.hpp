@@ -17,10 +17,8 @@
 
 namespace ovp::skel {
 
+/// Inputs of the passes; every pass always runs.
 struct CheckConfig {
-  bool match = true;
-  bool deadlock = true;
-  bool overlap = true;
   DeadlockConfig deadlock_cfg;
   /// Transfer-time table for the overlap-window pass; an empty table
   /// silently disables the pricing (nothing to price against).

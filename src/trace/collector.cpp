@@ -24,9 +24,9 @@ static_assert(sameKind(RecordKind::Enable, EventType::Enable));
 
 }  // namespace
 
-Collector::Collector(CollectorConfig cfg, int nranks) : cfg_(cfg) {
+Collector::Collector(const CollectorConfig& cfg, int nranks) {
   rings_.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) rings_.emplace_back(cfg_.ring_capacity);
+  for (int r = 0; r < nranks; ++r) rings_.emplace_back(cfg.ring_capacity);
   end_times_.assign(static_cast<std::size_t>(nranks), 0);
   section_names_.resize(static_cast<std::size_t>(nranks));
   segments_.resize(static_cast<std::size_t>(nranks));

@@ -13,7 +13,7 @@
 //
 // Cost model: monitor-origin records are charged through the Monitor's
 // observer cost (per event, folded into queue-drain cost); library-origin
-// records are charged by the library via ctx.advance(config().record_cost).
+// records are charged by the library via ctx.advance(kRecordCost).
 // NIC-origin records are free, matching the NIC model (autonomous hardware
 // consumes no host time).
 #pragma once
@@ -32,6 +32,12 @@
 
 namespace ovp::trace {
 
+/// Host cost charged per record in virtual time: a cycle-counter read and
+/// one store into the preallocated ring, same order as the Monitor's
+/// event_cost.  This is what keeps Figure-20-style overhead claims honest —
+/// tracing is visible in the reported times, not hidden.
+inline constexpr DurationNs kRecordCost = 12;
+
 struct CollectorConfig {
   /// Master switch; a disabled config means no Collector is created at all
   /// and every library/NIC path stays bit-identical to an untraced run.
@@ -40,18 +46,12 @@ struct CollectorConfig {
   /// NAS class-A run with plenty of headroom; when it overflows the drop
   /// counters say exactly how much of the tail is missing.
   std::size_t ring_capacity = 1u << 19;
-  /// Host cost charged per record in virtual time: a cycle-counter read and
-  /// one store into the preallocated ring, same order as the Monitor's
-  /// event_cost.  This is what keeps Figure-20-style overhead claims honest
-  /// — tracing is visible in the reported times, not hidden.
-  DurationNs record_cost = 12;
 };
 
 class Collector {
  public:
-  Collector(CollectorConfig cfg, int nranks);
+  Collector(const CollectorConfig& cfg, int nranks);
 
-  [[nodiscard]] const CollectorConfig& config() const { return cfg_; }
   [[nodiscard]] int nranks() const { return static_cast<int>(rings_.size()); }
   [[nodiscard]] const TraceRing& ring(Rank r) const {
     return rings_[static_cast<std::size_t>(r)];
@@ -130,7 +130,6 @@ class Collector {
     Bytes bytes = 0;
   };
 
-  CollectorConfig cfg_;
   std::vector<TraceRing> rings_;
   std::vector<TimeNs> end_times_;
   std::vector<std::map<std::int64_t, std::string>> section_names_;

@@ -85,7 +85,8 @@ ReadResult readCsv(std::istream& is) {
       std::count(text.begin(), text.end(), '\n') + 1));
   std::vector<std::pair<std::int64_t, std::size_t>> meta_ranks;  // rank, line
   bool header_seen = false;
-  // Every time a trace carries lies in [0, kMaxInputTimeNs].
+  // Every time, transfer size and byte count a trace carries lies in
+  // [0, kMaxInputTimeNs].
   const auto uncapped = [&](std::size_t at, const char* what, TimeNs t) {
     if (t >= 0 && t <= kMaxInputTimeNs) return false;
     result.error = lineError(at, std::string(what) + " " + std::to_string(t) +
@@ -125,6 +126,10 @@ ReadResult readCsv(std::istream& is) {
         meta_ranks.push_back({a, lineno});
       } else if (key == "xfer_point" && n >= 3 && util::parseInt(f[1], a) &&
                  util::parseInt(f[2], b)) {
+        if (uncapped(lineno, "xfer_point size", a) ||
+            uncapped(lineno, "xfer_point time", b)) {
+          return result;
+        }
         xfer_points.emplace_back(a, b);
       } else if (key == "dropped" && n >= 3 && util::parseInt(f[1], a) &&
                  util::parseInt(f[2], b)) {
@@ -166,7 +171,10 @@ ReadResult readCsv(std::istream& is) {
       result.error = lineError(lineno, "malformed numeric field");
       return result;
     }
-    if (uncapped(lineno, "time", row.rec.time)) return result;
+    if (uncapped(lineno, "time", row.rec.time) ||
+        uncapped(lineno, "bytes", row.rec.bytes)) {
+      return result;
+    }
     if (!recordKindFromName(util::trim(f[3]), kind)) {
       result.error = lineError(
           lineno, "unknown record kind '" + std::string(f[3]) + "'");

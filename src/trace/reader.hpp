@@ -13,8 +13,10 @@
 // row fails the whole load with a line-numbered error (a trace that cannot
 // be trusted should not be silently analyzed).  Beyond the syntax, it
 // rejects what the passes behind it cannot replay: a rank or peer outside
-// the job, a record or end time outside [0, kMaxInputTimeNs], and a rank's
-// monitor-origin record earlier than the one before it.
+// the job; a record or end time, record byte count, or transfer-table size
+// or time outside [0, kMaxInputTimeNs]; and a rank's monitor-origin record
+// earlier than the one before it.  Sums over the records the replay then
+// forms saturate (DESIGN §5.10).
 #pragma once
 
 #include <iosfwd>

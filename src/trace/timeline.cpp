@@ -22,11 +22,13 @@ struct WindowSink {
 
   /// Exact proportional attribution of `v` over span [a, b) across the
   /// grid: cumulative integer division guarantees the pieces sum to v.
+  /// Window sums saturate like OverlapAccum's.
   void spread(TimeNs a, TimeNs b, DurationNs v,
               DurationNs WindowStats::*field) {
     if (v == 0) return;
     if (b <= a) {
-      out.windows[windowOf(a)].*field += v;
+      DurationNs& sum = out.windows[windowOf(a)].*field;
+      sum = satAdd(sum, v);
       return;
     }
     DurationNs allocated = 0;
@@ -36,13 +38,15 @@ struct WindowSink {
       cum += std::min<TimeNs>(b, windowEnd(k)) - lo;
       const auto share = static_cast<DurationNs>(
           (static_cast<__int128>(v) * cum) / (b - a));
-      out.windows[k].*field += share - allocated;
+      DurationNs& sum = out.windows[k].*field;
+      sum = satAdd(sum, share - allocated);
       allocated = share;
     }
   }
 
   /// Occupancy of [a, b), split exactly at window borders.
   void occupied(TimeNs a, TimeNs b, bool in_call) {
+    // One rank's occupancy sums to at most its time span.
     (in_call ? out.comm_total : out.comp_total) += b - a;
     DurationNs WindowStats::*field =
         in_call ? &WindowStats::comm_time : &WindowStats::comp_time;
@@ -62,7 +66,7 @@ struct WindowSink {
     out.total.addTransfer(x.size, x.in.xfer_time, x.bounds);
     WindowStats& end_win = out.windows[windowOf(x.end)];
     ++end_win.transfers;
-    end_win.bytes += x.size;
+    end_win.bytes = satAdd(end_win.bytes, x.size);
     spread(a, x.end, x.in.xfer_time, &WindowStats::data_transfer_time);
     spread(a, x.end, x.bounds.min_overlap, &WindowStats::min_overlap);
     spread(a, x.end, x.bounds.max_overlap, &WindowStats::max_overlap);
@@ -108,13 +112,13 @@ std::vector<WindowStats> sumWindows(const std::vector<RankWindows>& per_rank) {
     for (std::size_t k = 0; k < rw.windows.size(); ++k) {
       WindowStats& o = out[k];
       const WindowStats& w = rw.windows[k];
-      o.comm_time += w.comm_time;
-      o.comp_time += w.comp_time;
+      o.comm_time = satAdd(o.comm_time, w.comm_time);
+      o.comp_time = satAdd(o.comp_time, w.comp_time);
       o.transfers += w.transfers;
-      o.bytes += w.bytes;
-      o.data_transfer_time += w.data_transfer_time;
-      o.min_overlap += w.min_overlap;
-      o.max_overlap += w.max_overlap;
+      o.bytes = satAdd(o.bytes, w.bytes);
+      o.data_transfer_time = satAdd(o.data_transfer_time, w.data_transfer_time);
+      o.min_overlap = satAdd(o.min_overlap, w.min_overlap);
+      o.max_overlap = satAdd(o.max_overlap, w.max_overlap);
     }
   }
   return out;

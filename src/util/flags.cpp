@@ -1,7 +1,6 @@
 #include "util/flags.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/strings.hpp"
 
@@ -25,6 +24,14 @@ bool knownOvprofFlag(std::string_view name) {
     if (name == known) return true;
   }
   return false;
+}
+
+/// The value of --NAME=VALUE, "" when the flag is absent; a bare --NAME
+/// parses as boolean "true" and means `bare`.
+std::string valueOrBare(const Flags& flags, std::string_view name,
+                        const char* bare) {
+  const std::string value = flags.getString(name, "");
+  return value == "true" ? std::string(bare) : value;
 }
 
 }  // namespace
@@ -92,101 +99,47 @@ bool Flags::has(std::string_view name) const {
 }
 
 bool verifyRequested(const Flags& flags) {
-  if (flags.has("ovprof-verify")) return flags.getBool("ovprof-verify", false);
-  const char* env = std::getenv("OVPROF_VERIFY");
-  return env != nullptr && env[0] != '\0' && std::string_view(env) != "0";
+  return flags.getBool("ovprof-verify", false);
 }
 
 std::string faultSpecRequested(const Flags& flags) {
-  if (flags.has("ovprof-fault")) return flags.getString("ovprof-fault", "");
-  const char* env = std::getenv("OVPROF_FAULT");
-  return env != nullptr ? std::string(env) : std::string();
+  return flags.getString("ovprof-fault", "");
 }
 
 std::string traceSpecRequested(const Flags& flags) {
-  if (flags.has("ovprof-trace")) {
-    const std::string path = flags.getString("ovprof-trace", "");
-    // A bare --ovprof-trace parses as boolean "true"; give it a real name.
-    return path == "true" ? std::string("ovprof-trace.json") : path;
-  }
-  const char* env = std::getenv("OVPROF_TRACE");
-  return env != nullptr ? std::string(env) : std::string();
+  return valueOrBare(flags, "ovprof-trace", "ovprof-trace.json");
 }
 
 bool lintRequested(const Flags& flags) {
-  if (flags.has("ovprof-lint")) return flags.getBool("ovprof-lint", false);
-  const char* env = std::getenv("OVPROF_LINT");
-  return env != nullptr && env[0] != '\0' && std::string_view(env) != "0";
+  return flags.getBool("ovprof-lint", false);
 }
 
 std::string lintJsonPathRequested(const Flags& flags) {
-  if (flags.has("ovprof-lint-json")) {
-    const std::string path = flags.getString("ovprof-lint-json", "");
-    // A bare --ovprof-lint-json parses as boolean "true"; give it a name.
-    return path == "true" ? std::string("ovprof-lint.json") : path;
-  }
-  const char* env = std::getenv("OVPROF_LINT_JSON");
-  return env != nullptr ? std::string(env) : std::string();
+  return valueOrBare(flags, "ovprof-lint-json", "ovprof-lint.json");
 }
 
 std::string checkJsonPathRequested(const Flags& flags) {
-  if (flags.has("ovprof-check-json")) {
-    const std::string path = flags.getString("ovprof-check-json", "");
-    // A bare --ovprof-check-json parses as boolean "true"; give it a name.
-    return path == "true" ? std::string("ovprof-check.json") : path;
-  }
-  const char* env = std::getenv("OVPROF_CHECK_JSON");
-  return env != nullptr ? std::string(env) : std::string();
+  return valueOrBare(flags, "ovprof-check-json", "ovprof-check.json");
 }
 
 std::string modelSamplePathRequested(const Flags& flags) {
-  if (flags.has("ovprof-model")) {
-    const std::string path = flags.getString("ovprof-model", "");
-    // A bare --ovprof-model parses as boolean "true"; give it a real name.
-    return path == "true" ? std::string("ovprof-model.sample") : path;
-  }
-  const char* env = std::getenv("OVPROF_MODEL");
-  return env != nullptr ? std::string(env) : std::string();
+  return valueOrBare(flags, "ovprof-model", "ovprof-model.sample");
 }
 
 double modelParamRequested(const Flags& flags) {
-  if (flags.has("ovprof-model-param")) {
-    return flags.getDouble("ovprof-model-param", 0.0);
-  }
-  const char* env = std::getenv("OVPROF_MODEL_PARAM");
-  if (env == nullptr) return 0.0;
-  double v = 0.0;
-  return parseDouble(env, v) ? v : 0.0;
+  return flags.getDouble("ovprof-model-param", 0.0);
 }
 
 std::string vciSpecRequested(const Flags& flags) {
-  if (flags.has("ovprof-vci")) {
-    const std::string spec = flags.getString("ovprof-vci", "");
-    // A bare --ovprof-vci parses as boolean "true"; mean two channels.
-    return spec == "true" ? std::string("2") : spec;
-  }
-  const char* env = std::getenv("OVPROF_VCI");
-  return env != nullptr ? std::string(env) : std::string();
+  return valueOrBare(flags, "ovprof-vci", "2");  // bare: two channels
 }
 
 int vciRailsRequested(const Flags& flags) {
-  if (flags.has("ovprof-vci-rails")) {
-    return static_cast<int>(flags.getInt("ovprof-vci-rails", 1));
-  }
-  const char* env = std::getenv("OVPROF_VCI_RAILS");
-  if (env == nullptr) return 1;
-  std::int64_t v = 0;
-  return parseInt(env, v) ? static_cast<int>(v) : 1;
+  return static_cast<int>(flags.getInt("ovprof-vci-rails", 1));
 }
 
 int workersRequested(const Flags& flags) {
-  if (flags.has("ovprof-workers")) {
-    return static_cast<int>(flags.getInt("ovprof-workers", 1));
-  }
-  const char* env = std::getenv("OVPROF_WORKERS");
-  if (env == nullptr) return 1;
-  std::int64_t v = 0;
-  return parseInt(env, v) ? static_cast<int>(v) : 1;
+  return static_cast<int>(flags.getInt("ovprof-workers", 1));
 }
 
 bool helpRequested(const Flags& flags) {
@@ -197,15 +150,14 @@ const char* ovprofHelpText() {
   return
       "  --ovprof-verify[=0|1]        attach the analysis layer (event-stream\n"
       "                               verifier + library-misuse checker) to\n"
-      "                               every rank; also: OVPROF_VERIFY=1\n"
+      "                               every rank\n"
       "  --ovprof-fault=SPEC          inject fabric faults; SPEC is e.g.\n"
       "                               drop=0.05,jitter=2000,seed=7 (a bare\n"
-      "                               number means drop=N); also: OVPROF_FAULT\n"
+      "                               number means drop=N)\n"
       "  --ovprof-trace=FILE          write an always-on event trace: Chrome\n"
       "                               trace-event JSON to FILE (load in\n"
       "                               Perfetto / chrome://tracing) and a\n"
-      "                               lossless CSV to FILE.csv; also:\n"
-      "                               OVPROF_TRACE=FILE\n"
+      "                               lossless CSV to FILE.csv\n"
       "  --ovprof-trace-capacity=N    per-rank trace ring capacity in records\n"
       "                               (default 524288; overflow drops newest\n"
       "                               records and is counted)\n"
@@ -215,38 +167,32 @@ const char* ovprofHelpText() {
       "                               (RMA race detection, wait-for deadlock\n"
       "                               and stall analysis, overlap advice) and\n"
       "                               print ranked findings; the process exits\n"
-      "                               nonzero on Warning/Error findings; also:\n"
-      "                               OVPROF_LINT=1\n"
+      "                               nonzero on Warning/Error findings\n"
       "  --ovprof-lint-json=FILE      with --ovprof-lint, additionally write\n"
       "                               the findings as a deterministic JSON\n"
-      "                               array to FILE; also: OVPROF_LINT_JSON\n"
+      "                               array to FILE\n"
       "  --ovprof-check-json=FILE     (ovprof_check) additionally write the\n"
       "                               static-analysis findings as a\n"
-      "                               deterministic JSON array to FILE; also:\n"
-      "                               OVPROF_CHECK_JSON\n"
+      "                               deterministic JSON array to FILE\n"
       "  --ovprof-model=FILE          after the run, save a model sample\n"
       "                               (merged report + sweep metadata) to\n"
-      "                               FILE for ovprof_model fit/predict;\n"
-      "                               also: OVPROF_MODEL=FILE\n"
+      "                               FILE for ovprof_model fit/predict\n"
       "  --ovprof-model-param=X       sweep parameter recorded in the model\n"
       "                               sample (default: mean bytes per\n"
-      "                               transfer); also: OVPROF_MODEL_PARAM\n"
+      "                               transfer)\n"
       "  --ovprof-vci=N[,policy]      give every NIC N virtual channel\n"
       "                               interfaces with per-channel queues and\n"
       "                               a per-channel LogGP report section;\n"
       "                               policy is tag-hash (default),\n"
-      "                               round-robin, per-peer or explicit;\n"
-      "                               also: OVPROF_VCI=N[,policy]\n"
+      "                               round-robin, per-peer or explicit\n"
       "  --ovprof-vci-rails=R         physical rails per node port (channel c\n"
       "                               rides rail c mod R; default 1 keeps\n"
       "                               wire timing identical to the\n"
-      "                               single-rail fabric); also:\n"
-      "                               OVPROF_VCI_RAILS=R\n"
+      "                               single-rail fabric)\n"
       "  --ovprof-workers=N           run the simulation engine with N worker\n"
       "                               threads (conservative parallel mode;\n"
       "                               results are bit-identical to N=1, fault\n"
-      "                               injection included); also:\n"
-      "                               OVPROF_WORKERS=N\n";
+      "                               injection included)\n";
 }
 
 }  // namespace ovp::util

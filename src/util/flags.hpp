@@ -30,69 +30,61 @@ class Flags {
   std::map<std::string, std::string, std::less<>> values_;
 };
 
+// The --ovprof-* flags are the one way to set each framework-wide switch;
+// no environment variable stands in for them.
+
 /// Standard switch for the analysis layer: true when --ovprof-verify[=1]
-/// was passed, or the OVPROF_VERIFY environment variable is set non-empty
-/// (and not "0").  Lets any example/bench binary enable the StreamVerifier
-/// and UsageChecker without recompiling.
+/// was passed.  Lets any example/bench binary enable the StreamVerifier and
+/// UsageChecker without recompiling.
 [[nodiscard]] bool verifyRequested(const Flags& flags);
 
-/// Standard switch for fabric fault injection: returns the spec string from
-/// --ovprof-fault=<spec>, or from the OVPROF_FAULT environment variable when
-/// the flag is absent; empty string when neither is set.  The spec grammar
+/// Standard switch for fabric fault injection: the spec string from
+/// --ovprof-fault=<spec>; empty when the flag is absent.  The spec grammar
 /// is net::FaultModel::parse's ("drop=0.05,jitter=2000,seed=7", a bare
 /// number meaning drop=<number>).
 [[nodiscard]] std::string faultSpecRequested(const Flags& flags);
 
 /// Standard switch for always-on tracing: the output path from
-/// --ovprof-trace=FILE, or from the OVPROF_TRACE environment variable when
-/// the flag is absent; empty string when neither is set.  The binary writes
+/// --ovprof-trace=FILE; empty when the flag is absent.  The binary writes
 /// a Chrome trace-event JSON to FILE and a lossless CSV to FILE.csv.
 [[nodiscard]] std::string traceSpecRequested(const Flags& flags);
 
 /// Standard switch for the offline lint passes: true when --ovprof-lint[=1]
-/// was passed, or the OVPROF_LINT environment variable is set non-empty (and
-/// not "0").  The binary runs analysis::runLint over the collected trace
+/// was passed.  The binary runs analysis::runLint over the collected trace
 /// after the run and exits nonzero on Warning/Error findings.
 [[nodiscard]] bool lintRequested(const Flags& flags);
 
 /// Optional JSON sink for lint findings: the path from
-/// --ovprof-lint-json=FILE, or from the OVPROF_LINT_JSON environment
-/// variable when the flag is absent; empty string when neither is set.
+/// --ovprof-lint-json=FILE; empty when the flag is absent.
 [[nodiscard]] std::string lintJsonPathRequested(const Flags& flags);
 
 /// Optional JSON sink for ovprof_check findings: the path from
-/// --ovprof-check-json=FILE, or from the OVPROF_CHECK_JSON environment
-/// variable when the flag is absent; empty string when neither is set.
+/// --ovprof-check-json=FILE; empty when the flag is absent.
 [[nodiscard]] std::string checkJsonPathRequested(const Flags& flags);
 
-/// Model-sample sink: the path from --ovprof-model=FILE, or from the
-/// OVPROF_MODEL environment variable when the flag is absent; empty string
-/// when neither is set.  The binary saves a model::RunSample (the merged
-/// job report plus sweep metadata) to FILE after the run, for ovprof_model.
+/// Model-sample sink: the path from --ovprof-model=FILE; empty when the
+/// flag is absent.  The binary saves a model::RunSample (the merged job
+/// report plus sweep metadata) to FILE after the run, for ovprof_model.
 [[nodiscard]] std::string modelSamplePathRequested(const Flags& flags);
 
 /// Sweep parameter recorded in the model sample: the value from
-/// --ovprof-model-param=X, or from the OVPROF_MODEL_PARAM environment
-/// variable when the flag is absent; 0.0 when neither is set (the sample
-/// then defaults to mean bytes per transfer).
+/// --ovprof-model-param=X; 0.0 when the flag is absent (the sample then
+/// defaults to mean bytes per transfer).
 [[nodiscard]] double modelParamRequested(const Flags& flags);
 
-/// Multi-VCI fabric spec: the string from --ovprof-vci=N[,policy], or from
-/// the OVPROF_VCI environment variable when the flag is absent; empty when
-/// neither is set.  The grammar is net::VciParams::parse's ("2",
+/// Multi-VCI fabric spec: the string from --ovprof-vci=N[,policy]; empty
+/// when the flag is absent.  The grammar is net::VciParams::parse's ("2",
 /// "4,round-robin"); a bare --ovprof-vci means "2".
 [[nodiscard]] std::string vciSpecRequested(const Flags& flags);
 
-/// Physical rails per node port: the value from --ovprof-vci-rails=R, or
-/// from the OVPROF_VCI_RAILS environment variable when the flag is absent;
-/// 1 when neither is set (single-rail timing, identical to the historical
+/// Physical rails per node port: the value from --ovprof-vci-rails=R; 1 when
+/// the flag is absent (single-rail timing, identical to the historical
 /// fabric for any channel count).
 [[nodiscard]] int vciRailsRequested(const Flags& flags);
 
-/// Engine worker-thread count: the value from --ovprof-workers=N, or from
-/// the OVPROF_WORKERS environment variable when the flag is absent; 1 when
-/// neither is set.  Parallel runs are bit-identical to sequential ones, so
-/// this only trades host time for threads.
+/// Engine worker-thread count: the value from --ovprof-workers=N; 1 when
+/// the flag is absent.  Parallel runs are bit-identical to sequential ones,
+/// so this only trades host time for threads.
 [[nodiscard]] int workersRequested(const Flags& flags);
 
 /// True when --help (or -h as the sole positional-looking argument) was

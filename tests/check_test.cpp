@@ -18,11 +18,17 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mpi/machine.hpp"
 #include "nas/bt.hpp"
+#include "nas/cg.hpp"
+#include "nas/ep.hpp"
+#include "nas/ft.hpp"
+#include "nas/is.hpp"
 #include "nas/lu.hpp"
+#include "nas/mg.hpp"
 #include "nas/skeletons.hpp"
 #include "nas/sp.hpp"
 #include "skeleton/builder.hpp"
@@ -355,10 +361,8 @@ TEST(CheckConform, ForeignTraceIsRejected) {
   const auto collector = tracedPingPong();
   ASSERT_TRUE(collector);
   // The unmatched-send fixture admits no tag-3/tag-4 exchange at all.
-  skel::CheckConfig cfg;
-  cfg.match = false;  // isolate the conformance verdict
   const skel::CheckResult r =
-      skel::runCheckConform(unmatchedSendFixture(), cfg, *collector);
+      skel::runCheckConform(unmatchedSendFixture(), {}, *collector);
   EXPECT_TRUE(hasCode(r.diagnostics, DiagCode::ConformMismatch));
   EXPECT_EQ(r.exitCode(), 1);
 }
@@ -370,37 +374,54 @@ TEST(CheckConform, RankCountMismatchIsOneError) {
   p.nranks = 4;
   const nas::SkeletonBuildResult built = nas::buildNasSkeleton("ep", p);
   ASSERT_TRUE(built.ok());
-  skel::CheckConfig cfg;
-  cfg.match = false;
-  cfg.deadlock = false;
   const skel::CheckResult r =
-      skel::runCheckConform(built.skeleton, cfg, *collector);
+      skel::runCheckConform(built.skeleton, {}, *collector);
   EXPECT_TRUE(hasCode(r.diagnostics, DiagCode::ConformMismatch));
 }
 
-// The unrolled LU/SP/BT skeletons describe the iterations their kernels
-// run: at class A on 4 ranks, every MATCH a traced run records pairs with
-// exactly one static pair, not merely an admissible one.
-TEST(CheckConform, UnrolledSkeletonsCountTheKernelsMessages) {
-  for (const std::string kernel : {"lu", "sp", "bt"}) {
+// Every skeleton describes the iterations its kernel runs: on 4 ranks,
+// every MATCH a traced run records pairs with exactly one static pair, not
+// merely an admissible one.  The conformance ctests run class S only, so
+// this runs the unrolled LU/SP/BT skeletons at class A and the instantiated
+// templates (MG as its MPI variant) at classes A and B.
+TEST(CheckConform, SkeletonsCountTheKernelsMessages) {
+  std::vector<std::pair<std::string, nas::Class>> cases = {
+      {"lu", nas::Class::A}, {"sp", nas::Class::A}, {"bt", nas::Class::A}};
+  for (const nas::Class cls : {nas::Class::A, nas::Class::B}) {
+    for (const char* kernel : {"cg", "ep", "is", "ft", "mg"}) {
+      cases.emplace_back(kernel, cls);
+    }
+  }
+  for (const auto& [kernel, cls] : cases) {
+    const std::string what =
+        kernel + (cls == nas::Class::A ? " class A" : " class B");
     nas::SpParams run;
     run.nranks = 4;
-    run.cls = nas::Class::A;
+    run.cls = cls;
     run.trace.enabled = true;
+    nas::MgParams mg;
+    static_cast<nas::NasParams&>(mg) = run;
+    mg.variant = nas::MgVariant::MpiBlocking;
     const nas::NasResult result = kernel == "lu"   ? nas::runLu(run)
                                   : kernel == "sp" ? nas::runSp(run)
-                                                   : nas::runBt(run);
-    ASSERT_TRUE(result.trace) << kernel;
+                                  : kernel == "bt" ? nas::runBt(run)
+                                  : kernel == "cg" ? nas::runCg(run)
+                                  : kernel == "ep" ? nas::runEp(run)
+                                  : kernel == "is" ? nas::runIs(run)
+                                  : kernel == "ft" ? nas::runFt(run)
+                                                   : nas::runMg(mg);
+    ASSERT_TRUE(result.trace) << what;
     nas::SkeletonParams p;
     p.nranks = 4;
-    p.cls = nas::Class::A;
+    p.cls = cls;
+    p.variant = "mpi";
     const nas::SkeletonBuildResult built = nas::buildNasSkeleton(kernel, p);
-    ASSERT_TRUE(built.ok()) << kernel << ": " << built.error;
+    ASSERT_TRUE(built.ok()) << what << ": " << built.error;
     const skel::CheckResult r =
         skel::runCheckConform(built.skeleton, {}, *result.trace);
-    EXPECT_TRUE(r.clean()) << kernel;
-    EXPECT_GT(r.conform_edges, 0) << kernel;
-    EXPECT_EQ(r.matched, r.conform_edges) << kernel;
+    EXPECT_TRUE(r.clean()) << what;
+    EXPECT_GT(r.conform_edges, 0) << what;
+    EXPECT_EQ(r.matched, r.conform_edges) << what;
   }
 }
 

@@ -22,6 +22,7 @@
 #include "cluster/scheduler.hpp"
 #include "cluster/workload.hpp"
 #include "mpi/machine.hpp"
+#include "net/vci.hpp"
 #include "overlap/report.hpp"
 #include "util/rng.hpp"
 
@@ -505,6 +506,7 @@ TEST(Campaign, LossyCampaignBitIdenticalAcrossWorkerCounts) {
   // Fault dice are per transmission, so a lossy fabric parallelizes like a
   // lossless one: the requested workers are really used, and the records
   // (retransmission-delayed durations included) do not move.
+  // Each record carries the NIC fault counters its job's ranks gained.
   const std::vector<JobSpec> jobs = synthWorkload(6, 5, 4);
   std::string baseline;
   for (int workers : {1, 3}) {
@@ -518,6 +520,49 @@ TEST(Campaign, LossyCampaignBitIdenticalAcrossWorkerCounts) {
     const CampaignResult result = runtime.run(jobs, os);
     EXPECT_EQ(runtime.workersUsed(), workers);
     EXPECT_EQ(result.records_written, 6);
+    std::istringstream is(os.str());
+    std::vector<JobRecord> records;
+    ASSERT_TRUE(Aggregator::loadAll(is, records));
+    EXPECT_TRUE(std::any_of(records.begin(), records.end(),
+                            [](const JobRecord& r) {
+                              return r.merged.faults.attempts > 0;
+                            }));
+    if (baseline.empty()) {
+      baseline = os.str();
+    } else {
+      EXPECT_EQ(os.str(), baseline) << "workers=" << workers;
+    }
+  }
+}
+
+TEST(Campaign, ChannelCountersReachEveryRecordAtAnyWorkerCount) {
+  // Campaign ranks build their own Mpi instead of going through the job
+  // runner, and share NICs across jobs: each record must still carry the
+  // per-channel counters its ranks' NICs gained during the job.
+  std::vector<JobSpec> jobs = synthWorkload(6, 1, 4);
+  for (JobSpec& j : jobs) j.nranks = std::max(j.nranks, 2);  // on the wire
+  std::string baseline;
+  for (int workers : {1, 2}) {
+    ClusterConfig cfg = smallConfig();
+    cfg.exclusive_nodes = false;
+    ASSERT_TRUE(net::VciParams::parse("2", cfg.fabric.vci));
+    cfg.workers = workers;
+    ClusterRuntime runtime(cfg);
+    std::ostringstream os;
+    const CampaignResult result = runtime.run(jobs, os);
+    EXPECT_EQ(result.records_written, 6);
+    std::istringstream is(os.str());
+    std::vector<JobRecord> records;
+    ASSERT_TRUE(Aggregator::loadAll(is, records));
+    ASSERT_EQ(records.size(), 6U);
+    for (const JobRecord& rec : records) {
+      ASSERT_EQ(rec.merged.vci.channels, 2) << "job " << rec.spec.id;
+      std::int64_t posts = 0;
+      for (const overlap::VciChannelClass& row : rec.merged.vci.rows) {
+        posts += row.posts;
+      }
+      EXPECT_GT(posts, 0) << "job " << rec.spec.id;
+    }
     if (baseline.empty()) {
       baseline = os.str();
     } else {

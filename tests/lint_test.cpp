@@ -612,19 +612,5 @@ TEST(LintFlags, KnownFlagsParseAndUnknownAreRejected) {
   }
 }
 
-TEST(LintFlags, EnvironmentFallbacks) {
-  util::Flags flags;
-  ASSERT_TRUE(flags.parse(0, nullptr));
-  EXPECT_FALSE(util::lintRequested(flags));
-  ::setenv("OVPROF_LINT", "1", 1);
-  ::setenv("OVPROF_LINT_JSON", "/tmp/lint.json", 1);
-  EXPECT_TRUE(util::lintRequested(flags));
-  EXPECT_EQ(util::lintJsonPathRequested(flags), "/tmp/lint.json");
-  ::setenv("OVPROF_LINT", "0", 1);
-  EXPECT_FALSE(util::lintRequested(flags));
-  ::unsetenv("OVPROF_LINT");
-  ::unsetenv("OVPROF_LINT_JSON");
-}
-
 }  // namespace
 }  // namespace ovp

@@ -5,7 +5,8 @@
 # the held-out third scale (class B), and requires:
 #   * ovprof_model eval exits 0: the measured B run reproduces the predicted
 #     mean transfer time and overlap-bound percentages within the documented
-#     tolerances (EvalGate defaults, DESIGN.md 5.12);
+#     tolerances (model::kMeanXferRelTol and kBoundsAbsTolPct, DESIGN.md
+#     5.12);
 #   * the fit JSON is bit-identical across reruns (deterministic output);
 #   * fit, predict and eval write valid JSON when a section name holds a
 #     quote and a backslash (SP's section, renamed in its samples).

@@ -1,6 +1,6 @@
 // src/model/: normal-form fitter recovery on known (noisy) models, sample
 // round-trips, model-set fitting/JSON determinism (with a golden file),
-// the fitted xfer-time model, and what-if prediction — including the
+// and what-if prediction — including the
 // in-process end-to-end: fit a CG class sweep, predict the held-out class,
 // and check the measured run lands within the documented tolerances; and
 // a seeded line-mutation fuzz of the sample and report loaders.
@@ -22,7 +22,6 @@
 #include "model/model_set.hpp"
 #include "model/predict.hpp"
 #include "model/sample.hpp"
-#include "model/xfer_model.hpp"
 #include "nas/cg.hpp"
 
 #ifndef OVPROF_GOLDEN_DIR
@@ -330,49 +329,6 @@ TEST(ModelSet, GoldenSyntheticSweep) {
   compareOrRegold("model_synthetic.json", os.str());
 }
 
-// ------------------------------------------------------------ xfer model --
-
-TEST(XferModel, FitsLatencyBandwidthTable) {
-  overlap::XferTimeTable table;
-  for (Bytes s = 1024; s <= 1024 * 1024; s *= 4) {
-    table.add(s, 1000 + 2 * s);
-  }
-  const model::XferModel xm = model::XferModel::fitTable(table);
-  EXPECT_EQ(xm.fit().hypothesis, hypothesisIndex(1, 1, 0));
-  EXPECT_EQ(xm.minSize(), 1024);
-  EXPECT_EQ(xm.maxSize(), 1024 * 1024);
-  // Exact on the training points and sensible between them.
-  EXPECT_NEAR(static_cast<double>(xm.evalNs(4096)), 1000 + 2 * 4096, 1.0);
-  EXPECT_NEAR(static_cast<double>(xm.evalNs(6000)), 1000 + 2 * 6000, 1.0);
-}
-
-TEST(XferModel, TabulateCoversRangeLogSpaced) {
-  overlap::XferTimeTable table;
-  for (Bytes s = 1024; s <= 1024 * 1024; s *= 4) {
-    table.add(s, 1000 + 2 * s);
-  }
-  const model::XferModel xm = model::XferModel::fitTable(table);
-  const overlap::XferTimeTable grid = xm.tabulate(1024, 1024 * 1024, 4);
-  ASSERT_GE(grid.points(), 10u);
-  EXPECT_EQ(grid.point(0).first, 1024);
-  EXPECT_EQ(grid.point(grid.points() - 1).first, 1024 * 1024);
-  for (std::size_t i = 1; i < grid.points(); ++i) {
-    EXPECT_GT(grid.point(i).first, grid.point(i - 1).first);
-  }
-  // The re-materialized table prices like the model it came from.  The
-  // grid's interior lookups go through log-log interpolation, which is not
-  // exact for an affine model, so allow a small relative slack.
-  const double expected = static_cast<double>(xm.evalNs(32 * 1024));
-  EXPECT_NEAR(static_cast<double>(grid.lookup(32 * 1024)), expected,
-              1e-3 * expected + 2.0);
-}
-
-TEST(XferModel, EmptyTableYieldsZeroModel) {
-  const model::XferModel xm =
-      model::XferModel::fitTable(overlap::XferTimeTable{});
-  EXPECT_EQ(xm.evalNs(4096), 0);
-}
-
 // ---------------------------------------------------------------- predict --
 
 TEST(Predict, IntervalIsResidualBand) {
@@ -393,7 +349,7 @@ TEST(Predict, EvalHeldOutPassesOnCleanSyntheticSweep) {
   const model::ModelSet models = model::fitSamples(synthSweep());
   const model::RunSample heldout = synthSample(8000.0);
   const model::EvalResult result =
-      model::evalHeldOut(models, heldout, model::EvalGate{});
+      model::evalHeldOut(models, heldout);
   EXPECT_TRUE(result.error.empty()) << result.error;
   EXPECT_TRUE(result.ok);
   ASSERT_GE(result.rows.size(), 3u);
@@ -417,7 +373,7 @@ TEST(Predict, EvalFailsWhenModelIsWildlyOff) {
   heldout.merged.whole.total.max_overlapped = 0;
   heldout.merged.whole.total.data_transfer_time *= 10;
   const model::EvalResult result =
-      model::evalHeldOut(models, heldout, model::EvalGate{});
+      model::evalHeldOut(models, heldout);
   EXPECT_FALSE(result.ok);
 }
 
@@ -575,7 +531,7 @@ TEST(EndToEnd, CgSweepPredictsHeldOutClassWithinTolerance) {
   // The acceptance scenario, in-process: CG's message sizes scale with the
   // class grid, so S+A form a two-point sweep in mean transfer size and B
   // is a genuine extrapolation target.  The documented tolerances
-  // (DESIGN.md 5.12) are the EvalGate defaults.
+  // (DESIGN.md 5.12) are kMeanXferRelTol and kBoundsAbsTolPct.
   model::SampleSet set;
   set.runs.push_back(cgSample(nas::Class::S, "S"));
   set.runs.push_back(cgSample(nas::Class::A, "A"));
@@ -586,7 +542,7 @@ TEST(EndToEnd, CgSweepPredictsHeldOutClassWithinTolerance) {
 
   const model::ModelSet models = model::fitSamples(std::move(set));
   const model::EvalResult result =
-      model::evalHeldOut(models, heldout, model::EvalGate{});
+      model::evalHeldOut(models, heldout);
   ASSERT_TRUE(result.error.empty()) << result.error;
   for (const model::EvalRow& row : result.rows) {
     if (row.gated) {

@@ -257,20 +257,5 @@ TEST(ReportFiles, LoadAllRequiresRankZero) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST(ReportFiles, LoadMergedSumsRanks) {
-  std::vector<Report> reports = {sampleReport(0), sampleReport(1)};
-  const std::string prefix = ::testing::TempDir() + "/ovp_reportio_merge";
-  ASSERT_TRUE(ReportIo::saveAll(reports, prefix));
-  Report merged;
-  std::string error;
-  ASSERT_TRUE(ReportIo::loadMerged(
-      {ReportIo::rankPath(prefix, 0), ReportIo::rankPath(prefix, 1)}, merged,
-      &error))
-      << error;
-  EXPECT_EQ(merged.whole.total.transfers,
-            reports[0].whole.total.transfers +
-                reports[1].whole.total.transfers);
-}
-
 }  // namespace
 }  // namespace ovp::overlap

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "overlap/size_classes.hpp"
 #include "overlap/xfer_table.hpp"
@@ -217,8 +219,8 @@ TEST(SizeClasses, ShortLongSplit) {
 }
 
 TEST(SizeClasses, PowersOfTwoBins) {
-  const SizeClasses c = SizeClasses::powersOfTwo(1024, 4096);
   // Bounds {1024, 2048, 4096} -> 4 classes.
+  const SizeClasses c = SizeClasses::fromBounds({1024, 2048, 4096});
   EXPECT_EQ(c.count(), 4);
   EXPECT_EQ(c.classOf(512), 0);
   EXPECT_EQ(c.classOf(1024), 1);
@@ -229,7 +231,9 @@ TEST(SizeClasses, PowersOfTwoBins) {
 }
 
 TEST(SizeClasses, ClassOfIsTotal) {
-  const SizeClasses c = SizeClasses::powersOfTwo(64, 1 << 22);
+  std::vector<Bytes> bounds;
+  for (Bytes b = 64; b <= Bytes{1} << 22; b *= 2) bounds.push_back(b);
+  const SizeClasses c = SizeClasses::fromBounds(std::move(bounds));
   for (Bytes s : {Bytes{0}, Bytes{1}, Bytes{63}, Bytes{64}, Bytes{1 << 22},
                   Bytes{1 << 26}}) {
     const int k = c.classOf(s);

@@ -12,6 +12,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -481,6 +482,92 @@ TEST(TraceReader, RejectsTimesOutsideTheCap) {
                                   " outside [0, " + cap + "]");
   lines.back() = "1,999," + cap + ",NIC_TIMEOUT,1,-1,0,0,0,-1,";
   EXPECT_EQ(readError(lines), "");
+}
+
+// Transfer-table points and record byte counts are bounded like times.  A
+// trace whose 1-64 KiB points sat at 2^63-1 ns made the what-if replay
+// overflow its transfer-time sums.
+TEST(TraceReader, RejectsSizesAndTablePointsOutsideTheCap) {
+  const std::string cap = std::to_string(kMaxInputTimeNs);
+  const std::string past = std::to_string(kMaxInputTimeNs + 1);
+  const std::string max =
+      std::to_string(std::numeric_limits<std::int64_t>::max());
+  std::vector<std::string> lines = tracedCsvLines();
+  std::size_t row = 0;
+  while (lines[row].rfind("# xfer_point,1024,", 0) != 0) ++row;
+  const std::string at = "line " + std::to_string(row + 1) + ": ";
+  lines[row] = "# xfer_point,1024," + max;
+  EXPECT_EQ(readError(lines),
+            at + "xfer_point time " + max + " outside [0, " + cap + "]");
+  lines[row] = "# xfer_point," + past + ",5";
+  EXPECT_EQ(readError(lines),
+            at + "xfer_point size " + past + " outside [0, " + cap + "]");
+  lines[row] = "# xfer_point,1024," + cap;
+  EXPECT_EQ(readError(lines), "");
+  const std::string last = "line " + std::to_string(lines.size() + 1) + ": ";
+  lines.push_back("1,999,1,RECV_POST,1,-1,0," + past + ",0,0,");
+  EXPECT_EQ(readError(lines),
+            last + "bytes " + past + " outside [0, " + cap + "]");
+  lines.back() = "1,999,1,RECV_POST,1,-1,0," + cap + ",0,0,";
+  EXPECT_EQ(readError(lines), "");
+}
+
+std::shared_ptr<trace::Collector> loadLines(
+    const std::vector<std::string>& lines) {
+  std::ostringstream os;
+  for (const std::string& line : lines) os << line << '\n';
+  std::istringstream is(os.str());
+  trace::ReadResult r = trace::readCsv(is);
+  EXPECT_EQ(r.error, "");
+  return r.collector;
+}
+
+// Pricing saturates instead of overflowing (DESIGN 5.10): table points at
+// the cap, scaled further by whatif, and 2^13 transfers priced at 2^50 ns
+// each, whose plain sum is 2^63.
+TEST(TraceReader, PricingAtTheCapSaturates) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::string cap = std::to_string(kMaxInputTimeNs);
+  std::vector<std::string> lines = tracedCsvLines();
+  for (std::string& line : lines) {
+    for (Bytes size = 1024; size <= 65536; size *= 2) {
+      const std::string key = "# xfer_point," + std::to_string(size) + ",";
+      if (line.rfind(key, 0) == 0) line = key + cap;
+    }
+  }
+  const auto points = loadLines(lines);
+  ASSERT_NE(points, nullptr);
+  model::WhatIfConfig scaled;
+  scaled.xfer_scale = 1e300;
+  model::WhatIfConfig narrow;
+  narrow.bandwidth_scale = 1e-300;
+  narrow.latency_delta = kMaxInputTimeNs;
+  for (const model::WhatIfConfig& cfg :
+       {model::WhatIfConfig{}, scaled, narrow}) {
+    const model::WhatIfResult r = model::whatIf(*points, cfg);
+    for (const model::WhatIfTotals* t : {&r.baseline, &r.scenario}) {
+      EXPECT_GE(t->accum.min_overlapped, 0);
+      EXPECT_LE(t->accum.min_overlapped, t->accum.max_overlapped);
+      EXPECT_LE(t->accum.max_overlapped, t->accum.data_transfer_time);
+    }
+  }
+  (void)analysis::runLint(*points);
+
+  lines = {"# ranks,1", "# end_time,0," + cap, "# xfer_point,8," + cap,
+           "rank,seq,time_ns,kind,id,peer,tag,bytes,aux,addr,name"};
+  constexpr int kTransfers = 1 << 13;
+  for (int i = 0; i < kTransfers; ++i) {
+    const std::string n = std::to_string(i);
+    lines.push_back("0," + n + "," + n + ",XFER_END,-1,-1,0,8,0,-1,");
+  }
+  const auto many = loadLines(lines);
+  ASSERT_NE(many, nullptr);
+  const model::WhatIfResult r = model::whatIf(*many, model::WhatIfConfig{});
+  EXPECT_EQ(r.baseline.accum.transfers, kTransfers);
+  EXPECT_EQ(r.baseline.accum.data_transfer_time, kMax);
+  EXPECT_EQ(r.baseline.accum.max_overlapped, kMax);
+  EXPECT_EQ(r.baseline.accum.min_overlapped, 0);
+  (void)analysis::runLint(*many);
 }
 
 // Live collector -> CSV -> readCsv -> CSV and Chrome JSON: the reloaded

@@ -1,14 +1,12 @@
-// Unit tests for the util library: ring buffer, strings, stats, flags,
-// tables, RNG determinism.
+// Unit tests for the util library: ring buffer, strings, flags, tables,
+// RNG determinism.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
 #include "util/flags.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/types.hpp"
@@ -185,34 +183,6 @@ TEST(Strings, JsonEscape) {
   EXPECT_EQ(jsonEscape("plain text"), "plain text");
 }
 
-TEST(Stats, RunningStatsBasics) {
-  RunningStats s;
-  s.add(1.0);
-  s.add(2.0);
-  s.add(3.0);
-  EXPECT_EQ(s.count(), 3);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 6.0);
-}
-
-TEST(Stats, EmptyStatsAreZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(Stats, SamplePercentiles) {
-  Sample s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
-}
-
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
@@ -289,20 +259,14 @@ TEST(Flags, ModelFlagsDefaultToUnset) {
   Flags f;
   const char* argv[] = {"prog"};
   ASSERT_TRUE(f.parse(1, const_cast<char**>(argv)));
-  // No flag and (in the test environment) no OVPROF_MODEL* env.
-  if (std::getenv("OVPROF_MODEL") == nullptr) {
-    EXPECT_TRUE(modelSamplePathRequested(f).empty());
-  }
-  if (std::getenv("OVPROF_MODEL_PARAM") == nullptr) {
-    EXPECT_DOUBLE_EQ(modelParamRequested(f), 0.0);
-  }
+  EXPECT_TRUE(modelSamplePathRequested(f).empty());
+  EXPECT_DOUBLE_EQ(modelParamRequested(f), 0.0);
 }
 
 TEST(Flags, HelpTextDocumentsEveryModelFlag) {
   const std::string help = ovprofHelpText();
   EXPECT_NE(help.find("--ovprof-model=FILE"), std::string::npos);
   EXPECT_NE(help.find("--ovprof-model-param"), std::string::npos);
-  EXPECT_NE(help.find("OVPROF_MODEL"), std::string::npos);
 }
 
 TEST(Table, AlignsAndCounts) {

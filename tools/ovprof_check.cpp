@@ -33,8 +33,7 @@
 //   ovprof_check SKELETON [SKELETON2 ...]
 //                [--class=S|A|B] [--procs=SPEC] [--iterations=N]
 //                [--variant=mpi|armci|armci-nb] [--ns-per-flop=X]
-//                [--match=0] [--deadlock=0] [--overlap=0] [--eager=BYTES]
-//                [--xfer-table=FILE] [--conform=TRACE.csv]
+//                [--eager=BYTES] [--xfer-table=FILE] [--conform=TRACE.csv]
 //                [--write-skeleton=FILE] [--ovprof-check-json=FILE]
 //                [--symbolic] [--emit-costs=FILE]
 //
@@ -79,7 +78,6 @@ void printUsage() {
       "usage: ovprof_check SKELETON [SKELETON2 ...]\n"
       "                    [--class=S|A|B] [--procs=SPEC] [--iterations=N]\n"
       "                    [--variant=mpi|armci|armci-nb] [--ns-per-flop=X]\n"
-      "                    [--match=0] [--deadlock=0] [--overlap=0]\n"
       "                    [--eager=BYTES] [--xfer-table=FILE]\n"
       "                    [--conform=TRACE.csv] [--write-skeleton=FILE]\n"
       "                    [--ovprof-check-json=FILE]\n"
@@ -357,9 +355,6 @@ int main(int argc, char** argv) {
   }
 
   skel::CheckConfig cfg;
-  cfg.match = flags.getBool("match", true);
-  cfg.deadlock = flags.getBool("deadlock", true);
-  cfg.overlap = flags.getBool("overlap", true);
   cfg.deadlock_cfg.eager_limit =
       flags.getInt("eager", cfg.deadlock_cfg.eager_limit);
   const std::string table_path = flags.getString("xfer-table", "");

@@ -12,9 +12,7 @@
 //     each with the recoverable overlap estimated from xfer_time(size).
 //
 // Usage:
-//   ovprof_lint TRACE.csv [TRACE2.csv ...]
-//               [--ovprof-lint-json=FILE] [--races=0] [--deadlock=0]
-//               [--advisor=0]
+//   ovprof_lint TRACE.csv [TRACE2.csv ...] [--ovprof-lint-json=FILE]
 //
 // Exit code: 0 when every trace is clean (Notes allowed), 1 when any trace
 // has findings at Warning or above, 2 on tool errors (unreadable trace, bad
@@ -39,8 +37,7 @@ namespace {
 void printUsage() {
   std::printf(
       "usage: ovprof_lint TRACE.csv [TRACE2.csv ...]\n"
-      "                   [--ovprof-lint-json=FILE] [--races=0]\n"
-      "                   [--deadlock=0] [--advisor=0]\n"
+      "                   [--ovprof-lint-json=FILE]\n"
       "\n"
       "Lints ovprof trace CSVs (written by any traced run via\n"
       "--ovprof-trace=FILE, as FILE.csv): RMA race detection via\n"
@@ -64,11 +61,6 @@ int main(int argc, char** argv) {
   const util::Flags& flags = cl.flags;
   const std::vector<std::string>& inputs = cl.positional;
 
-  analysis::LintConfig cfg;
-  cfg.races = flags.getBool("races", true);
-  cfg.deadlock = flags.getBool("deadlock", true);
-  cfg.advisor = flags.getBool("advisor", true);
-
   const std::string json_path = util::lintJsonPathRequested(flags);
   if (!json_path.empty() && inputs.size() > 1) {
     std::fprintf(stderr,
@@ -84,8 +76,7 @@ int main(int argc, char** argv) {
                    loaded.error.c_str());
       return 2;
     }
-    const analysis::LintResult result =
-        analysis::runLint(*loaded.collector, cfg);
+    const analysis::LintResult result = analysis::runLint(*loaded.collector);
     if (inputs.size() > 1) std::printf("== %s ==\n", path.c_str());
     analysis::printLintText(result, std::cout);
     if (!json_path.empty()) {

@@ -51,7 +51,6 @@ void printUsage() {
       "usage: ovprof_model fit SAMPLE... [--out=FILE]\n"
       "       ovprof_model predict SAMPLE... --at=X [--out=FILE]\n"
       "       ovprof_model eval SAMPLE... --heldout=SAMPLE [--out=FILE]\n"
-      "                    [--mean-xfer-tol=0.35] [--bounds-tol=40]\n"
       "       ovprof_model whatif TRACE.csv [--xfer-scale=S]\n"
       "                    [--bandwidth-scale=B] [--latency-delta=NS]\n"
       "                    [--out=FILE]\n"
@@ -162,10 +161,7 @@ int cmdEval(const std::vector<std::string>& inputs, const util::Flags& flags) {
   model::SampleSet set;
   if (!loadSweep(inputs, set)) return 2;
   const model::ModelSet models = model::fitSamples(std::move(set));
-  model::EvalGate gate;
-  gate.mean_xfer_rel_tol = flags.getDouble("mean-xfer-tol", gate.mean_xfer_rel_tol);
-  gate.bounds_abs_tol_pct = flags.getDouble("bounds-tol", gate.bounds_abs_tol_pct);
-  const model::EvalResult result = model::evalHeldOut(models, heldout, gate);
+  const model::EvalResult result = model::evalHeldOut(models, heldout);
   if (!result.error.empty()) {
     std::fprintf(stderr, "ovprof_model: %s\n", result.error.c_str());
     return 2;
@@ -178,10 +174,10 @@ int cmdEval(const std::vector<std::string>& inputs, const util::Flags& flags) {
   *os << "  \"param_name\": \"" << util::jsonEscape(models.param_name)
       << "\",\n";
   *os << "  \"heldout_param\": " << model::jsonNum(heldout.param) << ",\n";
-  *os << "  \"mean_xfer_rel_tol\": " << model::jsonNum(gate.mean_xfer_rel_tol)
-      << ",\n";
-  *os << "  \"bounds_abs_tol_pct\": " << model::jsonNum(gate.bounds_abs_tol_pct)
-      << ",\n";
+  *os << "  \"mean_xfer_rel_tol\": "
+      << model::jsonNum(model::kMeanXferRelTol) << ",\n";
+  *os << "  \"bounds_abs_tol_pct\": "
+      << model::jsonNum(model::kBoundsAbsTolPct) << ",\n";
   *os << "  \"ok\": " << (result.ok ? "true" : "false") << ",\n";
   *os << "  \"rows\": [";
   for (std::size_t i = 0; i < result.rows.size(); ++i) {

@@ -61,8 +61,9 @@ Measured runOnce(mpi::MpiConfig mpi_cfg, Bytes msg, DurationNs compute) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
+  (void)util::Flags::parseOrExit(
+      argc, argv,
+      {"ablation_protocols", "Protocol parameters vs overlap bounds.", {}});
   std::printf("=== ablation_protocols ===\n");
 
   {

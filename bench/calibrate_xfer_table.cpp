@@ -3,8 +3,6 @@
 // sweep of message sizes with a ping-pong microbenchmark on the simulated
 // fabric and writes the size->time table the instrumentation framework
 // reads at startup.
-//
-// Usage: calibrate_xfer_table [--out=path] [--iters=N] [--csv]
 #include <cstdio>
 #include <iostream>
 
@@ -46,11 +44,19 @@ DurationNs measureOneWay(Bytes size, int iters) {
   return elapsed / (2 * iters);
 }
 
+constexpr util::Flag kFlags[] = {
+    util::textFlag("out", "FILE", "table to write (default xfer_table.txt)"),
+    util::intFlag("iters", "N", "ping-pongs per message size (default 50)", 1),
+    util::switchFlag("csv", "print CSV instead of a table"),
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv,
+      {"calibrate_xfer_table", "Writes the a-priori transfer-time table.",
+       kFlags});
   const int iters = static_cast<int>(flags.getInt("iters", 50));
   const std::string out = flags.getString("out", "xfer_table.txt");
 
@@ -65,11 +71,7 @@ int main(int argc, char** argv) {
     report.addRow({util::TextTable::integer(size),
                    util::TextTable::integer(t)});
   }
-  if (flags.getBool("csv", false)) {
-    report.printCsv(std::cout);
-  } else {
-    report.print(std::cout);
-  }
+  report.print(std::cout, flags.getBool("csv", false));
   if (!table.saveFile(out)) {
     std::fprintf(stderr, "failed to write %s\n", out.c_str());
     return 1;

@@ -16,9 +16,15 @@
 
 using namespace ovp;
 
+constexpr util::Flag kFlags[] = {
+    util::switchFlag("csv", "print CSV instead of a table"),
+};
+
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv,
+      {"extra_nas_ep_is", "EP and IS overlap, with FT for comparison.",
+       kFlags});
   std::printf("=== extra_nas_ep_is ===\n"
               "EP and IS under the overlap framework (the kernels the paper "
               "characterized but did not plot).\n\n");
@@ -53,10 +59,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv", false));
   return 0;
 }

@@ -39,16 +39,17 @@ void pingLoop(mpi::Mpi& mpi, std::vector<std::uint8_t>& buf, int iters) {
   }
 }
 
+constexpr util::Flag kFlags[] = {
+    util::switchFlag("csv", "print CSV instead of tables"),
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  if (util::helpRequested(flags)) {
-    std::printf("usage: extra_trace_cost [--csv]\nframework flags:\n%s",
-                util::ovprofHelpText());
-    return 0;
-  }
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv,
+      {"extra_trace_cost", "Trace storage and overhead vs the framework's.",
+       kFlags});
   std::printf("=== extra_trace_cost ===\n"
               "Fixed-memory profiling (the framework) vs full event tracing "
               "on the same traffic.\n\n");
@@ -79,11 +80,7 @@ int main(int argc, char** argv) {
                   util::TextTable::num(queue_kb, 1),
                   util::TextTable::integer(drains)});
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv", false));
   std::printf(
       "\nTrace storage grows linearly with run length; the framework's\n"
       "queue never outgrows its fixed cap and is simply drained more\n"
@@ -119,11 +116,7 @@ int main(int argc, char** argv) {
          util::TextTable::num(t_off > 0 ? 100.0 * (t_on - t_off) / t_off : 0.0,
                               2)});
   }
-  if (flags.getBool("csv", false)) {
-    ring.printCsv(std::cout);
-  } else {
-    ring.print(std::cout);
-  }
+  ring.print(std::cout, flags.getBool("csv", false));
   std::printf(
       "\nring_cap_kb is the ring's capacity, a cap: it is allocated up front\n"
       "but only the records kept are written (the trace_kb column above),\n"

@@ -5,40 +5,20 @@
 // receiver's are pinned at [0, 100%] because the send initiation is
 // invisible to a polling receiver (the framework's case 3); wait times
 // drop to the floor once overlap saturates.
-#include <iostream>
-
 #include "microbench.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
-using namespace ovp::bench;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  MicrobenchConfig cfg;
+  bench::MicrobenchConfig cfg;
   cfg.preset = mpi::Preset::OpenMpiPipelined;
-  cfg.message = flags.getInt("message", 10 * 1024);
+  cfg.message = 10 * 1024;
   cfg.sender_nonblocking = true;
   cfg.recver_nonblocking = true;
-  cfg.iters = static_cast<int>(flags.getInt("iters", 50));
-  cfg.table_path = flags.getString("table", "");
-  cfg.compute_points = eagerComputeSweep();
-  printHeader("fig03_eager_isend_irecv",
-              "Eager Isend-Irecv, 10 KB: overlap bounds and wait time vs "
-              "computation, both sides.");
-  const bool csv = flags.getBool("csv", false);
-  for (const Rank side : {Rank{0}, Rank{1}}) {
-    cfg.measured_rank = side;
-    std::cout << (side == 0 ? "-- sender (Isend) --\n"
-                            : "-- receiver (Irecv) --\n");
-    const auto table = microbenchTable(runMicrobench(cfg));
-    if (csv) {
-      table.printCsv(std::cout);
-    } else {
-      table.print(std::cout);
-    }
-    std::cout << '\n';
-  }
-  return 0;
+  cfg.compute_points = bench::eagerComputeSweep();
+  return bench::runFigure(
+      "fig03_eager_isend_irecv",
+      "Eager Isend-Irecv, 10 KB: overlap bounds and wait time vs "
+      "computation, both sides.",
+      cfg, true, argc, argv);
 }

@@ -1,32 +1,18 @@
 // Paper Fig. 4: Isend-Recv, pipelined-RDMA rendezvous, 1 MB.
 // Only the first fragment can overlap: the sender's bounds stay flat and MPI_Wait time stays high as computation grows.
-#include <iostream>
-
 #include "microbench.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
-using namespace ovp::bench;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  MicrobenchConfig cfg;
+  bench::MicrobenchConfig cfg;
   cfg.preset = mpi::Preset::OpenMpiPipelined;
-  cfg.message = flags.getInt("message", 1 << 20);
   cfg.sender_nonblocking = true;
   cfg.recver_nonblocking = false;
   cfg.measured_rank = 0;
-  cfg.iters = static_cast<int>(flags.getInt("iters", 50));
-  cfg.table_path = flags.getString("table", "");
-  cfg.compute_points = rendezvousComputeSweep();
-  printHeader("fig04_isend_recv_pipelined", "Only the first fragment can overlap: the sender's bounds stay flat and MPI_Wait time stays high as computation grows.");
-  const auto points = runMicrobench(cfg);
-  const auto table = microbenchTable(points);
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  return 0;
+  cfg.compute_points = bench::rendezvousComputeSweep();
+  return bench::runFigure(
+      "fig04_isend_recv_pipelined",
+      "Only the first fragment can overlap: the sender's bounds stay flat and MPI_Wait time stays high as computation grows.",
+      cfg, false, argc, argv);
 }

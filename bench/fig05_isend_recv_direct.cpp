@@ -1,32 +1,18 @@
 // Paper Fig. 5: Isend-Recv, direct RDMA (mpi_leave_pinned), 1 MB.
 // The receiver RDMA-Reads the exposed send buffer on seeing the RTS: sender overlap grows to full and wait time falls with computation.
-#include <iostream>
-
 #include "microbench.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
-using namespace ovp::bench;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  MicrobenchConfig cfg;
+  bench::MicrobenchConfig cfg;
   cfg.preset = mpi::Preset::OpenMpiLeavePinned;
-  cfg.message = flags.getInt("message", 1 << 20);
   cfg.sender_nonblocking = true;
   cfg.recver_nonblocking = false;
   cfg.measured_rank = 0;
-  cfg.iters = static_cast<int>(flags.getInt("iters", 50));
-  cfg.table_path = flags.getString("table", "");
-  cfg.compute_points = rendezvousComputeSweep();
-  printHeader("fig05_isend_recv_direct", "The receiver RDMA-Reads the exposed send buffer on seeing the RTS: sender overlap grows to full and wait time falls with computation.");
-  const auto points = runMicrobench(cfg);
-  const auto table = microbenchTable(points);
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  return 0;
+  cfg.compute_points = bench::rendezvousComputeSweep();
+  return bench::runFigure(
+      "fig05_isend_recv_direct",
+      "The receiver RDMA-Reads the exposed send buffer on seeing the RTS: sender overlap grows to full and wait time falls with computation.",
+      cfg, false, argc, argv);
 }

@@ -1,32 +1,18 @@
 // Paper Fig. 7: Send-Irecv, direct RDMA, 1 MB.
 // Polling progress: the receiver only sees the RTS on entering MPI_Wait, so the RDMA Read happens inside the wait - zero overlap.
-#include <iostream>
-
 #include "microbench.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
-using namespace ovp::bench;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  MicrobenchConfig cfg;
+  bench::MicrobenchConfig cfg;
   cfg.preset = mpi::Preset::OpenMpiLeavePinned;
-  cfg.message = flags.getInt("message", 1 << 20);
   cfg.sender_nonblocking = false;
   cfg.recver_nonblocking = true;
   cfg.measured_rank = 1;
-  cfg.iters = static_cast<int>(flags.getInt("iters", 50));
-  cfg.table_path = flags.getString("table", "");
-  cfg.compute_points = rendezvousComputeSweep();
-  printHeader("fig07_send_irecv_direct", "Polling progress: the receiver only sees the RTS on entering MPI_Wait, so the RDMA Read happens inside the wait - zero overlap.");
-  const auto points = runMicrobench(cfg);
-  const auto table = microbenchTable(points);
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  return 0;
+  cfg.compute_points = bench::rendezvousComputeSweep();
+  return bench::runFigure(
+      "fig07_send_irecv_direct",
+      "Polling progress: the receiver only sees the RTS on entering MPI_Wait, so the RDMA Read happens inside the wait - zero overlap.",
+      cfg, false, argc, argv);
 }

@@ -1,32 +1,18 @@
 // Paper Fig. 9: Isend-Irecv, direct RDMA, 1 MB.
 // Both sides non-blocking with RDMA Read rendezvous: the sender can reach complete overlap.
-#include <iostream>
-
 #include "microbench.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
-using namespace ovp::bench;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  MicrobenchConfig cfg;
+  bench::MicrobenchConfig cfg;
   cfg.preset = mpi::Preset::OpenMpiLeavePinned;
-  cfg.message = flags.getInt("message", 1 << 20);
   cfg.sender_nonblocking = true;
   cfg.recver_nonblocking = true;
   cfg.measured_rank = 0;
-  cfg.iters = static_cast<int>(flags.getInt("iters", 50));
-  cfg.table_path = flags.getString("table", "");
-  cfg.compute_points = rendezvousComputeSweep();
-  printHeader("fig09_isend_irecv_direct", "Both sides non-blocking with RDMA Read rendezvous: the sender can reach complete overlap.");
-  const auto points = runMicrobench(cfg);
-  const auto table = microbenchTable(points);
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  return 0;
+  cfg.compute_points = bench::rendezvousComputeSweep();
+  return bench::runFigure(
+      "fig09_isend_irecv_direct",
+      "Both sides non-blocking with RDMA Read rendezvous: the sender can reach complete overlap.",
+      cfg, false, argc, argv);
 }

@@ -2,20 +2,21 @@
 // classes A and B — the bottom line of the tuning exercise.  The paper's
 // best improvement was ~23% (class B, 4 processes); the modified version
 // must win in every configuration.
-#include <cstdio>
 #include <iostream>
 
+#include "microbench.hpp"
 #include "nas/sp.hpp"
-#include "util/flags.hpp"
+#include "nas_figures.hpp"
 #include "util/table.hpp"
 
 using namespace ovp;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  std::printf("=== fig18_sp_mpi_time ===\n"
-              "NAS SP mean per-rank MPI time, original vs modified.\n\n");
+  const char* const about =
+      "NAS SP mean per-rank MPI time, original vs modified.";
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv, {"fig18_sp_mpi_time", about, bench::kNasFigureFlags});
+  bench::printHeader("fig18_sp_mpi_time", about);
   util::TextTable table({"class", "procs", "orig_mpi_ms", "mod_mpi_ms",
                          "improvement_pct"});
   for (const nas::Class cls : {nas::Class::A, nas::Class::B}) {
@@ -24,9 +25,7 @@ int main(int argc, char** argv) {
       params.cls = cls;
       params.nranks = p;
       params.preset = mpi::Preset::Mvapich2;
-      if (flags.has("iterations")) {
-        params.iterations = static_cast<int>(flags.getInt("iterations", 0));
-      }
+      params.iterations = static_cast<int>(flags.getInt("iterations", 0));
       const auto orig = nas::runSp(params);
       params.modified = true;
       const auto mod = nas::runSp(params);
@@ -37,10 +36,6 @@ int main(int argc, char** argv) {
                     util::TextTable::num(100.0 * (o - m) / o, 1)});
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv", false));
   return 0;
 }

@@ -4,20 +4,21 @@
 // posted, the NIC owns the transfer, so its maximum overlap is high while
 // the blocking version's is zero.  The MPI version is included for
 // reference (the study in the paper's ref. [29]).
-#include <cstdio>
 #include <iostream>
 
+#include "microbench.hpp"
 #include "nas/mg.hpp"
-#include "util/flags.hpp"
+#include "nas_figures.hpp"
 #include "util/table.hpp"
 
 using namespace ovp;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  std::printf("=== fig19_armci_mg ===\n"
-              "NAS MG overlap: ARMCI blocking vs non-blocking (class B).\n\n");
+  const char* const about =
+      "NAS MG overlap: ARMCI blocking vs non-blocking (class B).";
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv, {"fig19_armci_mg", about, bench::kNasFigureFlags});
+  bench::printHeader("fig19_armci_mg", about);
   util::TextTable table({"class", "procs", "variant", "verified", "min_pct",
                          "max_pct", "run_time_ms"});
   for (const int p : {4, 8, 16}) {
@@ -28,9 +29,7 @@ int main(int argc, char** argv) {
       params.cls = nas::Class::B;
       params.nranks = p;
       params.variant = v;
-      if (flags.has("iterations")) {
-        params.iterations = static_cast<int>(flags.getInt("iterations", 0));
-      }
+      params.iterations = static_cast<int>(flags.getInt("iterations", 0));
       const auto r = nas::runMg(params);
       table.addRow({nas::className(params.cls), util::TextTable::integer(p),
                     nas::mgVariantName(v), r.verified ? "yes" : "NO",
@@ -39,10 +38,6 @@ int main(int argc, char** argv) {
                     util::TextTable::num(toMsec(r.time), 2)});
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv", false));
   return 0;
 }

@@ -36,11 +36,18 @@ void row(util::TextTable& table, const char* name, const RunFn& run,
                 util::TextTable::num(overhead, 3)});
 }
 
+constexpr util::Flag kFlags[] = {
+    util::intFlag("procs", "N", "ranks per kernel run (default 4)", 1),
+    util::switchFlag("csv", "print CSV instead of a table"),
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv,
+      {"fig20_overhead", "Instrumentation overhead across the NAS suite.",
+       kFlags});
   const int p = static_cast<int>(flags.getInt("procs", 4));
   std::printf("=== fig20_overhead ===\n"
               "Instrumented vs uninstrumented virtual run time, class A, "
@@ -81,10 +88,6 @@ int main(int argc, char** argv) {
     row(table, "MG(ARMCI)",
         [](const nas::MgParams& q) { return nas::runMg(q); }, mg);
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv", false));
   return 0;
 }

@@ -1,7 +1,9 @@
 #include "microbench.hpp"
 
 #include <cstdio>
+#include <iostream>
 
+#include "util/flags.hpp"
 #include "util/strings.hpp"
 
 namespace ovp::bench {
@@ -88,6 +90,35 @@ std::vector<DurationNs> rendezvousComputeSweep() {
 
 void printHeader(const char* figure, const char* description) {
   std::printf("=== %s ===\n%s\n\n", figure, description);
+}
+
+int runFigure(const char* figure, const char* description,
+              MicrobenchConfig cfg, bool both_sides, int argc, char** argv) {
+  static constexpr util::Flag kFlags[] = {
+      util::intFlag("message", "BYTES", "message size (default: the figure's)",
+                    0),
+      util::intFlag("iters", "N", "messages per point (default 50)", 1),
+      util::textFlag("table", "FILE", "a-priori transfer-time table"),
+      util::switchFlag("csv", "print CSV instead of a table"),
+  };
+  const util::Flags flags =
+      util::Flags::parseOrExit(argc, argv, {figure, description, kFlags});
+  cfg.message = flags.getInt("message", cfg.message);
+  cfg.iters = static_cast<int>(flags.getInt("iters", cfg.iters));
+  cfg.table_path = flags.getString("table", "");
+  printHeader(figure, description);
+  for (const Rank side : {Rank{0}, Rank{1}}) {
+    if (both_sides) {
+      cfg.measured_rank = side;
+      std::cout << (side == 0 ? "-- sender (Isend) --\n"
+                              : "-- receiver (Irecv) --\n");
+    }
+    const auto table = microbenchTable(runMicrobench(cfg));
+    table.print(std::cout, flags.getBool("csv", false));
+    if (!both_sides) break;
+    std::cout << '\n';
+  }
+  return 0;
 }
 
 }  // namespace ovp::bench

@@ -49,6 +49,12 @@ struct MicrobenchPoint {
 [[nodiscard]] std::vector<DurationNs> eagerComputeSweep();
 [[nodiscard]] std::vector<DurationNs> rendezvousComputeSweep();
 
+/// A figure's main (Figs. 3-9): reads the figure flags (--message and
+/// --iters override `cfg`'s), prints the banner, then the table for
+/// cfg.measured_rank, or with `both_sides` one titled table per side.
+int runFigure(const char* figure, const char* description,
+              MicrobenchConfig cfg, bool both_sides, int argc, char** argv);
+
 /// Shared banner so every figure binary identifies itself uniformly.
 void printHeader(const char* figure, const char* description);
 

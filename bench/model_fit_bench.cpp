@@ -42,20 +42,18 @@ double rowError(const model::EvalResult& result, const char* metric) {
   return -1.0;
 }
 
+constexpr util::Flag kFlags[] = {
+    util::textFlag("out", "FILE",
+                   "JSON artifact to write (default BENCH_model_fit.json)"),
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  if (util::helpRequested(flags)) {
-    std::printf(
-        "usage: model_fit_bench [--out=BENCH_model_fit.json]\n"
-        "Times the ovprof_model fit pipeline on a CG class sweep and records\n"
-        "held-out prediction error as a JSON bench artifact.\n"
-        "framework flags (any ovprof binary):\n%s",
-        util::ovprofHelpText());
-    return 0;
-  }
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv,
+      {"model_fit_bench", "Times model fitting; records held-out error.",
+       kFlags});
 
   std::printf("=== model_fit_bench ===\n"
               "CG S+A sweep -> fit; class B held out for prediction error.\n");

@@ -19,8 +19,8 @@ void runCharacterization(const char* figure, const char* description,
                          const std::vector<nas::Class>& classes,
                          const std::vector<int>& rank_counts, int argc,
                          char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) std::exit(2);
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv, {figure, description, kNasFigureFlags});
   std::printf("=== %s ===\n%s\nlibrary: %s\n\n", figure, description,
               mpi::presetName(preset));
   util::TextTable table({"class", "procs", "verified", "min_pct", "max_pct",
@@ -32,9 +32,7 @@ void runCharacterization(const char* figure, const char* description,
       params.cls = cls;
       params.nranks = p;
       params.preset = preset;
-      if (flags.has("iterations")) {
-        params.iterations = static_cast<int>(flags.getInt("iterations", 0));
-      }
+      params.iterations = static_cast<int>(flags.getInt("iterations", 0));
       const nas::NasResult r = kernel(params);
       const auto short_cls = aggregateSizeClass(r.reports, 0);
       const auto long_cls = aggregateSizeClass(r.reports, 1);
@@ -48,11 +46,7 @@ void runCharacterization(const char* figure, const char* description,
                     util::TextTable::num(toMsec(r.time), 2)});
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv", false));
 }
 
 }  // namespace ovp::bench

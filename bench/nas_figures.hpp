@@ -13,6 +13,14 @@ namespace ovp::bench {
 
 using KernelFn = std::function<nas::NasResult(const nas::NasParams&)>;
 
+/// The flags of the NAS figures that take a kernel's defaults (Figs.
+/// 10-13, 18 and 19).
+inline constexpr util::Flag kNasFigureFlags[] = {
+    util::intFlag("iterations", "N",
+                  "time steps per kernel run (0: the class default)", 0),
+    util::switchFlag("csv", "print CSV instead of a table"),
+};
+
 /// Runs `kernel` for every (class, nranks) combination and prints the
 /// paper-style characterization rows: aggregate min/max overlap
 /// percentages plus the short/long message-size breakdown.

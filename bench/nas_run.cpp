@@ -1,41 +1,6 @@
 // Generic NAS kernel runner: run any kernel at any configuration and dump
 // the per-process overlap reports — the day-to-day driver a performance
 // analyst would use.
-//
-// Usage:
-//   nas_run [--kernel=cg|bt|lu|ft|sp|mg|ep|is] [--class=S|A|B]
-//           [--procs=N] [--preset=pipelined|leavepinned|mvapich2|mv2write]
-//           [--modified] [--variant=mpi|armci|armci-nb]
-//           [--reports=/path/prefix] [--iterations=N] [--ovprof-verify]
-//           [--ovprof-fault=SPEC] [--ovprof-trace=FILE]
-//
-// --ovprof-verify attaches the analysis layer: a StreamVerifier on every
-// rank's event stream plus the library UsageChecker.  Findings are printed
-// to stderr and make the run exit non-zero.
-//
-// --ovprof-fault=SPEC runs the kernel on a lossy fabric with the NIC
-// reliability protocol enabled, e.g. --ovprof-fault=drop=0.05,jitter=2000,
-// seed=7 (a bare number means drop=<number>).  The run must still verify;
-// fault counters are printed and attached to the reports.
-//
-// --ovprof-trace=FILE records every instrumentation, matching, and NIC event
-// into per-rank trace rings and writes a Chrome trace-event JSON to FILE
-// (load it in Perfetto) plus a lossless CSV to FILE.csv; a time-resolved
-// overlap table and the cross-rank critical path are printed.  Tracing
-// costs virtual time (it is charged per record, like the monitor's own
-// overhead), so traced and untraced timings differ — by design, not by
-// accident.
-//
-// --ovprof-lint runs the offline cross-rank lint over the collected trace
-// in-process after the run: RMA race detection, wait-for deadlock/stall
-// analysis, and the overlap advisor.  Implies trace collection (no file is
-// written unless --ovprof-trace is also given).  --ovprof-lint-json=FILE
-// additionally writes the findings as JSON.
-//
-// --ovprof-model=FILE saves a model sample — the merged job report plus
-// sweep metadata — for ovprof_model's multi-run fitting.
-// --ovprof-model-param=X overrides the recorded sweep parameter (default:
-// mean bytes per transfer).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -65,26 +30,45 @@ using namespace ovp;
 
 namespace {
 
-void printUsage() {
-  std::printf(
-      "usage: nas_run [--kernel=cg|bt|lu|ft|sp|mg|ep|is] [--class=S|A|B]\n"
-      "               [--procs=N] "
-      "[--preset=pipelined|leavepinned|mvapich2|mv2write]\n"
-      "               [--modified] [--variant=mpi|armci|armci-nb]\n"
-      "               [--reports=/path/prefix] [--iterations=N]\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
-}
+constexpr util::Flag kFlags[] = {
+    util::textFlag("kernel", "NAME",
+                   "NAS kernel: cg, bt, lu, ft, sp, mg, ep or is (default cg)"),
+    util::oneOfFlag("class", "S|A|B", "problem class (default S)"),
+    util::intFlag("procs", "N", "ranks (default 4)", 1),
+    util::intFlag("iterations", "N",
+                  "time steps (default 0: the class default)", 0),
+    util::oneOfFlag("preset", "pipelined|leavepinned|mvapich2|mv2write",
+                    "MPI library protocol preset (default mvapich2)"),
+    util::switchFlag("modified", "run SP's Iprobe-modified solve"),
+    util::oneOfFlag("variant", "mpi|armci|armci-nb",
+                    "MG communication variant (default armci-nb)"),
+    util::textFlag("reports", "PREFIX",
+                   "save every rank's report to PREFIX.rank<r>.ovp"),
+    util::kOvprofVerify,
+    util::kOvprofFault,
+    util::kOvprofTrace,
+    util::kOvprofTraceCapacity,
+    util::kOvprofTraceWindow,
+    util::kOvprofLint,
+    util::kOvprofLintJson,
+    util::kOvprofModel,
+    util::kOvprofModelParam,
+    util::kOvprofVci,
+    util::kOvprofVciRails,
+    util::kOvprofWorkers,
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  if (util::helpRequested(flags)) {
-    printUsage();
-    return 0;
-  }
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv,
+      {"nas_run",
+       "Runs one NAS kernel at any configuration and prints its overlap\n"
+       "bounds; the day-to-day driver a performance analyst would use.\n"
+       "Tracing costs virtual time (charged per record, like the monitor's\n"
+       "own overhead), so traced and untraced timings differ by design.",
+       kFlags});
 
   nas::SpParams params;  // superset of NasParams (modified unused outside
                          // SP)
@@ -94,9 +78,9 @@ int main(int argc, char** argv) {
   params.nranks = static_cast<int>(flags.getInt("procs", 4));
   params.iterations = static_cast<int>(flags.getInt("iterations", 0));
   params.modified = flags.getBool("modified", false);
-  params.verify = util::verifyRequested(flags);
-  params.workers = util::workersRequested(flags);
-  const std::string fault_spec = util::faultSpecRequested(flags);
+  params.verify = flags.getBool("ovprof-verify", false);
+  params.workers = static_cast<int>(flags.getInt("ovprof-workers", 1));
+  const std::string fault_spec = flags.getString("ovprof-fault", "");
   if (!fault_spec.empty()) {
     if (!net::FaultModel::parse(fault_spec, params.fabric.fault)) {
       std::fprintf(stderr, "bad --ovprof-fault spec: %s\n", fault_spec.c_str());
@@ -104,19 +88,20 @@ int main(int argc, char** argv) {
     }
     std::printf("fault model: %s\n", params.fabric.fault.describe().c_str());
   }
-  const std::string vci_spec = util::vciSpecRequested(flags);
+  const std::string vci_spec = flags.getString("ovprof-vci", "");
   if (!vci_spec.empty()) {
     if (!net::VciParams::parse(vci_spec, params.fabric.vci)) {
       std::fprintf(stderr, "bad --ovprof-vci spec: %s\n", vci_spec.c_str());
       return 2;
     }
   }
-  params.fabric.vci.rails = util::vciRailsRequested(flags);
-  const std::string trace_path = util::traceSpecRequested(flags);
+  params.fabric.vci.rails =
+      static_cast<int>(flags.getInt("ovprof-vci-rails", 1));
+  const std::string trace_path = flags.getString("ovprof-trace", "");
   const DurationNs trace_window =
       flags.getInt("ovprof-trace-window", 1'000'000);
-  const bool lint = util::lintRequested(flags);
-  const std::string lint_json = util::lintJsonPathRequested(flags);
+  const bool lint = flags.getBool("ovprof-lint", false);
+  const std::string lint_json = flags.getString("ovprof-lint-json", "");
   if (!trace_path.empty() || lint) {
     params.trace.enabled = true;
     params.trace.ring_capacity = static_cast<std::size_t>(flags.getInt(
@@ -231,8 +216,10 @@ int main(int argc, char** argv) {
         ws.max_overlap += m.max_overlap;
       }
       const double xt = static_cast<double>(ws.data_transfer_time);
+      std::string label = std::to_string(w);
+      if (group > 1) label.append("-").append(std::to_string(hi - 1));
       table.addRow(
-          {std::to_string(w) + (group > 1 ? "-" + std::to_string(hi - 1) : ""),
+          {label,
            util::TextTable::num(toMsec(static_cast<TimeNs>(w) * trace_window),
                                 3),
            util::TextTable::num(toMsec(ws.comm_time), 3),
@@ -332,12 +319,12 @@ int main(int argc, char** argv) {
     std::printf("wrote %zu report files to %s.rank*.ovp\n",
                 result.reports.size(), reports.c_str());
   }
-  const std::string model_path = util::modelSamplePathRequested(flags);
+  const std::string model_path = flags.getString("ovprof-model", "");
   if (!model_path.empty()) {
     const model::RunSample sample = model::RunSample::fromReports(
         result.reports, kernel, cls, mpi::presetName(params.preset),
         flags.getString("variant", ""), params.nranks, params.iterations,
-        util::modelParamRequested(flags));
+        flags.getDouble("ovprof-model-param", 0.0));
     if (!sample.saveFile(model_path)) {
       std::fprintf(stderr, "failed to write %s\n", model_path.c_str());
       return 1;

@@ -102,41 +102,39 @@ double achievedGbps(const RunResult& r) {
          static_cast<double>(r.finish);  // bytes/ns == GB/s
 }
 
+constexpr util::Flag kFlags[] = {
+    util::intFlag("procs", "N", "ranks (default 16)", 1),
+    util::intFlag("iters", "N", "halo exchanges per rank (default 400)", 1),
+    util::intFlag("halo", "N", "doubles per halo message (default 1024)", 0),
+    util::textFlag("out", "FILE", "JSON artifact (default BENCH_sim.json)"),
+    util::textFlag("net-out", "FILE",
+                   "also sweep 1/2/4 channels, one rail each, and record "
+                   "events/s and achieved wire bandwidth per point to FILE"),
+    util::kOvprofWorkers,
+    util::kOvprofVci,
+    util::kOvprofVciRails,
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  if (util::helpRequested(flags)) {
-    std::printf(
-        "usage: sim_bench [--procs=16] [--iters=400] [--halo=1024]\n"
-        "                 [--out=BENCH_sim.json]\n"
-        "                 [--net-out=BENCH_net.json]\n"
-        "Times the discrete-event engine on a synthetic halo-exchange job\n"
-        "and records events/sec and peak RSS as a JSON bench artifact.\n"
-        "--ovprof-workers=N runs the engine's conservative parallel mode\n"
-        "(results are bit-identical to N=1).\n"
-        "--ovprof-vci/--ovprof-vci-rails channelize the fabric for the main\n"
-        "run.  --net-out=FILE additionally sweeps 1/2/4 channels with one\n"
-        "rail per channel and records events/s plus achieved wire bandwidth\n"
-        "per point.\n"
-        "framework flags (any ovprof binary):\n%s",
-        util::ovprofHelpText());
-    return 0;
-  }
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv,
+      {"sim_bench", "Times the engine on a halo-exchange job; writes JSON.",
+       kFlags});
   const int nranks = static_cast<int>(flags.getInt("procs", 16));
   const int iters = static_cast<int>(flags.getInt("iters", 400));
   const int halo = static_cast<int>(flags.getInt("halo", 1024));
-  const int workers = util::workersRequested(flags);
+  const int workers = static_cast<int>(flags.getInt("ovprof-workers", 1));
 
   net::VciParams vci;  // disabled unless asked for
-  const std::string vci_spec = util::vciSpecRequested(flags);
+  const std::string vci_spec = flags.getString("ovprof-vci", "");
   if (!vci_spec.empty() && !net::VciParams::parse(vci_spec, vci)) {
     std::fprintf(stderr, "sim_bench: bad --ovprof-vci spec '%s'\n",
                  vci_spec.c_str());
     return 2;
   }
-  vci.rails = util::vciRailsRequested(flags);
+  vci.rails = static_cast<int>(flags.getInt("ovprof-vci-rails", 1));
 
   std::printf("=== sim_bench ===\n"
               "%d ranks, %d iters, %d-double halo exchange + allreduce, "

@@ -17,24 +17,27 @@
 
 namespace ovp::bench {
 
+/// The flags of the SP tuning figures (Figs. 14-17).
+inline constexpr util::Flag kSpFigureFlags[] = {
+    util::intFlag("iterations", "N",
+                  "time steps per SP run (0: the class default)", 0),
+    util::switchFlag("csv", "print CSV instead of a table"),
+    util::kOvprofTrace,
+    util::kOvprofLint,
+};
+
 inline void runSpFigure(const char* figure, const char* description,
                         nas::Class cls, bool section_scope, int argc,
                         char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) std::exit(2);
-  if (util::helpRequested(flags)) {
-    std::printf(
-        "usage: %s [--iterations=N] [--csv]\n"
-        "With --ovprof-trace=FILE each of the six configurations writes its\n"
-        "own Chrome trace to FILE.p<procs>.<variant>.json (+ .csv).\n"
-        "With --ovprof-lint each configuration's trace is linted in-process\n"
-        "(findings above note level fail the run).\n"
-        "framework flags:\n%s",
-        figure, util::ovprofHelpText());
-    std::exit(0);
-  }
-  const std::string trace_path = util::traceSpecRequested(flags);
-  const bool lint = util::lintRequested(flags);
+  std::string about = description;
+  about +=
+      "\nWith --ovprof-trace=FILE each of the six configurations writes its\n"
+      "own Chrome trace to FILE.p<procs>.<variant>.json (+ .csv); with\n"
+      "--ovprof-lint each configuration's trace is linted in-process.";
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv, {figure, about, kSpFigureFlags});
+  const std::string trace_path = flags.getString("ovprof-trace", "");
+  const bool lint = flags.getBool("ovprof-lint", false);
   std::printf("=== %s ===\n%s\nlibrary: %s\n\n", figure, description,
               mpi::presetName(mpi::Preset::Mvapich2));
   util::TextTable table({"class", "procs", "variant", "verified", "min_pct",
@@ -46,9 +49,7 @@ inline void runSpFigure(const char* figure, const char* description,
       params.nranks = p;
       params.preset = mpi::Preset::Mvapich2;  // the paper's SP exercise
       params.modified = modified;
-      if (flags.has("iterations")) {
-        params.iterations = static_cast<int>(flags.getInt("iterations", 0));
-      }
+      params.iterations = static_cast<int>(flags.getInt("iterations", 0));
       if (!trace_path.empty() || lint) params.trace.enabled = true;
       const nas::NasResult r = nas::runSp(params);
       if (r.trace && !trace_path.empty()) {
@@ -77,11 +78,7 @@ inline void runSpFigure(const char* figure, const char* description,
                     util::TextTable::num(toMsec(r.mpiTime()), 2)});
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv", false));
 }
 
 }  // namespace ovp::bench

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "armci/armci.hpp"
+#include "util/flags.hpp"
 
 using namespace ovp;
 
@@ -17,7 +18,10 @@ constexpr Bytes kBlock = 256 * 1024;
 constexpr int kBlocks = 24;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  (void)util::Flags::parseOrExit(
+      argc, argv,
+      {"armci_pipeline", "Pipelines one-sided puts behind computation.", {}});
   armci::ArmciJobConfig job;
   job.nranks = 2;
   armci::ArmciMachine machine(job);

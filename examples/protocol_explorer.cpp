@@ -13,6 +13,7 @@
 #include "mpi/machine.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+#include "util/flags.hpp"
 
 using namespace ovp;
 
@@ -60,7 +61,10 @@ Result explore(mpi::Preset preset, Bytes msg) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  (void)util::Flags::parseOrExit(
+      argc, argv,
+      {"protocol_explorer", "Overlap band per preset and message size.", {}});
   std::printf("Isend / compute / Wait, computation ~= transfer time.\n"
               "Overlap band is the sender's [min,max] bound; iter time is\n"
               "the full exchange pipeline step.\n\n");

@@ -21,15 +21,17 @@
 
 using namespace ovp;
 
+constexpr util::Flag kFlags[] = {util::kOvprofVerify};
+
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv,
+      {"quickstart", "Prints the overlap report of an Isend loop.", kFlags});
 
   mpi::JobConfig job;
   job.nranks = 2;
   job.mpi.preset = mpi::Preset::Mvapich2;  // try OpenMpiPipelined!
-  // --ovprof-verify attaches the analysis layer.
-  job.mpi.verify = util::verifyRequested(flags);
+  job.mpi.verify = flags.getBool("ovprof-verify", false);
 
   constexpr Bytes kMessage = 1 << 20;
   constexpr int kIters = 20;

@@ -9,10 +9,14 @@
 
 #include "mpi/machine.hpp"
 #include "util/table.hpp"
+#include "util/flags.hpp"
 
 using namespace ovp;
 
-int main() {
+int main(int argc, char** argv) {
+  (void)util::Flags::parseOrExit(
+      argc, argv,
+      {"report_explorer", "Writes, reloads and merges report files.", {}});
   // A deliberately imbalanced job: rank 0 overlaps well, rank 1 does not.
   mpi::JobConfig job;
   job.nranks = 4;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "mpi/machine.hpp"
+#include "util/flags.hpp"
 
 using namespace ovp;
 
@@ -128,7 +129,10 @@ Outcome runStencil(int nranks, bool with_iprobe) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  (void)util::Flags::parseOrExit(
+      argc, argv,
+      {"stencil_tuning", "Finds and fixes a halo-exchange overlap loss.", {}});
   constexpr int kRanks = 4;
   std::printf("2-D Jacobi halo exchange on %d ranks, %d iterations\n\n",
               kRanks, kIters);

@@ -31,22 +31,24 @@ double Term::basis(double n) const {
 }
 
 std::string Term::describeBasis() const {
+  // Appends only: GCC 12 -O3 reports false -Wrestrict overlaps on
+  // `"n^" + string` and on assigning a literal to `out`.
   std::string out;
   if (exp_num != 0) {
-    if (exp_den == 1) {
-      out = exp_num == 1 ? "n" : "n^" + std::to_string(exp_num);
-    } else {
-      out = "n^(" + std::to_string(exp_num) + "/" + std::to_string(exp_den) +
-            ")";
+    out += 'n';
+    if (exp_den != 1) {
+      out.append("^(").append(std::to_string(exp_num)).append("/");
+      out.append(std::to_string(exp_den)).append(")");
+    } else if (exp_num != 1) {
+      out.append("^").append(std::to_string(exp_num));
     }
   }
   if (log_exp != 0) {
     if (!out.empty()) out += "*";
     out += "log2(n)";
-    if (log_exp != 1) out += "^" + std::to_string(log_exp);
+    if (log_exp != 1) out.append("^").append(std::to_string(log_exp));
   }
-  if (out.empty()) out = "1";
-  return out;
+  return out.empty() ? "1" : out;
 }
 
 double Model::eval(double n) const {

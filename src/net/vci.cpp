@@ -13,17 +13,6 @@ int VciParams::classOf(Bytes size) const {
   return k;
 }
 
-std::string VciParams::classLabel(int k) const {
-  if (class_bounds.empty()) return "all";
-  if (k <= 0) return "<" + std::to_string(class_bounds.front()) + "B";
-  if (k >= static_cast<int>(class_bounds.size())) {
-    return ">=" + std::to_string(class_bounds.back()) + "B";
-  }
-  return "[" + std::to_string(class_bounds[static_cast<std::size_t>(k) - 1]) +
-         "B," + std::to_string(class_bounds[static_cast<std::size_t>(k)]) +
-         "B)";
-}
-
 const char* VciParams::policyName(VciPolicy p) {
   switch (p) {
     case VciPolicy::TagHash:

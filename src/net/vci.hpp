@@ -60,8 +60,6 @@ struct VciParams {
   }
   /// Index in [0, nclasses()) of the size class containing `size`.
   [[nodiscard]] int classOf(Bytes size) const;
-  /// Human-readable label of size class k ("<=16384B", ">16384B", ...).
-  [[nodiscard]] std::string classLabel(int k) const;
 
   /// Parses a `--ovprof-vci=N[,policy]` spec ("2", "4,round-robin", ...)
   /// into `out` (leaving rails untouched) and seeds the default class

@@ -46,14 +46,18 @@ void writeSection(std::ostream& os, const SectionReport& s,
 
 std::string vciClassLabel(const VciStats& v, int k) {
   if (v.class_bounds.empty()) return "all";
-  if (k <= 0) return "<" + std::to_string(v.class_bounds.front()) + "B";
-  if (k >= static_cast<int>(v.class_bounds.size())) {
-    return ">=" + std::to_string(v.class_bounds.back()) + "B";
+  // append(), not "<" + string: GCC 12 -O3 reports a false -Wrestrict there.
+  const auto bound = [&](std::size_t i) {
+    return std::to_string(v.class_bounds[i]);
+  };
+  const std::size_t n = v.class_bounds.size();
+  if (k <= 0) return std::string("<").append(bound(0)).append("B");
+  if (k >= static_cast<int>(n)) {
+    return std::string(">=").append(bound(n - 1)).append("B");
   }
-  return "[" +
-         std::to_string(v.class_bounds[static_cast<std::size_t>(k) - 1]) +
-         "B," + std::to_string(v.class_bounds[static_cast<std::size_t>(k)]) +
-         "B)";
+  const auto i = static_cast<std::size_t>(k);
+  return std::string("[").append(bound(i - 1)).append("B,").append(
+      bound(i)).append("B)");
 }
 
 void writeVci(std::ostream& os, const VciStats& v) {

@@ -29,11 +29,15 @@ int SizeClasses::classOf(Bytes size) const {
 
 std::string SizeClasses::label(int i) const {
   if (upper_bounds_.empty()) return "all";
-  if (i == 0) return "<" + util::humanBytes(upper_bounds_.front());
-  if (i == count() - 1) return ">=" + util::humanBytes(upper_bounds_.back());
-  return "[" + util::humanBytes(upper_bounds_[static_cast<std::size_t>(i) - 1]) +
-         "," + util::humanBytes(upper_bounds_[static_cast<std::size_t>(i)]) +
-         ")";
+  // append(), not "<" + string: GCC 12 -O3 reports a false -Wrestrict there.
+  const auto bytes = [&](std::size_t k) {
+    return util::humanBytes(upper_bounds_[k]);
+  };
+  const auto k = static_cast<std::size_t>(i);
+  if (i == 0) return std::string("<").append(bytes(0));
+  if (i == count() - 1) return std::string(">=").append(bytes(k - 1));
+  return std::string("[").append(bytes(k - 1)).append(",").append(
+      bytes(k)).append(")");
 }
 
 }  // namespace ovp::overlap

@@ -23,7 +23,9 @@ SymNode& SymBuilder::emitOp(OpKind kind) {
   return *stack_.back()->back();
 }
 
-std::string SymBuilder::gensym() { return "k" + std::to_string(gensym_++); }
+std::string SymBuilder::gensym() {
+  return std::string("k").append(std::to_string(gensym_++));
+}
 
 void SymBuilder::compute(ExprP flops) {
   SymNode& n = emitOp(OpKind::Compute);
@@ -64,13 +66,6 @@ void SymBuilder::barrier() { emitOp(OpKind::Barrier); }
 
 void SymBuilder::put(ExprP target, ExprP bytes, bool nb) {
   SymNode& n = emitOp(OpKind::RmaPut);
-  n.peer = std::move(target);
-  n.bytes = std::move(bytes);
-  n.nb = nb;
-}
-
-void SymBuilder::get(ExprP target, ExprP bytes, bool nb) {
-  SymNode& n = emitOp(OpKind::RmaGet);
   n.peer = std::move(target);
   n.bytes = std::move(bytes);
   n.nb = nb;

@@ -43,7 +43,6 @@ class SymBuilder {
   void waitall();
   void barrier();
   void put(ExprP target, ExprP bytes, bool nb);
-  void get(ExprP target, ExprP bytes, bool nb);
   void fence(ExprP target);
 
   // -- structure --

@@ -69,7 +69,6 @@ ExprP sub(ExprP a, ExprP b) { return binary(ExprKind::Sub, std::move(a), std::mo
 ExprP mul(ExprP a, ExprP b) { return binary(ExprKind::Mul, std::move(a), std::move(b)); }
 ExprP floordiv(ExprP a, ExprP b) { return binary(ExprKind::Div, std::move(a), std::move(b)); }
 ExprP mod(ExprP a, ExprP b) { return binary(ExprKind::Mod, std::move(a), std::move(b)); }
-ExprP emin(ExprP a, ExprP b) { return binary(ExprKind::Min, std::move(a), std::move(b)); }
 ExprP emax(ExprP a, ExprP b) { return binary(ExprKind::Max, std::move(a), std::move(b)); }
 ExprP pow2(ExprP a) { return unary(ExprKind::Pow2, std::move(a)); }
 ExprP clog2(ExprP a) { return unary(ExprKind::CeilLog2, std::move(a)); }

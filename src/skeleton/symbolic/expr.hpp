@@ -80,7 +80,6 @@ struct Expr {
 [[nodiscard]] ExprP mul(ExprP a, ExprP b);
 [[nodiscard]] ExprP floordiv(ExprP a, ExprP b);
 [[nodiscard]] ExprP mod(ExprP a, ExprP b);
-[[nodiscard]] ExprP emin(ExprP a, ExprP b);
 [[nodiscard]] ExprP emax(ExprP a, ExprP b);
 [[nodiscard]] ExprP pow2(ExprP a);
 [[nodiscard]] ExprP clog2(ExprP a);

@@ -1,6 +1,9 @@
 #include "util/flags.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/strings.hpp"
 
@@ -8,39 +11,118 @@ namespace ovp::util {
 
 namespace {
 
-/// The complete framework-wide flag set.  Binary-specific flags are free
-/// form, but --ovprof-* is reserved: anything not listed here is a typo.
-constexpr std::string_view kKnownOvprofFlags[] = {
-    "ovprof-verify", "ovprof-fault",        "ovprof-trace",
-    "ovprof-trace-capacity", "ovprof-trace-window",
-    "ovprof-lint", "ovprof-lint-json",
-    "ovprof-model", "ovprof-model-param",
-    "ovprof-check-json", "ovprof-workers",
-    "ovprof-vci", "ovprof-vci-rails",
-};
+bool isOneOf(std::string_view value, std::string_view words) {
+  while (true) {
+    const std::size_t bar = words.find('|');
+    if (value == words.substr(0, bar)) return true;
+    if (bar == std::string_view::npos) return false;
+    words.remove_prefix(bar + 1);
+  }
+}
 
-bool knownOvprofFlag(std::string_view name) {
-  for (const std::string_view known : kKnownOvprofFlags) {
-    if (name == known) return true;
+/// True when `value` (none for a bare --name) fits `flag`'s kind.
+bool fits(const Flag& flag, bool bare, std::string_view value) {
+  std::int64_t i = 0;
+  double d = 0.0;
+  switch (flag.kind) {
+    case FlagKind::Switch:
+      return bare || isOneOf(value, "0|1|true|false|yes|no");
+    case FlagKind::Int:
+      return !bare && parseInt(value, i) && i >= flag.min;
+    case FlagKind::Number:
+      return !bare && parseDouble(value, d);
+    case FlagKind::Text:
+      return !bare || !flag.bare.empty();
+    case FlagKind::OneOf:
+      return !bare && isOneOf(value, flag.arg);
   }
   return false;
 }
 
-/// The value of --NAME=VALUE, "" when the flag is absent; a bare --NAME
-/// parses as boolean "true" and means `bare`.
-std::string valueOrBare(const Flags& flags, std::string_view name,
-                        const char* bare) {
-  const std::string value = flags.getString(name, "");
-  return value == "true" ? std::string(bare) : value;
+/// The usage column of `flag`: --name, --name=ARG or --name[=ARG].
+std::string synopsis(const Flag& flag) {
+  std::string out = "--";
+  out += flag.name;
+  if (flag.kind == FlagKind::Switch) return out;
+  out += flag.bare.empty() ? "=" : "[=";
+  out += flag.arg;
+  if (!flag.bare.empty()) out += ']';
+  return out;
+}
+
+/// What the usage line and a rejection add after `flag`: its bound, its
+/// bare value, or for a switch the values it takes.
+std::string constraint(const Flag& flag) {
+  std::string out;
+  if (flag.kind == FlagKind::Switch) out = " [=0|1|true|false|yes|no]";
+  if (flag.kind == FlagKind::Int && flag.min != kAnyInt) {
+    out = " [";
+    out += flag.arg;
+    out += " >= ";
+    out += std::to_string(flag.min);
+    out += ']';
+  }
+  if (!flag.bare.empty()) {
+    out = " [bare: ";
+    out += flag.bare;
+    out += ']';
+  }
+  return out;
 }
 
 }  // namespace
 
+std::string usage(const Cli& cli) {
+  std::string out = "usage: ";
+  out += cli.usage;
+  out += cli.flags.empty() ? "\n" : " [flags]\n";
+  out += cli.about;
+  out += "\n\n";
+  // Help lines start in column 32; a longer flag pushes its help onto the
+  // next line.
+  const auto line = [&out](const std::string& col, std::string_view help,
+                           const std::string& tail) {
+    out += "  ";
+    out += col;
+    if (col.size() > 28) {
+      out += '\n';
+      out.append(32, ' ');
+    } else {
+      out.append(30 - col.size(), ' ');
+    }
+    out += help;
+    out += tail;
+    out += '\n';
+  };
+  for (const Flag& flag : cli.flags) {
+    line(synopsis(flag), flag.help,
+         flag.kind == FlagKind::Switch ? "" : constraint(flag));
+  }
+  line("-h, --help", "print this help and exit", "");
+  return out;
+}
+
+bool Flags::parse(int argc, char** argv, const Cli& cli) {
+  declared_flags_ = cli.flags;
+  declared_ = true;
+  return parse(argc, argv);
+}
+
+Flags Flags::parseOrExit(int argc, char** argv, const Cli& cli) {
+  Flags flags;
+  if (!flags.parse(argc, argv, cli)) std::exit(2);
+  if (flags.helpRequested()) {
+    std::fputs(usage(cli).c_str(), stdout);
+    std::exit(0);
+  }
+  return flags;
+}
+
 bool Flags::parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
-    if (arg == "-h") {
-      values_["help"] = "true";
+    if (arg == "-h" || arg == "--help") {
+      help_ = true;
       continue;
     }
     if (!startsWith(arg, "--")) {
@@ -49,17 +131,24 @@ bool Flags::parse(int argc, char** argv) {
     }
     arg.remove_prefix(2);
     const std::size_t eq = arg.find('=');
-    const std::string_view name =
-        eq == std::string_view::npos ? arg : arg.substr(0, eq);
-    if (startsWith(name, "ovprof-") && !knownOvprofFlag(name)) {
-      std::fprintf(stderr,
-                   "unknown --ovprof flag: --%.*s\n"
-                   "known framework flags:\n%s",
-                   static_cast<int>(name.size()), name.data(),
-                   ovprofHelpText());
-      return false;
+    const bool bare = eq == std::string_view::npos;
+    const std::string_view name = bare ? arg : arg.substr(0, eq);
+    if (declared_) {
+      const auto flag =
+          std::find_if(declared_flags_.begin(), declared_flags_.end(),
+                       [&](const Flag& f) { return f.name == name; });
+      if (flag == declared_flags_.end()) {
+        std::fprintf(stderr, "unknown flag: %s (see --help)\n", argv[i]);
+        return false;
+      }
+      if (!fits(*flag, bare, bare ? "" : arg.substr(eq + 1))) {
+        std::fprintf(stderr, "%s: want %s%s\n", argv[i],
+                     synopsis(*flag).c_str(), constraint(*flag).c_str());
+        return false;
+      }
     }
-    if (eq == std::string_view::npos) {
+    // Stored as text, a bare flag as "true": the readers convert.
+    if (bare) {
       values_[std::string(arg)] = "true";
     } else {
       values_[std::string(name)] = std::string(arg.substr(eq + 1));
@@ -68,7 +157,16 @@ bool Flags::parse(int argc, char** argv) {
   return true;
 }
 
+const Flag* Flags::declaration(std::string_view name) const {
+  for (const Flag& flag : declared_flags_) {
+    if (flag.name == name) return &flag;
+  }
+  assert(!declared_ && "read of a flag the binary did not declare");
+  return nullptr;
+}
+
 std::int64_t Flags::getInt(std::string_view name, std::int64_t fallback) const {
+  (void)declaration(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   std::int64_t v = 0;
@@ -76,6 +174,7 @@ std::int64_t Flags::getInt(std::string_view name, std::int64_t fallback) const {
 }
 
 double Flags::getDouble(std::string_view name, double fallback) const {
+  (void)declaration(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   double v = 0.0;
@@ -84,115 +183,25 @@ double Flags::getDouble(std::string_view name, double fallback) const {
 
 std::string Flags::getString(std::string_view name,
                              std::string_view fallback) const {
+  const Flag* flag = declaration(name);
   const auto it = values_.find(name);
-  return it == values_.end() ? std::string(fallback) : it->second;
+  if (it == values_.end()) return std::string(fallback);
+  if (flag != nullptr && !flag->bare.empty() && it->second == "true") {
+    return std::string(flag->bare);
+  }
+  return it->second;
 }
 
 bool Flags::getBool(std::string_view name, bool fallback) const {
+  (void)declaration(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
 bool Flags::has(std::string_view name) const {
+  (void)declaration(name);
   return values_.contains(name);
-}
-
-bool verifyRequested(const Flags& flags) {
-  return flags.getBool("ovprof-verify", false);
-}
-
-std::string faultSpecRequested(const Flags& flags) {
-  return flags.getString("ovprof-fault", "");
-}
-
-std::string traceSpecRequested(const Flags& flags) {
-  return valueOrBare(flags, "ovprof-trace", "ovprof-trace.json");
-}
-
-bool lintRequested(const Flags& flags) {
-  return flags.getBool("ovprof-lint", false);
-}
-
-std::string lintJsonPathRequested(const Flags& flags) {
-  return valueOrBare(flags, "ovprof-lint-json", "ovprof-lint.json");
-}
-
-std::string checkJsonPathRequested(const Flags& flags) {
-  return valueOrBare(flags, "ovprof-check-json", "ovprof-check.json");
-}
-
-std::string modelSamplePathRequested(const Flags& flags) {
-  return valueOrBare(flags, "ovprof-model", "ovprof-model.sample");
-}
-
-double modelParamRequested(const Flags& flags) {
-  return flags.getDouble("ovprof-model-param", 0.0);
-}
-
-std::string vciSpecRequested(const Flags& flags) {
-  return valueOrBare(flags, "ovprof-vci", "2");  // bare: two channels
-}
-
-int vciRailsRequested(const Flags& flags) {
-  return static_cast<int>(flags.getInt("ovprof-vci-rails", 1));
-}
-
-int workersRequested(const Flags& flags) {
-  return static_cast<int>(flags.getInt("ovprof-workers", 1));
-}
-
-bool helpRequested(const Flags& flags) {
-  return flags.getBool("help", false);
-}
-
-const char* ovprofHelpText() {
-  return
-      "  --ovprof-verify[=0|1]        attach the analysis layer (event-stream\n"
-      "                               verifier + library-misuse checker) to\n"
-      "                               every rank\n"
-      "  --ovprof-fault=SPEC          inject fabric faults; SPEC is e.g.\n"
-      "                               drop=0.05,jitter=2000,seed=7 (a bare\n"
-      "                               number means drop=N)\n"
-      "  --ovprof-trace=FILE          write an always-on event trace: Chrome\n"
-      "                               trace-event JSON to FILE (load in\n"
-      "                               Perfetto / chrome://tracing) and a\n"
-      "                               lossless CSV to FILE.csv\n"
-      "  --ovprof-trace-capacity=N    per-rank trace ring capacity in records\n"
-      "                               (default 524288; overflow drops newest\n"
-      "                               records and is counted)\n"
-      "  --ovprof-trace-window=NS     time-resolved analysis window in\n"
-      "                               virtual ns (default 1000000)\n"
-      "  --ovprof-lint[=0|1]          after the run, lint the collected trace\n"
-      "                               (RMA race detection, wait-for deadlock\n"
-      "                               and stall analysis, overlap advice) and\n"
-      "                               print ranked findings; the process exits\n"
-      "                               nonzero on Warning/Error findings\n"
-      "  --ovprof-lint-json=FILE      with --ovprof-lint, additionally write\n"
-      "                               the findings as a deterministic JSON\n"
-      "                               array to FILE\n"
-      "  --ovprof-check-json=FILE     (ovprof_check) additionally write the\n"
-      "                               static-analysis findings as a\n"
-      "                               deterministic JSON array to FILE\n"
-      "  --ovprof-model=FILE          after the run, save a model sample\n"
-      "                               (merged report + sweep metadata) to\n"
-      "                               FILE for ovprof_model fit/predict\n"
-      "  --ovprof-model-param=X       sweep parameter recorded in the model\n"
-      "                               sample (default: mean bytes per\n"
-      "                               transfer)\n"
-      "  --ovprof-vci=N[,policy]      give every NIC N virtual channel\n"
-      "                               interfaces with per-channel queues and\n"
-      "                               a per-channel LogGP report section;\n"
-      "                               policy is tag-hash (default),\n"
-      "                               round-robin, per-peer or explicit\n"
-      "  --ovprof-vci-rails=R         physical rails per node port (channel c\n"
-      "                               rides rail c mod R; default 1 keeps\n"
-      "                               wire timing identical to the\n"
-      "                               single-rail fabric)\n"
-      "  --ovprof-workers=N           run the simulation engine with N worker\n"
-      "                               threads (conservative parallel mode;\n"
-      "                               results are bit-identical to N=1, fault\n"
-      "                               injection included)\n";
 }
 
 }  // namespace ovp::util

@@ -26,7 +26,8 @@ std::string TextTable::integer(long long v) {
   return buf;
 }
 
-void TextTable::print(std::ostream& os) const {
+void TextTable::print(std::ostream& os, bool csv) const {
+  if (csv) return printCsv(os);
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     widths[c] = headers_[c].size();

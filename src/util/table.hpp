@@ -22,8 +22,9 @@ class TextTable {
   static std::string num(double v, int precision = 2);
   static std::string integer(long long v);
 
-  /// Pretty, column-aligned rendering with a header rule.
-  void print(std::ostream& os) const;
+  /// Pretty, column-aligned rendering with a header rule; with `csv`
+  /// (a binary's --csv flag), printCsv's rendering instead.
+  void print(std::ostream& os, bool csv = false) const;
 
   /// Comma-separated rendering (no alignment, header row first).
   void printCsv(std::ostream& os) const;

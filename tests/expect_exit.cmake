@@ -1,0 +1,55 @@
+# Exit-code gate, run from ctest (see tests/CMakeLists) as
+#   cmake -DCODE=<n> -DSTDERR=<regex> [-DHELP=ON] -P expect_exit.cmake -- PROGRAM ARGS...
+#
+# Runs PROGRAM ARGS... and requires its exit code to be CODE and its
+# stderr to match the regular expression STDERR.  WILL_FAIL would accept
+# any nonzero exit; the tools document 1 as "findings" and 2 as "tool
+# error", so a leg that expects a rejection must see exactly that code.
+#
+# With HELP set, PROGRAM is first run with --help alone: it must exit 0
+# and print the usage generated from its flag declaration (a `usage:` line
+# first, the -h/--help entry last).
+foreach(var CODE STDERR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "expect_exit.cmake: -D${var}=... is required")
+  endif()
+endforeach()
+
+# The command is every argument after "--".
+set(command "")
+set(seen_separator FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(seen_separator)
+    list(APPEND command "${CMAKE_ARGV${i}}")
+  elseif(CMAKE_ARGV${i} STREQUAL "--")
+    set(seen_separator TRUE)
+  endif()
+endforeach()
+if(NOT command)
+  message(FATAL_ERROR "expect_exit.cmake: no command after --")
+endif()
+
+if(HELP)
+  list(GET command 0 program)
+  execute_process(COMMAND "${program}" --help
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT out MATCHES
+     "^usage: [^\n]+\n.*\n  -h, --help +print this help and exit\n$")
+    message(FATAL_ERROR "${program} --help: want exit 0 and the generated "
+                        "usage, got exit ${rc}:\n${out}\n${err}")
+  endif()
+endif()
+
+execute_process(COMMAND ${command}
+                RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc STREQUAL "${CODE}")
+  message(FATAL_ERROR "${command}: want exit ${CODE}, got ${rc}\n${out}\n${err}")
+endif()
+if(NOT err MATCHES "${STDERR}")
+  message(FATAL_ERROR "${command}: stderr does not match '${STDERR}':\n${err}")
+endif()

@@ -11,8 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,16 +23,13 @@
 #include "analysis/race_detector.hpp"
 #include "analysis/vector_clock.hpp"
 #include "armci/armci.hpp"
+#include "golden.hpp"
 #include "nas/cg.hpp"
 #include "nas/mg.hpp"
 #include "nas/sp.hpp"
 #include "trace/export.hpp"
 #include "trace/reader.hpp"
 #include "util/flags.hpp"
-
-#ifndef OVPROF_GOLDEN_DIR
-#error "OVPROF_GOLDEN_DIR must point at tests/golden"
-#endif
 
 namespace ovp {
 namespace {
@@ -79,35 +74,6 @@ std::string lintJson(const trace::Collector& c) {
   std::ostringstream os;
   analysis::writeDiagnosticsJson(lr.diagnostics, os);
   return os.str();
-}
-
-std::string goldenPath(const std::string& name) {
-  return std::string(OVPROF_GOLDEN_DIR) + "/" + name;
-}
-
-bool regoldRequested() {
-  const char* env = std::getenv("OVPROF_REGOLD");
-  return env != nullptr && env[0] != '\0' && std::string(env) != "0";
-}
-
-void compareOrRegold(const std::string& name, const std::string& actual) {
-  const std::string path = goldenPath(name);
-  if (regoldRequested()) {
-    std::ofstream os(path, std::ios::binary);
-    ASSERT_TRUE(static_cast<bool>(os)) << "cannot write " << path;
-    os << actual;
-    GTEST_LOG_(INFO) << "regenerated " << path;
-    return;
-  }
-  std::ifstream is(path, std::ios::binary);
-  ASSERT_TRUE(static_cast<bool>(is))
-      << "missing golden file " << path
-      << " (regenerate with OVPROF_REGOLD=1)";
-  std::ostringstream expected;
-  expected << is.rdbuf();
-  EXPECT_EQ(expected.str(), actual)
-      << "output drifted from " << path
-      << "; if intentional, regenerate with OVPROF_REGOLD=1";
 }
 
 // ------------------------------------------------------------ VectorClock
@@ -586,29 +552,31 @@ TEST(LintNas, GoldenAdviceOnNasTraces) {
 // ------------------------------------------------------------------ flags
 
 TEST(LintFlags, KnownFlagsParseAndUnknownAreRejected) {
+  constexpr util::Flag kFlags[] = {util::kOvprofLint, util::kOvprofLintJson};
+  const util::Cli cli = {"prog", "", kFlags};
   {
     const char* argv[] = {"prog", "--ovprof-lint",
                           "--ovprof-lint-json=out.json"};
     util::Flags flags;
-    ASSERT_TRUE(flags.parse(3, const_cast<char**>(argv)));
-    EXPECT_TRUE(util::lintRequested(flags));
-    EXPECT_EQ(util::lintJsonPathRequested(flags), "out.json");
+    ASSERT_TRUE(flags.parse(3, const_cast<char**>(argv), cli));
+    EXPECT_TRUE(flags.getBool("ovprof-lint", false));
+    EXPECT_EQ(flags.getString("ovprof-lint-json", ""), "out.json");
   }
   {
     const char* argv[] = {"prog", "--ovprof-lint-json"};
     util::Flags flags;
-    ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
-    EXPECT_EQ(util::lintJsonPathRequested(flags), "ovprof-lint.json");
+    ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv), cli));
+    EXPECT_EQ(flags.getString("ovprof-lint-json", ""), "ovprof-lint.json");
   }
   {
     const char* argv[] = {"prog", "--ovprof-lint-jsn=typo.json"};
     util::Flags flags;
-    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
+    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv), cli));
   }
   {
     const char* argv[] = {"prog", "--ovprof-litn"};
     util::Flags flags;
-    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
+    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv), cli));
   }
 }
 

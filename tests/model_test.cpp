@@ -12,53 +12,19 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "line_mutator.hpp"
 #include "model/model_set.hpp"
 #include "model/predict.hpp"
 #include "model/sample.hpp"
 #include "nas/cg.hpp"
 
-#ifndef OVPROF_GOLDEN_DIR
-#error "OVPROF_GOLDEN_DIR must point at tests/golden"
-#endif
-
 namespace ovp {
 namespace {
-
-std::string goldenPath(const std::string& name) {
-  return std::string(OVPROF_GOLDEN_DIR) + "/" + name;
-}
-
-bool regoldRequested() {
-  const char* env = std::getenv("OVPROF_REGOLD");
-  return env != nullptr && env[0] != '\0' && std::string(env) != "0";
-}
-
-void compareOrRegold(const std::string& name, const std::string& actual) {
-  const std::string path = goldenPath(name);
-  if (regoldRequested()) {
-    std::ofstream os(path, std::ios::binary);
-    ASSERT_TRUE(static_cast<bool>(os)) << "cannot write " << path;
-    os << actual;
-    GTEST_LOG_(INFO) << "regenerated " << path;
-    return;
-  }
-  std::ifstream is(path, std::ios::binary);
-  ASSERT_TRUE(static_cast<bool>(is))
-      << "missing golden file " << path
-      << " (regenerate with OVPROF_REGOLD=1)";
-  std::ostringstream expected;
-  expected << is.rdbuf();
-  EXPECT_EQ(expected.str(), actual)
-      << "output drifted from " << path
-      << "; if intentional, regenerate with OVPROF_REGOLD=1";
-}
 
 // ---------------------------------------------------------------- fitter --
 

@@ -197,7 +197,8 @@ void runMonitorWalk(std::uint64_t seed) {
         break;
       case 5:
         if (sections < 3 && rng.below(2) == 0) {
-          (void)mon.sectionBegin(t, "s" + std::to_string(sections));
+          (void)mon.sectionBegin(
+              t, std::string("s").append(std::to_string(sections)));
           ++sections;
         } else if (sections > 0) {
           (void)mon.sectionEnd(t);

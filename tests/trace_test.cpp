@@ -10,14 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/lint.hpp"
+#include "golden.hpp"
 #include "line_mutator.hpp"
 #include "model/predict.hpp"
 #include "mpi/machine.hpp"
@@ -30,43 +29,10 @@
 #include "trace/timeline.hpp"
 #include "util/flags.hpp"
 
-#ifndef OVPROF_GOLDEN_DIR
-#error "OVPROF_GOLDEN_DIR must point at tests/golden"
-#endif
-
 namespace ovp {
 namespace {
 
 // ---------------------------------------------------------------- helpers
-
-std::string goldenPath(const std::string& name) {
-  return std::string(OVPROF_GOLDEN_DIR) + "/" + name;
-}
-
-bool regoldRequested() {
-  const char* env = std::getenv("OVPROF_REGOLD");
-  return env != nullptr && env[0] != '\0' && std::string(env) != "0";
-}
-
-void compareOrRegold(const std::string& name, const std::string& actual) {
-  const std::string path = goldenPath(name);
-  if (regoldRequested()) {
-    std::ofstream os(path, std::ios::binary);
-    ASSERT_TRUE(static_cast<bool>(os)) << "cannot write " << path;
-    os << actual;
-    GTEST_LOG_(INFO) << "regenerated " << path;
-    return;
-  }
-  std::ifstream is(path, std::ios::binary);
-  ASSERT_TRUE(static_cast<bool>(is))
-      << "missing golden file " << path
-      << " (regenerate with OVPROF_REGOLD=1)";
-  std::ostringstream expected;
-  expected << is.rdbuf();
-  EXPECT_EQ(expected.str(), actual)
-      << "output drifted from " << path
-      << "; if intentional, regenerate with OVPROF_REGOLD=1";
-}
 
 /// Minimal recursive-descent JSON checker: accepts exactly the RFC 8259
 /// grammar (objects, arrays, strings with escapes, numbers, true/false/
@@ -755,10 +721,16 @@ TEST(TraceCriticalPath, LateSenderIsDetectedAndBlamed) {
 
 // ------------------------------------------------------------------ flags
 
+constexpr util::Flag kTraceFlags[] = {
+    util::kOvprofTrace,  util::kOvprofTraceCapacity, util::kOvprofTraceWindow,
+    util::kOvprofVerify, util::kOvprofFault,
+};
+constexpr util::Cli kTraceCli = {"prog", "", kTraceFlags};
+
 TEST(TraceFlags, UnknownOvprofFlagIsRejected) {
   const char* argv[] = {"prog", "--ovprof-tracee=/tmp/x.json"};
   util::Flags flags;
-  EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
+  EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv), kTraceCli));
 }
 
 TEST(TraceFlags, KnownOvprofFlagsParse) {
@@ -767,30 +739,30 @@ TEST(TraceFlags, KnownOvprofFlagsParse) {
                         "--ovprof-trace-window=500000", "--ovprof-verify",
                         "--ovprof-fault=drop=0.01"};
   util::Flags flags;
-  ASSERT_TRUE(flags.parse(6, const_cast<char**>(argv)));
-  EXPECT_EQ(util::traceSpecRequested(flags), "/tmp/x.json");
+  ASSERT_TRUE(flags.parse(6, const_cast<char**>(argv), kTraceCli));
+  EXPECT_EQ(flags.getString("ovprof-trace", ""), "/tmp/x.json");
   EXPECT_EQ(flags.getInt("ovprof-trace-capacity", 0), 1024);
   EXPECT_EQ(flags.getInt("ovprof-trace-window", 0), 500000);
-  EXPECT_TRUE(util::verifyRequested(flags));
-  EXPECT_EQ(util::faultSpecRequested(flags), "drop=0.01");
+  EXPECT_TRUE(flags.getBool("ovprof-verify", false));
+  EXPECT_EQ(flags.getString("ovprof-fault", ""), "drop=0.01");
 }
 
 TEST(TraceFlags, BareTraceFlagGetsDefaultPath) {
   const char* argv[] = {"prog", "--ovprof-trace"};
   util::Flags flags;
-  ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
-  EXPECT_EQ(util::traceSpecRequested(flags), "ovprof-trace.json");
+  ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv), kTraceCli));
+  EXPECT_EQ(flags.getString("ovprof-trace", ""), "ovprof-trace.json");
 }
 
 TEST(TraceFlags, HelpRequested) {
   const char* argv[] = {"prog", "--help"};
   util::Flags flags;
-  ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
-  EXPECT_TRUE(util::helpRequested(flags));
+  ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv), kTraceCli));
+  EXPECT_TRUE(flags.helpRequested());
   const char* argv2[] = {"prog", "-h"};
   util::Flags flags2;
-  ASSERT_TRUE(flags2.parse(2, const_cast<char**>(argv2)));
-  EXPECT_TRUE(util::helpRequested(flags2));
+  ASSERT_TRUE(flags2.parse(2, const_cast<char**>(argv2), kTraceCli));
+  EXPECT_TRUE(flags2.helpRequested());
 }
 
 // -------------------------------------------------------------- lifecycle

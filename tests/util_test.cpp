@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/flags.hpp"
 #include "util/ring_buffer.hpp"
@@ -213,60 +216,143 @@ TEST(Rng, UniformInUnitInterval) {
   }
 }
 
+// One flag of every kind, plus two framework flags.
+constexpr Flag kTestFlags[] = {
+    intFlag("n", "N", "how many", 1),
+    numberFlag("ratio", "X", "a ratio"),
+    switchFlag("verbose", "talk more"),
+    textFlag("name", "TEXT", "a name"),
+    textFlag("out", "FILE", "where to write", "default.out"),
+    oneOfFlag("class", "S|A|B", "problem class"),
+    kOvprofModel,
+    kOvprofModelParam,
+};
+constexpr Cli kTestCli = {"prog ARG", "Tests the flag parser.", kTestFlags};
+
+/// Parses `args` (argv[0] included) against kTestCli.
+bool parseArgs(Flags& f, std::vector<const char*> args) {
+  return f.parse(static_cast<int>(args.size()),
+                 const_cast<char**>(args.data()), kTestCli);
+}
+
 TEST(Flags, ParsesKeyValueAndBooleans) {
-  const char* argv[] = {"prog", "--n=5", "--ratio=0.5", "--verbose",
-                        "--name=test"};
   Flags f;
-  ASSERT_TRUE(f.parse(5, const_cast<char**>(argv)));
+  ASSERT_TRUE(parseArgs(
+      f, {"prog", "--n=5", "--ratio=0.5", "--verbose", "--name=test"}));
   EXPECT_EQ(f.getInt("n", 0), 5);
   EXPECT_DOUBLE_EQ(f.getDouble("ratio", 0), 0.5);
   EXPECT_TRUE(f.getBool("verbose", false));
   EXPECT_EQ(f.getString("name", ""), "test");
-  EXPECT_EQ(f.getInt("missing", 17), 17);
+  EXPECT_EQ(f.getString("class", "S"), "S");
   EXPECT_TRUE(f.has("n"));
-  EXPECT_FALSE(f.has("missing"));
+  EXPECT_FALSE(f.has("class"));
+  Flags g;
+  ASSERT_TRUE(parseArgs(g, {"prog", "--verbose=no", "--class=B"}));
+  EXPECT_FALSE(g.getBool("verbose", true));
+  EXPECT_EQ(g.getString("class", "S"), "B");
 }
 
 TEST(Flags, RejectsPositionalArguments) {
-  const char* argv[] = {"prog", "oops"};
   Flags f;
-  EXPECT_FALSE(f.parse(2, const_cast<char**>(argv)));
+  EXPECT_FALSE(parseArgs(f, {"prog", "oops"}));
 }
 
 TEST(Flags, AcceptsModelFlagsAndRejectsTypos) {
-  // The model flags are in the reserved --ovprof-* namespace and must be
-  // known to the shared parser; near-misses are rejected like any typo.
-  const char* good[] = {"prog", "--ovprof-model=run.sample",
-                        "--ovprof-model-param=4096"};
   Flags f;
-  ASSERT_TRUE(f.parse(3, const_cast<char**>(good)));
-  EXPECT_EQ(modelSamplePathRequested(f), "run.sample");
-  EXPECT_DOUBLE_EQ(modelParamRequested(f), 4096.0);
-
-  const char* typo[] = {"prog", "--ovprof-model-foo=1"};
+  ASSERT_TRUE(parseArgs(f, {"prog", "--ovprof-model=run.sample",
+                            "--ovprof-model-param=4096"}));
+  EXPECT_EQ(f.getString("ovprof-model", ""), "run.sample");
+  EXPECT_DOUBLE_EQ(f.getDouble("ovprof-model-param", 0.0), 4096.0);
   Flags g;
-  EXPECT_FALSE(g.parse(2, const_cast<char**>(typo)));
+  EXPECT_FALSE(parseArgs(g, {"prog", "--ovprof-model-foo=1"}));
 }
 
 TEST(Flags, BareModelFlagGetsDefaultFilename) {
-  const char* argv[] = {"prog", "--ovprof-model"};
   Flags f;
-  ASSERT_TRUE(f.parse(2, const_cast<char**>(argv)));
-  EXPECT_EQ(modelSamplePathRequested(f), "ovprof-model.sample");
+  ASSERT_TRUE(parseArgs(f, {"prog", "--ovprof-model"}));
+  EXPECT_EQ(f.getString("ovprof-model", ""), "ovprof-model.sample");
 }
 
 TEST(Flags, ModelFlagsDefaultToUnset) {
   Flags f;
-  const char* argv[] = {"prog"};
-  ASSERT_TRUE(f.parse(1, const_cast<char**>(argv)));
-  EXPECT_TRUE(modelSamplePathRequested(f).empty());
-  EXPECT_DOUBLE_EQ(modelParamRequested(f), 0.0);
+  ASSERT_TRUE(parseArgs(f, {"prog"}));
+  EXPECT_TRUE(f.getString("ovprof-model", "").empty());
+  EXPECT_DOUBLE_EQ(f.getDouble("ovprof-model-param", 0.0), 0.0);
 }
 
 TEST(Flags, HelpTextDocumentsEveryModelFlag) {
-  const std::string help = ovprofHelpText();
-  EXPECT_NE(help.find("--ovprof-model=FILE"), std::string::npos);
-  EXPECT_NE(help.find("--ovprof-model-param"), std::string::npos);
+  const std::string help = usage(kTestCli);
+  EXPECT_NE(help.find("--ovprof-model[=FILE]"), std::string::npos);
+  EXPECT_NE(help.find("--ovprof-model-param=X"), std::string::npos);
+}
+
+TEST(Flags, UsageListsEveryDeclaredFlagWithItsHelpLine) {
+  const std::string help = usage(kTestCli);
+  EXPECT_EQ(help.rfind("usage: prog ARG [flags]\nTests the flag parser.\n", 0),
+            0u)
+      << help;
+  for (const Flag& flag : kTestFlags) {
+    const std::size_t at = help.find("  --" + std::string(flag.name));
+    ASSERT_NE(at, std::string::npos) << flag.name;
+    // The help line follows the flag, before the next flag's entry.
+    const std::size_t text = help.find(flag.help, at);
+    ASSERT_NE(text, std::string::npos) << flag.name;
+    EXPECT_EQ(help.find("  --", at + 2), help.find("  --", text)) << flag.name;
+  }
+  EXPECT_NE(help.find("--n=N "), std::string::npos);
+  EXPECT_NE(help.find("[N >= 1]"), std::string::npos);
+  EXPECT_NE(help.find("--class=S|A|B"), std::string::npos);
+  EXPECT_NE(help.find("[bare: default.out]"), std::string::npos);
+  EXPECT_NE(help.find("-h, --help"), std::string::npos);
+  EXPECT_EQ(usage({"bare", "No flags.", {}}),
+            "usage: bare\nNo flags.\n\n"
+            "  -h, --help                    print this help and exit\n");
+}
+
+TEST(Flags, EachKindRejectsAMalformedValueNamingTheFlag) {
+  for (const char* arg :
+       {"--n=abc", "--n=0", "--n", "--ratio=fast", "--ratio", "--verbose=maybe",
+        "--name", "--class=Z", "--class", "--no-such-flag=1"}) {
+    Flags f;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parseArgs(f, {"prog", arg})) << arg;
+    const std::string err = testing::internal::GetCapturedStderr();
+    const std::string_view name = std::string_view(arg).substr(
+        0, std::string_view(arg).find('='));
+    EXPECT_NE(err.find(std::string(name) + "="), std::string::npos)
+        << arg << ": " << err;
+  }
+}
+
+TEST(Flags, BareTextFlagReadsItsDeclaredValue) {
+  Flags f;
+  ASSERT_TRUE(parseArgs(f, {"prog", "--out"}));
+  EXPECT_EQ(f.getString("out", ""), "default.out");
+  Flags g;
+  ASSERT_TRUE(parseArgs(g, {"prog", "--out=x.txt", "--name="}));
+  EXPECT_EQ(g.getString("out", ""), "x.txt");
+  EXPECT_EQ(g.getString("name", "unset"), "");
+}
+
+TEST(Flags, UndeclaredFormReadsAnyName) {
+  const char* argv[] = {"prog", "--work-dir=/tmp/w", "--seed=3", "--trace"};
+  Flags f;
+  ASSERT_TRUE(f.parse(4, const_cast<char**>(argv)));
+  EXPECT_EQ(f.getString("work-dir", "."), "/tmp/w");
+  EXPECT_EQ(f.getInt("seed", 1), 3);
+  EXPECT_TRUE(f.getBool("trace", false));
+  EXPECT_EQ(f.getString("workload", ""), "");
+}
+
+TEST(Flags, ReadOfAnUndeclaredNameFailsInDebugBuilds) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the check is an assert";
+#else
+  Flags f;
+  ASSERT_TRUE(parseArgs(f, {"prog"}));
+  EXPECT_DEATH((void)f.getInt("nn", 0), "did not declare");
+  EXPECT_DEATH((void)f.getBool("help", false), "did not declare");
+#endif
 }
 
 TEST(Table, AlignsAndCounts) {

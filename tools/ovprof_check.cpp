@@ -29,14 +29,6 @@
 //     admissible rank counts at once, and closed-form per-site cost terms
 //     can be exported for ovprof_model (--emit-costs).
 //
-// Usage:
-//   ovprof_check SKELETON [SKELETON2 ...]
-//                [--class=S|A|B] [--procs=SPEC] [--iterations=N]
-//                [--variant=mpi|armci|armci-nb] [--ns-per-flop=X]
-//                [--eager=BYTES] [--xfer-table=FILE] [--conform=TRACE.csv]
-//                [--write-skeleton=FILE] [--ovprof-check-json=FILE]
-//                [--symbolic] [--emit-costs=FILE]
-//
 // SKELETON is `nas:KERNEL` with KERNEL in {bt,cg,ep,ft,is,lu,mg,sp} (for
 // cg/ep/ft/is/mg: the rank-symbolic template instantiated at the count), or
 // the path of a skeleton file previously written with --write-skeleton.
@@ -73,43 +65,54 @@ using namespace ovp;
 
 namespace {
 
-void printUsage() {
-  std::printf(
-      "usage: ovprof_check SKELETON [SKELETON2 ...]\n"
-      "                    [--class=S|A|B] [--procs=SPEC] [--iterations=N]\n"
-      "                    [--variant=mpi|armci|armci-nb] [--ns-per-flop=X]\n"
-      "                    [--eager=BYTES] [--xfer-table=FILE]\n"
-      "                    [--conform=TRACE.csv] [--write-skeleton=FILE]\n"
-      "                    [--ovprof-check-json=FILE]\n"
-      "                    [--symbolic] [--emit-costs=FILE]\n"
-      "\n"
-      "SKELETON is nas:KERNEL (kernel in {bt,cg,ep,ft,is,lu,mg,sp}; built\n"
-      "in-process from --class/--procs/--iterations/--variant) or the path\n"
-      "of a skeleton file written earlier with --write-skeleton.\n"
-      "\n"
-      "Statically analyzes the communication skeleton without running the\n"
-      "simulator: send/recv matching per (src, dst, tag) channel, blocking-\n"
-      "dependency deadlock search, and overlap-window pricing against the\n"
-      "a-priori transfer-time table from --xfer-table=FILE.  With\n"
-      "--conform=TRACE.csv, additionally verifies that the dynamic trace\n"
-      "embeds into the skeleton (every traced edge statically admissible).\n"
-      "\n"
-      "--procs=SPEC sweeps rank counts: a single count (\"8\"), a comma\n"
-      "list (\"2,4,6\"), a dense range (\"8-64\"), or a pow2 range\n"
-      "(\"8-64:pow2\").  Multi-count specs check every count and print a\n"
-      "findings diff across counts (nas: skeletons only).\n"
-      "\n"
-      "--symbolic proves matching and deadlock-freedom for ALL admissible\n"
-      "rank counts at once from the rank-symbolic template (kernels\n"
-      "cg/ep/ft/is/mg).  --emit-costs=FILE exports closed-form per-site\n"
-      "cost terms (ovprof-symskel-v1, read by `ovprof_model costs`).\n"
-      "\n"
-      "Exit code: 0 clean, 1 findings at warning or above (failed proofs\n"
-      "included), 2 tool error (unknown kernel, unreadable file, bad\n"
-      "flags or --procs spec).\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
-}
+constexpr util::Flag kFlags[] = {
+    util::oneOfFlag("class", "S|A|B", "problem class (default S)"),
+    util::textFlag("procs", "SPEC",
+                   "rank counts: 8, 2,4,6, 8-64 or 8-64:pow2; several "
+                   "counts sweep the check and diff the findings"),
+    util::intFlag("iterations", "N",
+                  "time steps the skeleton describes (0: the class default)",
+                  0),
+    util::oneOfFlag("variant", "mpi|armci|armci-nb",
+                    "MG communication variant (default armci-nb)"),
+    util::numberFlag("ns-per-flop", "X",
+                     "compute time per flop in virtual ns (default 0.5)"),
+    util::intFlag("eager", "BYTES",
+                  "sends up to BYTES never block in the deadlock search "
+                  "(default 16384)",
+                  0),
+    util::textFlag("xfer-table", "FILE",
+                   "transfer-time table that prices the overlap windows"),
+    util::textFlag("conform", "TRACE.csv",
+                   "also check that this trace embeds into the skeleton"),
+    util::textFlag("write-skeleton", "FILE",
+                   "save the skeleton in the text format SKELETON reads"),
+    util::kOvprofCheckJson,
+    util::switchFlag("symbolic",
+                     "prove matching and deadlock-freedom for every rank "
+                     "count (cg/ep/ft/is/mg)"),
+    util::textFlag("emit-costs", "FILE",
+                   "with --symbolic, export closed-form per-site cost terms "
+                   "(ovprof-symskel-v1; - for stdout)"),
+};
+
+constexpr util::Cli kCli = {
+    "ovprof_check SKELETON [SKELETON2 ...]",
+    "SKELETON is nas:KERNEL (kernel in {bt,cg,ep,ft,is,lu,mg,sp}; built\n"
+    "in-process from --class/--procs/--iterations/--variant) or the path\n"
+    "of a skeleton file written earlier with --write-skeleton.\n"
+    "\n"
+    "Statically analyzes the communication skeleton without running the\n"
+    "simulator: send/recv matching per (src, dst, tag) channel, blocking-\n"
+    "dependency deadlock search, and overlap-window pricing against the\n"
+    "a-priori transfer-time table from --xfer-table=FILE.  With\n"
+    "--conform=TRACE.csv, additionally verifies that the dynamic trace\n"
+    "embeds into the skeleton (every traced edge statically admissible).\n"
+    "\n"
+    "Exit code: 0 clean, 1 findings at warning or above (failed proofs\n"
+    "included), 2 tool error (unknown kernel, unreadable file, bad\n"
+    "flags or --procs spec).",
+    kFlags};
 
 nas::SkeletonParams paramsFromFlags(const util::Flags& flags) {
   nas::SkeletonParams params;
@@ -206,7 +209,7 @@ int runSymbolic(const std::string& input, const util::Flags& flags) {
     }
   }
 
-  const std::string json_path = util::checkJsonPathRequested(flags);
+  const std::string json_path = flags.getString("ovprof-check-json", "");
   if (!json_path.empty()) {
     std::ofstream os(json_path, std::ios::binary);
     if (!os) {
@@ -316,12 +319,7 @@ int runSweep(const std::string& input, const util::Flags& flags,
 
 int main(int argc, char** argv) {
   // Positional arguments are the skeletons (nas:KERNEL or file paths).
-  tool::CommandLine cl = tool::parseCommandLine(argc, argv);
-  if (!cl.parse_ok) return 2;
-  if (cl.want_usage) {
-    printUsage();
-    return 0;
-  }
+  const tool::CommandLine cl = tool::parseCommandLine(argc, argv, kCli);
   const util::Flags& flags = cl.flags;
   const std::vector<std::string>& inputs = cl.positional;
 
@@ -336,7 +334,7 @@ int main(int argc, char** argv) {
   }
 
   if (flags.getBool("symbolic", false)) {
-    const std::string json_path = util::checkJsonPathRequested(flags);
+    const std::string json_path = flags.getString("ovprof-check-json", "");
     const std::string costs_path = flags.getString("emit-costs", "");
     if (inputs.size() > 1 && (!json_path.empty() || !costs_path.empty())) {
       std::fprintf(stderr,
@@ -365,7 +363,7 @@ int main(int argc, char** argv) {
   }
 
   // Flags that name a single output or trace pair with a single skeleton.
-  const std::string json_path = util::checkJsonPathRequested(flags);
+  const std::string json_path = flags.getString("ovprof-check-json", "");
   const std::string conform_path = flags.getString("conform", "");
   const std::string write_path = flags.getString("write-skeleton", "");
   if (inputs.size() > 1 &&

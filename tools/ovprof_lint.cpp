@@ -11,9 +11,6 @@
 //   * overlap advice — serialized transfers, early waits and late waits,
 //     each with the recoverable overlap estimated from xfer_time(size).
 //
-// Usage:
-//   ovprof_lint TRACE.csv [TRACE2.csv ...] [--ovprof-lint-json=FILE]
-//
 // Exit code: 0 when every trace is clean (Notes allowed), 1 when any trace
 // has findings at Warning or above, 2 on tool errors (unreadable trace, bad
 // flags).  Output is deterministic: the same trace bytes always produce the
@@ -34,34 +31,26 @@ using namespace ovp;
 
 namespace {
 
-void printUsage() {
-  std::printf(
-      "usage: ovprof_lint TRACE.csv [TRACE2.csv ...]\n"
-      "                   [--ovprof-lint-json=FILE]\n"
-      "\n"
-      "Lints ovprof trace CSVs (written by any traced run via\n"
-      "--ovprof-trace=FILE, as FILE.csv): RMA race detection via\n"
-      "happens-before, wait-for deadlock/stall analysis, and overlap\n"
-      "advice ranked by estimated recoverable overlap.\n"
-      "Exit code: 0 clean, 1 findings at warning or above, 2 tool error.\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
-}
+constexpr util::Flag kFlags[] = {util::kOvprofLintJson};
+
+constexpr util::Cli kCli = {
+    "ovprof_lint TRACE.csv [TRACE2.csv ...]",
+    "Lints ovprof trace CSVs (written by a traced run via\n"
+    "--ovprof-trace=FILE, as FILE.csv): RMA race detection via\n"
+    "happens-before, wait-for deadlock/stall analysis, and overlap\n"
+    "advice ranked by estimated recoverable overlap.\n"
+    "Exit code: 0 clean, 1 findings at warning or above, 2 tool error.",
+    kFlags};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   // Positional arguments are the trace files.
-  tool::CommandLine cl = tool::parseCommandLine(argc, argv);
-  if (!cl.parse_ok) return 2;
-  if (cl.want_usage) {
-    printUsage();
-    return 0;
-  }
+  const tool::CommandLine cl = tool::parseCommandLine(argc, argv, kCli);
   const util::Flags& flags = cl.flags;
   const std::vector<std::string>& inputs = cl.positional;
 
-  const std::string json_path = util::lintJsonPathRequested(flags);
+  const std::string json_path = flags.getString("ovprof-lint-json", "");
   if (!json_path.empty() && inputs.size() > 1) {
     std::fprintf(stderr,
                  "--ovprof-lint-json accepts exactly one input trace\n");

@@ -3,21 +3,8 @@
 // Consumes model sample files written by instrumented runs
 // (--ovprof-model=FILE on nas_run, or model::RunSample::saveFile) and, for
 // what-if replay, the lossless CSV trace (--ovprof-trace=FILE produces
-// FILE.csv).  Subcommands:
-//
-//   fit SAMPLE...                      fit the normal-form models across the
-//                                      sweep; JSON to stdout or --out=FILE
-//   predict SAMPLE... --at=X           evaluate every fitted model at an
-//                                      unmeasured parameter X, with
-//                                      residual-based confidence bands
-//   eval SAMPLE... --heldout=SAMPLE    fit on SAMPLE..., predict the held-out
-//                                      run's parameter, compare to its
-//                                      measured values and gate the
-//                                      intensive metrics (exit 1 on miss)
-//   whatif TRACE.csv [--xfer-scale=S] [--bandwidth-scale=B]
-//          [--latency-delta=NS]        replay the recorded schedule under a
-//                                      scaled a-priori transfer-time table
-//                                      and report bound movements
+// FILE.csv).  Subcommands fit, predict, eval, whatif and costs each
+// declare their flags below; `ovprof_model --help` prints them.
 //
 // predict and eval refit from the sample files in-process rather than
 // parsing a fit JSON artifact: fitting is milliseconds, and it keeps this
@@ -45,34 +32,6 @@
 using namespace ovp;
 
 namespace {
-
-void printUsage() {
-  std::printf(
-      "usage: ovprof_model fit SAMPLE... [--out=FILE]\n"
-      "       ovprof_model predict SAMPLE... --at=X [--out=FILE]\n"
-      "       ovprof_model eval SAMPLE... --heldout=SAMPLE [--out=FILE]\n"
-      "       ovprof_model whatif TRACE.csv [--xfer-scale=S]\n"
-      "                    [--bandwidth-scale=B] [--latency-delta=NS]\n"
-      "                    [--out=FILE]\n"
-      "       ovprof_model costs SYMSKEL [--procs=SPEC] [--out=FILE]\n"
-      "\n"
-      "Fits Extra-P-style performance models (c + a*n^i*log2(n)^j) across a\n"
-      "sweep of model samples (written by --ovprof-model=FILE runs), predicts\n"
-      "metrics at unmeasured sweep parameters with residual-based confidence\n"
-      "bands, gates predictions against a held-out run, and replays a\n"
-      "recorded trace under scaled latency/bandwidth for what-if overlap\n"
-      "bounds.  All output is deterministic JSON.\n"
-      "\n"
-      "costs loads a closed-form pattern-cost table exported by\n"
-      "`ovprof_check --symbolic --emit-costs=FILE` (ovprof-symskel-v1) and\n"
-      "evaluates every site's message/byte/flop/window terms at the rank\n"
-      "counts of --procs=SPEC (\"8\", \"2,4,6\", \"8-64:pow2\"; default\n"
-      "1-64:pow2), screening counts against the skeleton's admissibility\n"
-      "family.\n"
-      "Exit code: 0 success, 1 eval gate miss, 2 tool error.\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
-}
 
 /// Opens --out=FILE or falls back to stdout.
 std::ostream* openOut(const util::Flags& flags, std::ofstream& file) {
@@ -278,26 +237,94 @@ int cmdCosts(const std::vector<std::string>& inputs,
   return 0;
 }
 
+// Each subcommand declares its own flags, so a flag another subcommand
+// reads is rejected (fit --at=3 exits 2).
+constexpr util::Flag kOut =
+    util::textFlag("out", "FILE", "write the JSON to FILE (default stdout)");
+constexpr util::Flag kFitFlags[] = {kOut};
+constexpr util::Flag kPredictFlags[] = {
+    util::numberFlag("at", "X", "sweep parameter to predict at (required)"),
+    kOut};
+constexpr util::Flag kEvalFlags[] = {
+    util::textFlag("heldout", "SAMPLE",
+                   "the held-out run to predict and gate (required)"),
+    kOut};
+constexpr util::Flag kWhatIfFlags[] = {
+    util::numberFlag("xfer-scale", "S",
+                     "scale every transfer time by S >= 0 (default 1)"),
+    util::numberFlag("bandwidth-scale", "B",
+                     "divide every transfer time by B > 0 (default 1)"),
+    util::intFlag("latency-delta", "NS",
+                  "add NS virtual ns to every transfer (default 0)"),
+    kOut};
+constexpr util::Flag kCostsFlags[] = {
+    util::textFlag("procs", "SPEC",
+                   "rank counts: 8, 2,4,6 or 8-64:pow2 (default 1-64:pow2)"),
+    kOut};
+
+struct Subcommand {
+  std::string_view name;
+  util::Cli cli;
+  int (*run)(const std::vector<std::string>&, const util::Flags&);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"fit",
+     {"ovprof_model fit SAMPLE...",
+      "Fits normal-form models (c + a*n^i*log2(n)^j) across a sample sweep.",
+      kFitFlags},
+     cmdFit},
+    {"predict",
+     {"ovprof_model predict SAMPLE... --at=X",
+      "Predicts every metric at X, with residual-based confidence bands.",
+      kPredictFlags},
+     cmdPredict},
+    {"eval",
+     {"ovprof_model eval SAMPLE... --heldout=SAMPLE",
+      "Predicts a held-out run and gates the intensive metrics (exit 1).",
+      kEvalFlags},
+     cmdEval},
+    {"whatif",
+     {"ovprof_model whatif TRACE.csv",
+      "Replays a trace under a scaled transfer-time table.", kWhatIfFlags},
+     cmdWhatIf},
+    {"costs",
+     {"ovprof_model costs SYMSKEL",
+      "Evaluates ovprof_check --emit-costs terms at each rank count.",
+      kCostsFlags},
+     cmdCosts},
+};
+
+constexpr util::Cli kCli = {
+    "ovprof_model SUBCOMMAND ...",
+    "Performance-model fitting and what-if prediction, as deterministic\n"
+    "JSON.  Exit code: 0 success, 1 eval gate miss, 2 tool error.",
+    {}};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Positional arguments are the subcommand then its inputs.
-  tool::CommandLine cl = tool::parseCommandLine(argc, argv);
-  if (!cl.parse_ok) return 2;
-  if (cl.want_usage) {
-    printUsage();
-    return 0;
+  // The subcommand is the first positional argument; its declaration
+  // decides which flags the rest of the command line may carry.
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.rfind("-", 0) == 0) continue;
+    for (const Subcommand& sub : kSubcommands) {
+      if (sub.name != arg) continue;
+      const tool::CommandLine cl = tool::parseCommandLine(argc, argv, sub.cli);
+      const std::vector<std::string> inputs(cl.positional.begin() + 1,
+                                            cl.positional.end());
+      return sub.run(inputs, cl.flags);
+    }
+    std::fprintf(stderr, "ovprof_model: unknown subcommand: %s\n", argv[i]);
+    return 2;
   }
-  const util::Flags& flags = cl.flags;
-  const std::string subcommand = cl.positional.front();
-  const std::vector<std::string> inputs(cl.positional.begin() + 1,
-                                        cl.positional.end());
-  if (subcommand == "fit") return cmdFit(inputs, flags);
-  if (subcommand == "predict") return cmdPredict(inputs, flags);
-  if (subcommand == "eval") return cmdEval(inputs, flags);
-  if (subcommand == "whatif") return cmdWhatIf(inputs, flags);
-  if (subcommand == "costs") return cmdCosts(inputs, flags);
-  std::fprintf(stderr, "ovprof_model: unknown subcommand: %s\n",
-               subcommand.c_str());
-  return 2;
+  // No subcommand: every subcommand's usage, or a rejected flag.
+  util::Flags flags;
+  if (!flags.parse(argc, argv, kCli)) return 2;
+  std::fputs(util::usage(kCli).c_str(), stdout);
+  for (const Subcommand& sub : kSubcommands) {
+    std::printf("\n%s", util::usage(sub.cli).c_str());
+  }
+  return 0;
 }

@@ -7,13 +7,6 @@
 // the interference metrics (slowdown vs solo baseline, fabric-contention
 // share, overlap delta under co-location).
 //
-//   ovprof_sched WORKLOAD [--nodes=8] [--ranks-per-node=4]
-//                [--policy=backfill|fifo] [--shared-nodes] [--no-baselines]
-//                [--agg=FILE] [--json=FILE] [--spill=PREFIX]
-//                [--shard-jobs=64] [--launch-log=FILE]
-//                [--write-workload=FILE] [--rss-budget-mb=MB]
-//                [--ovprof-workers=N]
-//
 // WORKLOAD is either a workload file (`job <id> <kernel> <class> <nranks>
 // <arrival_ns> <priority> <estimate_ns>` lines) or `synth:NJOBS[:SEED
 // [:MAXRANKS]]` for the deterministic generator (MAXRANKS defaults to the
@@ -49,31 +42,43 @@ using namespace ovp;
 
 namespace {
 
-void printUsage() {
-  std::printf(
-      "usage: ovprof_sched WORKLOAD [--nodes=8] [--ranks-per-node=4]\n"
-      "                    [--policy=backfill|fifo] [--shared-nodes]\n"
-      "                    [--no-baselines] [--agg=FILE] [--json=FILE]\n"
-      "                    [--spill=PREFIX] [--shard-jobs=64]\n"
-      "                    [--launch-log=FILE] [--write-workload=FILE]\n"
-      "                    [--rss-budget-mb=MB]\n"
-      "\n"
-      "Runs a multi-job workload through the cluster scheduler on one shared\n"
-      "simulated fabric and streams per-job overlap/interference records to\n"
-      "a versioned ovprof-agg-v1 file (--agg, default ovprof-agg.txt) plus a\n"
-      "per-job JSON summary (--json, default stdout).  WORKLOAD is a file of\n"
-      "'job <id> <kernel> <class> <nranks> <arrival> <prio> <estimate>'\n"
-      "lines or synth:NJOBS[:SEED[:MAXRANKS]] for the deterministic\n"
-      "generator.  Kernels: cg ep is mg; classes S A B.  --spill=PREFIX\n"
-      "bounds memory by spilling sorted shards of finalized records and\n"
-      "k-way merging them at the end.  Solo baselines (one idle-fabric run\n"
-      "per distinct job shape) price the interference metrics; skip them\n"
-      "with --no-baselines.  All outputs are byte-identical across reruns\n"
-      "and --ovprof-workers counts.\n"
-      "Exit code: 0 success, 1 RSS budget exceeded, 2 tool error.\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
-}
+constexpr util::Flag kFlags[] = {
+    util::intFlag("nodes", "N", "machine nodes (default 8)", 1),
+    util::intFlag("ranks-per-node", "N", "rank slots per node (default 4)", 1),
+    util::oneOfFlag("policy", "backfill|fifo",
+                    "scheduling policy (default backfill)"),
+    util::switchFlag("shared-nodes",
+                     "pack jobs slot by slot instead of onto whole nodes"),
+    util::switchFlag("no-baselines",
+                     "skip the solo idle-fabric runs that price interference"),
+    util::textFlag("agg", "FILE",
+                   "ovprof-agg-v1 aggregate stream (default ovprof-agg.txt)"),
+    util::textFlag("json", "FILE", "per-job JSON summary (default stdout)"),
+    util::textFlag("spill", "PREFIX",
+                   "bound memory: spill sorted shards to PREFIX.*, then merge"),
+    util::intFlag("shard-jobs", "N", "records per spilled shard (default 64)",
+                  1),
+    util::textFlag("launch-log", "FILE", "write the launch schedule to FILE"),
+    util::textFlag("write-workload", "FILE",
+                   "save the resolved workload in the file format"),
+    util::intFlag("rss-budget-mb", "MB",
+                  "exit 1 when peak RSS exceeds MB (0: no budget)", 0),
+    util::kOvprofWorkers,
+    util::kOvprofVci,
+    util::kOvprofVciRails,
+};
+
+constexpr util::Cli kCli = {
+    "ovprof_sched WORKLOAD",
+    "Runs a multi-job workload through the cluster scheduler on one shared\n"
+    "simulated fabric and streams per-job overlap/interference records to\n"
+    "a versioned ovprof-agg-v1 file plus a per-job JSON summary.  WORKLOAD\n"
+    "is a file of 'job <id> <kernel> <class> <nranks> <arrival> <prio>\n"
+    "<estimate>' lines or synth:NJOBS[:SEED[:MAXRANKS]] for the\n"
+    "deterministic generator.  Kernels: cg ep is mg; classes S A B.  All\n"
+    "outputs are byte-identical across reruns and --ovprof-workers counts.\n"
+    "Exit code: 0 success, 1 RSS budget exceeded, 2 tool error.",
+    kFlags};
 
 /// Parses synth:NJOBS[:SEED[:MAXRANKS]]; false on malformed numbers.
 bool parseSynthSpec(const std::string& spec, int machine_ranks,
@@ -185,12 +190,7 @@ bool writeJsonSummary(const std::string& agg_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  tool::CommandLine cl = tool::parseCommandLine(argc, argv);
-  if (!cl.parse_ok) return 2;
-  if (cl.want_usage) {
-    printUsage();
-    return 0;
-  }
+  const tool::CommandLine cl = tool::parseCommandLine(argc, argv, kCli);
   if (cl.positional.size() != 1) {
     std::fprintf(stderr, "ovprof_sched: expected exactly one WORKLOAD\n");
     return 2;
@@ -199,24 +199,13 @@ int main(int argc, char** argv) {
   cluster::ClusterConfig cfg;
   cfg.nodes = static_cast<int>(cl.flags.getInt("nodes", 8));
   cfg.ranks_per_node = static_cast<int>(cl.flags.getInt("ranks-per-node", 4));
-  if (cfg.nodes < 1 || cfg.ranks_per_node < 1) {
-    std::fprintf(stderr, "ovprof_sched: --nodes/--ranks-per-node must be >= 1\n");
-    return 2;
-  }
-  const std::string policy = cl.flags.getString("policy", "backfill");
-  if (policy == "fifo") {
-    cfg.policy = cluster::SchedPolicy::Fifo;
-  } else if (policy == "backfill") {
-    cfg.policy = cluster::SchedPolicy::Backfill;
-  } else {
-    std::fprintf(stderr, "ovprof_sched: unknown --policy '%s'\n",
-                 policy.c_str());
-    return 2;
-  }
+  cfg.policy = cl.flags.getString("policy", "backfill") == "fifo"
+                   ? cluster::SchedPolicy::Fifo
+                   : cluster::SchedPolicy::Backfill;
   cfg.exclusive_nodes = !cl.flags.getBool("shared-nodes", false);
   cfg.baselines = !cl.flags.getBool("no-baselines", false);
-  cfg.workers = util::workersRequested(cl.flags);
-  const std::string vci_spec = util::vciSpecRequested(cl.flags);
+  cfg.workers = static_cast<int>(cl.flags.getInt("ovprof-workers", 1));
+  const std::string vci_spec = cl.flags.getString("ovprof-vci", "");
   if (!vci_spec.empty()) {
     if (!net::VciParams::parse(vci_spec, cfg.fabric.vci)) {
       std::fprintf(stderr, "ovprof_sched: bad --ovprof-vci spec '%s'\n",
@@ -224,7 +213,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  cfg.fabric.vci.rails = util::vciRailsRequested(cl.flags);
+  cfg.fabric.vci.rails = static_cast<int>(cl.flags.getInt("ovprof-vci-rails", 1));
   cfg.agg.spill_prefix = cl.flags.getString("spill", "");
   cfg.agg.shard_jobs = static_cast<int>(cl.flags.getInt("shard-jobs", 64));
 

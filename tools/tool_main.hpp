@@ -1,14 +1,15 @@
 // Shared CLI scaffolding for the ovprof_* analysis tools.
 //
 // Every tool follows the same conventions: positional arguments and dashed
-// flags may be interleaved; dashed arguments go through util::Flags (which
-// rejects unknown --ovprof-* flags); `-h`/`--help` or a bare invocation
-// prints usage and exits 0 (every binary runs standalone); flag-parse
-// failures exit 2.  This header centralizes that split so the tools stay
-// byte-for-byte consistent about it.
+// flags may be interleaved; dashed arguments are checked against the tool's
+// flag declaration (util::Cli); `-h`/`--help` or a bare invocation prints
+// the usage generated from that declaration and exits 0 (every binary runs
+// standalone); a rejected flag exits 2.  This header centralizes that
+// split so the tools stay byte-for-byte consistent about it.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -22,15 +23,13 @@ namespace ovp::tool {
 struct CommandLine {
   util::Flags flags;
   std::vector<std::string> positional;
-  /// False when util::Flags rejected an argument (caller exits 2).
-  bool parse_ok = false;
-  /// True on -h/--help or when no positional arguments were given (caller
-  /// prints usage and exits 0).
-  bool want_usage = false;
 };
 
-/// Splits argv into positional arguments and parsed flags.
-[[nodiscard]] inline CommandLine parseCommandLine(int argc, char** argv) {
+/// Splits argv into positional arguments and flags parsed against `cli`.
+/// Prints usage and exits 0 on -h/--help or when no positional argument is
+/// given; exits 2 when util::Flags rejects an argument.
+[[nodiscard]] inline CommandLine parseCommandLine(int argc, char** argv,
+                                                  const util::Cli& cli) {
   CommandLine cl;
   std::vector<char*> flag_args{argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -41,10 +40,12 @@ struct CommandLine {
       cl.positional.emplace_back(arg);
     }
   }
-  cl.parse_ok =
-      cl.flags.parse(static_cast<int>(flag_args.size()), flag_args.data());
-  if (!cl.parse_ok) return cl;
-  cl.want_usage = util::helpRequested(cl.flags) || cl.positional.empty();
+  cl.flags = util::Flags::parseOrExit(static_cast<int>(flag_args.size()),
+                                      flag_args.data(), cli);
+  if (cl.positional.empty()) {
+    std::fputs(util::usage(cli).c_str(), stdout);
+    std::exit(0);
+  }
   return cl;
 }
 

@@ -20,6 +20,7 @@
 #include "model/sample.hpp"
 #include "nas/cg.hpp"
 #include "util/flags.hpp"
+#include "util/strings.hpp"
 
 using namespace ovp;
 
@@ -89,13 +90,13 @@ int main(int argc, char** argv) {
   os << "  \"samples\": " << set.runs.size() << ",\n";
   os << "  \"metrics_fitted\": " << models.metrics.size() << ",\n";
   os << "  \"metrics_skipped\": " << models.skipped.size() << ",\n";
-  os << "  \"fit_wall_ms\": " << model::jsonNum(fit_wall_ms) << ",\n";
-  os << "  \"heldout_param\": " << model::jsonNum(heldout.param) << ",\n";
+  os << "  \"fit_wall_ms\": " << util::jsonNum(fit_wall_ms) << ",\n";
+  os << "  \"heldout_param\": " << util::jsonNum(heldout.param) << ",\n";
   os << "  \"mean_xfer_rel_err\": "
-     << model::jsonNum(rowError(eval, "mean_xfer_time")) << ",\n";
-  os << "  \"min_pct_abs_err\": " << model::jsonNum(rowError(eval, "min_pct"))
+     << util::jsonNum(rowError(eval, "mean_xfer_time")) << ",\n";
+  os << "  \"min_pct_abs_err\": " << util::jsonNum(rowError(eval, "min_pct"))
      << ",\n";
-  os << "  \"max_pct_abs_err\": " << model::jsonNum(rowError(eval, "max_pct"))
+  os << "  \"max_pct_abs_err\": " << util::jsonNum(rowError(eval, "max_pct"))
      << ",\n";
   os << "  \"gates_ok\": " << (eval.ok ? "true" : "false") << "\n";
   os << "}\n";

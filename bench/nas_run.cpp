@@ -144,6 +144,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (!result.error.empty()) {
+    std::fprintf(stderr,
+                 "nas_run: %s class %s cannot run on %d processes: %s\n",
+                 kernel.c_str(), nas::className(params.cls), params.nranks,
+                 result.error.c_str());
+    return 2;
+  }
+
   std::printf("%s class %s on %d processes (%s)\n", kernel.c_str(),
               nas::className(params.cls), params.nranks,
               mpi::presetName(params.preset));

@@ -5,11 +5,13 @@
 // real cluster, where each process writes its own file at MPI_Finalize.
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "mpi/machine.hpp"
-#include "util/table.hpp"
+#include "overlap/report_io.hpp"
 #include "util/flags.hpp"
+#include "util/table.hpp"
 
 using namespace ovp;
 
@@ -37,8 +39,9 @@ int main(int argc, char** argv) {
     }
   });
 
-  // 1. Each process' report goes to its own file...
-  const std::string prefix = "/tmp/ovp_example_job";
+  // 1. Each process' report goes to its own file in the working
+  // directory...
+  const std::string prefix = "ovp_example_job";
   if (!machine.writeReports(prefix)) {
     std::fprintf(stderr, "failed to write report files\n");
     return 1;
@@ -46,13 +49,11 @@ int main(int argc, char** argv) {
   std::printf("wrote %d report files: %s.rank*.ovp\n\n", 4, prefix.c_str());
 
   // 2. ...which an offline tool reloads...
-  std::vector<overlap::Report> loaded(4);
-  for (int r = 0; r < 4; ++r) {
-    if (!loaded[static_cast<std::size_t>(r)].loadFile(
-            prefix + ".rank" + std::to_string(r) + ".ovp")) {
-      std::fprintf(stderr, "failed to reload rank %d\n", r);
-      return 1;
-    }
+  std::vector<overlap::Report> loaded;
+  std::string error;
+  if (!overlap::ReportIo::loadAll(prefix, loaded, &error)) {
+    std::fprintf(stderr, "failed to reload the reports: %s\n", error.c_str());
+    return 1;
   }
 
   // 3. ...to compare ranks and aggregate the job.

@@ -1,7 +1,5 @@
 #include "model/model_set.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "util/strings.hpp"
@@ -55,15 +53,9 @@ bool accumMetric(const overlap::OverlapAccum& a, std::string_view metric,
 }
 
 using util::jsonEscape;
+using util::jsonNum;
 
 }  // namespace
-
-std::string jsonNum(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
 
 std::string MetricRef::label() const {
   std::string out = section;

@@ -62,8 +62,4 @@ struct ModelSet {
 /// bytes (the CI artifact diff depends on it).
 void writeModelSetJson(const ModelSet& models, std::ostream& os);
 
-/// Shared float-to-JSON formatting ("%.12g", with non-finite values
-/// mapped to null) for the other ovprof_model emitters.
-[[nodiscard]] std::string jsonNum(double v);
-
 }  // namespace ovp::model

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "model/model_set.hpp"
+#include "util/strings.hpp"
 
 namespace ovp::model {
 
@@ -56,13 +57,10 @@ bool evalPatternCosts(const skel::sym::SymCostReport& report,
 
 namespace {
 
+using util::jsonNum;
+
 void jsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
+  os << '"' << util::jsonEscape(s) << '"';
 }
 
 }  // namespace

@@ -10,21 +10,11 @@
 #include <vector>
 
 #include "mpi/mpi.hpp"
+#include "mpi/protocol.hpp"
 
 namespace ovp::mpi {
 
 namespace {
-
-constexpr int kTagBarrier = (1 << 20) + 1;
-constexpr int kTagBcast = (1 << 20) + 2;
-constexpr int kTagReduce = (1 << 20) + 3;
-constexpr int kTagAlltoall = (1 << 20) + 4;
-constexpr int kTagAllgather = (1 << 20) + 5;
-constexpr int kTagGather = (1 << 20) + 6;
-constexpr int kTagScatter = (1 << 20) + 7;
-constexpr int kTagAlltoallv = (1 << 20) + 8;
-constexpr int kTagAllreduceRing = (1 << 20) + 9;
-constexpr int kTagBcastLarge = (1 << 20) + 10;
 
 void applyOp(Op op, const double* in, double* inout, int count) {
   switch (op) {
@@ -57,8 +47,8 @@ void Mpi::barrier() {
   for (int k = 1; k < P; k <<= 1) {
     const Rank to = static_cast<Rank>((r + k) % P);
     const Rank from = static_cast<Rank>((r - k + P) % P);
-    sendrecv(&send_token, 1, to, kTagBarrier, &recv_token, 1, from,
-             kTagBarrier);
+    sendrecv(&send_token, 1, to, tags::kBarrier, &recv_token, 1, from,
+             tags::kBarrier);
   }
 }
 
@@ -74,7 +64,7 @@ void Mpi::bcast(void* buf, Bytes n, Rank root) {
     if (vrank & mask) {
       const Rank parent =
           static_cast<Rank>(((vrank & ~mask) + root) % P);
-      recv(buf, n, parent, kTagBcast);
+      recv(buf, n, parent, tags::kBcast);
       break;
     }
     mask <<= 1;
@@ -84,7 +74,7 @@ void Mpi::bcast(void* buf, Bytes n, Rank root) {
   while (mask > 0) {
     if (vrank + mask < P) {
       const Rank child = static_cast<Rank>((vrank + mask + root) % P);
-      send(buf, n, child, kTagBcast);
+      send(buf, n, child, tags::kBcast);
     }
     mask >>= 1;
   }
@@ -110,12 +100,12 @@ void Mpi::reduce(const double* in, double* out, int count, Op op, Rank root) {
   while (mask < P) {
     if (vrank & mask) {
       const Rank parent = static_cast<Rank>(((vrank & ~mask) + root) % P);
-      sendT(acc, count, parent, kTagReduce);
+      sendT(acc, count, parent, tags::kReduce);
       break;
     }
     if (vrank + mask < P) {
       const Rank child = static_cast<Rank>((vrank + mask + root) % P);
-      recvT(incoming, count, child, kTagReduce);
+      recvT(incoming, count, child, tags::kReduce);
       ctx_.advance(static_cast<DurationNs>(
           kReduceNsPerByte * static_cast<double>(count) *
           static_cast<double>(sizeof(double))));
@@ -155,13 +145,13 @@ void Mpi::alltoall(const void* sbuf, void* rbuf, Bytes bytes_per_rank) {
     const Rank peer = static_cast<Rank>((r + i) % P);
     reqs.push_back(irecv(rp + static_cast<std::size_t>(peer) *
                                   static_cast<std::size_t>(bytes_per_rank),
-                         bytes_per_rank, peer, kTagAlltoall));
+                         bytes_per_rank, peer, tags::kAlltoall));
   }
   for (int i = 1; i < P; ++i) {
     const Rank peer = static_cast<Rank>((r + i) % P);
     reqs.push_back(isend(sp + static_cast<std::size_t>(peer) *
                                   static_cast<std::size_t>(bytes_per_rank),
-                         bytes_per_rank, peer, kTagAlltoall));
+                         bytes_per_rank, peer, tags::kAlltoall));
   }
   waitall(reqs.data(), static_cast<int>(reqs.size()));
 }
@@ -184,14 +174,14 @@ void Mpi::alltoallv(const void* sbuf, const Bytes* send_counts,
     const Rank peer = static_cast<Rank>((r + i) % P);
     if (recv_counts[peer] > 0) {
       reqs.push_back(irecv(rp + recv_offsets[peer], recv_counts[peer], peer,
-                           kTagAlltoallv));
+                           tags::kAlltoallv));
     }
   }
   for (int i = 1; i < P; ++i) {
     const Rank peer = static_cast<Rank>((r + i) % P);
     if (send_counts[peer] > 0) {
       reqs.push_back(isend(sp + send_offsets[peer], send_counts[peer], peer,
-                           kTagAlltoallv));
+                           tags::kAlltoallv));
     }
   }
   waitall(reqs.data(), static_cast<int>(reqs.size()));
@@ -210,11 +200,11 @@ void Mpi::allgather(const void* sbuf, void* rbuf, Bytes bytes_per_rank) {
     const Rank peer = static_cast<Rank>((r + i) % P);
     reqs.push_back(irecv(rp + static_cast<std::size_t>(peer) *
                                   static_cast<std::size_t>(bytes_per_rank),
-                         bytes_per_rank, peer, kTagAllgather));
+                         bytes_per_rank, peer, tags::kAllgather));
   }
   for (int i = 1; i < P; ++i) {
     const Rank peer = static_cast<Rank>((r + i) % P);
-    reqs.push_back(isend(sbuf, bytes_per_rank, peer, kTagAllgather));
+    reqs.push_back(isend(sbuf, bytes_per_rank, peer, tags::kAllgather));
   }
   waitall(reqs.data(), static_cast<int>(reqs.size()));
 }
@@ -231,11 +221,11 @@ void Mpi::gather(const void* sbuf, void* rbuf, Bytes n, Rank root) {
       if (p == root) continue;
       reqs.push_back(irecv(rp + static_cast<std::size_t>(p) *
                                     static_cast<std::size_t>(n),
-                           n, p, kTagGather));
+                           n, p, tags::kGather));
     }
     waitall(reqs.data(), static_cast<int>(reqs.size()));
   } else {
-    send(sbuf, n, root, kTagGather);
+    send(sbuf, n, root, tags::kGather);
   }
 }
 
@@ -252,11 +242,11 @@ void Mpi::scatter(const void* sbuf, void* rbuf, Bytes n, Rank root) {
       if (p == root) continue;
       reqs.push_back(isend(sp + static_cast<std::size_t>(p) *
                                     static_cast<std::size_t>(n),
-                           n, p, kTagScatter));
+                           n, p, tags::kScatter));
     }
     waitall(reqs.data(), static_cast<int>(reqs.size()));
   } else {
-    recv(rbuf, n, root, kTagScatter);
+    recv(rbuf, n, root, tags::kScatter);
   }
 }
 

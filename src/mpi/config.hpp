@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "mpi/protocol.hpp"
 #include "net/params.hpp"
 #include "overlap/monitor.hpp"
 #include "util/types.hpp"
@@ -75,8 +76,8 @@ inline constexpr double kReduceNsPerByte = 0.25;
 struct MpiConfig {
   Preset preset = Preset::OpenMpiPipelined;
 
-  /// Messages up to this size use the eager protocol.
-  Bytes eager_limit = 16 * 1024;
+  /// Messages below this size use the eager protocol (sendsEagerly).
+  Bytes eager_limit = kEagerLimit;
 
   /// Pipelined-RDMA fragment size (first fragment and RDMA fragments).
   /// Scaled with this repo's reduced problem sizes (Open MPI 1.0 used

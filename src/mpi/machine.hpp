@@ -74,10 +74,8 @@ struct NicCounters {
 namespace detail {
 
 /// The job-wide epilogue: copies each NIC's counters (nicCounters) onto its
-/// rank's report, totals the faults, and prints the diagnostics to stderr
-/// in rank order.
+/// rank's report and prints the diagnostics to stderr in rank order.
 void finishJob(net::Fabric& fabric, std::vector<overlap::Report>& reports,
-               overlap::FaultStats& fault_totals,
                std::vector<analysis::Diagnostic>& diagnostics);
 
 }  // namespace detail
@@ -121,12 +119,6 @@ class BasicMachine {
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
 
-  /// Job-wide fault/reliability counters of the last run (all zero unless
-  /// cfg.fabric.fault was enabled).  Per-rank values are on each report.
-  [[nodiscard]] const overlap::FaultStats& faultTotals() const {
-    return fault_totals_;
-  }
-
   /// Trace collector of the last run (null unless cfg.trace.enabled).
   /// Shared so results can outlive the Machine.
   [[nodiscard]] const std::shared_ptr<trace::Collector>& traceCollector()
@@ -139,7 +131,6 @@ class BasicMachine {
   sim::Engine engine_;
   std::vector<overlap::Report> reports_;
   std::vector<analysis::Diagnostic> diagnostics_;
-  overlap::FaultStats fault_totals_;
   std::shared_ptr<trace::Collector> trace_;
 };
 
@@ -236,7 +227,7 @@ void BasicMachine<Job>::run(const std::function<void(Library&)>& rankMain) {
   static_assert(sizeof(rank_main) <= 40,
                 "the rank closure left its 48-byte malloc chunk");
   engine_.run(cfg_.nranks, rank_main);
-  detail::finishJob(fabric, reports_, fault_totals_, diagnostics_);
+  detail::finishJob(fabric, reports_, diagnostics_);
 }
 
 using Machine = BasicMachine<MpiJob>;

@@ -542,7 +542,7 @@ void Mpi::startRendezvousSend(const std::shared_ptr<RequestState>& req,
 void Mpi::startSend(const std::shared_ptr<RequestState>& req, bool sync) {
   req->seq = next_seq_++;
   notifySendPost(req->peer, req->tag, req->size);
-  if (!sync && req->size < cfg_.eager_limit) {
+  if (!sync && sendsEagerly(req->size, cfg_.eager_limit)) {
     startEagerSend(req);
   } else {
     startRendezvousSend(req, sync);

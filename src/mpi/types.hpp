@@ -4,12 +4,10 @@
 #include <cstdint>
 #include <memory>
 
+#include "mpi/protocol.hpp"
 #include "util/types.hpp"
 
 namespace ovp::mpi {
-
-inline constexpr int kAnySource = -1;
-inline constexpr int kAnyTag = -1;
 
 /// Reduction operators for reduce/allreduce on doubles.
 enum class Op : std::uint8_t { Sum, Max, Min, Prod };

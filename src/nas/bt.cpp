@@ -3,6 +3,8 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nas/class_tables.hpp"
@@ -114,8 +116,8 @@ NasResult runBt(const NasParams& params) {
   const tables::GridSizes sz = sizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const Grid2D pg = factor2d(params.nranks);
-  if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {
-    return NasResult{};
+  if (std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
+    return cannotRun(std::move(why));
   }
   mpi::Machine machine(makeJobConfig(params));
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "nas/common.hpp"
 
@@ -93,6 +94,17 @@ struct GridSizes {
 };
 /// Solution components per grid point, like NPB LU/SP/BT (BT's 5x5 block).
 inline constexpr int kNcomp = 5;
+
+/// LU, SP and BT give each rank of the 2-D process grid `pg` an nx/px by
+/// ny/py block of every plane.  Returns why class grid `sz` does not split
+/// that way, or an empty string when it does.
+[[nodiscard]] inline std::string gridSplitError(const GridSizes& sz,
+                                                const Grid2D& pg) {
+  if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {
+    return "grid is not divisible by the 2-D process grid";
+  }
+  return {};
+}
 
 namespace lu {
 [[nodiscard]] constexpr GridSizes sizes(Class c) {

@@ -1,6 +1,7 @@
 #include "nas/common.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "skeleton/symbolic/expr.hpp"
 
@@ -29,6 +30,12 @@ overlap::FaultStats aggregateFaults(
   overlap::FaultStats total;
   for (const auto& r : reports) total += r.faults;
   return total;
+}
+
+NasResult cannotRun(std::string why) {
+  NasResult r;
+  r.error = std::move(why);
+  return r;
 }
 
 mpi::JobConfig makeJobConfig(const NasParams& p) {

@@ -88,6 +88,9 @@ struct NasResult {
   std::vector<analysis::Diagnostic> diagnostics;
   /// Trace collector (null unless NasParams::trace.enabled).
   std::shared_ptr<trace::Collector> trace;
+  /// Why the kernel did not run at this rank count and class (its grid does
+  /// not split over the process grid); empty when it ran.
+  std::string error;
 
   /// Whole-run overlap percentages aggregated over every process (our
   /// decomposition makes rank 0 a corner rank, so unlike the paper's
@@ -106,6 +109,9 @@ struct NasResult {
     return total / static_cast<DurationNs>(reports.size());
   }
 };
+
+/// The result of a kernel that cannot run at its parameters, and why.
+[[nodiscard]] NasResult cannotRun(std::string why);
 
 /// Builds the JobConfig shared by all kernels.
 [[nodiscard]] mpi::JobConfig makeJobConfig(const NasParams& p);

@@ -1,6 +1,7 @@
 #include "nas/ft.hpp"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "nas/class_tables.hpp"
@@ -21,9 +22,9 @@ NasResult runFt(const NasParams& params) {
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const int P = params.nranks;
   if (sz.nx % P != 0 || sz.nz % P != 0) {
-    NasResult bad;
-    bad.verified = false;
-    return bad;
+    return cannotRun("the rank count does not divide nx=" +
+                     std::to_string(sz.nx) + " and nz=" +
+                     std::to_string(sz.nz));
   }
   mpi::Machine machine(makeJobConfig(params));
 

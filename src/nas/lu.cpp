@@ -1,6 +1,8 @@
 #include "nas/lu.hpp"
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nas/class_tables.hpp"
@@ -18,9 +20,8 @@ NasResult runLu(const NasParams& params) {
   const tables::GridSizes sz = sizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const Grid2D pg = factor2d(params.nranks);
-  if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {
-    NasResult bad;
-    return bad;
+  if (std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
+    return cannotRun(std::move(why));
   }
   mpi::Machine machine(makeJobConfig(params));
 

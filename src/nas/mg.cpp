@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "armci/armci.hpp"
@@ -301,7 +302,12 @@ NasResult runMg(const MgParams& params) {
     if (n / 2 < 4) break;
   }
   const int nlevels = static_cast<int>(geom.size());
-  if (nlevels == 0) return NasResult{};
+  if (nlevels == 0) {
+    return cannotRun("the " + std::to_string(sz.n) + "^3 grid is not " +
+                     "divisible by the " + std::to_string(pg.px) + "x" +
+                     std::to_string(pg.py) + "x" + std::to_string(pg.pz) +
+                     " process grid");
+  }
 
   // Shared inbox buffers: inbox[level][rank][dir].
   std::vector<std::vector<std::array<std::vector<double>, 6>>> inbox(

@@ -6,6 +6,7 @@
 #include "nas/class_tables.hpp"
 #include "nas/symbolic.hpp"
 #include "skeleton/builder.hpp"
+#include "skeleton/symbolic/builder.hpp"
 #include "skeleton/symbolic/instantiate.hpp"
 
 namespace ovp::nas {
@@ -23,7 +24,8 @@ SkeletonBuildResult fail(std::string why) {
   return r;
 }
 
-SkeletonBuildResult finish(Builder&& b) {
+SkeletonBuildResult finish(Builder&& b, const std::string& lowering) {
+  if (!lowering.empty()) return fail("internal: " + lowering);
   SkeletonBuildResult r;
   r.skeleton = b.take();
   const std::string err = r.skeleton.validate();
@@ -31,6 +33,23 @@ SkeletonBuildResult finish(Builder&& b) {
     return fail("internal: built an invalid skeleton: " + err);
   }
   return r;
+}
+
+/// The allreduce of one double LU, SP and BT take their norms with, as
+/// SymBuilder expands it, at call site `site`.  Built once per skeleton and
+/// lowered onto each rank at each call.
+skel::sym::SymSkeleton allreduceOfOne(const char* site) {
+  skel::sym::SymBuilder b(site);
+  b.site(site);
+  b.mpiAllreduce(skel::sym::cst(1));
+  return b.take();
+}
+
+/// Lowers `frag` onto rb's rank, keeping the first failure in `error`.
+void lowerOnto(const skel::sym::SymSkeleton& frag, RankBuilder& rb,
+               std::string& error) {
+  std::string why = skel::sym::lowerRank(frag, rb);
+  if (error.empty()) error = std::move(why);
 }
 
 /// cg, ep, ft, is, mg: the rank-symbolic template, instantiated at P.
@@ -54,9 +73,11 @@ SkeletonBuildResult buildLu(const SkeletonParams& p) {
   const int niter = p.iterations > 0 ? p.iterations : sz.niter;
   const int P = p.nranks;
   const Grid2D pg = factor2d(P);
-  if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {
-    return fail("lu: grid is not divisible by the 2-D process grid");
+  if (const std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
+    return fail("lu: " + why);
   }
+  const skel::sym::SymSkeleton allreduce = allreduceOfOne("lu.residual");
+  std::string error;
   Builder b("lu", P);
   for (Rank me = 0; me < P; ++me) {
     RankBuilder& rb = b.rank(me);
@@ -87,7 +108,7 @@ SkeletonBuildResult buildLu(const SkeletonParams& p) {
     auto residualNorm = [&] {
       rb.site("lu.residual");
       rb.compute(p.cost.flops(12LL * lnx * lny * nz * kNcomp));
-      rb.mpiAllreduce(1);
+      lowerOnto(allreduce, rb, error);
     };
     auto sweep = [&](bool forward) {
       rb.site(forward ? "lu.sweep_fwd" : "lu.sweep_bwd");
@@ -116,7 +137,7 @@ SkeletonBuildResult buildLu(const SkeletonParams& p) {
       residualNorm();
     }
   }
-  return finish(std::move(b));
+  return finish(std::move(b), error);
 }
 
 // ---------------------------------------------------------------- SP ----
@@ -127,9 +148,11 @@ SkeletonBuildResult buildSp(const SkeletonParams& p) {
   const int niter = p.iterations > 0 ? p.iterations : sz.niter;
   const int P = p.nranks;
   const Grid2D pg = factor2d(P);
-  if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {
-    return fail("sp: grid is not divisible by the 2-D process grid");
+  if (const std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
+    return fail("sp: " + why);
   }
+  const skel::sym::SymSkeleton allreduce = allreduceOfOne("sp.norm");
+  std::string error;
   Builder b("sp", P);
   for (Rank me = 0; me < P; ++me) {
     RankBuilder& rb = b.rank(me);
@@ -163,7 +186,7 @@ SkeletonBuildResult buildSp(const SkeletonParams& p) {
     auto normOf = [&] {
       rb.site("sp.norm");
       rb.compute(p.cost.flops(2 * bp * kNcomp));
-      rb.mpiAllreduce(1);
+      lowerOnto(allreduce, rb, error);
     };
 
     // Mirrors runSp's stage-pipelined solveBatch in the unmodified kernel,
@@ -280,7 +303,7 @@ SkeletonBuildResult buildSp(const SkeletonParams& p) {
     }
     normOf();
   }
-  return finish(std::move(b));
+  return finish(std::move(b), error);
 }
 
 // ---------------------------------------------------------------- BT ----
@@ -291,9 +314,11 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
   const int niter = p.iterations > 0 ? p.iterations : sz.niter;
   const int P = p.nranks;
   const Grid2D pg = factor2d(P);
-  if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {
-    return fail("bt: grid is not divisible by the 2-D process grid");
+  if (const std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
+    return fail("bt: " + why);
   }
+  const skel::sym::SymSkeleton allreduce = allreduceOfOne("bt.norm");
+  std::string error;
   Builder b("bt", P);
   for (Rank me = 0; me < P; ++me) {
     RankBuilder& rb = b.rank(me);
@@ -327,7 +352,7 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
     auto normOf = [&] {
       rb.site("bt.norm");
       rb.compute(p.cost.flops(2 * bp * kNcomp));
-      rb.mpiAllreduce(1);
+      lowerOnto(allreduce, rb, error);
     };
 
     auto solveBatch = [&](Rank up, Rank dn, int tag_fwd, int tag_bwd,
@@ -389,7 +414,7 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
     }
     normOf();
   }
-  return finish(std::move(b));
+  return finish(std::move(b), error);
 }
 
 }  // namespace

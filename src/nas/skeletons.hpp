@@ -8,13 +8,13 @@
 //
 // Each kernel's communication is described once.  cg, ep, ft, is and mg
 // are their rank-symbolic templates (symbolic.hpp) instantiated at
-// `nranks`; lu, sp and bt are unrolled per rank in skeletons.cpp.  The
-// descriptions intentionally duplicate the kernels' problem-class tables
-// and communication constants; the per-kernel conformance ctests (a traced
-// run embedded into the skeleton's match relation) are what keep them
-// honest.  Iteration counts need not agree with a particular run —
-// conformance checks edge-set admissibility, not multiset equality — but
-// peers/tags/bytes must.
+// `nranks`; lu, sp and bt are unrolled per rank in skeletons.cpp, with
+// their allreduce lowered from SymBuilder's expansion.  Every builder reads
+// its kernel's class table and tags (class_tables.hpp); the per-kernel
+// conformance ctests (a traced run embedded into the skeleton's match
+// relation) keep the op sequences honest.  Iteration counts need not
+// agree with a particular run — conformance checks edge-set admissibility,
+// not multiset equality — but peers/tags/bytes must.
 #pragma once
 
 #include <string>

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nas/class_tables.hpp"
@@ -49,8 +51,8 @@ NasResult runSp(const SpParams& params) {
   const tables::GridSizes sz = sizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const Grid2D pg = factor2d(params.nranks);
-  if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {
-    return NasResult{};
+  if (std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
+    return cannotRun(std::move(why));
   }
   mpi::Machine machine(makeJobConfig(params));
 

@@ -127,35 +127,4 @@ struct FaultModel {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Per-NIC fault/reliability counters (diagnostics; exported through the
-/// overlap report when the fault model is enabled).
-struct FaultCounters {
-  std::int64_t attempts = 0;         // data transmissions incl. retransmits
-  std::int64_t drops = 0;            // packets lost in flight
-  std::int64_t corrupt_drops = 0;    // packets CRC-discarded at receiver
-  std::int64_t duplicates = 0;       // extra deliveries injected
-  std::int64_t dup_discards = 0;     // rx-side de-duplication hits
-  std::int64_t reorders = 0;         // packets held back past later traffic
-  std::int64_t retransmissions = 0;  // timeout-driven re-sends
-  std::int64_t timeouts = 0;         // ack timeouts fired
-  std::int64_t retry_exhausted = 0;  // work requests failed through the CQ
-  std::int64_t acks_sent = 0;
-  std::int64_t acks_dropped = 0;
-
-  FaultCounters& operator+=(const FaultCounters& o) {
-    attempts += o.attempts;
-    drops += o.drops;
-    corrupt_drops += o.corrupt_drops;
-    duplicates += o.duplicates;
-    dup_discards += o.dup_discards;
-    reorders += o.reorders;
-    retransmissions += o.retransmissions;
-    timeouts += o.timeouts;
-    retry_exhausted += o.retry_exhausted;
-    acks_sent += o.acks_sent;
-    acks_dropped += o.acks_dropped;
-    return *this;
-  }
-};
-
 }  // namespace ovp::net

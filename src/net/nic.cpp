@@ -19,7 +19,7 @@ Nic::Nic(Fabric& fabric, Rank owner)
   chan_busy_.assign(channels, 0);
   forced_drops_left_ = fabric_.params().fault.deterministic_drops;
   if (v.enabled()) {
-    vci_stats_.resize(channels * static_cast<std::size_t>(v.nclasses()));
+    vci_stats_.resize(channels * static_cast<std::size_t>(v.classes.count()));
   }
 }
 
@@ -59,12 +59,12 @@ int Nic::resolveVci(Rank dst, int requested) {
   return vciFor(dst, -1);
 }
 
-Nic::VciCounters* Nic::vciSlot(int vci, Bytes wire_bytes) {
+overlap::VciChannelClass* Nic::vciSlot(int vci, Bytes wire_bytes) {
   if (vci_stats_.empty()) return nullptr;
-  const VciParams& v = fabric_.params().vci;
+  const overlap::SizeClasses& classes = fabric_.params().vci.classes;
   return &vci_stats_[static_cast<std::size_t>(vci) *
-                         static_cast<std::size_t>(v.nclasses()) +
-                     static_cast<std::size_t>(v.classOf(wire_bytes))];
+                         static_cast<std::size_t>(classes.count()) +
+                     static_cast<std::size_t>(classes.classOf(wire_bytes))];
 }
 
 Nic::TxTimes Nic::reserveTx(Bytes wire_bytes, TimeNs ready, int vci) {
@@ -83,7 +83,7 @@ Nic::TxTimes Nic::reserveTx(Bytes wire_bytes, TimeNs ready, int vci) {
   const DurationNs contended =
       (rail_wait > 0 && rail.last >= 0 && rail.last != owner_) ? rail_wait : 0;
   tx_wait_ += contended;
-  if (VciCounters* vs = vciSlot(vci, wire_bytes)) {
+  if (overlap::VciChannelClass* vs = vciSlot(vci, wire_bytes)) {
     ++vs->posts;
     vs->bytes += wire_bytes;
     vs->gap += (chan_free - ready) + (rail_wait - contended);
@@ -114,7 +114,7 @@ TimeNs Nic::arrive(Rank src, int vci, Bytes wire_bytes) {
   const DurationNs contended =
       (wait > 0 && rail.last >= 0 && rail.last != src_node) ? wait : 0;
   rx_wait_ += contended;
-  if (VciCounters* vs = vciSlot(vci, wire_bytes)) {
+  if (overlap::VciChannelClass* vs = vciSlot(vci, wire_bytes)) {
     ++vs->deliveries;
     vs->gap += wait - contended;
     vs->incast_wait += contended;
@@ -571,8 +571,8 @@ Fabric::Fabric(sim::Engine& engine, FabricParams params, int nranks)
   }
 }
 
-FaultCounters Fabric::faultTotals() const {
-  FaultCounters total;
+overlap::FaultStats Fabric::faultTotals() const {
+  overlap::FaultStats total;
   for (const auto& nic : nics_) total += nic->fault_counters_;
   return total;
 }

@@ -50,6 +50,7 @@
 #include "net/memreg.hpp"
 #include "net/packet.hpp"
 #include "net/params.hpp"
+#include "overlap/counters.hpp"
 #include "sim/engine.hpp"
 #include "util/types.hpp"
 
@@ -143,29 +144,16 @@ class Nic {
   [[nodiscard]] DurationNs linkWaitRx() const { return rx_wait_; }
 
   /// Per-(channel, size-class) wire accounting, populated only when the
-  /// VCI layer is enabled (row index c * nclasses + k, see VciParams).
-  /// Tx fields (posts/bytes/gap/link_wait) accrue on the sending NIC per
-  /// wire transfer; rx fields (deliveries/incast_wait and the rx share of
-  /// gap) on the NIC whose ingress rail the transfer occupied.  Under the
-  /// fault model every attempt (including dropped ones) occupies the wire
-  /// and is counted.
-  struct VciCounters {
-    std::int64_t posts = 0;       // wire transfers that left on this channel
-    std::int64_t deliveries = 0;  // wire transfers that occupied ingress
-    Bytes bytes = 0;              // wire bytes out
-    DurationNs gap = 0;           // wait behind own/same-source backlog
-    DurationNs link_wait = 0;     // tx wait behind other ranks' traffic
-    DurationNs incast_wait = 0;   // rx wait behind other nodes' traffic
-  };
-  [[nodiscard]] const std::vector<VciCounters>& vciCounters() const {
+  /// VCI layer is enabled: row c * classes.count() + k for channel c and
+  /// class k of VciParams::classes (see overlap::VciChannelClass).
+  [[nodiscard]] const std::vector<overlap::VciChannelClass>& vciCounters()
+      const {
     return vci_stats_;
   }
 
   /// Fault/reliability counters for this NIC (all zero when the fault
-  /// model is disabled).  Tx-side events (drops, retransmissions, timeouts,
-  /// retry exhaustion) count on the sending NIC; rx-side events (CRC
-  /// discards, duplicate discards, acks) on the receiving NIC.
-  [[nodiscard]] const FaultCounters& faultCounters() const {
+  /// model is disabled; see overlap::FaultStats).
+  [[nodiscard]] const overlap::FaultStats& faultCounters() const {
     return fault_counters_;
   }
 
@@ -178,7 +166,7 @@ class Nic {
 
   /// Per-(channel, class) counter slot for a transfer of `wire_bytes` on
   /// `vci`; null when the VCI layer is disabled.
-  VciCounters* vciSlot(int vci, Bytes wire_bytes);
+  overlap::VciChannelClass* vciSlot(int vci, Bytes wire_bytes);
 
   /// Egress reservation: schedules S wire bytes out of this NIC's channel
   /// `vci` no earlier than `ready` — first behind the channel's own chain
@@ -295,7 +283,7 @@ class Nic {
   /// Per-channel egress chain: last_byte_out of the channel's latest
   /// transfer (the per-VCI "send queue" in virtual time).
   std::vector<TimeNs> chan_busy_;
-  std::vector<VciCounters> vci_stats_;  // empty unless VCI layer enabled
+  std::vector<overlap::VciChannelClass> vci_stats_;  // empty unless VCI on
   int rr_next_ = 0;                     // round-robin policy cursor
   int forced_drops_left_ = 0;           // FaultModel::deterministic_drops
   DurationNs tx_wait_ = 0;
@@ -304,7 +292,7 @@ class Nic {
   std::int64_t next_tx_seq_ = 1;
   std::int64_t packets_delivered_ = 0;
   Bytes bytes_sent_ = 0;
-  FaultCounters fault_counters_;
+  overlap::FaultStats fault_counters_;
   /// Rx-side de-duplication: (src rank, tx_seq) pairs already delivered.
   std::unordered_set<std::uint64_t> delivered_tx_;
 };
@@ -338,7 +326,7 @@ class Fabric {
   [[nodiscard]] bool faultEnabled() const { return fault_enabled_; }
 
   /// Sum of all NICs' fault counters.
-  [[nodiscard]] FaultCounters faultTotals() const;
+  [[nodiscard]] overlap::FaultStats faultTotals() const;
 
   /// Installs a passive tap on NIC activity (see net/observer.hpp); null
   /// detaches.  Not owned; must outlive the run.  With no observer set the

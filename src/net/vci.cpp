@@ -4,15 +4,6 @@
 
 namespace ovp::net {
 
-int VciParams::classOf(Bytes size) const {
-  int k = 0;
-  for (const Bytes bound : class_bounds) {
-    if (size < bound) return k;
-    ++k;
-  }
-  return k;
-}
-
 const char* VciParams::policyName(VciPolicy p) {
   switch (p) {
     case VciPolicy::TagHash:
@@ -59,7 +50,9 @@ bool VciParams::parse(std::string_view spec, VciParams& out) {
   if (channels < 1 || channels > 64) return false;
   out.channels = channels;
   if (has_policy && !parsePolicy(policy, out.policy)) return false;
-  if (out.class_bounds.empty()) out.class_bounds = {16384};
+  if (out.classes.bounds().empty()) {
+    out.classes = overlap::SizeClasses::shortLong(16384);
+  }
   return true;
 }
 

@@ -6,8 +6,8 @@
 // queues, and the channels contend for a small number of physical rails.
 // VciParams configures that layer: how many channels a NIC exposes, how
 // posts are assigned to channels, how many physical rails a node's port
-// has, and the message-size class bounds used by the per-channel LogGP
-// report breakdown (overlap::VciStats).
+// has, and the message-size classes of the per-channel LogGP report
+// breakdown (overlap::VciStats).
 //
 // channels == 0 (the default) disables the layer entirely: the NIC runs a
 // single implicit channel and its timing, report bytes, and trace output
@@ -16,8 +16,8 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "overlap/size_classes.hpp"
 #include "util/types.hpp"
 
 namespace ovp::net {
@@ -47,23 +47,17 @@ struct VciParams {
   /// bit-identical to the single-port model for any channel count.
   int rails = 1;
   VciPolicy policy = VciPolicy::TagHash;
-  /// Ascending size-class upper bounds for the per-channel report rows
-  /// (class k covers [bounds[k-1], bounds[k]), last class unbounded).
-  /// parse() seeds the paper-style short/long split at 16 KiB.
-  std::vector<Bytes> class_bounds;
+  /// Wire-size classes of the per-channel report rows.  parse() seeds the
+  /// paper-style short/long split at 16 KiB.
+  overlap::SizeClasses classes;
 
   [[nodiscard]] bool enabled() const { return channels > 0; }
   [[nodiscard]] int channelCount() const { return channels > 0 ? channels : 1; }
   [[nodiscard]] int railCount() const { return rails > 0 ? rails : 1; }
-  [[nodiscard]] int nclasses() const {
-    return static_cast<int>(class_bounds.size()) + 1;
-  }
-  /// Index in [0, nclasses()) of the size class containing `size`.
-  [[nodiscard]] int classOf(Bytes size) const;
 
   /// Parses a `--ovprof-vci=N[,policy]` spec ("2", "4,round-robin", ...)
-  /// into `out` (leaving rails untouched) and seeds the default class
-  /// bounds.  Returns false, with `out` unspecified, on a malformed spec.
+  /// into `out` (leaving rails untouched) and seeds the default size
+  /// classes.  Returns false, with `out` unspecified, on a malformed spec.
   static bool parse(std::string_view spec, VciParams& out);
 
   static const char* policyName(VciPolicy p);

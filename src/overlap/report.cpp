@@ -45,12 +45,11 @@ void writeSection(std::ostream& os, const SectionReport& s,
 }
 
 std::string vciClassLabel(const VciStats& v, int k) {
-  if (v.class_bounds.empty()) return "all";
+  const std::vector<Bytes>& bounds = v.classes.bounds();
+  if (bounds.empty()) return "all";
   // append(), not "<" + string: GCC 12 -O3 reports a false -Wrestrict there.
-  const auto bound = [&](std::size_t i) {
-    return std::to_string(v.class_bounds[i]);
-  };
-  const std::size_t n = v.class_bounds.size();
+  const auto bound = [&](std::size_t i) { return std::to_string(bounds[i]); };
+  const std::size_t n = bounds.size();
   if (k <= 0) return std::string("<").append(bound(0)).append("B");
   if (k >= static_cast<int>(n)) {
     return std::string(">=").append(bound(n - 1)).append("B");
@@ -61,10 +60,10 @@ std::string vciClassLabel(const VciStats& v, int k) {
 }
 
 void writeVci(std::ostream& os, const VciStats& v) {
-  os << "vci channels=" << v.channels << " size_classes=" << v.nclasses()
-     << '\n';
+  os << "vci channels=" << v.channels
+     << " size_classes=" << v.classes.count() << '\n';
   for (int c = 0; c < v.channels; ++c) {
-    for (int k = 0; k < v.nclasses(); ++k) {
+    for (int k = 0; k < v.classes.count(); ++k) {
       const VciChannelClass& row = v.at(c, k);
       if (!row.any()) continue;
       os << "  ch" << c << ' ' << vciClassLabel(v, k)
@@ -187,8 +186,8 @@ void Report::save(std::ostream& os) const {
     // Written only when the VCI layer ran so channel-free outputs stay
     // byte-identical with pre-VCI readers/goldens; load() treats the block
     // as optional.
-    os << "vci " << vci.channels << ' ' << vci.class_bounds.size();
-    for (const std::int64_t b : vci.class_bounds) os << ' ' << b;
+    os << "vci " << vci.channels << ' ' << vci.classes.bounds().size();
+    for (const Bytes b : vci.classes.bounds()) os << ' ' << b;
     os << '\n';
     for (const VciChannelClass& row : vci.rows) {
       os << "vcirow " << row.posts << ' ' << row.deliveries << ' '
@@ -239,14 +238,19 @@ bool Report::load(std::istream& is) {
     std::size_t nbounds = 0;
     if (!(is >> vci.channels >> nbounds)) return false;
     if (vci.channels < 1 || nbounds > 64) return false;
-    vci.class_bounds.resize(nbounds);
-    for (std::int64_t& b : vci.class_bounds) {
-      if (!(is >> b)) return false;
+    std::vector<Bytes> bounds(nbounds);
+    for (std::size_t k = 0; k < nbounds; ++k) {
+      // Rows are stored by class index, so bounds out of order would file
+      // every row under another class: reject them.
+      if (!(is >> bounds[k]) || (k > 0 && bounds[k] <= bounds[k - 1])) {
+        return false;
+      }
     }
+    vci.classes = SizeClasses::fromBounds(std::move(bounds));
     // Counts read from the file are untrusted: rows and sections grow as
     // entries parse, so a huge count fails at the first missing entry.
     const std::size_t nrows = static_cast<std::size_t>(vci.channels) *
-                              static_cast<std::size_t>(vci.nclasses());
+                              static_cast<std::size_t>(vci.classes.count());
     for (std::size_t k = 0; k < nrows; ++k) {
       VciChannelClass row;
       if (!(is >> key) || key != "vcirow") return false;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "overlap/bounds.hpp"
+#include "overlap/counters.hpp"
 #include "overlap/size_classes.hpp"
 #include "util/types.hpp"
 
@@ -71,147 +72,27 @@ struct SectionReport {
   std::int64_t calls = 0;                  // communication calls entered
 };
 
-/// Fault-injection / NIC-reliability counters attached to a report when the
-/// simulated fabric ran with net::FaultModel enabled.  Mirrors
-/// net::FaultCounters field-for-field (duplicated here because overlap/ sits
-/// below net/ in the dependency graph); the machine layer copies the values
-/// over after a run.  All zero (and omitted from output) on a lossless
-/// fabric.
-struct FaultStats {
-  std::int64_t attempts = 0;
-  std::int64_t drops = 0;
-  std::int64_t corrupt_drops = 0;
-  std::int64_t duplicates = 0;
-  std::int64_t dup_discards = 0;
-  std::int64_t reorders = 0;
-  std::int64_t retransmissions = 0;
-  std::int64_t timeouts = 0;
-  std::int64_t retry_exhausted = 0;
-  std::int64_t acks_sent = 0;
-  std::int64_t acks_dropped = 0;
-
-  [[nodiscard]] bool any() const {
-    return attempts != 0 || drops != 0 || corrupt_drops != 0 ||
-           duplicates != 0 || dup_discards != 0 || reorders != 0 ||
-           retransmissions != 0 || timeouts != 0 || retry_exhausted != 0 ||
-           acks_sent != 0 || acks_dropped != 0;
-  }
-
-  /// Field-for-field copy from any counter struct with the same member
-  /// names (i.e. net::FaultCounters) without a dependency on net/.
-  template <typename Counters>
-  void assignFrom(const Counters& c) {
-    attempts = c.attempts;
-    drops = c.drops;
-    corrupt_drops = c.corrupt_drops;
-    duplicates = c.duplicates;
-    dup_discards = c.dup_discards;
-    reorders = c.reorders;
-    retransmissions = c.retransmissions;
-    timeouts = c.timeouts;
-    retry_exhausted = c.retry_exhausted;
-    acks_sent = c.acks_sent;
-    acks_dropped = c.acks_dropped;
-  }
-
-  FaultStats& operator+=(const FaultStats& o) {
-    attempts += o.attempts;
-    drops += o.drops;
-    corrupt_drops += o.corrupt_drops;
-    duplicates += o.duplicates;
-    dup_discards += o.dup_discards;
-    reorders += o.reorders;
-    retransmissions += o.retransmissions;
-    timeouts += o.timeouts;
-    retry_exhausted += o.retry_exhausted;
-    acks_sent += o.acks_sent;
-    acks_dropped += o.acks_dropped;
-    return *this;
-  }
-
-  /// What a counter snapshot gained since an earlier snapshot `o`.
-  FaultStats& operator-=(const FaultStats& o) {
-    attempts -= o.attempts;
-    drops -= o.drops;
-    corrupt_drops -= o.corrupt_drops;
-    duplicates -= o.duplicates;
-    dup_discards -= o.dup_discards;
-    reorders -= o.reorders;
-    retransmissions -= o.retransmissions;
-    timeouts -= o.timeouts;
-    retry_exhausted -= o.retry_exhausted;
-    acks_sent -= o.acks_sent;
-    acks_dropped -= o.acks_dropped;
-    return *this;
-  }
-};
-
 /// Per-channel, per-size-class LogGP-style wire accounting, attached to a
 /// report when the simulated fabric ran with net::VciParams enabled
 /// (channels > 0).  Row (c, k) covers wire transfers on virtual channel c
-/// whose wire size falls into size class k (bounds in `class_bounds`, last
-/// class unbounded); the machine layer copies the NIC counters over after a
-/// run and derives the o_send / o_recv overhead estimates from the fabric's
-/// post/poll costs.  Empty (and omitted from output) when the VCI layer is
-/// disabled.  Mirrors net::Nic::VciCounters (duplicated here because
-/// overlap/ sits below net/ in the dependency graph).
-struct VciChannelClass {
-  std::int64_t posts = 0;       // wire transfers sent on this channel/class
-  std::int64_t deliveries = 0;  // wire transfers received
-  std::int64_t bytes = 0;       // wire bytes sent
-  std::int64_t o_send = 0;      // derived: posts * post_overhead (ns)
-  std::int64_t o_recv = 0;      // derived: deliveries * cq_poll_cost (ns)
-  std::int64_t gap = 0;         // wait behind own/same-source backlog (ns)
-  std::int64_t link_wait = 0;   // egress wait behind other ranks (ns)
-  std::int64_t incast_wait = 0;  // ingress wait behind other nodes (ns)
-
-  [[nodiscard]] bool any() const {
-    return posts != 0 || deliveries != 0 || bytes != 0 || o_send != 0 ||
-           o_recv != 0 || gap != 0 || link_wait != 0 || incast_wait != 0;
-  }
-
-  VciChannelClass& operator+=(const VciChannelClass& o) {
-    posts += o.posts;
-    deliveries += o.deliveries;
-    bytes += o.bytes;
-    o_send += o.o_send;
-    o_recv += o.o_recv;
-    gap += o.gap;
-    link_wait += o.link_wait;
-    incast_wait += o.incast_wait;
-    return *this;
-  }
-
-  VciChannelClass& operator-=(const VciChannelClass& o) {
-    posts -= o.posts;
-    deliveries -= o.deliveries;
-    bytes -= o.bytes;
-    o_send -= o.o_send;
-    o_recv -= o.o_recv;
-    gap -= o.gap;
-    link_wait -= o.link_wait;
-    incast_wait -= o.incast_wait;
-    return *this;
-  }
-};
-
+/// whose wire size falls into class k of `classes`; the machine layer copies
+/// the NIC's rows over after a run and derives the o_send / o_recv overhead
+/// estimates from the fabric's post/poll costs.  Empty (and omitted from
+/// output) when the VCI layer is disabled.
 struct VciStats {
-  int channels = 0;                       // 0 = layer disabled
-  std::vector<std::int64_t> class_bounds; // ascending size-class upper bounds
-  std::vector<VciChannelClass> rows;      // channels * nclasses(), row-major
+  int channels = 0;                    // 0 = layer disabled
+  SizeClasses classes;                 // wire-size classes of the rows
+  std::vector<VciChannelClass> rows;   // channels * classes.count(), row-major
 
-  [[nodiscard]] int nclasses() const {
-    return static_cast<int>(class_bounds.size()) + 1;
-  }
   [[nodiscard]] const VciChannelClass& at(int channel, int klass) const {
     return rows[static_cast<std::size_t>(channel) *
-                    static_cast<std::size_t>(nclasses()) +
+                    static_cast<std::size_t>(classes.count()) +
                 static_cast<std::size_t>(klass)];
   }
   [[nodiscard]] bool any() const { return channels > 0; }
 
   /// Element-wise merge.  An empty side adopts the other's shape; merging
-  /// two non-empty stats requires identical (channels, class_bounds) —
+  /// two non-empty stats requires identical (channels, classes) —
   /// mismatched shapes keep the left side unchanged (reports from one job
   /// always share one fabric config, so this only arises on operator
   /// error).
@@ -221,7 +102,7 @@ struct VciStats {
       *this = o;
       return *this;
     }
-    if (channels != o.channels || class_bounds != o.class_bounds) return *this;
+    if (channels != o.channels || classes != o.classes) return *this;
     for (std::size_t i = 0; i < rows.size() && i < o.rows.size(); ++i) {
       rows[i] += o.rows[i];
     }
@@ -231,7 +112,7 @@ struct VciStats {
   /// What a counter snapshot gained since an earlier snapshot `o` of the
   /// same fabric (same shape; a different shape leaves this unchanged).
   VciStats& operator-=(const VciStats& o) {
-    if (channels != o.channels || class_bounds != o.class_bounds) return *this;
+    if (channels != o.channels || classes != o.classes) return *this;
     for (std::size_t i = 0; i < rows.size() && i < o.rows.size(); ++i) {
       rows[i] -= o.rows[i];
     }

@@ -5,7 +5,8 @@
 // distribution, will reveal the particular message transfers that are
 // affecting application performance the most."  The framework supports both
 // granularities: a two-class short/long split at a threshold, and any
-// ascending list of class bounds.
+// ascending list of class bounds.  The same type classifies the wire sizes
+// of the NIC's per-channel rows (net::VciParams, overlap::VciStats).
 #pragma once
 
 #include <string>
@@ -40,6 +41,8 @@ class SizeClasses {
 
   /// Human-readable label of class i.
   [[nodiscard]] std::string label(int i) const;
+
+  [[nodiscard]] bool operator==(const SizeClasses&) const = default;
 
  private:
   // Class i covers [upper_bounds_[i-1], upper_bounds_[i]); the final class

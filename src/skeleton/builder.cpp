@@ -58,17 +58,6 @@ void RankBuilder::waitall(std::vector<int> reqs) {
   op.reqs = std::move(reqs);
 }
 
-void RankBuilder::sendrecv(Rank dst, int stag, Bytes sbytes, Rank src,
-                           int rtag, Bytes rbytes) {
-  Op& op = push(OpKind::Sendrecv);
-  op.peer = dst;
-  op.tag = stag;
-  op.bytes = sbytes;
-  op.src = src;
-  op.rtag = rtag;
-  op.rbytes = rbytes;
-}
-
 void RankBuilder::barrier() { push(OpKind::Barrier); }
 
 void RankBuilder::put(Rank target, Bytes bytes, bool nb) {
@@ -88,57 +77,6 @@ void RankBuilder::get(Rank target, Bytes bytes, bool nb) {
 void RankBuilder::fence(Rank target) {
   Op& op = push(OpKind::Fence);
   op.peer = target;
-}
-
-// ---- MPI collective expansions ----
-//
-// Each method is the per-rank slice of the corresponding algorithm in
-// src/mpi/collectives.cpp, with identical peers, tags and byte counts.
-
-void RankBuilder::mpiBcast(Bytes n, Rank root) {
-  const int P = nranks_;
-  const int vrank = (rank_ - root + P) % P;
-  int mask = 1;
-  while (mask < P) {
-    if (vrank & mask) {
-      const Rank parent = static_cast<Rank>(((vrank & ~mask) + root) % P);
-      recv(parent, tags::kBcast, n);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < P) {
-      const Rank child = static_cast<Rank>((vrank + mask + root) % P);
-      send(child, tags::kBcast, n);
-    }
-    mask >>= 1;
-  }
-}
-
-void RankBuilder::mpiReduce(int count, Rank root) {
-  const int P = nranks_;
-  const int vrank = (rank_ - root + P) % P;
-  const Bytes n = static_cast<Bytes>(count) * 8;  // doubles on the wire
-  int mask = 1;
-  while (mask < P) {
-    if (vrank & mask) {
-      const Rank parent = static_cast<Rank>(((vrank & ~mask) + root) % P);
-      send(parent, tags::kReduce, n);
-      break;
-    }
-    if (vrank + mask < P) {
-      const Rank child = static_cast<Rank>((vrank + mask + root) % P);
-      recv(child, tags::kReduce, n);
-    }
-    mask <<= 1;
-  }
-}
-
-void RankBuilder::mpiAllreduce(int count) {
-  mpiReduce(count, 0);
-  mpiBcast(static_cast<Bytes>(count) * 8, 0);
 }
 
 Builder::Builder(std::string name, int nranks) : name_(std::move(name)) {

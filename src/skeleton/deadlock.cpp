@@ -24,7 +24,7 @@ struct Graph {
 };
 
 [[nodiscard]] bool rendezvous(Bytes bytes, const DeadlockConfig& cfg) {
-  return bytes != kAnyBytes && bytes > cfg.eager_limit;
+  return bytes != kAnyBytes && !mpi::sendsEagerly(bytes, cfg.eager_limit);
 }
 
 /// Is this op a potential blocking node?  (Wait/Waitall decided later,

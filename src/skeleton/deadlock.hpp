@@ -8,8 +8,9 @@
 // Model: a blocking operation completes only after its matched partner has
 // been *posted* (reached in the partner rank's program order), and a rank
 // reaches an op only after every earlier blocking op on that rank has
-// completed.  Sends block only under the rendezvous protocol (bytes above
-// the eager limit); eager sends buffer locally and never block the sender.
+// completed.  Sends block only under the rendezvous protocol (bytes at or
+// above the eager limit, mpi::sendsEagerly); eager sends buffer locally and
+// never block the sender.
 // Barriers synchronize by epoch: the e-th Barrier op on every rank forms
 // one epoch, and mismatched per-rank barrier counts are themselves a
 // deadlock.  A cycle in this graph is a guaranteed hang of the matched
@@ -25,11 +26,11 @@
 namespace ovp::skel {
 
 struct DeadlockConfig {
-  /// Sends at or below this many bytes use the eager protocol and never
-  /// block (default mirrors mpi::MpiConfig::eager_limit).  Statically
+  /// Sends below this many bytes use the eager protocol and never block:
+  /// the library's rule (mpi::sendsEagerly) and default limit.  Statically
   /// unknown sizes (kAnyBytes) are treated as eager, trading false
   /// positives for false negatives on data-dependent paths.
-  Bytes eager_limit = 16 * 1024;
+  Bytes eager_limit = mpi::kEagerLimit;
 };
 
 struct DeadlockResult {

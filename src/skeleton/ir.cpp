@@ -97,10 +97,10 @@ std::string Skeleton::validate() const {
         }
       }
       if (recvLike(op.kind)) {
-        if (op.peer != kAnySource && (op.peer < 0 || op.peer >= nranks)) {
+        if (op.peer != mpi::kAnySource && (op.peer < 0 || op.peer >= nranks)) {
           return problem(r, i, op, "source out of range");
         }
-        if (op.tag < 0 && op.tag != kAnyTag) {
+        if (op.tag < 0 && op.tag != mpi::kAnyTag) {
           return problem(r, i, op, "negative tag");
         }
       }
@@ -108,7 +108,7 @@ std::string Skeleton::validate() const {
         if (op.peer < 0 || op.peer >= nranks) {
           return problem(r, i, op, "sendrecv dst out of range");
         }
-        if (op.src != kAnySource && (op.src < 0 || op.src >= nranks)) {
+        if (op.src != mpi::kAnySource && (op.src < 0 || op.src >= nranks)) {
           return problem(r, i, op, "sendrecv src out of range");
         }
         if (op.rbytes < 0 && op.rbytes != kAnyBytes) {

@@ -14,20 +14,19 @@
 // flat form small enough to diff, and unrolling keeps every analysis a
 // plain graph/list walk with no symbolic iteration domains.  Data-dependent
 // quantities that a static description cannot know (IS's alltoallv key
-// counts) use the kAnyBytes wildcard, mirroring mpi::kAnySource/kAnyTag.
+// counts) use the kAnyBytes wildcard, beside the receive wildcards
+// mpi::kAnySource/kAnyTag the IR shares with the library.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "mpi/protocol.hpp"
 #include "util/types.hpp"
 
 namespace ovp::skel {
 
-/// Receive-side wildcards (same values as mpi::kAnySource / mpi::kAnyTag).
-inline constexpr Rank kAnySource = -1;
-inline constexpr int kAnyTag = -1;
 /// Byte count statically unknown (data-dependent message sizes).
 inline constexpr Bytes kAnyBytes = -1;
 
@@ -35,15 +34,14 @@ enum class OpKind : std::uint8_t {
   Compute,   // cost ns of user computation (an overlap window when between
              // a nonblocking post and its wait)
   Isend,     // peer=dst, tag, bytes, defines req
-  Irecv,     // peer=src (may be kAnySource), tag (may be kAnyTag), bytes,
-             // defines req
+  Irecv,     // peer=src (may be mpi::kAnySource), tag (may be mpi::kAnyTag),
+             // bytes, defines req
   Send,      // blocking send: peer=dst, tag, bytes
   Recv,      // blocking receive: peer=src|kAnySource, tag|kAnyTag, bytes
   Wait,      // consumes req
   Waitall,   // consumes every req in reqs (possibly empty)
   Sendrecv,  // fused send(peer,tag,bytes) + recv(src,rtag,rbytes)
-  Barrier,   // full-job synchronization (ARMCI flag barrier; MPI barriers
-             // are expanded to their sendrecv decomposition by the builder)
+  Barrier,   // full-job synchronization (the ARMCI flag barrier)
   RmaPut,    // peer=target, bytes; nb=true when completion needs a fence
   RmaGet,    // peer=target, bytes; nb=true when completion needs a fence
   Fence,     // retires this rank's outstanding nb RMA (peer kept for info)

@@ -24,8 +24,8 @@ struct SendHalf {
 
 struct RecvHalf {
   OpRef ref;
-  Rank src = -1;  // may be kAnySource
-  int tag = 0;    // may be kAnyTag
+  Rank src = -1;  // may be mpi::kAnySource
+  int tag = 0;    // may be mpi::kAnyTag
   Bytes bytes = 0;
   const Op* op = nullptr;
   std::int32_t fifo = -1;  // concrete source: the send FIFO it matches from
@@ -136,12 +136,12 @@ Halves extractHalves(const Skeleton& skel) {
   }
   for (std::size_t k = 0; k < h.recvs.size(); ++k) {
     RecvHalf& rv = h.recvs[k];
-    if (rv.src == kAnySource) continue;
+    if (rv.src == mpi::kAnySource) continue;
     const auto chan = channel_of.find(pairKey(rv.src, rv.ref.rank));
     if (chan == channel_of.end()) continue;  // no send on it: stays unmatched
     Channel& c = h.channels[static_cast<std::size_t>(chan->second)];
     c.recvs.items.push_back(static_cast<std::int32_t>(k));
-    rv.fifo = rv.tag == kAnyTag ? c.all : h.lane(chan->second, rv.tag);
+    rv.fifo = rv.tag == mpi::kAnyTag ? c.all : h.lane(chan->second, rv.tag);
   }
   return h;
 }
@@ -153,7 +153,7 @@ Halves extractHalves(const Skeleton& skel) {
 std::string channelLabel(Rank src, Rank dst, int tag) {
   std::ostringstream os;
   os << src << "->" << dst << " tag ";
-  if (tag == kAnyTag) {
+  if (tag == mpi::kAnyTag) {
     os << "any";
   } else {
     os << tag;
@@ -183,7 +183,7 @@ void MatchRelation::addSend(Rank src, Rank dst, int tag, Bytes bytes) {
 }
 
 void MatchRelation::addRecv(Rank dst, Rank src, int tag, Bytes bytes) {
-  if (src == kAnySource || tag == kAnyTag) {
+  if (src == mpi::kAnySource || tag == mpi::kAnyTag) {
     recv_wild_[dst].emplace_back(src, tag, bytes);
   } else {
     recvs_[{src, dst, tag}].insert(bytes);
@@ -212,8 +212,8 @@ bool MatchRelation::admitsMatch(Rank src, Rank dst, int tag,
   const auto it = recv_wild_.find(dst);
   if (it == recv_wild_.end()) return false;
   for (const auto& [psrc, ptag, pbytes] : it->second) {
-    if ((psrc == kAnySource || psrc == src) &&
-        (ptag == kAnyTag || ptag == tag) && bytesAgree(pbytes, bytes)) {
+    if ((psrc == mpi::kAnySource || psrc == src) &&
+        (ptag == mpi::kAnyTag || ptag == tag) && bytesAgree(pbytes, bytes)) {
       return true;
     }
   }
@@ -279,7 +279,7 @@ MatchResult runMatch(const Skeleton& skel) {
   // Pass 1: concrete-source receives, matched per (src, dst) channel in
   // program order, FIFO per tag (MPI non-overtaking).
   for (RecvHalf& rv : h.recvs) {
-    if (rv.src == kAnySource || rv.fifo < 0) continue;
+    if (rv.src == mpi::kAnySource || rv.fifo < 0) continue;
     const std::int32_t k =
         front(h.fifos[static_cast<std::size_t>(rv.fifo)], h.sends);
     if (k < 0) continue;
@@ -303,7 +303,7 @@ MatchResult runMatch(const Skeleton& skel) {
   // stand-in for the run-time race the wildcard admits).  Each one visits
   // its rank's channels, so it costs O(channels into the rank).
   for (RecvHalf& rv : h.recvs) {
-    if (rv.src != kAnySource) continue;
+    if (rv.src != mpi::kAnySource) continue;
     const Rank d = rv.ref.rank;
     diags.push_back(makeDiag(
         Severity::Note, DiagCode::StaticWildcardRecv, d, rv.op->site,
@@ -312,7 +312,7 @@ MatchResult runMatch(const Skeleton& skel) {
         "wild|" + std::to_string(d) + "|" + rv.op->site));
     for (const std::int32_t c : h.into[static_cast<std::size_t>(d)]) {
       const std::int32_t fifo =
-          rv.tag == kAnyTag ? h.channels[static_cast<std::size_t>(c)].all
+          rv.tag == mpi::kAnyTag ? h.channels[static_cast<std::size_t>(c)].all
                             : h.lane(c, rv.tag);
       if (fifo < 0) continue;
       const std::int32_t k =
@@ -339,7 +339,7 @@ MatchResult runMatch(const Skeleton& skel) {
     std::ostringstream os;
     os << "send " << channelLabel(s, sd.dst, sd.tag)
        << " can never pair with the leftover receive expecting tag ";
-    if (partner.tag == kAnyTag) {
+    if (partner.tag == mpi::kAnyTag) {
       os << "any";
     } else {
       os << partner.tag;
@@ -366,13 +366,13 @@ MatchResult runMatch(const Skeleton& skel) {
     const Rank src_label = rv.src;
     std::ostringstream os;
     os << "receive from ";
-    if (src_label == kAnySource) {
+    if (src_label == mpi::kAnySource) {
       os << "any";
     } else {
       os << src_label;
     }
     os << " on rank " << d << " tag ";
-    if (rv.tag == kAnyTag) {
+    if (rv.tag == mpi::kAnyTag) {
       os << "any";
     } else {
       os << rv.tag;

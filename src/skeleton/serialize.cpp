@@ -35,9 +35,9 @@ void writeOp(std::ostream& os, const Op& op) {
       break;
     case OpKind::Irecv:
       os << " src ";
-      writeNum(os, op.peer, kAnySource);
+      writeNum(os, op.peer, mpi::kAnySource);
       os << " tag ";
-      writeNum(os, op.tag, kAnyTag);
+      writeNum(os, op.tag, mpi::kAnyTag);
       os << " bytes ";
       writeNum(os, op.bytes, kAnyBytes);
       os << " req " << op.req;
@@ -48,9 +48,9 @@ void writeOp(std::ostream& os, const Op& op) {
       break;
     case OpKind::Recv:
       os << " src ";
-      writeNum(os, op.peer, kAnySource);
+      writeNum(os, op.peer, mpi::kAnySource);
       os << " tag ";
-      writeNum(os, op.tag, kAnyTag);
+      writeNum(os, op.tag, mpi::kAnyTag);
       os << " bytes ";
       writeNum(os, op.bytes, kAnyBytes);
       break;
@@ -73,9 +73,9 @@ void writeOp(std::ostream& os, const Op& op) {
       os << " dst " << op.peer << " stag " << op.tag << " sbytes ";
       writeNum(os, op.bytes, kAnyBytes);
       os << " src ";
-      writeNum(os, op.src, kAnySource);
+      writeNum(os, op.src, mpi::kAnySource);
       os << " rtag ";
-      writeNum(os, op.rtag, kAnyTag);
+      writeNum(os, op.rtag, mpi::kAnyTag);
       os << " rbytes ";
       writeNum(os, op.rbytes, kAnyBytes);
       break;
@@ -147,9 +147,9 @@ bool parseOpLine(Cursor& c, Op& op) {
       op.req = static_cast<int>(v);
       break;
     case OpKind::Irecv:
-      if (!expectField(c, "src", kAnySource, v)) return false;
+      if (!expectField(c, "src", mpi::kAnySource, v)) return false;
       op.peer = static_cast<Rank>(v);
-      if (!expectField(c, "tag", kAnyTag, v)) return false;
+      if (!expectField(c, "tag", mpi::kAnyTag, v)) return false;
       op.tag = static_cast<int>(v);
       if (!expectField(c, "bytes", kAnyBytes, op.bytes)) return false;
       if (!expectField(c, "req", -2, v)) return false;
@@ -163,9 +163,9 @@ bool parseOpLine(Cursor& c, Op& op) {
       if (!expectField(c, "bytes", kAnyBytes, op.bytes)) return false;
       break;
     case OpKind::Recv:
-      if (!expectField(c, "src", kAnySource, v)) return false;
+      if (!expectField(c, "src", mpi::kAnySource, v)) return false;
       op.peer = static_cast<Rank>(v);
-      if (!expectField(c, "tag", kAnyTag, v)) return false;
+      if (!expectField(c, "tag", mpi::kAnyTag, v)) return false;
       op.tag = static_cast<int>(v);
       if (!expectField(c, "bytes", kAnyBytes, op.bytes)) return false;
       break;
@@ -199,9 +199,9 @@ bool parseOpLine(Cursor& c, Op& op) {
       if (!expectField(c, "stag", -2, v)) return false;
       op.tag = static_cast<int>(v);
       if (!expectField(c, "sbytes", kAnyBytes, op.bytes)) return false;
-      if (!expectField(c, "src", kAnySource, v)) return false;
+      if (!expectField(c, "src", mpi::kAnySource, v)) return false;
       op.src = static_cast<Rank>(v);
-      if (!expectField(c, "rtag", kAnyTag, v)) return false;
+      if (!expectField(c, "rtag", mpi::kAnyTag, v)) return false;
       op.rtag = static_cast<int>(v);
       if (!expectField(c, "rbytes", kAnyBytes, op.rbytes)) return false;
       break;

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "skeleton/builder.hpp"  // reserved collective tags
+#include "mpi/protocol.hpp"
 
 namespace ovp::skel::sym {
 
@@ -121,7 +121,7 @@ void SymBuilder::mpiBcast(ExprP n, ExprP root) {
   loop(k, cst(0), clog2(procs()), [&] {
     const ExprP step = pow2(var(k));
     guarded({Cond{mod(vr, pow2(add(var(k), cst(1)))), CmpOp::Eq, step}}, [&] {
-      recv(mod(add(sub(vr, step), root), procs()), cst(tags::kBcast), n);
+      recv(mod(add(sub(vr, step), root), procs()), cst(mpi::tags::kBcast), n);
     });
   });
   const std::string j = gensym();
@@ -130,8 +130,8 @@ void SymBuilder::mpiBcast(ExprP n, ExprP root) {
     guarded({Cond{mod(vr, pow2(add(var(j), cst(1)))), CmpOp::Eq, cst(0)},
              Cond{add(vr, step), CmpOp::Lt, procs()}},
             [&] {
-              send(mod(add(add(vr, step), root), procs()), cst(tags::kBcast),
-                   n);
+              send(mod(add(add(vr, step), root), procs()),
+                   cst(mpi::tags::kBcast), n);
             });
   });
 }
@@ -149,10 +149,10 @@ void SymBuilder::mpiReduce(ExprP count, ExprP root) {
              Cond{add(vr, step), CmpOp::Lt, procs()}},
             [&] {
               recv(mod(add(add(vr, step), root), procs()),
-                   cst(tags::kReduce), n);
+                   cst(mpi::tags::kReduce), n);
             });
     guarded({Cond{mod(vr, pow2(add(var(k), cst(1)))), CmpOp::Eq, step}}, [&] {
-      send(mod(add(sub(vr, step), root), procs()), cst(tags::kReduce), n);
+      send(mod(add(sub(vr, step), root), procs()), cst(mpi::tags::kReduce), n);
     });
   });
 }
@@ -183,7 +183,7 @@ void ringExchange(SymBuilder& b, const std::string& rv,
 void SymBuilder::mpiAlltoall(ExprP bytes_per_rank) {
   const std::string rv = gensym();
   const std::string sv = gensym();
-  ringExchange(*this, rv, sv, tags::kAlltoall, bytes_per_rank,
+  ringExchange(*this, rv, sv, mpi::tags::kAlltoall, bytes_per_rank,
                bytes_per_rank);
 }
 
@@ -191,13 +191,13 @@ void SymBuilder::mpiAlltoallvAny() {
   const std::string rv = gensym();
   const std::string sv = gensym();
   const ExprP any = cst(kAnyBytes);
-  ringExchange(*this, rv, sv, tags::kAlltoallv, any, any);
+  ringExchange(*this, rv, sv, mpi::tags::kAlltoallv, any, any);
 }
 
 void SymBuilder::mpiAllgather(ExprP bytes_per_rank) {
   const std::string rv = gensym();
   const std::string sv = gensym();
-  ringExchange(*this, rv, sv, tags::kAllgather, bytes_per_rank,
+  ringExchange(*this, rv, sv, mpi::tags::kAllgather, bytes_per_rank,
                bytes_per_rank);
 }
 

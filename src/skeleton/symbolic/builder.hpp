@@ -6,10 +6,12 @@
 // a rank-role case split, and every peer/tag/bytes/flops argument is an
 // Expr.  The mpi* helpers expand the collectives the templates call into
 // the point-to-point decompositions src/mpi/collectives.cpp executes (same
-// reserved tags, same op order); their loop/guard shapes are the canonical
-// forms the symbolic matching and deadlock provers recognize (the ring and
-// tree lemmas, see verify.hpp).  The trace-conformance gates check the
-// expansions against live runs.  A collective no template calls has no
+// reserved tags, from mpi/protocol.hpp, same op order).  They are the
+// skeleton layer's only expansions: the unrolled LU/SP/BT builders lower
+// mpiAllreduce onto their ranks too (lowerRank).  Their loop/guard shapes
+// are the canonical forms the symbolic matching and deadlock provers
+// recognize (the ring and tree lemmas, see verify.hpp).  The
+// trace-conformance gates check the expansions against live runs.  A collective no template calls has no
 // expansion here: it returns together with its first caller.
 #pragma once
 
@@ -54,7 +56,7 @@ class SymBuilder {
              const std::function<void()>& body);
   void guarded(Guard g, const std::function<void()>& body);
 
-  // -- MPI collective expansions (symbolic twins of RankBuilder's) --
+  // -- MPI collective expansions --
   void mpiBcast(ExprP n, ExprP root);
   void mpiReduce(ExprP count, ExprP root);
   void mpiAllreduce(ExprP count);

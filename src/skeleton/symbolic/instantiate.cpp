@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "skeleton/builder.hpp"
-
 namespace ovp::skel::sym {
 
 namespace {
@@ -177,6 +175,18 @@ bool familyAdmits(const SymSkeleton& s, int nprocs, std::string* why) {
   return holds;
 }
 
+std::string lowerRank(const SymSkeleton& s, RankBuilder& rb) {
+  Lowering lower{.rb = rb, .env = {}, .open = {}, .error = {}};
+  lower.env.r = rb.rank();
+  lower.env.P = rb.nranks();
+  lower.ns_per_flop = s.ns_per_flop;
+  if (!lower.lowerBody(s.body)) return lower.error;
+  if (!lower.open.empty()) {
+    return "template leaves requests open (missing waitall)";
+  }
+  return {};
+}
+
 InstantiateResult instantiate(const SymSkeleton& s, int nprocs) {
   InstantiateResult out;
   std::string why;
@@ -191,17 +201,9 @@ InstantiateResult instantiate(const SymSkeleton& s, int nprocs) {
   }
   Builder b(s.name, nprocs);
   for (Rank r = 0; r < nprocs; ++r) {
-    Lowering lower{.rb = b.rank(r), .env = {}, .open = {}, .error = {}};
-    lower.env.r = r;
-    lower.env.P = nprocs;
-    lower.ns_per_flop = s.ns_per_flop;
-    if (!lower.lowerBody(s.body)) {
-      out.error = "rank " + std::to_string(r) + ": " + lower.error;
-      return out;
-    }
-    if (!lower.open.empty()) {
-      out.error = "rank " + std::to_string(r) +
-                  ": template leaves requests open (missing waitall)";
+    const std::string why = lowerRank(s, b.rank(r));
+    if (!why.empty()) {
+      out.error = "rank " + std::to_string(r) + ": " + why;
       return out;
     }
   }

@@ -434,8 +434,8 @@ Fit tryHalo(const Term& s, const Term& r, std::string* detail) {
 
 bool tagsPossiblyEqual(const ExprP& a, const ExprP& b) {
   if (a && b && a->kind == ExprKind::Const && b->kind == ExprKind::Const) {
-    return a->value == b->value || a->value == kAnyTag ||
-           b->value == kAnyTag;
+    return a->value == b->value || a->value == mpi::kAnyTag ||
+           b->value == mpi::kAnyTag;
   }
   return true;  // symbolic tags: cannot exclude equality
 }

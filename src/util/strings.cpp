@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace ovp::util {
@@ -68,6 +69,13 @@ std::string jsonEscape(std::string_view text) {
     }
   }
   return out;
+}
+
+std::string jsonNum(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return buf;
 }
 
 }  // namespace ovp::util

@@ -48,4 +48,8 @@ namespace ovp::util {
 /// hex), everything else is copied unchanged.
 [[nodiscard]] std::string jsonEscape(std::string_view text);
 
+/// Renders `v` as a JSON number ("%.12g"); non-finite values, which JSON
+/// cannot spell, become null.
+[[nodiscard]] std::string jsonNum(double v);
+
 }  // namespace ovp::util

@@ -14,7 +14,9 @@
 //     LU/SP/BT skeletons pair exactly the messages their kernels send.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,7 +144,7 @@ TEST(CheckFixtures, SizeMismatchCaught) {
 TEST(CheckFixtures, WildcardRecvNoted) {
   skel::Builder b("fixture.wildcard", 2);
   b.rank(0).send(1, 5, 64);
-  b.rank(1).recv(skel::kAnySource, skel::kAnyTag, 64);
+  b.rank(1).recv(mpi::kAnySource, mpi::kAnyTag, 64);
   const skel::CheckResult r = skel::runCheck(b.take());
   EXPECT_TRUE(hasCode(r.diagnostics, DiagCode::StaticWildcardRecv));
   EXPECT_TRUE(r.clean()) << "wildcard nondeterminism is a Note, not a gate";
@@ -169,6 +171,42 @@ TEST(CheckFixtures, EagerLimitIsConfigurable) {
   const skel::CheckResult r =
       skel::runCheck(sendSendDeadlockFixture(512), cfg);
   EXPECT_TRUE(hasCode(r.diagnostics, DiagCode::StaticDeadlock));
+}
+
+/// Runs sendSendDeadlockFixture's exchange on the simulated library
+/// (MVAPICH2 preset, default eager limit): true when the engine reports a
+/// simulation deadlock.
+bool simulatorDeadlocks(Bytes bytes) {
+  mpi::JobConfig cfg;
+  cfg.nranks = 2;
+  cfg.mpi.preset = mpi::Preset::Mvapich2;
+  mpi::Machine machine(cfg);
+  try {
+    machine.run([&](mpi::Mpi& mpi) {
+      std::vector<std::uint8_t> sbuf(static_cast<std::size_t>(bytes));
+      std::vector<std::uint8_t> rbuf(static_cast<std::size_t>(bytes));
+      const Rank peer = 1 - mpi.rank();
+      mpi.send(sbuf.data(), bytes, peer, 7);
+      mpi.recv(rbuf.data(), bytes, peer, 7);
+    });
+  } catch (const std::runtime_error& e) {
+    return std::string(e.what()).find("simulation deadlock") !=
+           std::string::npos;
+  }
+  return false;
+}
+
+TEST(CheckFixtures, DeadlockAtTheEagerLimitAgreesWithTheSimulator) {
+  // The deadlock search predicts the library's eager rule: a send below
+  // the limit goes eagerly, one at the limit waits for its receiver.
+  for (const Bytes n : {mpi::kEagerLimit - 1, mpi::kEagerLimit,
+                        mpi::kEagerLimit + 1}) {
+    const bool live = simulatorDeadlocks(n);
+    EXPECT_EQ(live, n >= mpi::kEagerLimit) << n << " bytes";
+    const skel::CheckResult r = skel::runCheck(sendSendDeadlockFixture(n));
+    EXPECT_EQ(hasCode(r.diagnostics, DiagCode::StaticDeadlock), live)
+        << n << " bytes";
+  }
 }
 
 TEST(CheckFixtures, SerializedWindowCaught) {

@@ -9,6 +9,9 @@
 # With HELP set, PROGRAM is first run with --help alone: it must exit 0
 # and print the usage generated from its flag declaration (a `usage:` line
 # first, the -h/--help entry last).
+#
+# With FILES set (a list of absolute paths), each file is removed before
+# the run and must exist after it, so the leg sees what this run wrote.
 foreach(var CODE STDERR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "expect_exit.cmake: -D${var}=... is required")
@@ -43,6 +46,9 @@ if(HELP)
   endif()
 endif()
 
+if(FILES)
+  file(REMOVE ${FILES})
+endif()
 execute_process(COMMAND ${command}
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out
@@ -53,3 +59,8 @@ endif()
 if(NOT err MATCHES "${STDERR}")
   message(FATAL_ERROR "${command}: stderr does not match '${STDERR}':\n${err}")
 endif()
+foreach(file IN LISTS FILES)
+  if(NOT EXISTS "${file}")
+    message(FATAL_ERROR "${command}: did not write ${file}")
+  endif()
+endforeach()

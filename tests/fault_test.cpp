@@ -133,7 +133,7 @@ TEST(Reliability, ForceReliableDeliversAndCompletesAtAck) {
   // +1000.  Under the protocol the local completion means "delivered".
   EXPECT_EQ(arrival_at, 1500);
   EXPECT_EQ(completion_at, 2500);
-  const FaultCounters totals = fabric.faultTotals();
+  const overlap::FaultStats totals = fabric.faultTotals();
   EXPECT_EQ(totals.attempts, 1);
   EXPECT_EQ(totals.acks_sent, 1);
   EXPECT_EQ(totals.drops, 0);
@@ -157,7 +157,7 @@ TEST(Reliability, DeterministicDropTriggersRetransmission) {
     }
   });
   EXPECT_TRUE(delivered);
-  const FaultCounters totals = fabric.faultTotals();
+  const overlap::FaultStats totals = fabric.faultTotals();
   EXPECT_EQ(totals.attempts, 2);  // original + one retransmission
   EXPECT_EQ(totals.drops, 1);
   EXPECT_EQ(totals.timeouts, 1);
@@ -179,7 +179,7 @@ TEST(Reliability, AllDropsExhaustRetriesAndFailTheWorkRequest) {
     }
     // Rank 1 never receives anything and simply returns.
   });
-  const FaultCounters totals = fabric.faultTotals();
+  const overlap::FaultStats totals = fabric.faultTotals();
   EXPECT_EQ(totals.attempts, 3);  // original + max_retries
   EXPECT_EQ(totals.drops, 3);
   EXPECT_EQ(totals.retry_exhausted, 1);
@@ -201,7 +201,7 @@ TEST(Reliability, DuplicatesAreDeliveredOnceAndReAcked) {
     }
   });
   EXPECT_EQ(fabric.nic(1).packetsDelivered(), 1);
-  const FaultCounters totals = fabric.faultTotals();
+  const overlap::FaultStats totals = fabric.faultTotals();
   EXPECT_EQ(totals.duplicates, 1);
   EXPECT_EQ(totals.dup_discards, 1);
   EXPECT_EQ(totals.acks_sent, 2);  // duplicate is re-acked
@@ -294,7 +294,7 @@ TEST(Reliability, LegacyPathUntouchedWhenDisabled) {
     }
   });
   EXPECT_EQ(completion_at, 500);
-  const FaultCounters totals = fabric.faultTotals();
+  const overlap::FaultStats totals = fabric.faultTotals();
   EXPECT_EQ(totals.attempts, 0);
   EXPECT_EQ(totals.acks_sent, 0);
 }
@@ -334,7 +334,7 @@ std::string lossyExchangeFingerprint(std::uint64_t seed) {
     }
     done[static_cast<std::size_t>(me)] = ctx.now();
   });
-  const FaultCounters t = fabric.faultTotals();
+  const overlap::FaultStats t = fabric.faultTotals();
   os << eng.finishTime();
   for (const TimeNs d : done) os << ' ' << d;
   os << " a" << t.attempts << " d" << t.drops << " r" << t.retransmissions
@@ -398,8 +398,8 @@ std::string zeroToOneOutcome(bool neighbours_busy) {
   if (neighbours_busy) {
     EXPECT_GT(fabric.nic(2).faultCounters().attempts, kMessages);
   }
-  const FaultCounters& tx = fabric.nic(0).faultCounters();
-  const FaultCounters& rx = fabric.nic(1).faultCounters();
+  const overlap::FaultStats& tx = fabric.nic(0).faultCounters();
+  const overlap::FaultStats& rx = fabric.nic(1).faultCounters();
   EXPECT_GT(tx.drops, 0) << "the 0->1 stream must actually be lossy";
   std::ostringstream os;
   os << "a" << tx.attempts << " d" << tx.drops << " r" << tx.retransmissions
@@ -495,14 +495,13 @@ TEST(MpiFault, PingPongCompletesWithRetriesAndCleanData) {
   EXPECT_EQ(rbuf[0], 0x5a);
   EXPECT_EQ(rbuf[msg - 1], 0x5a);
   EXPECT_TRUE(analysis::clean(machine.diagnostics()));
-  EXPECT_GT(machine.faultTotals().attempts, 0);
-  EXPECT_GT(machine.faultTotals().drops, 0);
-  EXPECT_EQ(machine.faultTotals().retry_exhausted, 0);
   // Per-rank fault counters land on the reports.
   ASSERT_EQ(machine.reports().size(), 2u);
-  overlap::FaultStats merged;
-  for (const auto& r : machine.reports()) merged += r.faults;
-  EXPECT_EQ(merged.attempts, machine.faultTotals().attempts);
+  const overlap::FaultStats faults =
+      overlap::mergeReports(machine.reports()).faults;
+  EXPECT_GT(faults.attempts, 0);
+  EXPECT_GT(faults.drops, 0);
+  EXPECT_EQ(faults.retry_exhausted, 0);
 }
 
 TEST(MpiFault, ParallelRunMatchesSequential) {
@@ -532,7 +531,7 @@ TEST(MpiFault, ParallelRunMatchesSequential) {
       }
     });
     EXPECT_EQ(machine.engine().workersUsed(), workers);
-    EXPECT_GT(machine.faultTotals().drops, 0);
+    EXPECT_GT(overlap::mergeReports(machine.reports()).faults.drops, 0);
     std::ostringstream os;
     os << machine.finishTime() << '\n';
     for (const overlap::Report& r : machine.reports()) r.save(os);

@@ -19,9 +19,11 @@
 #include "golden.hpp"
 #include "line_mutator.hpp"
 #include "model/model_set.hpp"
+#include "model/pattern_cost.hpp"
 #include "model/predict.hpp"
 #include "model/sample.hpp"
 #include "nas/cg.hpp"
+#include "nas/symbolic.hpp"
 
 namespace ovp {
 namespace {
@@ -465,7 +467,7 @@ TEST(SampleLoad, MutatedLinesNeverCrash) {
   report.faults.timeouts = 2;
   report.faults.acks_sent = 114;
   report.vci.channels = 2;
-  report.vci.class_bounds = {256, 8192};
+  report.vci.classes = overlap::SizeClasses::fromBounds({256, 8192});
   overlap::VciChannelClass row;
   row.posts = 40;
   row.deliveries = 39;
@@ -518,6 +520,26 @@ TEST(EndToEnd, CgSweepPredictsHeldOutClassWithinTolerance) {
     }
   }
   EXPECT_TRUE(result.ok);
+}
+
+TEST(PatternCost, JsonEscapesControlBytesInSiteNames) {
+  // A cost file's site token is any run of non-blank bytes, a control byte
+  // included; the JSON must escape it, not copy it raw.
+  nas::SkeletonParams params;
+  const nas::SymSkeletonBuildResult sym =
+      nas::buildNasSymSkeleton("cg", params);
+  ASSERT_TRUE(sym.ok()) << sym.error;
+  skel::sym::SymCostReport report = skel::sym::extractCosts(sym.skeleton);
+  ASSERT_FALSE(report.sites.empty());
+  report.sites[0].site.insert(1, 1, '\x01');
+  std::vector<model::PatternCostEval> evals;
+  std::string error;
+  ASSERT_TRUE(model::evalPatternCosts(report, {4}, &evals, &error)) << error;
+  std::ostringstream os;
+  model::writePatternCostJson(report, evals, os);
+  const std::string json = os.str();
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
+  EXPECT_NE(json.find("\\u0001"), std::string::npos);
 }
 
 }  // namespace

@@ -32,9 +32,9 @@ namespace {
 using analysis::DiagCode;
 using analysis::Diagnostic;
 using analysis::Severity;
+using mpi::kAnySource;
+using mpi::kAnyTag;
 using skel::kAnyBytes;
-using skel::kAnySource;
-using skel::kAnyTag;
 using skel::Op;
 using skel::OpKind;
 using skel::OpRef;
@@ -216,8 +216,9 @@ skel::MatchResult referenceMatch(const Skeleton& skel) {
 
 // ---- reference deadlock search: ordered maps, binary search ----------
 
+/// The library's rule, spelled out: a send goes eagerly below the limit.
 bool rendezvous(Bytes bytes, const skel::DeadlockConfig& cfg) {
-  return bytes != kAnyBytes && bytes > cfg.eager_limit;
+  return bytes != kAnyBytes && bytes >= cfg.eager_limit;
 }
 
 /// Reference blocking-dependency graph: nodes in (rank, op) order, each

@@ -22,9 +22,9 @@
 namespace ovp {
 namespace {
 
+using mpi::kAnySource;
+using mpi::kAnyTag;
 using skel::kAnyBytes;
-using skel::kAnySource;
-using skel::kAnyTag;
 using skel::Op;
 using skel::OpKind;
 using skel::Skeleton;

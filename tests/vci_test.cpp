@@ -65,8 +65,8 @@ TEST(VciParams, ParseChannelCountOnly) {
   EXPECT_EQ(p.policy, VciPolicy::TagHash);
   EXPECT_TRUE(p.enabled());
   // A default size-class split is seeded so reports are size-resolved.
-  ASSERT_EQ(p.class_bounds.size(), 1u);
-  EXPECT_EQ(p.nclasses(), 2);
+  ASSERT_EQ(p.classes.bounds().size(), 1u);
+  EXPECT_EQ(p.classes.count(), 2);
 }
 
 TEST(VciParams, ParseEveryPolicy) {
@@ -99,9 +99,9 @@ TEST(VciParams, ParseRejectsMalformedSpecs) {
 TEST(VciParams, SizeClassMappingAndLabels) {
   VciParams p;
   ASSERT_TRUE(VciParams::parse("2", p));  // bound at 16 KiB
-  EXPECT_EQ(p.classOf(0), 0);
-  EXPECT_EQ(p.classOf(16 * 1024 - 1), 0);
-  EXPECT_EQ(p.classOf(16 * 1024), 1);
+  EXPECT_EQ(p.classes.classOf(0), 0);
+  EXPECT_EQ(p.classes.classOf(16 * 1024 - 1), 0);
+  EXPECT_EQ(p.classes.classOf(16 * 1024), 1);
 }
 
 TEST(VciParams, DisabledDefaults) {
@@ -226,7 +226,7 @@ std::string runPlan(const TrafficPlan& plan, int nranks,
   for (Rank r = 0; r < nranks; ++r) {
     const Nic& nic = fabric.nic(r);
     std::int64_t rank_bytes = 0;
-    for (const Nic::VciCounters& c : nic.vciCounters()) {
+    for (const overlap::VciChannelClass& c : nic.vciCounters()) {
       rank_bytes += c.bytes;
       posts += c.posts;
       deliveries += c.deliveries;
@@ -347,7 +347,7 @@ TEST(VciIncast, GoldenPerChannelReport) {
 overlap::VciStats sampleStats() {
   overlap::VciStats s;
   s.channels = 2;
-  s.class_bounds = {16384};
+  s.classes = overlap::SizeClasses::shortLong(16384);
   s.rows.resize(4);  // 2 channels x 2 classes
   for (std::size_t i = 0; i < s.rows.size(); ++i) {
     overlap::VciChannelClass& row = s.rows[i];
@@ -375,7 +375,7 @@ TEST(VciReport, SaveLoadRoundTripIsLossless) {
   std::istringstream is(first.str());
   ASSERT_TRUE(reloaded.load(is));
   EXPECT_EQ(reloaded.vci.channels, r.vci.channels);
-  EXPECT_EQ(reloaded.vci.class_bounds, r.vci.class_bounds);
+  EXPECT_EQ(reloaded.vci.classes, r.vci.classes);
   ASSERT_EQ(reloaded.vci.rows.size(), r.vci.rows.size());
   for (std::size_t i = 0; i < r.vci.rows.size(); ++i) {
     EXPECT_EQ(reloaded.vci.rows[i].posts, r.vci.rows[i].posts) << i;
@@ -385,6 +385,30 @@ TEST(VciReport, SaveLoadRoundTripIsLossless) {
   std::ostringstream second;
   reloaded.save(second);
   EXPECT_EQ(first.str(), second.str());
+}
+
+TEST(VciReport, LoadRejectsBoundsOutOfOrder) {
+  // Rows are filed by class index, so a `vci` line whose bounds are not
+  // ascending would put every row under another class.
+  overlap::Report r = incastReport(3);
+  r.vci.classes = overlap::SizeClasses::fromBounds({256, 8192});
+  r.vci.rows.resize(static_cast<std::size_t>(r.vci.channels) * 3);
+  std::ostringstream saved;
+  r.save(saved);
+  const std::string good = saved.str();
+  const std::string head = "vci " + std::to_string(r.vci.channels) + " 2 ";
+  const std::size_t at = good.find(head + "256 8192\n");
+  ASSERT_NE(at, std::string::npos) << good;
+  overlap::Report loaded;
+  std::istringstream ok(good);
+  ASSERT_TRUE(loaded.load(ok));
+  EXPECT_EQ(loaded.vci.classes.bounds(), (std::vector<Bytes>{256, 8192}));
+  for (const char* bounds : {"8192 256\n", "256 256\n"}) {
+    std::string bad = good;
+    bad.replace(at, head.size() + 9, head + bounds);
+    std::istringstream is(bad);
+    EXPECT_FALSE(loaded.load(is)) << bounds;
+  }
 }
 
 TEST(VciReport, MergeAddsMatchingShapes) {

@@ -78,7 +78,7 @@ constexpr util::Flag kFlags[] = {
     util::numberFlag("ns-per-flop", "X",
                      "compute time per flop in virtual ns (default 0.5)"),
     util::intFlag("eager", "BYTES",
-                  "sends up to BYTES never block in the deadlock search "
+                  "sends below BYTES never block in the deadlock search "
                   "(default 16384)",
                   0),
     util::textFlag("xfer-table", "FILE",

@@ -87,7 +87,7 @@ int cmdPredict(const std::vector<std::string>& inputs,
   *os << "  \"ovprof_predict_version\": 1,\n";
   *os << "  \"param_name\": \"" << util::jsonEscape(models.param_name)
       << "\",\n";
-  *os << "  \"at\": " << model::jsonNum(at) << ",\n";
+  *os << "  \"at\": " << util::jsonNum(at) << ",\n";
   *os << "  \"predictions\": [";
   for (std::size_t i = 0; i < models.metrics.size(); ++i) {
     const model::FittedMetric& m = models.metrics[i];
@@ -97,9 +97,9 @@ int cmdPredict(const std::vector<std::string>& inputs,
         << "\", \"class\": " << m.ref.size_class << ", \"metric\": \""
         << util::jsonEscape(m.ref.metric) << "\", \"model\": \""
         << util::jsonEscape(m.fit.model.describe())
-        << "\", \"value\": " << model::jsonNum(p.value)
-        << ", \"lo\": " << model::jsonNum(p.lo)
-        << ", \"hi\": " << model::jsonNum(p.hi) << "}";
+        << "\", \"value\": " << util::jsonNum(p.value)
+        << ", \"lo\": " << util::jsonNum(p.lo)
+        << ", \"hi\": " << util::jsonNum(p.hi) << "}";
   }
   *os << "\n  ]\n}\n";
   return 0;
@@ -132,22 +132,22 @@ int cmdEval(const std::vector<std::string>& inputs, const util::Flags& flags) {
   *os << "  \"ovprof_eval_version\": 1,\n";
   *os << "  \"param_name\": \"" << util::jsonEscape(models.param_name)
       << "\",\n";
-  *os << "  \"heldout_param\": " << model::jsonNum(heldout.param) << ",\n";
+  *os << "  \"heldout_param\": " << util::jsonNum(heldout.param) << ",\n";
   *os << "  \"mean_xfer_rel_tol\": "
-      << model::jsonNum(model::kMeanXferRelTol) << ",\n";
+      << util::jsonNum(model::kMeanXferRelTol) << ",\n";
   *os << "  \"bounds_abs_tol_pct\": "
-      << model::jsonNum(model::kBoundsAbsTolPct) << ",\n";
+      << util::jsonNum(model::kBoundsAbsTolPct) << ",\n";
   *os << "  \"ok\": " << (result.ok ? "true" : "false") << ",\n";
   *os << "  \"rows\": [";
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
     const model::EvalRow& r = result.rows[i];
     *os << (i == 0 ? "\n" : ",\n");
     *os << "    {\"metric\": \"" << util::jsonEscape(r.metric)
-        << "\", \"predicted\": " << model::jsonNum(r.predicted.value)
-        << ", \"lo\": " << model::jsonNum(r.predicted.lo)
-        << ", \"hi\": " << model::jsonNum(r.predicted.hi)
-        << ", \"measured\": " << model::jsonNum(r.measured)
-        << ", \"error\": " << model::jsonNum(r.error) << ", \"gated\": "
+        << "\", \"predicted\": " << util::jsonNum(r.predicted.value)
+        << ", \"lo\": " << util::jsonNum(r.predicted.lo)
+        << ", \"hi\": " << util::jsonNum(r.predicted.hi)
+        << ", \"measured\": " << util::jsonNum(r.measured)
+        << ", \"error\": " << util::jsonNum(r.error) << ", \"gated\": "
         << (r.gated ? "true" : "false") << ", \"pass\": "
         << (r.pass ? "true" : "false") << "}";
   }
@@ -162,8 +162,8 @@ void writeTotals(std::ostream& os, const char* key,
      << ", \"data_transfer_time\": " << t.accum.data_transfer_time
      << ", \"min_overlapped\": " << t.accum.min_overlapped
      << ", \"max_overlapped\": " << t.accum.max_overlapped
-     << ", \"min_pct\": " << model::jsonNum(t.accum.minPct())
-     << ", \"max_pct\": " << model::jsonNum(t.accum.maxPct())
+     << ", \"min_pct\": " << util::jsonNum(t.accum.minPct())
+     << ", \"max_pct\": " << util::jsonNum(t.accum.maxPct())
      << ", \"comm_time\": " << t.comm_time
      << ", \"comp_time\": " << t.comp_time << "}";
 }
@@ -194,8 +194,8 @@ int cmdWhatIf(const std::vector<std::string>& inputs,
   if (os == nullptr) return 2;
   *os << "{\n";
   *os << "  \"ovprof_whatif_version\": 2,\n";
-  *os << "  \"xfer_scale\": " << model::jsonNum(cfg.xfer_scale) << ",\n";
-  *os << "  \"bandwidth_scale\": " << model::jsonNum(cfg.bandwidth_scale)
+  *os << "  \"xfer_scale\": " << util::jsonNum(cfg.xfer_scale) << ",\n";
+  *os << "  \"bandwidth_scale\": " << util::jsonNum(cfg.bandwidth_scale)
       << ",\n";
   *os << "  \"latency_delta\": " << cfg.latency_delta << ",\n";
   writeTotals(*os, "baseline", result.baseline);

@@ -37,6 +37,7 @@
 #include "cluster/workload.hpp"
 #include "tool_main.hpp"
 #include "util/flags.hpp"
+#include "util/strings.hpp"
 
 using namespace ovp;
 
@@ -104,12 +105,6 @@ bool parseSynthSpec(const std::string& spec, int machine_ranks,
   return true;
 }
 
-void putDouble(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  os << buf;
-}
-
 /// Streams the per-job JSON summary from the agg file, one record resident
 /// at a time.
 bool writeJsonSummary(const std::string& agg_path,
@@ -150,8 +145,8 @@ bool writeJsonSummary(const std::string& agg_path,
     os << (first ? "\n" : ",\n");
     first = false;
     os << "    {\"id\": " << rec.spec.id << ", \"kernel\": \""
-       << rec.spec.kernel << "\", \"class\": \"" << rec.spec.klass
-       << "\", \"nranks\": " << rec.spec.nranks;
+       << util::jsonEscape(rec.spec.kernel) << "\", \"class\": \""
+       << rec.spec.klass << "\", \"nranks\": " << rec.spec.nranks;
     os << ", \"arrival_ns\": " << rec.spec.arrival
        << ", \"priority\": " << rec.spec.priority;
     os << ", \"start_ns\": " << rec.start << ", \"end_ns\": " << rec.end
@@ -164,16 +159,14 @@ bool writeJsonSummary(const std::string& agg_path,
     os << "]";
     os << ", \"data_transfer_ns\": "
        << rec.merged.whole.total.data_transfer_time;
-    os << ", \"max_overlap_pct\": ";
-    putDouble(os, rec.merged.whole.total.maxPct());
+    os << ", \"max_overlap_pct\": "
+       << util::jsonNum(rec.merged.whole.total.maxPct());
     os << ", \"link_wait_ns\": " << rec.link_wait;
     os << ", \"solo_ns\": " << rec.solo_duration;
-    os << ", \"slowdown\": ";
-    putDouble(os, rec.slowdown);
-    os << ", \"contention_share\": ";
-    putDouble(os, rec.contention_share);
-    os << ", \"overlap_delta_pct\": ";
-    putDouble(os, rec.overlap_delta_pct);
+    os << ", \"slowdown\": " << util::jsonNum(rec.slowdown);
+    os << ", \"contention_share\": " << util::jsonNum(rec.contention_share);
+    os << ", \"overlap_delta_pct\": "
+       << util::jsonNum(rec.overlap_delta_pct);
     os << "}";
     rec = cluster::JobRecord{};
   }

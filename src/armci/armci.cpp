@@ -4,8 +4,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "mpi/config.hpp"  // analyticTable
-
 namespace ovp::armci {
 
 namespace {
@@ -25,39 +23,19 @@ struct CtrlMsg {
 
 }  // namespace
 
-// RAII bracket stamping CALL_ENTER/CALL_EXIT (outermost level only).
-struct Armci::CallGuard {
-  explicit CallGuard(Armci& a) : a_(a) {
-    if (a_.monitor_) a_.ctx_.advance(a_.monitor_->callEnter(a_.ctx_.now()));
-    a_.ctx_.advance(kCallOverhead);
-  }
-  ~CallGuard() {
-    if (a_.monitor_) a_.ctx_.advance(a_.monitor_->callExit(a_.ctx_.now()));
-  }
-  Armci& a_;
-};
-
 Armci::Armci(sim::Context& ctx, net::Fabric& fabric, const ArmciConfig& cfg,
              std::shared_ptr<SharedBarrier> barrier)
-    : ctx_(ctx),
-      fabric_(fabric),
-      nic_(fabric.nic(ctx.rank())),
-      cfg_(cfg),
+    : LibraryCore(ctx, fabric, cfg, "armci", "ARMCI section end",
+                  kCallOverhead),
       barrier_(std::move(barrier)) {
-  if (cfg_.instrument) {
-    overlap::MonitorConfig mc = cfg_.monitor;
-    if (mc.table.empty()) mc.table = mpi::analyticTable(fabric_.params());
-    monitor_ = std::make_unique<overlap::Monitor>(std::move(mc), ctx_.rank());
-  }
+  createMonitor(ctx_.rank());
 }
 
 Armci::~Armci() = default;
 
 void Armci::stampBeginForOp(std::int64_t op_id, Bytes bytes) {
-  if (!monitor_ || bytes <= 0) return;
-  const auto [id, cost] = monitor_->xferBegin(ctx_.now(), bytes);
-  ctx_.advance(cost);
-  op_xfer_[op_id] = id;
+  const TransferId id = stampXferBegin(bytes);
+  if (id != kInvalidTransfer) op_xfer_[op_id] = id;
 }
 
 void Armci::registerWork(net::WorkId wid, std::int64_t op_id) {
@@ -76,72 +54,38 @@ void Armci::traceRma(trace::RecordKind kind, std::int64_t op_id, Rank target,
       trace_sink_->resolveSegment(target, remote, n);
   trace::Record rec;
   rec.kind = kind;
-  rec.rank = ctx_.rank();
   rec.peer = target;
-  rec.time = ctx_.now();
   rec.id = op_id;
   rec.bytes = n;
   rec.tag = ref.segment;
   rec.addr = ref.offset;
-  trace_sink_->push(ctx_.rank(), rec);
-  ctx_.advance(trace::kRecordCost);
+  pushRecord(rec);
 }
 
 void Armci::traceSync(trace::RecordKind kind, std::int64_t id, Rank peer) {
-  if (trace_sink_ == nullptr) return;
   trace::Record rec;
   rec.kind = kind;
-  rec.rank = ctx_.rank();
   rec.peer = peer;
-  rec.time = ctx_.now();
   rec.id = id;
-  trace_sink_->push(ctx_.rank(), rec);
-  ctx_.advance(trace::kRecordCost);
+  pushRecord(rec);
 }
 
-void Armci::progress() {
-  const net::FabricParams& p = fabric_.params();
-  // Batched CQ drain; see Mpi::progress for the order/cost argument.
-  std::vector<net::Completion> batch = std::move(drained_cq_);
-  batch.clear();
-  while (nic_.drainCompletions(batch) > 0) {
-    for (const net::Completion& c : batch) {
-      ctx_.advance(p.cq_poll_cost);
-      if (c.status != net::WorkStatus::Ok) {
-        throw std::runtime_error("armci: work request " +
-                                 std::to_string(c.id) +
-                                 " failed: NIC retry exhausted");
-      }
-      const auto wit = work_to_op_.find(c.id);
-      if (wit == work_to_op_.end()) continue;
-      const std::int64_t op = wit->second;
-      work_to_op_.erase(wit);
-      const auto pit = pending_.find(op);
-      assert(pit != pending_.end());
-      if (--pit->second.outstanding == 0) {
-        pending_.erase(pit);
-        const auto xit = op_xfer_.find(op);
-        if (xit != op_xfer_.end()) {
-          if (monitor_) {
-            ctx_.advance(monitor_->xferEnd(ctx_.now(), xit->second));
-          }
-          op_xfer_.erase(xit);
-        }
-        // Origin-side retirement: the settle point the race detector uses.
-        traceSync(trace::RecordKind::RmaComplete, op, -1);
-      }
-    }
-    batch.clear();
+void Armci::handleCompletion(const net::Completion& c) {
+  const auto wit = work_to_op_.find(c.id);
+  if (wit == work_to_op_.end()) return;
+  const std::int64_t op = wit->second;
+  work_to_op_.erase(wit);
+  const auto pit = pending_.find(op);
+  assert(pit != pending_.end());
+  if (--pit->second.outstanding > 0) return;
+  pending_.erase(pit);
+  const auto xit = op_xfer_.find(op);
+  if (xit != op_xfer_.end()) {
+    stampXferEnd(xit->second);
+    op_xfer_.erase(xit);
   }
-  drained_cq_ = std::move(batch);
-  // Receive-queue drain: the only two-sided traffic an ARMCI NIC sees is
-  // the library's own control channel (barrier tokens, reduction values).
-  net::Packet pkt;
-  while (nic_.pollRecv(pkt)) {
-    ctx_.advance(p.cq_poll_cost);
-    handleCtrl(pkt);
-  }
-  ctx_.advance(p.cq_poll_cost);
+  // Origin-side retirement: the settle point the race detector uses.
+  traceSync(trace::RecordKind::RmaComplete, op, -1);
 }
 
 void Armci::sendCtrl(Rank target, CtrlKind kind, std::int64_t epoch, int round,
@@ -162,7 +106,7 @@ void Armci::sendCtrl(Rank target, CtrlKind kind, std::int64_t epoch, int round,
   (void)nic_.postSend(target, std::move(pkt));
 }
 
-void Armci::handleCtrl(const net::Packet& pkt) {
+void Armci::handlePacket(net::Packet& pkt) {
   if (pkt.channel != kCtrlChannel) {
     throw std::logic_error("armci: unknown packet channel");
   }
@@ -177,14 +121,6 @@ void Armci::handleCtrl(const net::Packet& pkt) {
     case CtrlKind::ReduceResult:
       reduce_results_[msg.epoch] = msg.value;
       break;
-  }
-}
-
-void Armci::progressUntil(const std::function<bool()>& pred) {
-  progress();
-  while (!pred()) {
-    ctx_.sleep();
-    progress();
   }
 }
 
@@ -473,22 +409,6 @@ double Armci::allreduceSum(double value) {
   barrier();
   barrier();
   return result;
-}
-
-void Armci::sectionBegin(std::string_view name) {
-  if (checker_ != nullptr) checker_->onSectionBegin();
-  if (monitor_) ctx_.advance(monitor_->sectionBegin(ctx_.now(), name));
-}
-
-void Armci::sectionEnd() {
-  if (checker_ != nullptr) checker_->onSectionEnd("ARMCI section end");
-  if (monitor_) ctx_.advance(monitor_->sectionEnd(ctx_.now()));
-}
-
-const overlap::Report& Armci::finalizeReport() {
-  assert(monitor_ && "finalizeReport requires an instrumented run");
-  if (checker_ != nullptr) checker_->onFinalize("ARMCI_Finalize");
-  return monitor_->report(ctx_.now());
 }
 
 }  // namespace ovp::armci

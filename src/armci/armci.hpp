@@ -10,14 +10,14 @@
 // ARMCI_NbPut/NbGet and XFER_END at the completion detected inside
 // ARMCI_Wait, with arbitrary user computation in between.
 //
-// The same overlap::Monitor instruments this library, demonstrating the
-// framework's claim of working for both two-sided (MPI) and one-sided
-// (ARMCI) models, and the same job runner runs it: ArmciMachine is
-// mpi::BasicMachine over ArmciJob, which contributes only how a rank builds
-// its Armci, the job's SharedBarrier and the name ARMCI_Finalize.
+// The same library shell as MPI's (mpi::LibraryCore) instruments it,
+// demonstrating the framework's claim of working for both two-sided (MPI)
+// and one-sided (ARMCI) models, and the same job runner runs it:
+// ArmciMachine is mpi::BasicMachine over ArmciJob, which contributes only
+// how a rank builds its Armci, the job's SharedBarrier and the name
+// ARMCI_Finalize.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -26,11 +26,9 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/diagnostics.hpp"
-#include "analysis/usage_checker.hpp"
+#include "mpi/library.hpp"
 #include "mpi/machine.hpp"
 #include "net/nic.hpp"
-#include "overlap/monitor.hpp"
 #include "sim/engine.hpp"
 #include "trace/collector.hpp"
 #include "util/types.hpp"
@@ -51,12 +49,8 @@ class NbHandle {
 /// Fixed host cost of entering an ARMCI call.
 inline constexpr DurationNs kCallOverhead = 120;
 
-struct ArmciConfig {
-  bool instrument = true;
-  overlap::MonitorConfig monitor;
-  /// Attach the analysis layer per rank (see mpi::MpiConfig::verify).
-  bool verify = false;
-};
+/// ARMCI adds nothing to the shell's configuration.
+using ArmciConfig = mpi::LibraryConfig;
 
 /// Job-wide collective-memory registry shared by all ranks' Armci
 /// instances.  Barrier and reduction state is *not* here: those are
@@ -76,19 +70,18 @@ struct SharedBarrier {
 /// dissemination tokens and reduction value/result traffic).
 enum class CtrlKind : std::uint8_t { BarrierToken, ReduceValue, ReduceResult };
 
-/// Per-rank ARMCI library instance.
-class Armci {
+/// Per-rank ARMCI library instance.  With a trace sink installed
+/// (setTraceSink) it emits RMA_PUT/GET/ACC records at post time,
+/// RMA_COMPLETE at origin-side retirement, and FENCE/BARRIER records — the
+/// stream the offline happens-before analysis is built from.
+class Armci final : public mpi::LibraryCore<ArmciConfig> {
  public:
   Armci(sim::Context& ctx, net::Fabric& fabric, const ArmciConfig& cfg,
         std::shared_ptr<SharedBarrier> barrier = nullptr);
-  ~Armci();
-  Armci(const Armci&) = delete;
-  Armci& operator=(const Armci&) = delete;
+  ~Armci() override;
 
   [[nodiscard]] Rank rank() const { return ctx_.rank(); }
   [[nodiscard]] int size() const { return ctx_.worldSize(); }
-  [[nodiscard]] TimeNs now() const { return ctx_.now(); }
-  void compute(DurationNs d) { ctx_.compute(d); }
 
   // ---- one-sided data movement (contiguous) ----
   // `remote` addresses name memory in the target process; in this
@@ -151,45 +144,27 @@ class Armci {
   /// and independent of the engine's worker count.
   [[nodiscard]] double allreduceSum(double value);
 
-  // ---- instrumentation control ----
-  void sectionBegin(std::string_view name);
-  void sectionEnd();
-  [[nodiscard]] bool instrumented() const { return monitor_ != nullptr; }
-  const overlap::Report& finalizeReport();
-
-  /// Attaches a library-misuse checker (not owned; may be null).
-  void setUsageChecker(analysis::UsageChecker* checker) { checker_ = checker; }
-  /// Attaches the job's trace collector (not owned; may be null).  With a
-  /// sink installed the library emits RMA_PUT/GET/ACC records at post time,
-  /// RMA_COMPLETE at origin-side retirement, and FENCE/BARRIER records — the
-  /// stream the offline happens-before analysis is built from.
-  void setTraceSink(trace::Collector* sink) { trace_sink_ = sink; }
   /// Registers rank-local memory as a remote-access target so RMA records
   /// can name it as a stable (segment, offset) pair.  collectiveMalloc
   /// registers its slabs automatically; call this for plain heap memory
   /// peers will put/get/acc into.  No-op without a trace sink.
   void registerLocal(const void* base, Bytes bytes);
-  /// The per-process monitor (null when not instrumented); lets the
-  /// analysis layer attach a StreamVerifier as its event observer.
-  [[nodiscard]] overlap::Monitor* monitor() { return monitor_.get(); }
 
  private:
-  struct CallGuard;
-  friend struct CallGuard;
-
   struct PendingOp {
     int outstanding = 0;  // NIC work requests not yet completed
     Bytes bytes = 0;
   };
 
-  void progress();
-  void progressUntil(const std::function<bool()>& pred);
+  /// Retires the work request's op once its last request completed.
+  void handleCompletion(const net::Completion& c) override;
+  /// Receive-queue drain: the only two-sided traffic an ARMCI NIC sees is
+  /// the library's own control channel (barrier tokens, reduction values).
+  void handlePacket(net::Packet& pkt) override;
   /// Posts one control packet to `target`'s receive queue (dedicated
   /// channel; never stamps XFER events — control traffic is not user data).
   void sendCtrl(Rank target, CtrlKind kind, std::int64_t epoch, int round,
                 double value);
-  /// Dispatches one received control packet into the local buffers below.
-  void handleCtrl(const net::Packet& pkt);
   NbHandle postContig(bool is_put, const void* src, void* dst, Bytes n,
                       Rank target);
   NbHandle postStrided(bool is_put, const void* src, Bytes src_stride,
@@ -204,21 +179,10 @@ class Armci {
   /// Emits a non-access record (RmaComplete / Fence / Barrier).
   void traceSync(trace::RecordKind kind, std::int64_t id, Rank peer);
 
-  sim::Context& ctx_;
-  net::Fabric& fabric_;
-  net::Nic& nic_;
-  ArmciConfig cfg_;
-  std::unique_ptr<overlap::Monitor> monitor_;
-  analysis::UsageChecker* checker_ = nullptr;
-  trace::Collector* trace_sink_ = nullptr;
-
   std::unordered_map<std::int64_t, PendingOp> pending_;
   std::unordered_map<net::WorkId, std::int64_t> work_to_op_;
   std::unordered_map<std::int64_t, TransferId> op_xfer_;
   std::int64_t next_op_ = 1;
-
-  /// Scratch buffer for progress()'s batched CQ drain (kept for capacity).
-  std::vector<net::Completion> drained_cq_;
 
   std::shared_ptr<SharedBarrier> barrier_;
 

@@ -64,11 +64,8 @@ class Aggregator {
   [[nodiscard]] int bufferedRecords() const {
     return static_cast<int>(buffer_.size());
   }
-  /// Jobs currently accumulating (bounded by the scheduler's concurrency).
-  [[nodiscard]] int openJobs() const { return static_cast<int>(open_.size()); }
   /// High-water mark of simultaneously open jobs (memory-bound audit).
   [[nodiscard]] int peakOpenJobs() const { return peak_open_; }
-  [[nodiscard]] std::int64_t recordsFinalized() const { return finalized_; }
 
   /// Reads every record of an ovprof-agg-v1 stream; false on a version or
   /// format error.

@@ -49,7 +49,6 @@ class NodePool {
   void release(const Alloc& a);
 
   [[nodiscard]] int nodes() const { return static_cast<int>(used_.size()); }
-  [[nodiscard]] int ranksPerNode() const { return rpn_; }
   [[nodiscard]] bool exclusive() const { return exclusive_; }
   /// Scheduling capacity in allocation units: nodes when exclusive, slots
   /// when shared.
@@ -109,9 +108,6 @@ class Scheduler {
   }
   [[nodiscard]] int queuedCount() const {
     return static_cast<int>(queue_.size());
-  }
-  [[nodiscard]] int runningCount() const {
-    return static_cast<int>(running_.size());
   }
   [[nodiscard]] const NodePool& pool() const { return pool_; }
   /// Log of every head reservation granted (Backfill policy only).

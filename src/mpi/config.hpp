@@ -21,9 +21,8 @@
 #include <memory>
 #include <vector>
 
+#include "mpi/library.hpp"
 #include "mpi/protocol.hpp"
-#include "net/params.hpp"
-#include "overlap/monitor.hpp"
 #include "util/types.hpp"
 
 namespace ovp::mpi {
@@ -73,7 +72,7 @@ inline constexpr DurationNs kCallOverhead = 150;
 /// Host cost per byte of applying a reduction operator.
 inline constexpr double kReduceNsPerByte = 0.25;
 
-struct MpiConfig {
+struct MpiConfig : LibraryConfig {
   Preset preset = Preset::OpenMpiPipelined;
 
   /// Messages below this size use the eager protocol (sendsEagerly).
@@ -84,22 +83,6 @@ struct MpiConfig {
   /// larger fragments against proportionally larger NAS messages).
   Bytes frag_size = 32 * 1024;
 
-  /// Whether the overlap instrumentation framework is compiled in for this
-  /// run (Fig. 20 compares instrumented vs uninstrumented virtual times).
-  bool instrument = true;
-
-  /// Attach the analysis layer (StreamVerifier on the monitor's event
-  /// stream + UsageChecker on the library API) to every rank.  Costs host
-  /// time only, never virtual time; diagnostics are collected by Machine.
-  /// Enable from the command line with --ovprof-verify (see util/flags).
-  bool verify = false;
-
-  /// Monitor settings; `monitor.table` should be loaded from a calibration
-  /// file.  If left empty, Machine fills it analytically from the fabric
-  /// parameters at startup (the paper reads the perf_main table in
-  /// MPI_Init).
-  overlap::MonitorConfig monitor;
-
   /// Job-local rank namespace for multi-job cluster runs: group[i] is the
   /// global engine rank acting as this job's local rank i.  Application
   /// code, matching, statuses and reports all see local ranks; the mapping
@@ -107,11 +90,5 @@ struct MpiConfig {
   /// Null (the default) is the identity namespace of a whole-machine job.
   std::shared_ptr<const std::vector<Rank>> group;
 };
-
-/// Builds a transfer-time table from the analytic fabric model: the
-/// stand-in for the paper's a-priori perf_main measurement when no
-/// calibration file is supplied.
-[[nodiscard]] overlap::XferTimeTable analyticTable(
-    const net::FabricParams& params);
 
 }  // namespace ovp::mpi

@@ -6,14 +6,6 @@
 
 namespace ovp::mpi {
 
-overlap::XferTimeTable analyticTable(const net::FabricParams& params) {
-  overlap::XferTimeTable table;
-  for (Bytes size = 8; size <= 16 * 1024 * 1024; size *= 2) {
-    table.add(size, params.unloadedTransfer(size));
-  }
-  return table;
-}
-
 namespace {
 
 /// One NIC's per-(channel, size-class) rows in report form, with the LogGP

@@ -149,9 +149,9 @@ void BasicMachine<Job>::run(const std::function<void(Library&)>& rankMain) {
   if (cfg_.trace.enabled) {
     trace_ = std::make_shared<trace::Collector>(cfg_.trace, cfg_.nranks);
     // The analysis pass replays bounds with the table the rank monitors
-    // will use (the library fills an empty configured table the same way).
-    const overlap::XferTimeTable& table = Job::library(cfg_).monitor.table;
-    trace_->setTable(table.empty() ? analyticTable(cfg_.fabric) : table);
+    // will use.
+    trace_->setTable(
+        monitorTable(Job::library(cfg_).monitor.table, cfg_.fabric));
     tap = std::make_unique<trace::NetTap>(*trace_);
     fabric.setObserver(tap.get());
   }

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "trace/collector.hpp"
-
 namespace ovp::mpi {
 
 using net::Packet;
@@ -92,7 +90,7 @@ struct Mpi::UnexpectedMsg {
 };
 
 Mpi::Mpi(sim::Context& ctx, net::Fabric& fabric, const MpiConfig& cfg)
-    : ctx_(ctx), fabric_(fabric), nic_(fabric.nic(ctx.rank())), cfg_(cfg) {
+    : LibraryCore(ctx, fabric, cfg, "mpi", "MPI section end", kCallOverhead) {
   if (cfg_.group) {
     const std::vector<Rank>& g = *cfg_.group;
     lrank_ = -1;
@@ -110,11 +108,7 @@ Mpi::Mpi(sim::Context& ctx, net::Fabric& fabric, const MpiConfig& cfg)
     lrank_ = ctx_.rank();
     lsize_ = ctx_.worldSize();
   }
-  if (cfg_.instrument) {
-    overlap::MonitorConfig mc = cfg_.monitor;
-    if (mc.table.empty()) mc.table = analyticTable(fabric_.params());
-    monitor_ = std::make_unique<overlap::Monitor>(std::move(mc), lrank_);
-  }
+  createMonitor(lrank_);
   // A new library instance is a new process image: whatever a previous job
   // on this engine rank pinned is gone.  Starting cold also keeps cache
   // hits a function of the job's own buffer reuse, never of whether the
@@ -129,107 +123,21 @@ Mpi::~Mpi() = default;
 
 Rank Mpi::rank() const { return lrank_; }
 int Mpi::size() const { return lsize_; }
-TimeNs Mpi::now() const { return ctx_.now(); }
-
-void Mpi::compute(DurationNs d) { ctx_.compute(d); }
-
-// ---------------------------------------------------------------- stamps
-
-void Mpi::stampXferBegin(TransferId& id_out, Bytes size) {
-  if (size > 0 && hooks_.on_xfer_begin) hooks_.on_xfer_begin(ctx_.now(), size);
-  if (!monitor_ || size <= 0) {
-    id_out = kInvalidTransfer;
-    return;
-  }
-  const auto [id, cost] = monitor_->xferBegin(ctx_.now(), size);
-  id_out = id;
-  ctx_.advance(cost);
-}
-
-void Mpi::stampXferEnd(TransferId id) {
-  if (hooks_.on_xfer_end) hooks_.on_xfer_end(ctx_.now());
-  if (!monitor_ || id == kInvalidTransfer) return;
-  ctx_.advance(monitor_->xferEnd(ctx_.now(), id));
-}
-
-void Mpi::stampXferEndUnmatched(Bytes size) {
-  if (size > 0 && hooks_.on_xfer_end) hooks_.on_xfer_end(ctx_.now());
-  if (!monitor_ || size <= 0) return;
-  ctx_.advance(monitor_->xferEndUnmatched(ctx_.now(), size));
-}
-
-void Mpi::notifyMatch(Rank source, int tag, Bytes bytes) {
-  if (hooks_.on_match) hooks_.on_match(ctx_.now(), source, tag, bytes);
-  traceP2p(trace::RecordKind::Match, source, tag, bytes);
-}
-
-void Mpi::notifySendPost(Rank dst, int tag, Bytes bytes) {
-  if (hooks_.on_send_post) hooks_.on_send_post(ctx_.now(), dst, tag, bytes);
-  traceP2p(trace::RecordKind::SendPost, dst, tag, bytes);
-}
-
-void Mpi::notifyRecvPost(Rank source, int tag, Bytes bytes) {
-  if (hooks_.on_recv_post) hooks_.on_recv_post(ctx_.now(), source, tag, bytes);
-  traceP2p(trace::RecordKind::RecvPost, source, tag, bytes);
-}
 
 /// One matching-stream record, charged to the rank exactly where a real
 /// tool's callback would run.
 void Mpi::traceP2p(trace::RecordKind kind, Rank peer, int tag, Bytes bytes) {
-  if (trace_sink_ == nullptr) return;
   trace::Record rec;
   rec.kind = kind;
-  rec.rank = ctx_.rank();
   rec.peer = peer;
   rec.tag = tag;
-  rec.time = ctx_.now();
   rec.bytes = bytes;
-  trace_sink_->push(ctx_.rank(), rec);
-  ctx_.advance(trace::kRecordCost);
+  pushRecord(rec);
 }
 
-// -------------------------------------------------------------- progress
-
-void Mpi::progress() {
-  const net::FabricParams& p = fabric_.params();
-  // Batched CQ drain: one call moves the whole backlog, each entry is still
-  // charged its poll cost, and completions deposited while handling the
-  // batch (handlers advance virtual time) are picked up by the next drain —
-  // same FIFO handling order and virtual-time cost as polling one by one.
-  std::vector<net::Completion> batch = std::move(drained_cq_);
-  batch.clear();
-  while (nic_.drainCompletions(batch) > 0) {
-    for (const net::Completion& c : batch) {
-      ctx_.advance(p.cq_poll_cost);
-      handleCompletion(c);
-    }
-    batch.clear();
-  }
-  drained_cq_ = std::move(batch);
-  net::Packet pkt;
-  while (nic_.pollRecv(pkt)) {
-    ctx_.advance(p.cq_poll_cost);
-    handlePacket(std::move(pkt));
-  }
-  ctx_.advance(p.cq_poll_cost);  // the final, empty poll
-}
-
-void Mpi::progressUntil(const std::function<bool()>& pred) {
-  progress();
-  while (!pred()) {
-    ctx_.sleep();  // resumes on the next NIC deposit for this rank
-    progress();
-  }
-}
+// -------------------------------------------------------------- handlers
 
 void Mpi::handleCompletion(const net::Completion& c) {
-  if (c.status != net::WorkStatus::Ok) {
-    // Reliability-protocol retry exhaustion (fault model).  A real MPI on
-    // a broken fabric aborts the job; surface it as a hard error rather
-    // than hanging in progressUntil.
-    throw std::runtime_error("mpi: work request " + std::to_string(c.id) +
-                             " failed: NIC retry exhausted");
-  }
   const auto it = on_completion_.find(c.id);
   if (it == on_completion_.end()) return;  // e.g. control-packet send CQE
   auto callback = std::move(it->second);
@@ -237,7 +145,11 @@ void Mpi::handleCompletion(const net::Completion& c) {
   callback();
 }
 
-void Mpi::handlePacket(net::Packet pkt) {
+void Mpi::handlePacket(net::Packet& received) {
+  // Owned here, so the payload is freed when the handler returns, before
+  // the next poll charges its cost (and yields): where later buffers land
+  // in the heap is part of IS's output (ROADMAP item 1).
+  const net::Packet pkt = std::move(received);
   const wire::Header hdr = headerOf(pkt);
   switch (pkt.channel) {
     case wire::kEager: {
@@ -257,7 +169,7 @@ void Mpi::handlePacket(net::Packet pkt) {
         req->status = {hdr.src, hdr.tag, hdr.msg_bytes};
         req->complete = true;
         posted_recvs_.erase(it);
-        notifyMatch(hdr.src, hdr.tag, hdr.msg_bytes);
+        traceP2p(trace::RecordKind::Match, hdr.src, hdr.tag, hdr.msg_bytes);
         return;
       }
       UnexpectedMsg u;
@@ -316,7 +228,7 @@ void Mpi::handleRts(const net::Packet& pkt) {
       throw std::runtime_error("mpi: rendezvous message overflows recv buffer");
     }
     req->status = {hdr.src, hdr.tag, hdr.msg_bytes};
-    notifyMatch(hdr.src, hdr.tag, hdr.msg_bytes);
+    traceP2p(trace::RecordKind::Match, hdr.src, hdr.tag, hdr.msg_bytes);
     if (rendezvousStyle(cfg_.preset) != RendezvousStyle::Read) {
       // Copy out the first fragment that rode along with the RTS.
       const Bytes frag1 = hdr.frag_bytes;
@@ -337,7 +249,7 @@ void Mpi::handleRts(const net::Packet& pkt) {
       // The remaining bytes now move under sender control; stamp BEGIN so
       // interleaved computation on *this* side is credited if the FIN is
       // detected in a later call.
-      stampXferBegin(req->rest_xfer, rest);
+      req->rest_xfer = stampXferBegin(rest);
       req->recv_id = next_recv_id_++;
       req->phase = RequestState::Phase::AwaitFin;
       recvs_awaiting_fin_[req->recv_id] = req;
@@ -372,9 +284,7 @@ void Mpi::beginRdmaRead(const std::shared_ptr<RequestState>& req,
   // the sender's exposed buffer; the sender's host stays uninvolved.
   ctx_.advance(nic_.regCache().registerRegion(req->rbuf, rts.msg_bytes));
   ctx_.advance(fabric_.params().post_overhead);
-  TransferId xfer = kInvalidTransfer;
-  stampXferBegin(xfer, rts.msg_bytes);
-  req->xfer = xfer;
+  req->xfer = stampXferBegin(rts.msg_bytes);
   // Pin the message stream's (peer, tag) channel so the data leg cannot be
   // reordered against other streams on a multi-rail fabric.
   const net::WorkId wid = nic_.postRdmaRead(
@@ -421,8 +331,7 @@ void Mpi::sendFragments(const std::shared_ptr<RequestState>& req,
         reinterpret_cast<std::byte*>(ack.addr) + (offset - frag1);
     ctx_.advance(nic_.regCache().registerRegion(src_ptr, frag));
     ctx_.advance(p.post_overhead);
-    TransferId fx = kInvalidTransfer;
-    stampXferBegin(fx, frag);
+    const TransferId fx = stampXferBegin(frag);
     const bool last = offset + frag >= req->size;
     net::WorkId wid;
     if (last) {
@@ -464,7 +373,7 @@ void Mpi::startEagerSend(const std::shared_ptr<RequestState>& req) {
   // reusable, which is why eager sends "complete" at once.
   ctx_.advance(p.hostCopy(req->size));
   ctx_.advance(p.post_overhead);
-  stampXferBegin(req->xfer, req->size);
+  req->xfer = stampXferBegin(req->size);
   wire::Header hdr;
   hdr.src = rank();
   hdr.tag = req->tag;
@@ -499,7 +408,7 @@ void Mpi::startRendezvousSend(const std::shared_ptr<RequestState>& req,
     rts.frag_bytes = frag1;
     ctx_.advance(p.hostCopy(frag1));
     ctx_.advance(p.post_overhead);
-    stampXferBegin(req->xfer, frag1);
+    req->xfer = stampXferBegin(frag1);
     const net::WorkId wid = nic_.postSend(
         global(req->peer),
         makePacket(rank(), wire::kRts, rts, req->sbuf, frag1),
@@ -531,7 +440,7 @@ void Mpi::startRendezvousSend(const std::shared_ptr<RequestState>& req,
     // of the RTS — the library's closest approximation (paper Fig. 1).
     ctx_.advance(nic_.regCache().registerRegion(req->sbuf, req->size));
     ctx_.advance(p.post_overhead);
-    stampXferBegin(req->xfer, req->size);
+    req->xfer = stampXferBegin(req->size);
     rts.addr = reinterpret_cast<std::uintptr_t>(req->sbuf);
     (void)nic_.postSend(global(req->peer),
                         makePacket(rank(), wire::kRts, rts, nullptr, 0));
@@ -541,7 +450,7 @@ void Mpi::startRendezvousSend(const std::shared_ptr<RequestState>& req,
 
 void Mpi::startSend(const std::shared_ptr<RequestState>& req, bool sync) {
   req->seq = next_seq_++;
-  notifySendPost(req->peer, req->tag, req->size);
+  traceP2p(trace::RecordKind::SendPost, req->peer, req->tag, req->size);
   if (!sync && sendsEagerly(req->size, cfg_.eager_limit)) {
     startEagerSend(req);
   } else {
@@ -552,7 +461,7 @@ void Mpi::startSend(const std::shared_ptr<RequestState>& req, bool sync) {
 // --------------------------------------------------------------- receive
 
 void Mpi::matchReceive(const std::shared_ptr<RequestState>& req) {
-  notifyRecvPost(req->peer, req->tag, req->size);
+  traceP2p(trace::RecordKind::RecvPost, req->peer, req->tag, req->size);
   // First try the unexpected queue (FIFO), then post.
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
     if (!matches(req->peer, req->tag, it->hdr.src, it->hdr.tag)) continue;
@@ -562,7 +471,8 @@ void Mpi::matchReceive(const std::shared_ptr<RequestState>& req) {
       throw std::runtime_error("mpi: message overflows recv buffer");
     }
     req->status = {u.hdr.src, u.hdr.tag, u.hdr.msg_bytes};
-    notifyMatch(u.hdr.src, u.hdr.tag, u.hdr.msg_bytes);
+    traceP2p(trace::RecordKind::Match, u.hdr.src, u.hdr.tag,
+             u.hdr.msg_bytes);
     if (u.channel == wire::kEager) {
       ctx_.advance(fabric_.params().hostCopy(u.hdr.msg_bytes));
       std::memcpy(req->rbuf, u.data.data(),
@@ -587,7 +497,7 @@ void Mpi::matchReceive(const std::shared_ptr<RequestState>& req) {
       std::byte* rest_ptr = static_cast<std::byte*>(req->rbuf) + frag1;
       ctx_.advance(nic_.regCache().registerRegion(rest_ptr, rest));
       ctx_.advance(fabric_.params().post_overhead);
-      stampXferBegin(req->rest_xfer, rest);
+      req->rest_xfer = stampXferBegin(rest);
       req->recv_id = next_recv_id_++;
       req->phase = RequestState::Phase::AwaitFin;
       recvs_awaiting_fin_[req->recv_id] = req;
@@ -774,28 +684,6 @@ void Mpi::sendrecv(const void* sbuf, Bytes sn, Rank dst, int stag, void* rbuf,
   Request sr = isend(sbuf, sn, dst, stag);
   wait(sr);
   wait(rr, status);
-}
-
-// ----------------------------------------------------- instrumentation
-
-void Mpi::sectionBegin(std::string_view name) {
-  if (checker_ != nullptr) checker_->onSectionBegin();
-  if (monitor_) ctx_.advance(monitor_->sectionBegin(ctx_.now(), name));
-}
-
-void Mpi::sectionEnd() {
-  if (checker_ != nullptr) checker_->onSectionEnd("MPI section end");
-  if (monitor_) ctx_.advance(monitor_->sectionEnd(ctx_.now()));
-}
-
-void Mpi::setMonitorEnabled(bool on) {
-  if (monitor_) ctx_.advance(monitor_->setEnabled(ctx_.now(), on));
-}
-
-const overlap::Report& Mpi::finalizeReport() {
-  assert(monitor_ && "finalizeReport requires an instrumented run");
-  if (checker_ != nullptr) checker_->onFinalize("MPI_Finalize");
-  return monitor_->report(ctx_.now());
 }
 
 }  // namespace ovp::mpi

@@ -18,51 +18,40 @@
 //     itself with CALL_ENTER/CALL_EXIT; protocol code stamps
 //     XFER_BEGIN/XFER_END exactly where a real port would (post of a
 //     work request carrying user bytes / poll that detects its completion).
-//     The same points feed two optional observers: the application's
-//     PERUSE-style hooks (setHooks) and, in a traced job, the trace
-//     collector (setTraceSink), to which the library pushes its own
-//     send-post, recv-post and match records, as Armci does its RMA ones.
+//     How an event is stamped, charged and collected is the shell's
+//     (mpi/library.hpp), shared with Armci.  In a traced job the library
+//     also pushes its own send-post, recv-post and match records to the
+//     trace collector, as Armci does its RMA ones.
 #pragma once
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/usage_checker.hpp"
 #include "mpi/config.hpp"
-#include "mpi/hooks.hpp"
+#include "mpi/library.hpp"
 #include "mpi/types.hpp"
 #include "mpi/wire.hpp"
 #include "net/nic.hpp"
-#include "overlap/monitor.hpp"
 #include "sim/engine.hpp"
 #include "trace/record.hpp"
 #include "util/types.hpp"
-
-namespace ovp::trace {
-class Collector;
-}  // namespace ovp::trace
 
 namespace ovp::mpi {
 
 /// Internal per-operation state (definition in mpi.cpp).
 struct RequestState;
 
-class Mpi {
+class Mpi final : public LibraryCore<MpiConfig> {
  public:
   Mpi(sim::Context& ctx, net::Fabric& fabric, const MpiConfig& cfg);
-  ~Mpi();
-  Mpi(const Mpi&) = delete;
-  Mpi& operator=(const Mpi&) = delete;
+  ~Mpi() override;
 
   [[nodiscard]] Rank rank() const;
   [[nodiscard]] int size() const;
-  [[nodiscard]] TimeNs now() const;
-
-  /// Models user computation of duration d (not a library call).
-  void compute(DurationNs d);
 
   // ---- point-to-point ----
   void send(const void* buf, Bytes n, Rank dst, int tag);
@@ -104,36 +93,6 @@ class Mpi {
   void gather(const void* sbuf, void* rbuf, Bytes n, Rank root);
   void scatter(const void* sbuf, void* rbuf, Bytes n, Rank root);
 
-  // ---- instrumentation control (application-level, paper Sec. 2.3) ----
-  void sectionBegin(std::string_view name);
-  void sectionEnd();
-  void setMonitorEnabled(bool on);
-  [[nodiscard]] bool instrumented() const { return monitor_ != nullptr; }
-
-  /// Finalizes instrumentation and returns the per-process report.
-  /// Must only be called when instrumented; idempotent.
-  const overlap::Report& finalizeReport();
-
-  /// Registers PERUSE-style external callbacks (see mpi/hooks.hpp).
-  void setHooks(EventHooks hooks) { hooks_ = std::move(hooks); }
-
-  /// Attaches the job's trace collector (not owned; may be null).  With a
-  /// sink installed the library pushes SEND_POST, RECV_POST and MATCH
-  /// records — the cross-rank matching stream — and charges the per-record
-  /// cost, right after the application's hooks at the same points.
-  void setTraceSink(trace::Collector* sink) { trace_sink_ = sink; }
-
-  /// Attaches a library-misuse checker (not owned; may be null).  The
-  /// library notifies it of request lifecycle and section marker calls.
-  void setUsageChecker(analysis::UsageChecker* checker) { checker_ = checker; }
-
-  /// The per-process monitor (null when not instrumented).  Exposed so the
-  /// analysis layer can attach a StreamVerifier as its event observer.
-  [[nodiscard]] overlap::Monitor* monitor() { return monitor_.get(); }
-  [[nodiscard]] const overlap::Monitor* monitor() const {
-    return monitor_.get();
-  }
-
   /// Typed convenience wrappers.
   template <typename T>
   void sendT(const T* buf, int count, Rank dst, int tag) {
@@ -157,38 +116,9 @@ class Mpi {
   }
 
  private:
-  // RAII bracket for every public entry point: stamps CALL_ENTER/CALL_EXIT,
-  // fires the external hooks, and charges the per-call overhead.  Nesting
-  // is fine — the Monitor and the hooks act only at the outermost level.
-  struct CallGuard {
-    explicit CallGuard(Mpi& m) : m_(m) {
-      if (m_.hook_call_depth_++ == 0 && m_.hooks_.on_call_enter) {
-        m_.hooks_.on_call_enter(m_.ctx_.now());
-      }
-      if (m_.monitor_) m_.ctx_.advance(m_.monitor_->callEnter(m_.ctx_.now()));
-      m_.ctx_.advance(kCallOverhead);
-    }
-    ~CallGuard() {
-      if (m_.monitor_) m_.ctx_.advance(m_.monitor_->callExit(m_.ctx_.now()));
-      if (--m_.hook_call_depth_ == 0 && m_.hooks_.on_call_exit) {
-        m_.hooks_.on_call_exit(m_.ctx_.now());
-      }
-    }
-    CallGuard(const CallGuard&) = delete;
-    CallGuard& operator=(const CallGuard&) = delete;
-    Mpi& m_;
-  };
-  friend struct CallGuard;
-
-  /// One sweep of the progress engine: drains NIC completion and receive
-  /// queues, advancing protocol state; charges poll costs.
-  void progress();
-  void handleCompletion(const net::Completion& c);
-  void handlePacket(net::Packet pkt);
+  void handleCompletion(const net::Completion& c) override;
+  void handlePacket(net::Packet& received) override;
   void handleRts(const net::Packet& pkt);
-  /// Blocks until pred() is true, polling progress and sleeping between
-  /// NIC events.
-  void progressUntil(const std::function<bool()>& pred);
 
   // protocol steps
   void startSend(const std::shared_ptr<RequestState>& req, bool sync);
@@ -204,16 +134,8 @@ class Mpi {
   /// Consumes a completed request handle, telling the usage checker.
   void retire(Request& req);
 
-  // instrumentation helpers (no-ops when not instrumented)
-  void stampXferBegin(TransferId& id_out, Bytes size);
-  void stampXferEnd(TransferId id);
-  void stampXferEndUnmatched(Bytes size);
-
-  // matching-point notifications: the application hook, then the trace
-  // record (each a no-op when absent)
-  void notifyMatch(Rank source, int tag, Bytes bytes);
-  void notifySendPost(Rank dst, int tag, Bytes bytes);
-  void notifyRecvPost(Rank source, int tag, Bytes bytes);
+  /// One matching-stream record (SEND_POST, RECV_POST or MATCH); no-op
+  /// without a trace sink.
   void traceP2p(trace::RecordKind kind, Rank peer, int tag, Bytes bytes);
 
   /// Global engine rank acting as job-local rank `local` (identity without
@@ -222,17 +144,8 @@ class Mpi {
     return cfg_.group ? (*cfg_.group)[static_cast<std::size_t>(local)] : local;
   }
 
-  sim::Context& ctx_;
-  net::Fabric& fabric_;
-  net::Nic& nic_;
-  MpiConfig cfg_;
   Rank lrank_ = 0;  // this process's job-local rank
   int lsize_ = 0;   // job size (group size, or world size)
-  std::unique_ptr<overlap::Monitor> monitor_;
-  EventHooks hooks_;
-  analysis::UsageChecker* checker_ = nullptr;
-  trace::Collector* trace_sink_ = nullptr;
-  int hook_call_depth_ = 0;
 
   // Matching structures.
   struct UnexpectedMsg;
@@ -248,9 +161,6 @@ class Mpi {
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_recv_id_ = 1;
   std::uint64_t next_req_uid_ = 1;  // usage-checker request ids
-
-  /// Scratch buffer for progress()'s batched CQ drain (kept for capacity).
-  std::vector<net::Completion> drained_cq_;
 
   /// Persistent reduction scratch (grow-only).  Reduce/allreduce combine
   /// into these instead of per-call temporaries so the buffers keep one

@@ -38,15 +38,19 @@ NasResult cannotRun(std::string why) {
   return r;
 }
 
+void setLibraryConfig(mpi::LibraryConfig& lib, const NasParams& p) {
+  lib.instrument = p.instrument;
+  lib.verify = p.verify;
+  // Per-size-class breakdown like the paper's reports.
+  lib.monitor.classes = overlap::SizeClasses::shortLong(16 * 1024);
+}
+
 mpi::JobConfig makeJobConfig(const NasParams& p) {
   mpi::JobConfig cfg;
   cfg.nranks = p.nranks;
   cfg.fabric = p.fabric;
   cfg.mpi.preset = p.preset;
-  cfg.mpi.instrument = p.instrument;
-  cfg.mpi.verify = p.verify;
-  // Per-size-class breakdown like the paper's reports.
-  cfg.mpi.monitor.classes = overlap::SizeClasses::shortLong(16 * 1024);
+  setLibraryConfig(cfg.mpi, p);
   cfg.trace = p.trace;
   cfg.workers = p.workers;
   return cfg;

@@ -113,6 +113,9 @@ struct NasResult {
 /// The result of a kernel that cannot run at its parameters, and why.
 [[nodiscard]] NasResult cannotRun(std::string why);
 
+/// Sets the library settings every kernel's job shares, over MPI or ARMCI.
+void setLibraryConfig(mpi::LibraryConfig& lib, const NasParams& p);
+
 /// Builds the JobConfig shared by all kernels.
 [[nodiscard]] mpi::JobConfig makeJobConfig(const NasParams& p);
 

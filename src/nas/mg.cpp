@@ -587,9 +587,7 @@ NasResult runMg(const MgParams& params) {
     armci::ArmciJobConfig cfg;
     cfg.nranks = params.nranks;
     cfg.fabric = params.fabric;
-    cfg.armci.instrument = params.instrument;
-    cfg.armci.verify = params.verify;
-    cfg.armci.monitor.classes = overlap::SizeClasses::shortLong(16 * 1024);
+    setLibraryConfig(cfg.armci, params);
     cfg.trace = params.trace;
     cfg.workers = params.workers;
     armci::ArmciMachine machine(cfg);

@@ -478,15 +478,6 @@ bool Nic::pollCompletion(Completion& out) {
   return true;
 }
 
-bool Nic::pollCompletionOn(int vci, Completion& out) {
-  auto& q = cq_[static_cast<std::size_t>(vci)];
-  if (q.empty()) return false;
-  out = q.front().second;
-  q.pop_front();
-  --cq_size_;
-  return true;
-}
-
 std::size_t Nic::drainCompletions(std::vector<Completion>& out) {
   const std::size_t n = cq_size_;
   if (cq_.size() == 1) {
@@ -509,15 +500,6 @@ bool Nic::pollRecv(Packet& out) {
   }
   out = std::move(best->front().second);
   best->pop_front();
-  --rq_size_;
-  return true;
-}
-
-bool Nic::pollRecvOn(int vci, Packet& out) {
-  auto& q = rq_[static_cast<std::size_t>(vci)];
-  if (q.empty()) return false;
-  out = std::move(q.front().second);
-  q.pop_front();
   --rq_size_;
   return true;
 }

@@ -117,13 +117,6 @@ class Nic {
   /// Non-blocking receive-queue poll (all channels, deposit order).
   bool pollRecv(Packet& out);
 
-  /// Single-channel variants: poll only channel `vci`'s queues.
-  bool pollCompletionOn(int vci, Completion& out);
-  bool pollRecvOn(int vci, Packet& out);
-
-  [[nodiscard]] bool hasCompletion() const { return cq_size_ > 0; }
-  [[nodiscard]] bool hasRecv() const { return rq_size_ > 0; }
-
   /// Registration cache for this HCA.
   [[nodiscard]] RegistrationCache& regCache() { return reg_cache_; }
 

@@ -203,54 +203,68 @@ void Report::save(std::ostream& os) const {
   for (const SectionReport& s : sections) saveSection(os, s);
 }
 
-bool Report::load(std::istream& is) {
-  *this = Report{};
+namespace {
+
+/// readBounds' count for "the whole stream".
+constexpr std::size_t kAllBounds = static_cast<std::size_t>(-1);
+
+/// Reads `count` size-class upper bounds and accepts them only strictly
+/// ascending: rows are stored by class index, so bounds out of order would
+/// file every row under another class.
+bool readBounds(std::istream& is, std::size_t count, SizeClasses& out) {
+  std::vector<Bytes> bounds;
+  Bytes b = 0;
+  while (bounds.size() < count && is >> b) {
+    if (!bounds.empty() && b <= bounds.back()) return false;
+    bounds.push_back(b);
+  }
+  if (count == kAllBounds ? !is.eof() : bounds.size() != count) return false;
+  out = SizeClasses::fromBounds(std::move(bounds));
+  return true;
+}
+
+/// Parses what Report::save produced into the default-constructed `r`.
+bool parseReport(std::istream& is, Report& r) {
   std::string line, key;
   if (!std::getline(is, line) || util::trim(line) != "ovprof-report-v1") {
     return false;
   }
-  if (!(is >> key >> rank) || key != "rank") return false;
-  if (!(is >> key >> monitored_time) || key != "monitored_time") return false;
-  if (!(is >> key >> events_logged >> queue_drains) || key != "events") {
+  if (!(is >> key >> r.rank) || key != "rank") return false;
+  if (!(is >> key >> r.monitored_time) || key != "monitored_time") {
     return false;
   }
-  if (!(is >> key >> case_same_call >> case_split_call >>
-        case_inconclusive) ||
+  if (!(is >> key >> r.events_logged >> r.queue_drains) || key != "events") {
+    return false;
+  }
+  if (!(is >> key >> r.case_same_call >> r.case_split_call >>
+        r.case_inconclusive) ||
       key != "cases") {
     return false;
   }
   if (!(is >> key)) return false;
   if (key == "extrapolation") {
-    if (!(is >> xfer_below_range >> xfer_above_range)) return false;
+    if (!(is >> r.xfer_below_range >> r.xfer_above_range)) return false;
     if (!(is >> key)) return false;
   }
   if (key == "faults") {
-    if (!(is >> faults.attempts >> faults.drops >> faults.corrupt_drops >>
-          faults.duplicates >> faults.dup_discards >> faults.reorders >>
-          faults.retransmissions >> faults.timeouts >>
-          faults.retry_exhausted >> faults.acks_sent >>
-          faults.acks_dropped)) {
+    FaultStats& f = r.faults;
+    if (!(is >> f.attempts >> f.drops >> f.corrupt_drops >> f.duplicates >>
+          f.dup_discards >> f.reorders >> f.retransmissions >> f.timeouts >>
+          f.retry_exhausted >> f.acks_sent >> f.acks_dropped)) {
       return false;
     }
     if (!(is >> key)) return false;
   }
   if (key == "vci") {
+    VciStats& v = r.vci;
     std::size_t nbounds = 0;
-    if (!(is >> vci.channels >> nbounds)) return false;
-    if (vci.channels < 1 || nbounds > 64) return false;
-    std::vector<Bytes> bounds(nbounds);
-    for (std::size_t k = 0; k < nbounds; ++k) {
-      // Rows are stored by class index, so bounds out of order would file
-      // every row under another class: reject them.
-      if (!(is >> bounds[k]) || (k > 0 && bounds[k] <= bounds[k - 1])) {
-        return false;
-      }
-    }
-    vci.classes = SizeClasses::fromBounds(std::move(bounds));
+    if (!(is >> v.channels >> nbounds)) return false;
+    if (v.channels < 1 || nbounds > 64) return false;
+    if (!readBounds(is, nbounds, v.classes)) return false;
     // Counts read from the file are untrusted: rows and sections grow as
     // entries parse, so a huge count fails at the first missing entry.
-    const std::size_t nrows = static_cast<std::size_t>(vci.channels) *
-                              static_cast<std::size_t>(vci.classes.count());
+    const std::size_t nrows = static_cast<std::size_t>(v.channels) *
+                              static_cast<std::size_t>(v.classes.count());
     for (std::size_t k = 0; k < nrows; ++k) {
       VciChannelClass row;
       if (!(is >> key) || key != "vcirow") return false;
@@ -258,19 +272,14 @@ bool Report::load(std::istream& is) {
             row.o_recv >> row.gap >> row.link_wait >> row.incast_wait)) {
         return false;
       }
-      vci.rows.push_back(row);
+      v.rows.push_back(row);
     }
     if (!(is >> key)) return false;
   }
   if (key != "classes") return false;
   std::getline(is, line);
-  {
-    std::vector<Bytes> bounds;
-    std::istringstream fields(line);
-    Bytes b = 0;
-    while (fields >> b) bounds.push_back(b);
-    classes = SizeClasses::fromBounds(std::move(bounds));
-  }
+  std::istringstream fields(line);
+  if (!readBounds(fields, kAllBounds, r.classes)) return false;
   std::size_t nsections = 0;
   if (!(is >> key >> nsections) || key != "sections") return false;
   auto loadOne = [&](SectionReport& s) {
@@ -278,18 +287,24 @@ bool Report::load(std::istream& is) {
     if (!(is >> word) || word != "section.begin") return false;
     if (!(is >> s.name)) return false;
     if (s.name == "<unnamed>") s.name.clear();
-    return loadSection(is, s, classes.count());
+    return loadSection(is, s, r.classes.count());
   };
-  if (!loadOne(whole)) return false;
+  if (!loadOne(r.whole)) return false;
   for (std::size_t k = 0; k < nsections; ++k) {
     SectionReport s;
-    if (!loadOne(s)) {
-      *this = Report{};
-      return false;
-    }
-    sections.push_back(std::move(s));
+    if (!loadOne(s)) return false;
+    r.sections.push_back(std::move(s));
   }
   return true;
+}
+
+}  // namespace
+
+bool Report::load(std::istream& is) {
+  Report parsed;
+  const bool ok = parseReport(is, parsed);
+  *this = ok ? std::move(parsed) : Report{};
+  return ok;
 }
 
 bool Report::saveFile(const std::string& path) const {

@@ -142,7 +142,6 @@ class Engine {
   /// Requested worker count for subsequent runs.  Values <= 1, a zero
   /// lookahead, or fewer than 2 ranks all select sequential mode.
   void setWorkers(int workers) { workers_requested_ = workers; }
-  [[nodiscard]] int workersRequested() const { return workers_requested_; }
   /// Worker count actually used by the last run.
   [[nodiscard]] int workersUsed() const { return workers_used_; }
 
@@ -159,7 +158,6 @@ class Engine {
   /// ranks-per-node here when it attaches; 1 (the default) reproduces the
   /// unaligned partitioning bit-for-bit.
   void setPartitionAlign(int align) { part_align_ = align < 1 ? 1 : align; }
-  [[nodiscard]] int partitionAlign() const { return part_align_; }
 
   /// Virtual time at which the last run() finished (max over final events).
   [[nodiscard]] TimeNs finishTime() const { return finish_time_; }

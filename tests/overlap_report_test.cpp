@@ -85,6 +85,14 @@ TEST(ReportIo, LoadRejectsGarbage) {
   EXPECT_FALSE(r.load(bad2));
   std::stringstream empty;
   EXPECT_FALSE(r.load(empty));
+  std::stringstream saved;
+  sampleReport(0).save(saved);
+  std::string text = saved.str();
+  const std::string line = "classes 16384\n";
+  ASSERT_NE(text.find(line), std::string::npos);
+  text.replace(text.find(line), line.size(), "classes 16384 banana\n");
+  std::stringstream trailing(text);
+  EXPECT_FALSE(r.load(trailing));
 }
 
 TEST(ReportIo, LoadRejectsTruncatedSectionList) {
@@ -96,6 +104,44 @@ TEST(ReportIo, LoadRejectsTruncatedSectionList) {
   std::stringstream truncated(text);
   Report r;
   EXPECT_FALSE(r.load(truncated));
+}
+
+TEST(ReportIo, LoadFailureLeavesTheReportDefault) {
+  // Valid up to the vci line, whose bounds are out of order.
+  std::stringstream bad(
+      "ovprof-report-v1\nrank 7\nmonitored_time 123\nevents 4 5\n"
+      "cases 1 2 3\nvci 2 2 8192 256\n");
+  Report r = sampleReport(3);
+  EXPECT_FALSE(r.load(bad));
+  const Report fresh;
+  EXPECT_EQ(r.rank, fresh.rank);
+  EXPECT_EQ(r.monitored_time, fresh.monitored_time);
+  EXPECT_EQ(r.events_logged, fresh.events_logged);
+  EXPECT_EQ(r.case_same_call, fresh.case_same_call);
+  EXPECT_EQ(r.vci.channels, fresh.vci.channels);
+  EXPECT_EQ(r.classes.count(), fresh.classes.count());
+  EXPECT_EQ(r.whole.calls, fresh.whole.calls);
+  EXPECT_TRUE(r.sections.empty());
+}
+
+TEST(ReportIo, LoadRejectsClassBoundsOutOfOrder) {
+  Report original = sampleReport(0);
+  original.classes = SizeClasses::fromBounds({1024, 65536});
+  original.whole.by_class.resize(3);
+  original.sections[0].by_class.resize(3);
+  std::stringstream ss;
+  original.save(ss);
+  std::string text = ss.str();
+  const std::string line = "classes 1024 65536\n";
+  const std::size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  std::stringstream as_saved(text);
+  Report loaded;
+  ASSERT_TRUE(loaded.load(as_saved));
+  text.replace(at, line.size(), "classes 65536 1024\n");
+  std::stringstream edited(text);
+  EXPECT_FALSE(loaded.load(edited))
+      << "rows are filed by class index; reordered bounds relabel them";
 }
 
 TEST(ReportIo, FileRoundTrip) {

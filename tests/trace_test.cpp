@@ -1,7 +1,8 @@
 // Tests for src/trace/: ring drop accounting, golden Chrome-JSON/CSV
 // exports, JSON well-formedness, exact window/report reconciliation,
 // bit-identical reruns, the CSV reader's rank/peer/time validation, round
-// trip and mutation fuzz, cross-rank matching and the critical path, and the
+// trip and mutation fuzz, cross-rank matching and the critical path, the
+// library's CALL and MATCH records as an outside tool sees them, and the
 // --ovprof-* flag validation that fronts it all.
 //
 // To regenerate the golden exports after an intentional format change:
@@ -789,6 +790,116 @@ TEST(TraceCollector, NicRecordsArePresent) {
   }
   EXPECT_GT(posts, 0);
   EXPECT_GT(completions, 0);
+}
+
+// ------------------------------------------------------------------ hooks
+// The library's own trace points as an outside tool sees them through the
+// sink: CALL records for the outermost call only, one MATCH per delivered
+// message however it arrived, and the matching stream even with the
+// framework compiled out.
+
+std::vector<trace::Record> recordsOfKind(const trace::Collector& tc, Rank r,
+                                         trace::RecordKind kind) {
+  std::vector<trace::Record> out;
+  for (std::size_t i = 0; i < tc.ring(r).size(); ++i) {
+    if (tc.ring(r).at(i).kind == kind) out.push_back(tc.ring(r).at(i));
+  }
+  return out;
+}
+
+mpi::JobConfig twoRankTraced() {
+  mpi::JobConfig cfg;
+  cfg.nranks = 2;
+  cfg.trace.enabled = true;
+  return cfg;
+}
+
+TEST(Hooks, CallBracketsBalanceAndCountOutermostOnly) {
+  // Collectives run over point-to-point; only the barrier itself counts.
+  mpi::Machine m(twoRankTraced());
+  m.run([](mpi::Mpi& mpi) {
+    mpi.barrier();
+    mpi.barrier();
+  });
+  const trace::Collector& tc = *m.traceCollector();
+  for (Rank r = 0; r < 2; ++r) {
+    EXPECT_EQ(recordsOfKind(tc, r, trace::RecordKind::CallEnter).size(), 2u)
+        << r;
+    EXPECT_EQ(recordsOfKind(tc, r, trace::RecordKind::CallExit).size(), 2u)
+        << r;
+  }
+}
+
+TEST(Hooks, ReceiverSeesMatch) {
+  mpi::Machine m(twoRankTraced());
+  m.run([](mpi::Mpi& mpi) {
+    int v = 5;
+    if (mpi.rank() == 0) {
+      mpi.send(&v, sizeof v, 1, 42);
+    } else {
+      mpi.recv(&v, sizeof v, 0, 42);
+    }
+  });
+  const auto matches =
+      recordsOfKind(*m.traceCollector(), 1, trace::RecordKind::Match);
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].peer, 0);
+  EXPECT_EQ(matches[0].tag, 42);
+  EXPECT_EQ(matches[0].bytes, static_cast<Bytes>(sizeof(int)));
+}
+
+TEST(Hooks, MatchFiresForUnexpectedAndRendezvous) {
+  // A rendezvous message matched by a posted receive, then an eager one
+  // that lands unexpected and matches when its receive is posted.
+  mpi::JobConfig cfg = twoRankTraced();
+  cfg.mpi.preset = mpi::Preset::OpenMpiLeavePinned;
+  mpi::Machine m(cfg);
+  std::vector<std::uint8_t> big(300000);
+  m.run([&](mpi::Mpi& mpi) {
+    if (mpi.rank() == 0) {
+      mpi.send(big.data(), 300000, 1, 1);
+      const int v = 1;
+      mpi.send(&v, sizeof v, 1, 2);
+    } else {
+      mpi.recv(big.data(), 300000, 0, 1);
+      mpi.compute(usec(300));
+      int got = 0;
+      mpi.recv(&got, sizeof got, 0, 2);
+    }
+  });
+  const trace::Collector& tc = *m.traceCollector();
+  const auto matches = recordsOfKind(tc, 1, trace::RecordKind::Match);
+  ASSERT_EQ(matches.size(), 2u);
+  EXPECT_EQ(matches[0].peer, 0);
+  EXPECT_EQ(matches[0].tag, 1);
+  EXPECT_EQ(matches[0].bytes, 300000);
+  EXPECT_EQ(matches[1].peer, 0);
+  EXPECT_EQ(matches[1].tag, 2);
+  EXPECT_EQ(matches[1].bytes, static_cast<Bytes>(sizeof(int)));
+  const auto posts = recordsOfKind(tc, 1, trace::RecordKind::RecvPost);
+  ASSERT_EQ(posts.size(), 2u);
+  EXPECT_EQ(matches[1].time, posts[1].time + trace::kRecordCost)
+      << "the eager message was already queued when its receive was posted";
+}
+
+TEST(Hooks, WorkUninstrumented) {
+  // No monitor: no CALL records, but the matching stream is still pushed.
+  mpi::JobConfig cfg = twoRankTraced();
+  cfg.mpi.instrument = false;
+  mpi::Machine m(cfg);
+  m.run([](mpi::Mpi& mpi) {
+    int v = 1;
+    if (mpi.rank() == 0) {
+      mpi.send(&v, sizeof v, 1, 0);
+    } else {
+      mpi.recv(&v, sizeof v, 0, 0);
+    }
+  });
+  const trace::Collector& tc = *m.traceCollector();
+  EXPECT_TRUE(m.reports().empty());
+  EXPECT_TRUE(recordsOfKind(tc, 0, trace::RecordKind::CallEnter).empty());
+  EXPECT_EQ(recordsOfKind(tc, 0, trace::RecordKind::SendPost).size(), 1u);
+  EXPECT_EQ(recordsOfKind(tc, 1, trace::RecordKind::Match).size(), 1u);
 }
 
 }  // namespace

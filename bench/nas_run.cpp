@@ -213,16 +213,7 @@ int main(int argc, char** argv) {
     for (std::size_t w = 0; w < merged.size(); w += group) {
       trace::WindowStats ws;
       std::size_t hi = std::min(merged.size(), w + group);
-      for (std::size_t i = w; i < hi; ++i) {
-        const trace::WindowStats& m = merged[i];
-        ws.comm_time += m.comm_time;
-        ws.comp_time += m.comp_time;
-        ws.transfers += m.transfers;
-        ws.bytes += m.bytes;
-        ws.data_transfer_time += m.data_transfer_time;
-        ws.min_overlap += m.min_overlap;
-        ws.max_overlap += m.max_overlap;
-      }
+      for (std::size_t i = w; i < hi; ++i) ws += merged[i];
       const double xt = static_cast<double>(ws.data_transfer_time);
       std::string label = std::to_string(w);
       if (group > 1) label.append("-").append(std::to_string(hi - 1));

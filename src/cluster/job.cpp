@@ -76,9 +76,11 @@ bool JobRecord::load(std::istream& is) {
   }
   std::size_t nnodes = 0;
   if (!(is >> word) || word != "nodes" || !(is >> nnodes)) return false;
-  nodes.resize(nnodes);
+  // The count is untrusted: the list grows only as its entries parse.
   for (std::size_t i = 0; i < nnodes; ++i) {
-    if (!(is >> nodes[i])) return false;
+    int nd = 0;
+    if (!(is >> nd)) return false;
+    nodes.push_back(nd);
   }
   if (!(is >> word) || word != "report.begin") return false;
   is >> std::ws;

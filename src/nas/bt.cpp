@@ -7,37 +7,38 @@
 #include <utility>
 #include <vector>
 
-#include "nas/class_tables.hpp"
+#include "nas/block2d.hpp"
 
 namespace ovp::nas {
 
 namespace {
 
-constexpr int kB = 5;           // block dimension
-constexpr int kBB = kB * kB;    // doubles per block
-
+using tables::kNcomp;
 using namespace tables::bt;  // NOLINT(google-build-using-namespace)
 
-using Block = std::array<double, kBB>;  // row-major 5x5
-using Vec5 = std::array<double, kB>;
+using Block = std::array<double, kNcomp * kNcomp>;  // row-major 5x5
+using Vec5 = std::array<double, kNcomp>;
 
 // y += M * x
 void matvecAcc(const Block& m, const Vec5& x, Vec5& y) {
-  for (int r = 0; r < kB; ++r) {
+  for (int r = 0; r < kNcomp; ++r) {
     double acc = 0;
-    for (int c = 0; c < kB; ++c) acc += m[static_cast<std::size_t>(r * kB + c)] * x[static_cast<std::size_t>(c)];
+    for (int c = 0; c < kNcomp; ++c) {
+      acc += m[static_cast<std::size_t>(r * kNcomp + c)] *
+             x[static_cast<std::size_t>(c)];
+    }
     y[static_cast<std::size_t>(r)] += acc;
   }
 }
 
 // C -= A * B
 void matmulSub(const Block& a, const Block& b, Block& c) {
-  for (int r = 0; r < kB; ++r) {
-    for (int k = 0; k < kB; ++k) {
-      const double ark = a[static_cast<std::size_t>(r * kB + k)];
-      for (int j = 0; j < kB; ++j) {
-        c[static_cast<std::size_t>(r * kB + j)] -=
-            ark * b[static_cast<std::size_t>(k * kB + j)];
+  for (int r = 0; r < kNcomp; ++r) {
+    for (int k = 0; k < kNcomp; ++k) {
+      const double ark = a[static_cast<std::size_t>(r * kNcomp + k)];
+      for (int j = 0; j < kNcomp; ++j) {
+        c[static_cast<std::size_t>(r * kNcomp + j)] -=
+            ark * b[static_cast<std::size_t>(k * kNcomp + j)];
       }
     }
   }
@@ -45,9 +46,12 @@ void matmulSub(const Block& a, const Block& b, Block& c) {
 
 // v -= A * w
 void matvecSub(const Block& a, const Vec5& w, Vec5& v) {
-  for (int r = 0; r < kB; ++r) {
+  for (int r = 0; r < kNcomp; ++r) {
     double acc = 0;
-    for (int c = 0; c < kB; ++c) acc += a[static_cast<std::size_t>(r * kB + c)] * w[static_cast<std::size_t>(c)];
+    for (int c = 0; c < kNcomp; ++c) {
+      acc += a[static_cast<std::size_t>(r * kNcomp + c)] *
+             w[static_cast<std::size_t>(c)];
+    }
     v[static_cast<std::size_t>(r)] -= acc;
   }
 }
@@ -55,42 +59,40 @@ void matvecSub(const Block& a, const Vec5& w, Vec5& v) {
 /// Solves M * [X | y] = [Rhs | r] in place via Gaussian elimination with
 /// partial pivoting: on return X (5x5) and y (5) hold the solutions.
 void blockSolve(Block m, Block& x, Vec5& y) {
-  std::array<int, kB> piv{};
-  for (int i = 0; i < kB; ++i) piv[static_cast<std::size_t>(i)] = i;
   // Augment implicitly: operate on m, x, y together.
-  for (int col = 0; col < kB; ++col) {
+  for (int col = 0; col < kNcomp; ++col) {
     int best = col;
-    for (int r = col + 1; r < kB; ++r) {
-      if (std::fabs(m[static_cast<std::size_t>(r * kB + col)]) >
-          std::fabs(m[static_cast<std::size_t>(best * kB + col)])) {
+    for (int r = col + 1; r < kNcomp; ++r) {
+      if (std::fabs(m[static_cast<std::size_t>(r * kNcomp + col)]) >
+          std::fabs(m[static_cast<std::size_t>(best * kNcomp + col)])) {
         best = r;
       }
     }
     if (best != col) {
-      for (int j = 0; j < kB; ++j) {
-        std::swap(m[static_cast<std::size_t>(col * kB + j)],
-                  m[static_cast<std::size_t>(best * kB + j)]);
-        std::swap(x[static_cast<std::size_t>(col * kB + j)],
-                  x[static_cast<std::size_t>(best * kB + j)]);
+      for (int j = 0; j < kNcomp; ++j) {
+        std::swap(m[static_cast<std::size_t>(col * kNcomp + j)],
+                  m[static_cast<std::size_t>(best * kNcomp + j)]);
+        std::swap(x[static_cast<std::size_t>(col * kNcomp + j)],
+                  x[static_cast<std::size_t>(best * kNcomp + j)]);
       }
       std::swap(y[static_cast<std::size_t>(col)],
                 y[static_cast<std::size_t>(best)]);
     }
-    const double inv = 1.0 / m[static_cast<std::size_t>(col * kB + col)];
-    for (int j = 0; j < kB; ++j) {
-      m[static_cast<std::size_t>(col * kB + j)] *= inv;
-      x[static_cast<std::size_t>(col * kB + j)] *= inv;
+    const double inv = 1.0 / m[static_cast<std::size_t>(col * kNcomp + col)];
+    for (int j = 0; j < kNcomp; ++j) {
+      m[static_cast<std::size_t>(col * kNcomp + j)] *= inv;
+      x[static_cast<std::size_t>(col * kNcomp + j)] *= inv;
     }
     y[static_cast<std::size_t>(col)] *= inv;
-    for (int r = 0; r < kB; ++r) {
+    for (int r = 0; r < kNcomp; ++r) {
       if (r == col) continue;
-      const double f = m[static_cast<std::size_t>(r * kB + col)];
+      const double f = m[static_cast<std::size_t>(r * kNcomp + col)];
       if (f == 0.0) continue;
-      for (int j = 0; j < kB; ++j) {
-        m[static_cast<std::size_t>(r * kB + j)] -=
-            f * m[static_cast<std::size_t>(col * kB + j)];
-        x[static_cast<std::size_t>(r * kB + j)] -=
-            f * x[static_cast<std::size_t>(col * kB + j)];
+      for (int j = 0; j < kNcomp; ++j) {
+        m[static_cast<std::size_t>(r * kNcomp + j)] -=
+            f * m[static_cast<std::size_t>(col * kNcomp + j)];
+        x[static_cast<std::size_t>(r * kNcomp + j)] -=
+            f * x[static_cast<std::size_t>(col * kNcomp + j)];
       }
       y[static_cast<std::size_t>(r)] -= f * y[static_cast<std::size_t>(col)];
     }
@@ -101,9 +103,9 @@ void blockSolve(Block m, Block& x, Vec5& y) {
 /// dense perturbation.
 Block offBlock() {
   Block b{};
-  for (int r = 0; r < kB; ++r) {
-    for (int c = 0; c < kB; ++c) {
-      b[static_cast<std::size_t>(r * kB + c)] =
+  for (int r = 0; r < kNcomp; ++r) {
+    for (int c = 0; c < kNcomp; ++c) {
+      b[static_cast<std::size_t>(r * kNcomp + c)] =
           (r == c ? -1.0 : 0.0) + 0.04 * std::sin(0.7 * r + 1.3 * c);
     }
   }
@@ -116,7 +118,7 @@ NasResult runBt(const NasParams& params) {
   const tables::GridSizes sz = sizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const Grid2D pg = factor2d(params.nranks);
-  if (std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
+  if (std::string why = Block2D::splitError(sz, pg, kFaces); !why.empty()) {
     return cannotRun(std::move(why));
   }
   mpi::Machine machine(makeJobConfig(params));
@@ -126,147 +128,61 @@ NasResult runBt(const NasParams& params) {
 
   machine.run([&](mpi::Mpi& mpi) {
     const Rank me = mpi.rank();
-    const int pi = static_cast<int>(me) % pg.px;
-    const int pj = static_cast<int>(me) / pg.px;
-    const Rank west = pi > 0 ? me - 1 : -1;
-    const Rank east = pi < pg.px - 1 ? me + 1 : -1;
-    const Rank north = pj > 0 ? me - pg.px : -1;
-    const Rank south = pj < pg.py - 1 ? me + pg.px : -1;
-    const int lnx = sz.nx / pg.px, lny = sz.ny / pg.py, nz = sz.nz;
-    const int x0 = pi * lnx, y0 = pj * lny;
+    const Block2D blk(sz, pg, kFaces, me);
+    const int lnx = blk.lnx, lny = blk.lny, nz = blk.nz;
     const CostModel& cost = params.cost;
     const Block kOff = offBlock();
 
-    const int gx = lnx + 2, gy = lny + 2;
-    auto uidx = [&](int i, int j, int k, int c) {
-      return ((static_cast<std::size_t>(k) * gy +
-               static_cast<std::size_t>(j + 1)) *
-                  static_cast<std::size_t>(gx) +
-              static_cast<std::size_t>(i + 1)) *
-                 kB +
-             static_cast<std::size_t>(c);
-    };
-    std::vector<double> u(static_cast<std::size_t>(gx) * gy * nz * kB, 0.0);
+    std::vector<double> u(blk.size(), 0.0);
     std::vector<double> rhs(u.size(), 0.0);
     for (int k = 0; k < nz; ++k) {
       for (int j = 0; j < lny; ++j) {
         for (int i = 0; i < lnx; ++i) {
-          const int gi = x0 + i, gj = y0 + j;
-          for (int c = 0; c < kB; ++c) {
-            u[uidx(i, j, k, c)] = std::cos(0.2 * gi - 0.09 * c) *
-                                  std::sin(0.16 * gj + 0.05 * c) *
-                                  std::cos(0.12 * (k + 1));
+          const int gi = blk.x0 + i, gj = blk.y0 + j;
+          for (int c = 0; c < kNcomp; ++c) {
+            u[blk.at(i, j, k, c)] = std::cos(0.2 * gi - 0.09 * c) *
+                                    std::sin(0.16 * gj + 0.05 * c) *
+                                    std::cos(0.12 * (k + 1));
           }
         }
       }
     }
-    const std::int64_t block_pts = static_cast<std::int64_t>(lnx) * lny * nz;
-    mpi.compute(cost.flops(8LL * block_pts * kB));
+    const std::int64_t block_pts = blk.points();
+    mpi.compute(cost.flops(8LL * block_pts * kNcomp));
 
-    // ---------------- ghost-face exchange (single layer, 5 comps) -------
-    const int xface = lny * nz * kB;
-    const int yface = lnx * nz * kB;
-    std::vector<double> xw_o(static_cast<std::size_t>(xface)),
-        xw_i(static_cast<std::size_t>(xface)),
-        xe_o(static_cast<std::size_t>(xface)),
-        xe_i(static_cast<std::size_t>(xface)),
-        yn_o(static_cast<std::size_t>(yface)),
-        yn_i(static_cast<std::size_t>(yface)),
-        ys_o(static_cast<std::size_t>(yface)),
-        ys_i(static_cast<std::size_t>(yface));
-    auto copyFaces = [&] {
-      auto packX = [&](int i, std::vector<double>& b) {
-        std::size_t at = 0;
-        for (int k = 0; k < nz; ++k) {
-          for (int j = 0; j < lny; ++j) {
-            for (int c = 0; c < kB; ++c) b[at++] = u[uidx(i, j, k, c)];
-          }
-        }
-      };
-      auto unpackX = [&](int i, const std::vector<double>& b) {
-        std::size_t at = 0;
-        for (int k = 0; k < nz; ++k) {
-          for (int j = 0; j < lny; ++j) {
-            for (int c = 0; c < kB; ++c) u[uidx(i, j, k, c)] = b[at++];
-          }
-        }
-      };
-      auto packY = [&](int j, std::vector<double>& b) {
-        std::size_t at = 0;
-        for (int k = 0; k < nz; ++k) {
-          for (int i = 0; i < lnx; ++i) {
-            for (int c = 0; c < kB; ++c) b[at++] = u[uidx(i, j, k, c)];
-          }
-        }
-      };
-      auto unpackY = [&](int j, const std::vector<double>& b) {
-        std::size_t at = 0;
-        for (int k = 0; k < nz; ++k) {
-          for (int i = 0; i < lnx; ++i) {
-            for (int c = 0; c < kB; ++c) u[uidx(i, j, k, c)] = b[at++];
-          }
-        }
-      };
-      std::vector<mpi::Request> reqs;
-      if (west >= 0) reqs.push_back(mpi.irecvT(xw_i.data(), xface, west, kTagFace));
-      if (east >= 0) reqs.push_back(mpi.irecvT(xe_i.data(), xface, east, kTagFace));
-      if (north >= 0) reqs.push_back(mpi.irecvT(yn_i.data(), yface, north, kTagFace));
-      if (south >= 0) reqs.push_back(mpi.irecvT(ys_i.data(), yface, south, kTagFace));
-      if (west >= 0) {
-        packX(0, xw_o);
-        reqs.push_back(mpi.isendT(xw_o.data(), xface, west, kTagFace));
-      }
-      if (east >= 0) {
-        packX(lnx - 1, xe_o);
-        reqs.push_back(mpi.isendT(xe_o.data(), xface, east, kTagFace));
-      }
-      if (north >= 0) {
-        packY(0, yn_o);
-        reqs.push_back(mpi.isendT(yn_o.data(), yface, north, kTagFace));
-      }
-      if (south >= 0) {
-        packY(lny - 1, ys_o);
-        reqs.push_back(mpi.isendT(ys_o.data(), yface, south, kTagFace));
-      }
-      mpi.compute(cost.flops(2LL * (xface + yface)));
-      mpi.waitall(reqs.data(), static_cast<int>(reqs.size()));
-      if (west >= 0) unpackX(-1, xw_i);
-      if (east >= 0) unpackX(lnx, xe_i);
-      if (north >= 0) unpackY(-1, yn_i);
-      if (south >= 0) unpackY(lny, ys_i);
-      mpi.compute(cost.flops(2LL * (xface + yface)));
-    };
+    FaceExchange faces(blk);
 
     auto computeRhs = [&] {
       for (int k = 0; k < nz; ++k) {
         for (int j = 0; j < lny; ++j) {
           for (int i = 0; i < lnx; ++i) {
-            for (int c = 0; c < kB; ++c) {
+            for (int c = 0; c < kNcomp; ++c) {
               const double lap =
-                  u[uidx(i - 1, j, k, c)] + u[uidx(i + 1, j, k, c)] +
-                  u[uidx(i, j - 1, k, c)] + u[uidx(i, j + 1, k, c)] +
-                  (k > 0 ? u[uidx(i, j, k - 1, c)] : 0.0) +
-                  (k < nz - 1 ? u[uidx(i, j, k + 1, c)] : 0.0) -
-                  6.0 * u[uidx(i, j, k, c)];
-              rhs[uidx(i, j, k, c)] = 0.1 * lap;
+                  u[blk.at(i - 1, j, k, c)] + u[blk.at(i + 1, j, k, c)] +
+                  u[blk.at(i, j - 1, k, c)] + u[blk.at(i, j + 1, k, c)] +
+                  (k > 0 ? u[blk.at(i, j, k - 1, c)] : 0.0) +
+                  (k < nz - 1 ? u[blk.at(i, j, k + 1, c)] : 0.0) -
+                  6.0 * u[blk.at(i, j, k, c)];
+              rhs[blk.at(i, j, k, c)] = 0.1 * lap;
             }
           }
         }
       }
-      mpi.compute(cost.flops(10LL * block_pts * kB));
+      mpi.compute(cost.flops(10LL * block_pts * kNcomp));
     };
 
-    // Diagonal block at a grid point: 6I + data-dependent diagonal bump.
-    auto diagBlock = [&](int i, int j, int k) {
-      Block b{};
-      const double bump = 0.05 * std::sin(0.3 * u[uidx(i, j, k, 0)]);
-      for (int r = 0; r < kB; ++r) {
-        for (int c = 0; c < kB; ++c) {
-          b[static_cast<std::size_t>(r * kB + c)] =
+    // Diagonal block of the cell whose u starts at storage offset `cell`:
+    // 6I + data-dependent diagonal bump.
+    auto diagBlock = [&](std::size_t cell) {
+      Block m{};
+      const double bump = 0.05 * std::sin(0.3 * u[cell]);
+      for (int r = 0; r < kNcomp; ++r) {
+        for (int c = 0; c < kNcomp; ++c) {
+          m[static_cast<std::size_t>(r * kNcomp + c)] =
               (r == c ? 6.0 + bump : 0.02 * std::cos(0.9 * r - 0.4 * c));
         }
       }
-      return b;
+      return m;
     };
 
     // ---------------- distributed block-tridiagonal solve ---------------
@@ -290,7 +206,7 @@ NasResult runBt(const NasParams& params) {
       // The lhs block assembly — BT's overlap window (NPB BT computes its
       // lhs between posting receives and waiting).
       fillLhs(0, blines);
-      mpi.compute(cost.flops(40LL * blines * bn * kB));
+      mpi.compute(cost.flops(40LL * blines * bn * kNcomp));
       if (up >= 0) mpi.wait(r_fwd);
 
       for (int l = 0; l < blines; ++l) {
@@ -298,14 +214,14 @@ NasResult runBt(const NasParams& params) {
         Vec5 rhat_prev;
         const double* in =
             fwd_in.data() + static_cast<std::size_t>(l) * kFwdDoubles;
-        std::memcpy(chat_prev.data(), in, sizeof(double) * kBB);
-        std::memcpy(rhat_prev.data(), in + kBB, sizeof(double) * kB);
+        std::memcpy(chat_prev.data(), in, sizeof(Block));
+        std::memcpy(rhat_prev.data(), in + kNcomp * kNcomp, sizeof(Vec5));
         for (int i = 0; i < bn; ++i) {
           const std::size_t p =
               static_cast<std::size_t>(l) * bn + static_cast<std::size_t>(i);
           Block b = bdiag[p];
           Vec5 r;
-          std::memcpy(r.data(), &br[p * kB], sizeof(double) * kB);
+          std::memcpy(r.data(), &br[p * kNcomp], sizeof(Vec5));
           // Eliminate coupling to i-1: B' = B - A*Chat_{i-1},
           // r' = r - A*rhat_{i-1}.
           matmulSub(kOff, chat_prev, b);
@@ -313,17 +229,17 @@ NasResult runBt(const NasParams& params) {
           // Normalize: solve B' [Chat_i | rhat_i] = [C | r'].
           Block chat = kOff;  // C (upper coupling) is the same fixed block
           blockSolve(b, chat, r);
-          std::memcpy(&bchat[p * kBB], chat.data(), sizeof(double) * kBB);
-          std::memcpy(&br[p * kB], r.data(), sizeof(double) * kB);
+          std::memcpy(&bchat[p * kNcomp * kNcomp], chat.data(), sizeof(Block));
+          std::memcpy(&br[p * kNcomp], r.data(), sizeof(Vec5));
           chat_prev = chat;
           rhat_prev = r;
         }
         double* out =
             fwd_out.data() + static_cast<std::size_t>(l) * kFwdDoubles;
-        std::memcpy(out, chat_prev.data(), sizeof(double) * kBB);
-        std::memcpy(out + kBB, rhat_prev.data(), sizeof(double) * kB);
+        std::memcpy(out, chat_prev.data(), sizeof(Block));
+        std::memcpy(out + kNcomp * kNcomp, rhat_prev.data(), sizeof(Vec5));
       }
-      mpi.compute(cost.flops(120LL * blines * bn * kB));
+      mpi.compute(cost.flops(120LL * blines * bn * kNcomp));
       mpi::Request s_fwd;
       if (dn >= 0) {
         s_fwd = mpi.isendT(fwd_out.data(), blines * kFwdDoubles, dn, tag_fwd);
@@ -333,29 +249,29 @@ NasResult runBt(const NasParams& params) {
       if (dn >= 0) {
         r_bwd = mpi.irecvT(bwd_in.data(), blines * kBwdDoubles, dn, tag_bwd);
       }
-      mpi.compute(cost.flops(8LL * blines * bn * kB));  // bookkeeping window
+      mpi.compute(cost.flops(8LL * blines * bn * kNcomp));  // bookkeeping
       if (dn >= 0) mpi.wait(r_bwd);
       for (int l = 0; l < blines; ++l) {
         Vec5 xnext;
         std::memcpy(xnext.data(),
                     bwd_in.data() + static_cast<std::size_t>(l) * kBwdDoubles,
-                    sizeof(double) * kB);
+                    sizeof(Vec5));
         for (int i = bn - 1; i >= 0; --i) {
           const std::size_t p =
               static_cast<std::size_t>(l) * bn + static_cast<std::size_t>(i);
           Vec5 x;
-          std::memcpy(x.data(), &br[p * kB], sizeof(double) * kB);
+          std::memcpy(x.data(), &br[p * kNcomp], sizeof(Vec5));
           Block chat;
-          std::memcpy(chat.data(), &bchat[p * kBB], sizeof(double) * kBB);
+          std::memcpy(chat.data(), &bchat[p * kNcomp * kNcomp], sizeof(Block));
           matvecSub(chat, xnext, x);
-          std::memcpy(&br[p * kB], x.data(), sizeof(double) * kB);
+          std::memcpy(&br[p * kNcomp], x.data(), sizeof(Vec5));
           xnext = x;
         }
         std::memcpy(bwd_out.data() + static_cast<std::size_t>(l) * kBwdDoubles,
-                    &br[static_cast<std::size_t>(l) * bn * kB],
-                    sizeof(double) * kB);
+                    &br[static_cast<std::size_t>(l) * bn * kNcomp],
+                    sizeof(Vec5));
       }
-      mpi.compute(cost.flops(30LL * blines * bn * kB));
+      mpi.compute(cost.flops(30LL * blines * bn * kNcomp));
       mpi::Request s_bwd;
       if (up >= 0) {
         s_bwd = mpi.isendT(bwd_out.data(), blines * kBwdDoubles, up, tag_bwd);
@@ -367,160 +283,97 @@ NasResult runBt(const NasParams& params) {
     auto resizeBatch = [&](int lines, int n) {
       blines = lines;
       bn = n;
-      br.assign(static_cast<std::size_t>(lines) * n * kB, 0.0);
-      bchat.assign(static_cast<std::size_t>(lines) * n * kBB, 0.0);
+      br.assign(static_cast<std::size_t>(lines) * n * kNcomp, 0.0);
+      bchat.assign(static_cast<std::size_t>(lines) * n * kNcomp * kNcomp, 0.0);
       bdiag.assign(static_cast<std::size_t>(lines) * n, Block{});
     };
 
     double zline_residual = 0.0;
-    auto runDirection = [&](char dir) {
-      const bool isx = dir == 'x', isy = dir == 'y';
-      const int n = isx ? lnx : (isy ? lny : nz);
-      const int lines = isx ? lny * nz : (isy ? lnx * nz : lnx * lny);
-      resizeBatch(lines, n);
-      auto coords = [&](int l, int i, int& gi, int& gj, int& gk) {
-        if (isx) {
-          gk = l / lny;
-          gj = l % lny;
-          gi = i;
-        } else if (isy) {
-          gk = l / lnx;
-          gi = l % lnx;
-          gj = i;
-        } else {
-          gj = l / lnx;
-          gi = l % lnx;
-          gk = i;
-        }
-      };
-      for (int l = 0; l < lines; ++l) {
-        for (int i = 0; i < n; ++i) {
-          int gi, gj, gk;
-          coords(l, i, gi, gj, gk);
-          const std::size_t p =
-              static_cast<std::size_t>(l) * n + static_cast<std::size_t>(i);
-          for (int c = 0; c < kB; ++c) {
-            br[p * kB + c] = rhs[uidx(gi, gj, gk, c)];
-          }
-        }
-      }
-      mpi.compute(cost.flops(2LL * block_pts * kB));
+    auto runDirection = [&](Axis axis) {
+      const LineGeometry geo = blk.lines(axis);
+      const int n = geo.length;
+      resizeBatch(geo.count, n);
+      geo.forPoints(0, geo.count, [&](std::size_t p, std::size_t cell) {
+        for (int c = 0; c < kNcomp; ++c) br[p * kNcomp + c] = rhs[cell + c];
+      });
+      mpi.compute(cost.flops(2LL * block_pts * kNcomp));
+      // A plain loop, not forPoints: the std::function solveBatch takes
+      // allocates this lambda by its size, and BT's allocations must not
+      // move, since IS's virtual time depends on where malloc placed them
+      // when both run in one process.
       auto fill = [&](int l0, int l1) {
         for (int l = l0; l < l1; ++l) {
+          const std::size_t first = geo.first(l);
           for (int i = 0; i < n; ++i) {
-            int gi, gj, gk;
-            coords(l, i, gi, gj, gk);
             bdiag[static_cast<std::size_t>(l) * n +
-                  static_cast<std::size_t>(i)] = diagBlock(gi, gj, gk);
+                  static_cast<std::size_t>(i)] =
+                diagBlock(first + i * geo.step);
           }
         }
       };
-      if (isx) {
-        solveBatch(west, east, kTagFwdX, kTagBwdX, fill);
-      } else if (isy) {
-        solveBatch(north, south, kTagFwdY, kTagBwdY, fill);
-      } else {
-        solveBatch(-1, -1, 0, 0, fill);
+      // z lines have no neighbours, so their tags are never used.
+      const bool along_x = axis == Axis::X;
+      solveBatch(geo.up, geo.down, along_x ? kTagFwdX : kTagFwdY,
+                 along_x ? kTagBwdX : kTagBwdY, fill);
+      if (axis == Axis::Z) {
         // Verify line 0 of the local z solve exactly: |A x - r|_inf with
         // the original blocks (recomputed) and the original rhs values.
-        int gi, gj, gk;
         auto xs = [&](int i, int c) -> double {
           if (i < 0 || i >= n) return 0.0;
-          return br[(static_cast<std::size_t>(i)) * kB +
+          return br[(static_cast<std::size_t>(i)) * kNcomp +
                     static_cast<std::size_t>(c)];
         };
-        for (int i = 0; i < n; ++i) {
-          coords(0, i, gi, gj, gk);
+        geo.forPoints(0, 1, [&](std::size_t p, std::size_t cell) {
+          const int i = static_cast<int>(p);
           Vec5 ax{};
           Vec5 xm{}, xc{}, xp{};
-          for (int c = 0; c < kB; ++c) {
+          for (int c = 0; c < kNcomp; ++c) {
             xm[static_cast<std::size_t>(c)] = xs(i - 1, c);
             xc[static_cast<std::size_t>(c)] = xs(i, c);
             xp[static_cast<std::size_t>(c)] = xs(i + 1, c);
           }
           matvecAcc(kOff, xm, ax);
-          matvecAcc(diagBlock(gi, gj, gk), xc, ax);
+          matvecAcc(diagBlock(cell), xc, ax);
           matvecAcc(kOff, xp, ax);
-          for (int c = 0; c < kB; ++c) {
+          for (int c = 0; c < kNcomp; ++c) {
             zline_residual =
                 std::max(zline_residual,
                          std::fabs(ax[static_cast<std::size_t>(c)] -
-                                   rhs[uidx(gi, gj, gk, c)]));
+                                   rhs[cell + c]));
           }
-        }
+        });
       }
       // For x and y the solve overwrites rhs right away; for z we must
       // keep rhs intact until the verification above has used it.
-      for (int l = 0; l < lines; ++l) {
-        for (int i = 0; i < n; ++i) {
-          int gi, gj, gk;
-          coords(l, i, gi, gj, gk);
-          const std::size_t p =
-              static_cast<std::size_t>(l) * n + static_cast<std::size_t>(i);
-          for (int c = 0; c < kB; ++c) {
-            rhs[uidx(gi, gj, gk, c)] = br[p * kB + c];
-          }
-        }
-      }
-      mpi.compute(cost.flops(2LL * block_pts * kB));
-    };
-
-    auto normOf = [&](const std::vector<double>& v) {
-      double local = 0;
-      for (int k = 0; k < nz; ++k) {
-        for (int j = 0; j < lny; ++j) {
-          for (int i = 0; i < lnx; ++i) {
-            for (int c = 0; c < kB; ++c) {
-              const double x = v[uidx(i, j, k, c)];
-              local += x * x;
-            }
-          }
-        }
-      }
-      mpi.compute(cost.flops(2LL * block_pts * kB));
-      double global = 0;
-      mpi.allreduce(&local, &global, 1, mpi::Op::Sum);
-      return std::sqrt(global);
+      geo.forPoints(0, geo.count, [&](std::size_t p, std::size_t cell) {
+        for (int c = 0; c < kNcomp; ++c) rhs[cell + c] = br[p * kNcomp + c];
+      });
+      mpi.compute(cost.flops(2LL * block_pts * kNcomp));
     };
 
     for (int step = 0; step < niter; ++step) {
-      copyFaces();
+      faces.run(mpi, u, cost);
       computeRhs();
-      const double pre = normOf(rhs);
-      runDirection('x');
-      runDirection('y');
-      runDirection('z');
-      const double post = normOf(rhs);
+      const double pre = blockNorm(mpi, blk, rhs, cost);
+      runDirection(Axis::X);
+      runDirection(Axis::Y);
+      runDirection(Axis::Z);
+      const double post = blockNorm(mpi, blk, rhs, cost);
       if (me == 0) {
         if (!(post < pre * 1.001) || !std::isfinite(post)) verified = false;
         if (zline_residual > 1e-9) verified = false;
       }
-      for (int k = 0; k < nz; ++k) {
-        for (int j = 0; j < lny; ++j) {
-          for (int i = 0; i < lnx; ++i) {
-            for (int c = 0; c < kB; ++c) {
-              u[uidx(i, j, k, c)] += rhs[uidx(i, j, k, c)];
-            }
-          }
-        }
-      }
-      mpi.compute(cost.flops(block_pts * kB));
+      blk.forInterior([&](std::size_t p) { u[p] += rhs[p]; });
+      mpi.compute(cost.flops(block_pts * kNcomp));
     }
-    const double final_norm = normOf(u);
+    const double final_norm = blockNorm(mpi, blk, u, cost);
     if (me == 0) {
       checksum_out = final_norm;
       if (!std::isfinite(final_norm)) verified = false;
     }
   });
 
-  NasResult out;
-  out.checksum = checksum_out;
-  out.verified = verified;
-  out.time = machine.finishTime();
-  out.reports = machine.reports();
-  out.diagnostics = machine.diagnostics();
-  out.trace = machine.traceCollector();
-  return out;
+  return nasResult(machine, checksum_out, verified);
 }
 
 }  // namespace ovp::nas

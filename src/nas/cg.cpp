@@ -209,14 +209,7 @@ NasResult runCg(const NasParams& params) {
     }
   });
 
-  NasResult res;
-  res.checksum = zeta_out;
-  res.verified = verified;
-  res.time = machine.finishTime();
-  res.reports = machine.reports();
-  res.diagnostics = machine.diagnostics();
-  res.trace = machine.traceCollector();
-  return res;
+  return nasResult(machine, zeta_out, verified);
 }
 
 }  // namespace ovp::nas

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "nas/common.hpp"
 
@@ -88,23 +87,24 @@ struct MgSizes {
 inline constexpr int kMgTagExch = 500;  // + level*8 + dir
 inline constexpr int kMgCoarseSweeps = 4;
 
-// ---- LU, SP, BT (2-D process grid over nx x ny, nz planes) ----
+// ---- LU, SP, BT (2-D block decomposition of nx x ny, nz planes) ----
 struct GridSizes {
   int nx, ny, nz, niter;
 };
 /// Solution components per grid point, like NPB LU/SP/BT (BT's 5x5 block).
 inline constexpr int kNcomp = 5;
 
-/// LU, SP and BT give each rank of the 2-D process grid `pg` an nx/px by
-/// ny/py block of every plane.  Returns why class grid `sz` does not split
-/// that way, or an empty string when it does.
-[[nodiscard]] inline std::string gridSplitError(const GridSizes& sz,
-                                                const Grid2D& pg) {
-  if (sz.nx % pg.px != 0 || sz.ny % pg.py != 0) {
-    return "grid is not divisible by the 2-D process grid";
-  }
-  return {};
-}
+/// How a kernel swaps ghost faces with its four neighbours (block2d.hpp):
+/// `ghost` planes deep on each side in x and y, west/east faces under
+/// `tag_x`, north/south faces under `tag_y`, and `pre_wait_flops` flops per
+/// face double charged between posting the exchange and waiting on it.
+/// Every kernel charges two flops per face double after the wait.
+struct FaceSpec {
+  int ghost;
+  int tag_x;
+  int tag_y;
+  int pre_wait_flops;
+};
 
 namespace lu {
 [[nodiscard]] constexpr GridSizes sizes(Class c) {
@@ -115,7 +115,9 @@ namespace lu {
   }
   return {16, 16, 8, 3};
 }
-inline constexpr int kTagFaceW = 200, kTagFaceN = 201;
+/// NPB LU's exchange_3: one ghost plane, a tag per axis.
+inline constexpr FaceSpec kFaces{/*ghost=*/1, /*tag_x=*/200, /*tag_y=*/201,
+                                 /*pre_wait_flops=*/4};
 inline constexpr int kTagSweepCol = 210;  // west->east boundary columns
 inline constexpr int kTagSweepRow = 211;  // north->south boundary rows
 inline constexpr int kTagBackCol = 212;   // east->west
@@ -136,7 +138,9 @@ namespace sp {
 /// Staging is what makes boundary messages arrive *during* the next
 /// stage's lhs computation — the overlap the code attempts.
 inline constexpr int kStages = 3;
-inline constexpr int kTagFace = 300;
+/// copy_faces: two ghost planes for the 4th-order dissipation stencil.
+inline constexpr FaceSpec kFaces{/*ghost=*/2, /*tag_x=*/300, /*tag_y=*/300,
+                                 /*pre_wait_flops=*/2};
 // Per-stage tags: the stage index is added to the base.
 inline constexpr int kTagFwdX = 310, kTagBwdX = 340;
 inline constexpr int kTagFwdY = 370, kTagBwdY = 400;
@@ -157,7 +161,8 @@ namespace bt {
   }
   return {24, 24, 12, 2};
 }
-inline constexpr int kTagFace = 400;
+inline constexpr FaceSpec kFaces{/*ghost=*/1, /*tag_x=*/400, /*tag_y=*/400,
+                                 /*pre_wait_flops=*/2};
 inline constexpr int kTagFwdX = 410, kTagBwdX = 411;
 inline constexpr int kTagFwdY = 412, kTagBwdY = 413;
 /// Line-boundary payloads: forward passes the normalized upper block Ĉ

@@ -113,6 +113,22 @@ struct NasResult {
 /// The result of a kernel that cannot run at its parameters, and why.
 [[nodiscard]] NasResult cannotRun(std::string why);
 
+/// The result of a kernel that ran on `machine`: its checksum and verdict,
+/// then the machine's finish time, reports, diagnostics and trace
+/// collector, copied in that order.
+template <class Job>
+[[nodiscard]] NasResult nasResult(const mpi::BasicMachine<Job>& machine,
+                                  double checksum, bool verified) {
+  NasResult out;
+  out.checksum = checksum;
+  out.verified = verified;
+  out.time = machine.finishTime();
+  out.reports = machine.reports();
+  out.diagnostics = machine.diagnostics();
+  out.trace = machine.traceCollector();
+  return out;
+}
+
 /// Sets the library settings every kernel's job shares, over MPI or ARMCI.
 void setLibraryConfig(mpi::LibraryConfig& lib, const NasParams& p);
 

@@ -119,14 +119,7 @@ NasResult runEp(const NasParams& params) {
     }
   });
 
-  NasResult out;
-  out.checksum = checksum;
-  out.verified = verified;
-  out.time = machine.finishTime();
-  out.reports = machine.reports();
-  out.diagnostics = machine.diagnostics();
-  out.trace = machine.traceCollector();
-  return out;
+  return nasResult(machine, checksum, verified);
 }
 
 }  // namespace ovp::nas

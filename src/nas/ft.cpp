@@ -261,14 +261,7 @@ NasResult runFt(const NasParams& params) {
     if (me == 0) checksum_out = checksum.real();
   });
 
-  NasResult res;
-  res.checksum = checksum_out;
-  res.verified = verified;
-  res.time = machine.finishTime();
-  res.reports = machine.reports();
-  res.diagnostics = machine.diagnostics();
-  res.trace = machine.traceCollector();
-  return res;
+  return nasResult(machine, checksum_out, verified);
 }
 
 }  // namespace ovp::nas

@@ -175,14 +175,7 @@ NasResult runIs(const NasParams& params) {
     if (me == 0) checksum = cs;
   });
 
-  NasResult out;
-  out.checksum = checksum;
-  out.verified = verified;
-  out.time = machine.finishTime();
-  out.reports = machine.reports();
-  out.diagnostics = machine.diagnostics();
-  out.trace = machine.traceCollector();
-  return out;
+  return nasResult(machine, checksum, verified);
 }
 
 }  // namespace ovp::nas

@@ -485,7 +485,6 @@ NasResult runMg(const MgParams& params) {
   };
   auto opposite = [](int dir) { return dir ^ 1; };
 
-  NasResult out;
   if (params.variant == MgVariant::MpiBlocking) {
     mpi::Machine machine(makeJobConfig(params));
     machine.run([&](mpi::Mpi& mpi) {
@@ -579,10 +578,7 @@ NasResult runMg(const MgParams& params) {
             return g;
           });
     });
-    out.time = machine.finishTime();
-    out.reports = machine.reports();
-    out.diagnostics = machine.diagnostics();
-    out.trace = machine.traceCollector();
+    return nasResult(machine, res_out, verified);
   } else {
     armci::ArmciJobConfig cfg;
     cfg.nranks = params.nranks;
@@ -683,15 +679,8 @@ NasResult runMg(const MgParams& params) {
           me, params.cost, [&](DurationNs d) { a.compute(d); }, begin, end,
           seq, [&](double local) { return a.allreduceSum(local); });
     });
-    out.time = machine.finishTime();
-    out.reports = machine.reports();
-    out.diagnostics = machine.diagnostics();
-    out.trace = machine.traceCollector();
+    return nasResult(machine, res_out, verified);
   }
-
-  out.checksum = res_out;
-  out.verified = verified;
-  return out;
 }
 
 }  // namespace ovp::nas

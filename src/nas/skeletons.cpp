@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "nas/class_tables.hpp"
+#include "nas/block2d.hpp"
 #include "nas/symbolic.hpp"
 #include "skeleton/builder.hpp"
 #include "skeleton/symbolic/builder.hpp"
@@ -35,21 +35,37 @@ SkeletonBuildResult finish(Builder&& b, const std::string& lowering) {
   return r;
 }
 
-/// The allreduce of one double LU, SP and BT take their norms with, as
-/// SymBuilder expands it, at call site `site`.  Built once per skeleton and
-/// lowered onto each rank at each call.
-skel::sym::SymSkeleton allreduceOfOne(const char* site) {
-  skel::sym::SymBuilder b(site);
-  b.site(site);
-  b.mpiAllreduce(skel::sym::cst(1));
-  return b.take();
-}
-
-/// Lowers `frag` onto rb's rank, keeping the first failure in `error`.
-void lowerOnto(const skel::sym::SymSkeleton& frag, RankBuilder& rb,
-               std::string& error) {
-  std::string why = skel::sym::lowerRank(frag, rb);
-  if (error.empty()) error = std::move(why);
+/// The frame of the unrolled LU, SP and BT builders.  Refuses a class grid
+/// that does not split into `faces`-deep blocks (failures start with
+/// "<kernel>: "), then calls body(rb, block, allreduce) for each rank,
+/// where allreduce() appends the allreduce of one double those kernels take
+/// their norms with: SymBuilder's expansion at site `norm_site`, built once
+/// and lowered onto rb's rank at each call.
+template <typename Body>
+SkeletonBuildResult buildBlocked(const std::string& kernel,
+                                 const tables::GridSizes& sz,
+                                 const tables::FaceSpec& faces,
+                                 const char* norm_site,
+                                 const SkeletonParams& p, Body body) {
+  const Grid2D pg = factor2d(p.nranks);
+  if (const std::string why = Block2D::splitError(sz, pg, faces);
+      !why.empty()) {
+    return fail(kernel + ": " + why);
+  }
+  skel::sym::SymBuilder sb(norm_site);
+  sb.site(norm_site);
+  sb.mpiAllreduce(skel::sym::cst(1));
+  const skel::sym::SymSkeleton allreduce = sb.take();
+  std::string error;  // the first lowering failure
+  Builder b(kernel, p.nranks);
+  for (Rank me = 0; me < p.nranks; ++me) {
+    RankBuilder& rb = b.rank(me);
+    body(rb, Block2D(sz, pg, faces, me), [&] {
+      std::string why = skel::sym::lowerRank(allreduce, rb);
+      if (error.empty()) error = std::move(why);
+    });
+  }
+  return finish(std::move(b), error);
 }
 
 /// cg, ep, ft, is, mg: the rank-symbolic template, instantiated at P.
@@ -71,51 +87,25 @@ SkeletonBuildResult buildLu(const SkeletonParams& p) {
   using namespace tables::lu;  // NOLINT(google-build-using-namespace)
   const tables::GridSizes sz = sizes(p.cls);
   const int niter = p.iterations > 0 ? p.iterations : sz.niter;
-  const int P = p.nranks;
-  const Grid2D pg = factor2d(P);
-  if (const std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
-    return fail("lu: " + why);
-  }
-  const skel::sym::SymSkeleton allreduce = allreduceOfOne("lu.residual");
-  std::string error;
-  Builder b("lu", P);
-  for (Rank me = 0; me < P; ++me) {
-    RankBuilder& rb = b.rank(me);
-    const int pi = static_cast<int>(me) % pg.px;
-    const int pj = static_cast<int>(me) / pg.px;
-    const Rank west = pi > 0 ? me - 1 : -1;
-    const Rank east = pi < pg.px - 1 ? me + 1 : -1;
-    const Rank north = pj > 0 ? me - pg.px : -1;
-    const Rank south = pj < pg.py - 1 ? me + pg.px : -1;
-    const int lnx = sz.nx / pg.px, lny = sz.ny / pg.py, nz = sz.nz;
-    const int fx = lny * nz * kNcomp, fy = lnx * nz * kNcomp;
+  return buildBlocked("lu", sz, kFaces, "lu.residual", p, [&](
+      RankBuilder& rb, const Block2D& blk, const auto& allreduce) {
+    const int lnx = blk.lnx, lny = blk.lny, nz = blk.nz;
     const int col = lny * kNcomp, row = lnx * kNcomp;
     auto exchangeFaces = [&] {
       rb.site("lu.exchange");
-      std::vector<int> reqs;
-      if (west >= 0) reqs.push_back(rb.irecv(west, kTagFaceW, fx * kD));
-      if (east >= 0) reqs.push_back(rb.irecv(east, kTagFaceW, fx * kD));
-      if (north >= 0) reqs.push_back(rb.irecv(north, kTagFaceN, fy * kD));
-      if (south >= 0) reqs.push_back(rb.irecv(south, kTagFaceN, fy * kD));
-      if (west >= 0) reqs.push_back(rb.isend(west, kTagFaceW, fx * kD));
-      if (east >= 0) reqs.push_back(rb.isend(east, kTagFaceW, fx * kD));
-      if (north >= 0) reqs.push_back(rb.isend(north, kTagFaceN, fy * kD));
-      if (south >= 0) reqs.push_back(rb.isend(south, kTagFaceN, fy * kD));
-      rb.compute(p.cost.flops(4LL * (fx + fy)));
-      rb.waitall(std::move(reqs));
-      rb.compute(p.cost.flops(2LL * (fx + fy)));
+      emitFaceExchange(rb, blk, p.cost);
     };
     auto residualNorm = [&] {
       rb.site("lu.residual");
       rb.compute(p.cost.flops(12LL * lnx * lny * nz * kNcomp));
-      lowerOnto(allreduce, rb, error);
+      allreduce();
     };
     auto sweep = [&](bool forward) {
       rb.site(forward ? "lu.sweep_fwd" : "lu.sweep_bwd");
-      const Rank up_x = forward ? west : east;
-      const Rank dn_x = forward ? east : west;
-      const Rank up_y = forward ? north : south;
-      const Rank dn_y = forward ? south : north;
+      const Rank up_x = forward ? blk.west : blk.east;
+      const Rank dn_x = forward ? blk.east : blk.west;
+      const Rank up_y = forward ? blk.north : blk.south;
+      const Rank dn_y = forward ? blk.south : blk.north;
       const int ctag = forward ? kTagSweepCol : kTagBackCol;
       const int rtag = forward ? kTagSweepRow : kTagBackRow;
       for (int k = 0; k < nz; ++k) {
@@ -136,8 +126,7 @@ SkeletonBuildResult buildLu(const SkeletonParams& p) {
       exchangeFaces();
       residualNorm();
     }
-  }
-  return finish(std::move(b), error);
+  });
 }
 
 // ---------------------------------------------------------------- SP ----
@@ -146,47 +135,19 @@ SkeletonBuildResult buildSp(const SkeletonParams& p) {
   using namespace tables::sp;  // NOLINT(google-build-using-namespace)
   const tables::GridSizes sz = sizes(p.cls);
   const int niter = p.iterations > 0 ? p.iterations : sz.niter;
-  const int P = p.nranks;
-  const Grid2D pg = factor2d(P);
-  if (const std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
-    return fail("sp: " + why);
-  }
-  const skel::sym::SymSkeleton allreduce = allreduceOfOne("sp.norm");
-  std::string error;
-  Builder b("sp", P);
-  for (Rank me = 0; me < P; ++me) {
-    RankBuilder& rb = b.rank(me);
-    const int pi = static_cast<int>(me) % pg.px;
-    const int pj = static_cast<int>(me) / pg.px;
-    const Rank west = pi > 0 ? me - 1 : -1;
-    const Rank east = pi < pg.px - 1 ? me + 1 : -1;
-    const Rank north = pj > 0 ? me - pg.px : -1;
-    const Rank south = pj < pg.py - 1 ? me + pg.px : -1;
-    const int lnx = sz.nx / pg.px, lny = sz.ny / pg.py, nz = sz.nz;
-    const std::int64_t bp = static_cast<std::int64_t>(lnx) * lny * nz;
-    const int xface = 2 * lny * nz * kNcomp;
-    const int yface = 2 * lnx * nz * kNcomp;
+  return buildBlocked("sp", sz, kFaces, "sp.norm", p, [&](
+      RankBuilder& rb, const Block2D& blk, const auto& allreduce) {
+    const std::int64_t bp = blk.points();
 
     auto copyFaces = [&] {
       rb.site("sp.copy_faces");
-      std::vector<int> reqs;
-      if (west >= 0) reqs.push_back(rb.irecv(west, kTagFace, xface * kD));
-      if (east >= 0) reqs.push_back(rb.irecv(east, kTagFace, xface * kD));
-      if (north >= 0) reqs.push_back(rb.irecv(north, kTagFace, yface * kD));
-      if (south >= 0) reqs.push_back(rb.irecv(south, kTagFace, yface * kD));
-      if (west >= 0) reqs.push_back(rb.isend(west, kTagFace, xface * kD));
-      if (east >= 0) reqs.push_back(rb.isend(east, kTagFace, xface * kD));
-      if (north >= 0) reqs.push_back(rb.isend(north, kTagFace, yface * kD));
-      if (south >= 0) reqs.push_back(rb.isend(south, kTagFace, yface * kD));
-      rb.compute(p.cost.flops(2LL * (xface + yface)));
-      rb.waitall(std::move(reqs));
-      rb.compute(p.cost.flops(2LL * (xface + yface)));
+      emitFaceExchange(rb, blk, p.cost);
     };
 
     auto normOf = [&] {
       rb.site("sp.norm");
       rb.compute(p.cost.flops(2 * bp * kNcomp));
-      lowerOnto(allreduce, rb, error);
+      allreduce();
     };
 
     // Mirrors runSp's stage-pipelined solveBatch in the unmodified kernel,
@@ -277,33 +238,34 @@ SkeletonBuildResult buildSp(const SkeletonParams& p) {
       if (up >= 0) rb.waitall(std::move(sb));
     };
 
-    auto directional = [&](const char* site, Rank up, Rank dn, int tf,
-                           int tb, int lines, int n) {
-      rb.site(site);
+    auto directional = [&](Axis axis) {
+      static const char* const kSites[] = {"sp.x_solve", "sp.y_solve",
+                                           "sp.z_solve"};
+      const LineGeometry geo = blk.lines(axis);
+      const bool along_x = axis == Axis::X;
+      rb.site(kSites[static_cast<int>(axis)]);
       rb.compute(p.cost.flops(2 * bp * kNcomp));
-      solveBatch(up, dn, tf, tb, lines, n);
+      solveBatch(geo.up, geo.down, along_x ? kTagFwdX : kTagFwdY,
+                 along_x ? kTagBwdX : kTagBwdY, geo.count, geo.length);
       rb.compute(p.cost.flops(2 * bp * kNcomp));
     };
 
     rb.site("sp.init");
-    rb.compute(p.cost.flops(8LL * lnx * lny * nz * kNcomp));
+    rb.compute(p.cost.flops(8 * bp * kNcomp));
     for (int step = 0; step < niter; ++step) {
       copyFaces();
       rb.site("sp.rhs");
       rb.compute(p.cost.flops(25 * bp * kNcomp));
       normOf();
-      directional("sp.x_solve", west, east, kTagFwdX, kTagBwdX,
-                  lny * nz, lnx);
-      directional("sp.y_solve", north, south, kTagFwdY, kTagBwdY,
-                  lnx * nz, lny);
-      directional("sp.z_solve", -1, -1, 0, 0, lnx * lny, nz);
+      directional(Axis::X);
+      directional(Axis::Y);
+      directional(Axis::Z);
       normOf();
       rb.site("sp.add");
       rb.compute(p.cost.flops(bp * kNcomp));
     }
     normOf();
-  }
-  return finish(std::move(b), error);
+  });
 }
 
 // ---------------------------------------------------------------- BT ----
@@ -312,47 +274,19 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
   using namespace tables::bt;  // NOLINT(google-build-using-namespace)
   const tables::GridSizes sz = sizes(p.cls);
   const int niter = p.iterations > 0 ? p.iterations : sz.niter;
-  const int P = p.nranks;
-  const Grid2D pg = factor2d(P);
-  if (const std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
-    return fail("bt: " + why);
-  }
-  const skel::sym::SymSkeleton allreduce = allreduceOfOne("bt.norm");
-  std::string error;
-  Builder b("bt", P);
-  for (Rank me = 0; me < P; ++me) {
-    RankBuilder& rb = b.rank(me);
-    const int pi = static_cast<int>(me) % pg.px;
-    const int pj = static_cast<int>(me) / pg.px;
-    const Rank west = pi > 0 ? me - 1 : -1;
-    const Rank east = pi < pg.px - 1 ? me + 1 : -1;
-    const Rank north = pj > 0 ? me - pg.px : -1;
-    const Rank south = pj < pg.py - 1 ? me + pg.px : -1;
-    const int lnx = sz.nx / pg.px, lny = sz.ny / pg.py, nz = sz.nz;
-    const std::int64_t bp = static_cast<std::int64_t>(lnx) * lny * nz;
-    const int xface = lny * nz * kNcomp;
-    const int yface = lnx * nz * kNcomp;
+  return buildBlocked("bt", sz, kFaces, "bt.norm", p, [&](
+      RankBuilder& rb, const Block2D& blk, const auto& allreduce) {
+    const std::int64_t bp = blk.points();
 
     auto copyFaces = [&] {
       rb.site("bt.copy_faces");
-      std::vector<int> reqs;
-      if (west >= 0) reqs.push_back(rb.irecv(west, kTagFace, xface * kD));
-      if (east >= 0) reqs.push_back(rb.irecv(east, kTagFace, xface * kD));
-      if (north >= 0) reqs.push_back(rb.irecv(north, kTagFace, yface * kD));
-      if (south >= 0) reqs.push_back(rb.irecv(south, kTagFace, yface * kD));
-      if (west >= 0) reqs.push_back(rb.isend(west, kTagFace, xface * kD));
-      if (east >= 0) reqs.push_back(rb.isend(east, kTagFace, xface * kD));
-      if (north >= 0) reqs.push_back(rb.isend(north, kTagFace, yface * kD));
-      if (south >= 0) reqs.push_back(rb.isend(south, kTagFace, yface * kD));
-      rb.compute(p.cost.flops(2LL * (xface + yface)));
-      rb.waitall(std::move(reqs));
-      rb.compute(p.cost.flops(2LL * (xface + yface)));
+      emitFaceExchange(rb, blk, p.cost);
     };
 
     auto normOf = [&] {
       rb.site("bt.norm");
       rb.compute(p.cost.flops(2 * bp * kNcomp));
-      lowerOnto(allreduce, rb, error);
+      allreduce();
     };
 
     auto solveBatch = [&](Rank up, Rank dn, int tag_fwd, int tag_bwd,
@@ -382,19 +316,15 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
       if (up >= 0) rb.wait(s_bwd);
     };
 
-    auto runDirection = [&](char dir) {
-      const bool isx = dir == 'x', isy = dir == 'y';
-      rb.site(isx ? "bt.x_solve" : (isy ? "bt.y_solve" : "bt.z_solve"));
-      const int n = isx ? lnx : (isy ? lny : nz);
-      const int lines = isx ? lny * nz : (isy ? lnx * nz : lnx * lny);
+    auto runDirection = [&](Axis axis) {
+      static const char* const kSites[] = {"bt.x_solve", "bt.y_solve",
+                                           "bt.z_solve"};
+      const LineGeometry geo = blk.lines(axis);
+      const bool along_x = axis == Axis::X;
+      rb.site(kSites[static_cast<int>(axis)]);
       rb.compute(p.cost.flops(2 * bp * kNcomp));
-      if (isx) {
-        solveBatch(west, east, kTagFwdX, kTagBwdX, lines, n);
-      } else if (isy) {
-        solveBatch(north, south, kTagFwdY, kTagBwdY, lines, n);
-      } else {
-        solveBatch(-1, -1, 0, 0, lines, n);
-      }
+      solveBatch(geo.up, geo.down, along_x ? kTagFwdX : kTagFwdY,
+                 along_x ? kTagBwdX : kTagBwdY, geo.count, geo.length);
       rb.compute(p.cost.flops(2 * bp * kNcomp));
     };
 
@@ -405,16 +335,15 @@ SkeletonBuildResult buildBt(const SkeletonParams& p) {
       rb.site("bt.rhs");
       rb.compute(p.cost.flops(10 * bp * kNcomp));
       normOf();
-      runDirection('x');
-      runDirection('y');
-      runDirection('z');
+      runDirection(Axis::X);
+      runDirection(Axis::Y);
+      runDirection(Axis::Z);
       normOf();
       rb.site("bt.add");
       rb.compute(p.cost.flops(bp * kNcomp));
     }
     normOf();
-  }
-  return finish(std::move(b), error);
+  });
 }
 
 }  // namespace

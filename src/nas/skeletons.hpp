@@ -10,9 +10,10 @@
 // are their rank-symbolic templates (symbolic.hpp) instantiated at
 // `nranks`; lu, sp and bt are unrolled per rank in skeletons.cpp, with
 // their allreduce lowered from SymBuilder's expansion.  Every builder reads
-// its kernel's class table and tags (class_tables.hpp); the per-kernel
-// conformance ctests (a traced run embedded into the skeleton's match
-// relation) keep the op sequences honest.  Iteration counts need not
+// its kernel's class table and tags (class_tables.hpp), and lu, sp and bt
+// also the 2-D block decomposition their kernels run on (block2d.hpp); the
+// per-kernel conformance ctests (a traced run embedded into the skeleton's
+// match relation) keep the op sequences honest.  Iteration counts need not
 // agree with a particular run — conformance checks edge-set admissibility,
 // not multiset equality — but peers/tags/bytes must.
 #pragma once

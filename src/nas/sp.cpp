@@ -1,12 +1,12 @@
 #include "nas/sp.hpp"
 
 #include <cmath>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "nas/class_tables.hpp"
+#include "nas/block2d.hpp"
 
 namespace ovp::nas {
 
@@ -27,8 +27,7 @@ constexpr double kOffB = -1.5;  // coupling to i-1 / i+1
 /// normalized upper coefficients.
 struct PentaBatch {
   int nlines = 0;
-  int n = 0;       // local points per line
-  int g0 = 0;      // global index of local point 0
+  int n = 0;  // local points per line
   std::vector<double> r, cdiag, dn, en;
 
   void resize(int lines, int pts) {
@@ -44,14 +43,13 @@ struct PentaBatch {
   }
 };
 
-
 }  // namespace
 
 NasResult runSp(const SpParams& params) {
   const tables::GridSizes sz = sizes(params.cls);
   const int niter = params.iterations > 0 ? params.iterations : sz.niter;
   const Grid2D pg = factor2d(params.nranks);
-  if (std::string why = tables::gridSplitError(sz, pg); !why.empty()) {
+  if (std::string why = Block2D::splitError(sz, pg, kFaces); !why.empty()) {
     return cannotRun(std::move(why));
   }
   mpi::Machine machine(makeJobConfig(params));
@@ -61,138 +59,32 @@ NasResult runSp(const SpParams& params) {
 
   machine.run([&](mpi::Mpi& mpi) {
     const Rank me = mpi.rank();
-    const int pi = static_cast<int>(me) % pg.px;
-    const int pj = static_cast<int>(me) / pg.px;
-    const Rank west = pi > 0 ? me - 1 : -1;
-    const Rank east = pi < pg.px - 1 ? me + 1 : -1;
-    const Rank north = pj > 0 ? me - pg.px : -1;
-    const Rank south = pj < pg.py - 1 ? me + pg.px : -1;
-    const int lnx = sz.nx / pg.px, lny = sz.ny / pg.py, nz = sz.nz;
-    const int x0 = pi * lnx, y0 = pj * lny;
+    const Block2D blk(sz, pg, kFaces, me);
+    const int lnx = blk.lnx, lny = blk.lny, nz = blk.nz;
     const CostModel& cost = params.cost;
 
     // u with two ghost layers in x and y (4th-order dissipation stencil).
-    const int gx = lnx + 4, gy = lny + 4;
-    auto uidx = [&](int i, int j, int k, int c) {
-      // i,j are local interior indices in [0,lnx)/[0,lny); ghosts at -2..-1
-      // and lnx..lnx+1 map via the +2 offset.
-      return ((static_cast<std::size_t>(k) * gy +
-               static_cast<std::size_t>(j + 2)) *
-                  static_cast<std::size_t>(gx) +
-              static_cast<std::size_t>(i + 2)) *
-                 kNcomp +
-             static_cast<std::size_t>(c);
-    };
-    std::vector<double> u(static_cast<std::size_t>(gx) * gy * nz * kNcomp,
-                          0.0);
+    std::vector<double> u(blk.size(), 0.0);
     std::vector<double> rhs(u.size(), 0.0);
     for (int k = 0; k < nz; ++k) {
       for (int j = 0; j < lny; ++j) {
         for (int i = 0; i < lnx; ++i) {
-          const int gi = x0 + i, gj = y0 + j;
+          const int gi = blk.x0 + i, gj = blk.y0 + j;
           for (int c = 0; c < kNcomp; ++c) {
-            u[uidx(i, j, k, c)] = std::sin(0.23 * gi + 0.11 * c) *
-                                  std::cos(0.19 * gj) *
-                                  std::sin(0.15 * (k + 1));
+            u[blk.at(i, j, k, c)] = std::sin(0.23 * gi + 0.11 * c) *
+                                    std::cos(0.19 * gj) *
+                                    std::sin(0.15 * (k + 1));
           }
         }
       }
     }
     mpi.compute(cost.flops(8LL * lnx * lny * nz * kNcomp));
 
-    const std::int64_t block_pts = static_cast<std::int64_t>(lnx) * lny * nz;
+    const std::int64_t block_pts = blk.points();
 
-    // ---------------- copy_faces: 2-layer ghost exchange of u -----------
-    const int xface = 2 * lny * nz * kNcomp;
-    const int yface = 2 * lnx * nz * kNcomp;
-    std::vector<double> xw_o(static_cast<std::size_t>(xface)),
-        xw_i(static_cast<std::size_t>(xface)),
-        xe_o(static_cast<std::size_t>(xface)),
-        xe_i(static_cast<std::size_t>(xface)),
-        yn_o(static_cast<std::size_t>(yface)),
-        yn_i(static_cast<std::size_t>(yface)),
-        ys_o(static_cast<std::size_t>(yface)),
-        ys_i(static_cast<std::size_t>(yface));
-    auto copyFaces = [&] {
-      auto packX = [&](int i_first, std::vector<double>& b) {
-        std::size_t at = 0;
-        for (int layer = 0; layer < 2; ++layer) {
-          for (int k = 0; k < nz; ++k) {
-            for (int j = 0; j < lny; ++j) {
-              for (int c = 0; c < kNcomp; ++c) {
-                b[at++] = u[uidx(i_first + layer, j, k, c)];
-              }
-            }
-          }
-        }
-      };
-      auto unpackX = [&](int i_first, const std::vector<double>& b) {
-        std::size_t at = 0;
-        for (int layer = 0; layer < 2; ++layer) {
-          for (int k = 0; k < nz; ++k) {
-            for (int j = 0; j < lny; ++j) {
-              for (int c = 0; c < kNcomp; ++c) {
-                u[uidx(i_first + layer, j, k, c)] = b[at++];
-              }
-            }
-          }
-        }
-      };
-      auto packY = [&](int j_first, std::vector<double>& b) {
-        std::size_t at = 0;
-        for (int layer = 0; layer < 2; ++layer) {
-          for (int k = 0; k < nz; ++k) {
-            for (int i = 0; i < lnx; ++i) {
-              for (int c = 0; c < kNcomp; ++c) {
-                b[at++] = u[uidx(i, j_first + layer, k, c)];
-              }
-            }
-          }
-        }
-      };
-      auto unpackY = [&](int j_first, const std::vector<double>& b) {
-        std::size_t at = 0;
-        for (int layer = 0; layer < 2; ++layer) {
-          for (int k = 0; k < nz; ++k) {
-            for (int i = 0; i < lnx; ++i) {
-              for (int c = 0; c < kNcomp; ++c) {
-                u[uidx(i, j_first + layer, k, c)] = b[at++];
-              }
-            }
-          }
-        }
-      };
-      std::vector<mpi::Request> reqs;
-      if (west >= 0) reqs.push_back(mpi.irecvT(xw_i.data(), xface, west, kTagFace));
-      if (east >= 0) reqs.push_back(mpi.irecvT(xe_i.data(), xface, east, kTagFace));
-      if (north >= 0) reqs.push_back(mpi.irecvT(yn_i.data(), yface, north, kTagFace));
-      if (south >= 0) reqs.push_back(mpi.irecvT(ys_i.data(), yface, south, kTagFace));
-      if (west >= 0) {
-        packX(0, xw_o);
-        reqs.push_back(mpi.isendT(xw_o.data(), xface, west, kTagFace));
-      }
-      if (east >= 0) {
-        packX(lnx - 2, xe_o);
-        reqs.push_back(mpi.isendT(xe_o.data(), xface, east, kTagFace));
-      }
-      if (north >= 0) {
-        packY(0, yn_o);
-        reqs.push_back(mpi.isendT(yn_o.data(), yface, north, kTagFace));
-      }
-      if (south >= 0) {
-        packY(lny - 2, ys_o);
-        reqs.push_back(mpi.isendT(ys_o.data(), yface, south, kTagFace));
-      }
-      mpi.compute(cost.flops(2LL * (xface + yface)));
-      // NPB's copy_faces has no computation to put here (paper Sec. 4.3):
-      // the exchange is immediately waited on.
-      mpi.waitall(reqs.data(), static_cast<int>(reqs.size()));
-      if (west >= 0) unpackX(-2, xw_i);
-      if (east >= 0) unpackX(lnx, xe_i);
-      if (north >= 0) unpackY(-2, yn_i);
-      if (south >= 0) unpackY(lny, ys_i);
-      mpi.compute(cost.flops(2LL * (xface + yface)));
-    };
+    // copy_faces: 2-layer ghost exchange of u.  NPB's copy_faces has no
+    // computation to put between posting and waiting (paper Sec. 4.3).
+    FaceExchange faces(blk);
 
     // ---------------- compute_rhs: stencil on u -------------------------
     auto computeRhs = [&] {
@@ -200,21 +92,21 @@ NasResult runSp(const SpParams& params) {
         for (int j = 0; j < lny; ++j) {
           for (int i = 0; i < lnx; ++i) {
             for (int c = 0; c < kNcomp; ++c) {
-              const double uc = u[uidx(i, j, k, c)];
+              const double uc = u[blk.at(i, j, k, c)];
               const double lap =
-                  u[uidx(i - 1, j, k, c)] + u[uidx(i + 1, j, k, c)] +
-                  u[uidx(i, j - 1, k, c)] + u[uidx(i, j + 1, k, c)] +
-                  (k > 0 ? u[uidx(i, j, k - 1, c)] : 0.0) +
-                  (k < nz - 1 ? u[uidx(i, j, k + 1, c)] : 0.0) - 6.0 * uc;
+                  u[blk.at(i - 1, j, k, c)] + u[blk.at(i + 1, j, k, c)] +
+                  u[blk.at(i, j - 1, k, c)] + u[blk.at(i, j + 1, k, c)] +
+                  (k > 0 ? u[blk.at(i, j, k - 1, c)] : 0.0) +
+                  (k < nz - 1 ? u[blk.at(i, j, k + 1, c)] : 0.0) - 6.0 * uc;
               const double diss_x =
-                  u[uidx(i - 2, j, k, c)] - 4.0 * u[uidx(i - 1, j, k, c)] +
-                  6.0 * uc - 4.0 * u[uidx(i + 1, j, k, c)] +
-                  u[uidx(i + 2, j, k, c)];
+                  u[blk.at(i - 2, j, k, c)] - 4.0 * u[blk.at(i - 1, j, k, c)] +
+                  6.0 * uc - 4.0 * u[blk.at(i + 1, j, k, c)] +
+                  u[blk.at(i + 2, j, k, c)];
               const double diss_y =
-                  u[uidx(i, j - 2, k, c)] - 4.0 * u[uidx(i, j - 1, k, c)] +
-                  6.0 * uc - 4.0 * u[uidx(i, j + 1, k, c)] +
-                  u[uidx(i, j + 2, k, c)];
-              rhs[uidx(i, j, k, c)] =
+                  u[blk.at(i, j - 2, k, c)] - 4.0 * u[blk.at(i, j - 1, k, c)] +
+                  6.0 * uc - 4.0 * u[blk.at(i, j + 1, k, c)] +
+                  u[blk.at(i, j + 2, k, c)];
+              rhs[blk.at(i, j, k, c)] =
                   0.1 * lap - 0.02 * (diss_x + diss_y);
             }
           }
@@ -443,211 +335,88 @@ NasResult runSp(const SpParams& params) {
       if (up >= 0) mpi.waitall(sb.data(), S);
     };
 
-    // Direction-specific load/store between (u,rhs) grids and the batch.
-    auto cdiagOf = [&](int i, int j, int k) {
-      return 6.0 + 0.05 * std::sin(0.3 * u[uidx(i, j, k, 0)]);
+    // The lhs diagonal of the cell whose u starts at storage offset `cell`.
+    auto cdiagOf = [&](std::size_t cell) {
+      return 6.0 + 0.05 * std::sin(0.3 * u[cell]);
     };
 
-    auto xSolve = [&] {
-      batch.resize(lny * nz, lnx);
-      batch.g0 = x0;
-      for (int k = 0; k < nz; ++k) {
-        for (int j = 0; j < lny; ++j) {
-          const int l = k * lny + j;
-          for (int i = 0; i < lnx; ++i) {
-            const std::size_t p = batch.at(l, i);
-            for (int c = 0; c < kNcomp; ++c) {
-              batch.r[p * kNcomp + c] = rhs[uidx(i, j, k, c)];
-            }
-          }
-        }
-      }
-      mpi.compute(cost.flops(2LL * block_pts * kNcomp));
-      mpi::MpiSection section(mpi, "solve-overlap");
-      solveBatch(west, east, kTagFwdX, kTagBwdX, [&](int l0, int l1) {
-        for (int l = l0; l < l1; ++l) {
-          const int k = l / lny, j = l % lny;
-          for (int i = 0; i < lnx; ++i) {
-            batch.cdiag[batch.at(l, i)] = cdiagOf(i, j, k);
-          }
-        }
-      });
-      for (int k = 0; k < nz; ++k) {
-        for (int j = 0; j < lny; ++j) {
-          const int l = k * lny + j;
-          for (int i = 0; i < lnx; ++i) {
-            const std::size_t p = batch.at(l, i);
-            for (int c = 0; c < kNcomp; ++c) {
-              rhs[uidx(i, j, k, c)] = batch.r[p * kNcomp + c];
-            }
-          }
-        }
-      }
-      mpi.compute(cost.flops(2LL * block_pts * kNcomp));
-    };
-
-    auto ySolve = [&] {
-      batch.resize(lnx * nz, lny);
-      batch.g0 = y0;
-      for (int k = 0; k < nz; ++k) {
-        for (int i = 0; i < lnx; ++i) {
-          const int l = k * lnx + i;
-          for (int j = 0; j < lny; ++j) {
-            const std::size_t p = batch.at(l, j);
-            for (int c = 0; c < kNcomp; ++c) {
-              batch.r[p * kNcomp + c] = rhs[uidx(i, j, k, c)];
-            }
-          }
-        }
-      }
-      mpi.compute(cost.flops(2LL * block_pts * kNcomp));
-      mpi::MpiSection section(mpi, "solve-overlap");
-      solveBatch(north, south, kTagFwdY, kTagBwdY, [&](int l0, int l1) {
-        for (int l = l0; l < l1; ++l) {
-          const int k = l / lnx, i = l % lnx;
-          for (int j = 0; j < lny; ++j) {
-            batch.cdiag[batch.at(l, j)] = cdiagOf(i, j, k);
-          }
-        }
-      });
-      for (int k = 0; k < nz; ++k) {
-        for (int i = 0; i < lnx; ++i) {
-          const int l = k * lnx + i;
-          for (int j = 0; j < lny; ++j) {
-            const std::size_t p = batch.at(l, j);
-            for (int c = 0; c < kNcomp; ++c) {
-              rhs[uidx(i, j, k, c)] = batch.r[p * kNcomp + c];
-            }
-          }
-        }
-      }
-      mpi.compute(cost.flops(2LL * block_pts * kNcomp));
-    };
-
-    // Local z solve; also the exact-solve verification probe (one line).
+    // One directional solve: gather the axis' lines of rhs into the batch,
+    // solve them (pipelined across the neighbours along x and y; the x and
+    // y solves are the paper's overlapping section), scatter back.  The
+    // local z solve also probes line 0 for an exact-solve check.
     double zline_residual = 0.0;
-    auto zSolve = [&] {
-      batch.resize(lnx * lny, nz);
-      batch.g0 = 0;
-      for (int j = 0; j < lny; ++j) {
-        for (int i = 0; i < lnx; ++i) {
-          const int l = j * lnx + i;
-          for (int k = 0; k < nz; ++k) {
-            const std::size_t p = batch.at(l, k);
-            for (int c = 0; c < kNcomp; ++c) {
-              batch.r[p * kNcomp + c] = rhs[uidx(i, j, k, c)];
-            }
-          }
-        }
-      }
-      mpi.compute(cost.flops(2LL * block_pts * kNcomp));
-      // Keep line 0's original data to verify the solve exactly.
-      std::vector<double> saved_r(static_cast<std::size_t>(nz) * kNcomp);
-      std::vector<double> saved_c(static_cast<std::size_t>(nz));
-      solveBatch(-1, -1, 0, 0, [&](int l0, int l1) {
-        for (int l = l0; l < l1; ++l) {
-          const int j = l / lnx, i = l % lnx;
-          for (int k = 0; k < nz; ++k) {
-            batch.cdiag[batch.at(l, k)] = cdiagOf(i, j, k);
-            if (l == 0) {
-              saved_c[static_cast<std::size_t>(k)] =
-                  batch.cdiag[batch.at(l, k)];
-              for (int c = 0; c < kNcomp; ++c) {
-                saved_r[static_cast<std::size_t>(k) * kNcomp + c] =
-                    rhs[uidx(i, j, k, c)];
-              }
-            }
-          }
+    auto solveLines = [&](Axis axis) {
+      const LineGeometry geo = blk.lines(axis);
+      batch.resize(geo.count, geo.length);
+      geo.forPoints(0, geo.count, [&](std::size_t p, std::size_t cell) {
+        for (int c = 0; c < kNcomp; ++c) {
+          batch.r[p * kNcomp + c] = rhs[cell + c];
         }
       });
-      // Residual of the sampled line: |A x - r|_inf.
-      for (int k = 0; k < nz; ++k) {
+      mpi.compute(cost.flops(2LL * block_pts * kNcomp));
+      std::optional<mpi::MpiSection> section;
+      if (axis != Axis::Z) section.emplace(mpi, "solve-overlap");
+      auto fill = [&](int l0, int l1) {
+        geo.forPoints(l0, l1, [&](std::size_t p, std::size_t cell) {
+          batch.cdiag[p] = cdiagOf(cell);
+        });
+      };
+      // z lines have no neighbours, so their tags are never used.
+      const bool along_x = axis == Axis::X;
+      solveBatch(geo.up, geo.down, along_x ? kTagFwdX : kTagFwdY,
+                 along_x ? kTagBwdX : kTagBwdY, fill);
+      if (axis == Axis::Z) {
+        // Residual of line 0, |A x - r|_inf, from the solve's own lhs
+        // diagonal and the rhs it has not yet overwritten.
         auto x = [&](int kk, int c) -> double {
           if (kk < 0 || kk >= nz) return 0.0;
           return batch.r[batch.at(0, kk) * kNcomp + c];
         };
+        geo.forPoints(0, 1, [&](std::size_t p, std::size_t cell) {
+          const int k = static_cast<int>(p);
+          for (int c = 0; c < kNcomp; ++c) {
+            const double ax = kOffA * x(k - 2, c) + kOffB * x(k - 1, c) +
+                              batch.cdiag[p] * x(k, c) + kOffB * x(k + 1, c) +
+                              kOffA * x(k + 2, c);
+            zline_residual =
+                std::max(zline_residual, std::fabs(ax - rhs[cell + c]));
+          }
+        });
+      }
+      geo.forPoints(0, geo.count, [&](std::size_t p, std::size_t cell) {
         for (int c = 0; c < kNcomp; ++c) {
-          const double ax = kOffA * x(k - 2, c) + kOffB * x(k - 1, c) +
-                            saved_c[static_cast<std::size_t>(k)] * x(k, c) +
-                            kOffB * x(k + 1, c) + kOffA * x(k + 2, c);
-          zline_residual = std::max(
-              zline_residual,
-              std::fabs(ax - saved_r[static_cast<std::size_t>(k) * kNcomp + c]));
+          rhs[cell + c] = batch.r[p * kNcomp + c];
         }
-      }
-      for (int j = 0; j < lny; ++j) {
-        for (int i = 0; i < lnx; ++i) {
-          const int l = j * lnx + i;
-          for (int k = 0; k < nz; ++k) {
-            const std::size_t p = batch.at(l, k);
-            for (int c = 0; c < kNcomp; ++c) {
-              rhs[uidx(i, j, k, c)] = batch.r[p * kNcomp + c];
-            }
-          }
-        }
-      }
+      });
       mpi.compute(cost.flops(2LL * block_pts * kNcomp));
-    };
-
-    auto normOf = [&](const std::vector<double>& v) {
-      double local = 0;
-      for (int k = 0; k < nz; ++k) {
-        for (int j = 0; j < lny; ++j) {
-          for (int i = 0; i < lnx; ++i) {
-            for (int c = 0; c < kNcomp; ++c) {
-              const double x = v[uidx(i, j, k, c)];
-              local += x * x;
-            }
-          }
-        }
-      }
-      mpi.compute(cost.flops(2LL * block_pts * kNcomp));
-      double global = 0;
-      mpi.allreduce(&local, &global, 1, mpi::Op::Sum);
-      return std::sqrt(global);
     };
 
     // ------------------------------ time steps --------------------------
     for (int step = 0; step < niter; ++step) {
-      copyFaces();
+      faces.run(mpi, u, cost);
       computeRhs();
-      const double pre = normOf(rhs);
-      xSolve();
-      ySolve();
-      zSolve();
-      const double post = normOf(rhs);
+      const double pre = blockNorm(mpi, blk, rhs, cost);
+      solveLines(Axis::X);
+      solveLines(Axis::Y);
+      solveLines(Axis::Z);
+      const double post = blockNorm(mpi, blk, rhs, cost);
       if (me == 0) {
         // Each solve is a diagonally dominant contraction.
         if (!(post < pre * 1.001) || !std::isfinite(post)) verified = false;
         if (zline_residual > 1e-9) verified = false;
       }
       // add: u += du.
-      for (int k = 0; k < nz; ++k) {
-        for (int j = 0; j < lny; ++j) {
-          for (int i = 0; i < lnx; ++i) {
-            for (int c = 0; c < kNcomp; ++c) {
-              u[uidx(i, j, k, c)] += rhs[uidx(i, j, k, c)];
-            }
-          }
-        }
-      }
+      blk.forInterior([&](std::size_t p) { u[p] += rhs[p]; });
       mpi.compute(cost.flops(block_pts * kNcomp));
     }
-    const double final_norm = normOf(u);
+    const double final_norm = blockNorm(mpi, blk, u, cost);
     if (me == 0) {
       checksum_out = final_norm;
       if (!std::isfinite(final_norm)) verified = false;
     }
   });
 
-  NasResult out;
-  out.checksum = checksum_out;
-  out.verified = verified;
-  out.time = machine.finishTime();
-  out.reports = machine.reports();
-  out.diagnostics = machine.diagnostics();
-  out.trace = machine.traceCollector();
-  return out;
+  return nasResult(machine, checksum_out, verified);
 }
 
 }  // namespace ovp::nas

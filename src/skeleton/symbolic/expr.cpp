@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <utility>
 
 namespace ovp::skel::sym {
@@ -591,7 +592,13 @@ struct Parser {
         fail("expected integer literal");
         return nullptr;
       }
-      return cst(std::stoll(std::string(text.substr(start, at - start))));
+      std::int64_t value = 0;
+      const char* first = text.data() + start;
+      if (std::from_chars(first, text.data() + at, value).ec != std::errc{}) {
+        fail("integer literal out of range");
+        return nullptr;
+      }
+      return cst(value);
     }
     std::string name;
     if (!ident(name)) return nullptr;

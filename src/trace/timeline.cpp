@@ -110,15 +110,7 @@ std::vector<WindowStats> sumWindows(const std::vector<RankWindows>& per_rank) {
   for (const RankWindows& rw : per_rank) {
     if (rw.windows.size() > out.size()) out.resize(rw.windows.size());
     for (std::size_t k = 0; k < rw.windows.size(); ++k) {
-      WindowStats& o = out[k];
-      const WindowStats& w = rw.windows[k];
-      o.comm_time = satAdd(o.comm_time, w.comm_time);
-      o.comp_time = satAdd(o.comp_time, w.comp_time);
-      o.transfers += w.transfers;
-      o.bytes = satAdd(o.bytes, w.bytes);
-      o.data_transfer_time = satAdd(o.data_transfer_time, w.data_transfer_time);
-      o.min_overlap = satAdd(o.min_overlap, w.min_overlap);
-      o.max_overlap = satAdd(o.max_overlap, w.max_overlap);
+      out[k] += rw.windows[k];
     }
   }
   return out;

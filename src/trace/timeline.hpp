@@ -47,6 +47,19 @@ struct WindowStats {
   DurationNs data_transfer_time = 0;
   DurationNs min_overlap = 0;
   DurationNs max_overlap = 0;
+
+  /// Adds w column by column.  The sums saturate (satAdd): a loaded trace
+  /// can carry any times and counts.
+  WindowStats& operator+=(const WindowStats& w) {
+    comm_time = satAdd(comm_time, w.comm_time);
+    comp_time = satAdd(comp_time, w.comp_time);
+    transfers = satAdd(transfers, w.transfers);
+    bytes = satAdd(bytes, w.bytes);
+    data_transfer_time = satAdd(data_transfer_time, w.data_transfer_time);
+    min_overlap = satAdd(min_overlap, w.min_overlap);
+    max_overlap = satAdd(max_overlap, w.max_overlap);
+    return *this;
+  }
 };
 
 struct RankWindows {

@@ -14,6 +14,7 @@
 //     LU/SP/BT skeletons pair exactly the messages their kernels send.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "golden.hpp"
+#include "line_mutator.hpp"
 #include "mpi/machine.hpp"
 #include "nas/bt.hpp"
 #include "nas/cg.hpp"
@@ -35,6 +37,7 @@
 #include "skeleton/builder.hpp"
 #include "skeleton/check.hpp"
 #include "skeleton/serialize.hpp"
+#include "tool_main.hpp"
 
 namespace ovp {
 namespace {
@@ -285,6 +288,33 @@ TEST(CheckNas, IndivisibleDecompositionIsAnError) {
   p.nranks = 3;  // FT needs nx % P == 0
   const nas::SkeletonBuildResult r = nas::buildNasSkeleton("ft", p);
   EXPECT_FALSE(r.ok());
+}
+
+// Seeded mutants of --procs sweep specs: parseProcsSpec never throws,
+// names the problem whenever it fails, and what it accepts is a list of
+// distinct positive counts.
+TEST(ProcsSpec, MutatedLinesNeverCrash) {
+  int accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const std::string spec =
+        fuzz::mutateSpec("2,3,4-16:pow2,6,8-12", seed, ',', '-');
+    std::vector<int> counts;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = tool::parseProcsSpec(spec, counts, error)) << spec;
+    if (!ok) {
+      EXPECT_FALSE(error.empty()) << spec;
+      continue;
+    }
+    ++accepted;
+    std::vector<int> seen;
+    for (const int n : counts) {
+      EXPECT_GE(n, 1) << spec;
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), n), 0) << spec;
+      seen.push_back(n);
+    }
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(CheckNas, EveryKernelValidatesAndChecksClean) {

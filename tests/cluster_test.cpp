@@ -21,6 +21,7 @@
 #include "cluster/runtime.hpp"
 #include "cluster/scheduler.hpp"
 #include "cluster/workload.hpp"
+#include "line_mutator.hpp"
 #include "mpi/machine.hpp"
 #include "net/vci.hpp"
 #include "overlap/report.hpp"
@@ -392,6 +393,55 @@ TEST(JobRecord, SaveLoadRoundTripsByteForByte) {
   EXPECT_EQ(records[0].link_wait, 33);
 }
 
+// Seeded line mutants of an ovprof-agg-v1 aggregate: loadAll never throws,
+// and what it accepts saves back to text it loads again unchanged.  Among
+// the mutants is a `nodes` count of 2^63-1 followed by a few entries: the
+// declared count alone must not size the node list.
+TEST(Aggregator, MutatedLinesNeverCrash) {
+  const std::vector<overlap::Report> reports = sampleReports(2);
+  Aggregator agg(AggregatorConfig{});
+  const std::vector<std::vector<int>> nodes = {{0}, {1, 2}, {3}};
+  for (std::int64_t id = 1; id <= 3; ++id) {
+    agg.jobStarted(spec(id, 2, id * 10), id * 100,
+                   nodes[static_cast<std::size_t>(id - 1)]);
+    agg.addRankReport(id, reports[0], 7);
+    agg.addRankReport(id, reports[1], 5);
+    agg.jobFinished(id, id * 100 + 50, 40, 10.0);
+  }
+  std::ostringstream good;
+  ASSERT_EQ(agg.finalize(good), 3);
+  std::vector<std::string> lines;
+  std::istringstream split(good.str());
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+
+  const auto save = [](const std::vector<JobRecord>& records) {
+    std::ostringstream os;
+    os << "ovprof-agg-v1\n";
+    for (const JobRecord& r : records) r.save(os);
+    os << "agg.end " << records.size() << '\n';
+    return os.str();
+  };
+  int loaded = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    std::string text;
+    for (const std::string& line : fuzz::mutateLines(lines, seed, ' ')) {
+      text += line + "\n";
+    }
+    std::istringstream is(text);
+    std::vector<JobRecord> records;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = Aggregator::loadAll(is, records)) << "seed " << seed;
+    if (!ok) continue;
+    ++loaded;
+    const std::string once = save(records);
+    std::istringstream again(once);
+    ASSERT_TRUE(Aggregator::loadAll(again, records)) << "seed " << seed;
+    EXPECT_EQ(save(records), once) << "seed " << seed;
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, 2000);
+}
+
 // ---------------------------------------------------------------- workload
 
 TEST(Workload, ParsesCommentsAndRejectsBadLines) {
@@ -457,6 +507,41 @@ TEST(Workload, RoundTripsThroughSaveAndParse) {
     EXPECT_EQ(again[i].priority, jobs[i].priority);
     EXPECT_EQ(again[i].estimate, jobs[i].estimate);
   }
+}
+
+// Seeded line mutants of a workload file: parseWorkload never throws,
+// names the problem whenever it fails, and what it accepts saves back to
+// a file it parses again unchanged.
+TEST(Workload, MutatedLinesNeverCrash) {
+  std::ostringstream good;
+  saveWorkload(good, synthWorkload(12, 5, 8));
+  std::vector<std::string> lines;
+  std::istringstream split(good.str());
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  int parsed = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    std::string text;
+    for (const std::string& line : fuzz::mutateLines(lines, seed, ' ')) {
+      text += line + "\n";
+    }
+    std::istringstream is(text);
+    std::vector<JobSpec> jobs;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = parseWorkload(is, jobs, &error)) << "seed " << seed;
+    ASSERT_EQ(ok, error.empty()) << "seed " << seed;
+    if (!ok) continue;
+    ++parsed;
+    std::ostringstream once;
+    saveWorkload(once, jobs);
+    std::istringstream again(once.str());
+    ASSERT_TRUE(parseWorkload(again, jobs, &error)) << "seed " << seed;
+    std::ostringstream twice;
+    saveWorkload(twice, jobs);
+    EXPECT_EQ(twice.str(), once.str()) << "seed " << seed;
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, 1000);
 }
 
 TEST(Workload, SynthIsDeterministicPerSeed) {

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "line_mutator.hpp"
 #include "mpi/machine.hpp"
 #include "net/nic.hpp"
 #include "sim/engine.hpp"
@@ -97,6 +98,30 @@ TEST(FaultModelParse, RejectsMalformedInput) {
   EXPECT_FALSE(FaultModel::parse("bogus=1", m));    // unknown key
   EXPECT_FALSE(FaultModel::parse("jitter=-5", m));  // negative duration
   EXPECT_DOUBLE_EQ(m.rates.drop, before.rates.drop);  // left untouched
+}
+
+// Seeded mutants of --ovprof-fault specs: parse never throws, and what it
+// accepts has every rate in [0, 1].
+TEST(FaultModelParse, MutatedLinesNeverCrash) {
+  int accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const std::string spec = fuzz::mutateSpec(
+        "drop=0.05,corrupt=0.01,dup=0.02,reorder=0.03,jitter=2000,seed=7,"
+        "retries=3,rto=9000",
+        seed, ',', '=');
+    FaultModel m;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = FaultModel::parse(spec, m)) << spec;
+    if (!ok) continue;
+    ++accepted;
+    for (const double rate : {m.rates.drop, m.rates.corrupt,
+                              m.rates.duplicate, m.rates.reorder}) {
+      EXPECT_GE(rate, 0.0) << spec;
+      EXPECT_LE(rate, 1.0) << spec;
+    }
+    EXPECT_NO_THROW((void)m.describe()) << spec;
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(FaultModelParse, DisabledByDefault) {

@@ -5,6 +5,7 @@
 // (fields split at `sep`) replaced by an extreme or malformed value; or a
 // garbage line inserted.  Every choice comes from one util::Rng seeded by
 // the caller, so a failing mutant is reproduced from its seed alone.
+// mutateSpec applies the same edits to the items of a one-line spec.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +69,27 @@ inline std::vector<std::string> mutateLines(std::vector<std::string> lines,
     }
   }
   return lines;
+}
+
+/// A one-line spec ("drop=0.05,seed=3") mutated the same way: its items,
+/// split at `item_sep`, are the lines, and `field_sep` splits an item.
+inline std::string mutateSpec(const std::string& spec, std::uint64_t seed,
+                              char item_sep, char field_sep) {
+  std::vector<std::string> items(1);
+  for (const char ch : spec) {
+    if (ch == item_sep) {
+      items.emplace_back();
+    } else {
+      items.back() += ch;
+    }
+  }
+  std::string out;
+  const std::vector<std::string> mutated = mutateLines(items, seed, field_sep);
+  for (std::size_t i = 0; i < mutated.size(); ++i) {
+    if (i > 0) out += item_sep;
+    out += mutated[i];
+  }
+  return out;
 }
 
 }  // namespace ovp::fuzz

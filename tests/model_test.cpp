@@ -542,5 +542,49 @@ TEST(PatternCost, JsonEscapesControlBytesInSiteNames) {
   EXPECT_NE(json.find("\\u0001"), std::string::npos);
 }
 
+// Seeded line mutants of every symbolic template's ovprof-symskel-v1
+// export: parseCosts never throws and reports an error exactly when it
+// fails, and whatever it accepts evaluates at P = 1..8, 16, 32 and 64
+// without throwing.  Among the mutants is a literal too large for int64
+// (a 0 turned into 99999999999999999999), which must fail with a message.
+TEST(PatternCost, MutatedLinesNeverCrash) {
+  std::vector<int> procs;
+  for (int p = 1; p <= 64; p = p < 8 ? p + 1 : 2 * p) procs.push_back(p);
+  int accepted = 0;
+  int rejected = 0;
+  for (const std::string& kernel : nas::nasSymbolicKernels()) {
+    const nas::SymSkeletonBuildResult sym =
+        nas::buildNasSymSkeleton(kernel, nas::SkeletonParams{});
+    ASSERT_TRUE(sym.ok()) << sym.error;
+    std::vector<std::string> lines;
+    std::istringstream good(
+        skel::sym::costsToString(skel::sym::extractCosts(sym.skeleton)));
+    for (std::string line; std::getline(good, line);) lines.push_back(line);
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+      std::string text;
+      for (const std::string& line : fuzz::mutateLines(lines, seed, ' ')) {
+        text += line + "\n";
+      }
+      skel::sym::SymCostReport report;
+      std::string error;
+      bool ok = false;
+      ASSERT_NO_THROW(ok = skel::sym::parseCosts(text, &report, &error))
+          << kernel << " seed " << seed;
+      ASSERT_EQ(ok, error.empty()) << kernel << " seed " << seed;
+      if (!ok) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      std::vector<model::PatternCostEval> evals;
+      ASSERT_NO_THROW((void)model::evalPatternCosts(report, procs, &evals,
+                                                    &error))
+          << kernel << " seed " << seed;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 }  // namespace
 }  // namespace ovp

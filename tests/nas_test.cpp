@@ -13,6 +13,7 @@
 #include "nas/ft.hpp"
 #include "nas/lu.hpp"
 #include "nas/mg.hpp"
+#include "nas/skeletons.hpp"
 #include "nas/sp.hpp"
 
 namespace ovp::nas {
@@ -152,6 +153,26 @@ TEST(NasFt, ChecksumConsistentAcrossRankCounts) {
 TEST(NasFt, RejectsIndivisibleRankCount) {
   const NasResult r = runFt(smallParams(3));  // 3 does not divide 32
   EXPECT_FALSE(r.verified);
+}
+
+// SP reads two ghost planes on each side, and its line solves read two
+// points per line, so a block must be at least two cells wide in x and y.
+// Class S's 24x24 grid splits over 576 ranks into blocks of one cell: the
+// kernel and its skeleton both refuse, and say why.
+TEST(NasSp, RejectsBlocksThinnerThanItsGhostPlanes) {
+  SpParams p;
+  p.nranks = 576;
+  const NasResult r = runSp(p);
+  EXPECT_FALSE(r.verified);
+  EXPECT_NE(r.error.find("thinner than the 2 ghost planes"), std::string::npos)
+      << r.error;
+  SkeletonParams sp;
+  sp.nranks = 576;
+  const SkeletonBuildResult built = buildNasSkeleton("sp", sp);
+  EXPECT_NE(built.error.find("sp: blocks of 1x1 cells"), std::string::npos)
+      << built.error;
+  // BT's one ghost plane fits the same 1x1 blocks.
+  EXPECT_TRUE(buildNasSkeleton("bt", sp).ok());
 }
 
 // ------------------------------------------------------------------- LU

@@ -642,15 +642,7 @@ TEST(TraceTimeline, WindowSumsMatchReportExactly) {
       // ...and the per-window pieces sum to those totals without rounding
       // loss (exact integer attribution).
       trace::WindowStats sum;
-      for (const trace::WindowStats& w : rw.windows) {
-        sum.comm_time += w.comm_time;
-        sum.comp_time += w.comp_time;
-        sum.transfers += w.transfers;
-        sum.bytes += w.bytes;
-        sum.data_transfer_time += w.data_transfer_time;
-        sum.min_overlap += w.min_overlap;
-        sum.max_overlap += w.max_overlap;
-      }
+      for (const trace::WindowStats& w : rw.windows) sum += w;
       EXPECT_EQ(sum.transfers, rw.total.transfers);
       EXPECT_EQ(sum.bytes, rw.total.bytes);
       EXPECT_EQ(sum.data_transfer_time, rw.total.data_transfer_time);

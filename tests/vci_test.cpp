@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "golden.hpp"
+#include "line_mutator.hpp"
 #include "mpi/machine.hpp"
 #include "net/nic.hpp"
 #include "net/vci.hpp"
@@ -94,6 +95,26 @@ TEST(VciParams, ParseRejectsMalformedSpecs) {
     VciParams p;
     EXPECT_FALSE(VciParams::parse(bad, p)) << "accepted: " << bad;
   }
+}
+
+// Seeded mutants of --ovprof-vci specs: parse never throws, and what it
+// accepts names 1 to 64 channels.
+TEST(VciParams, MutatedLinesNeverCrash) {
+  int accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    for (const char* good :
+         {"2", "4,round-robin", "8,per-peer", "64,explicit"}) {
+      const std::string spec = fuzz::mutateSpec(good, seed, ',', ':');
+      VciParams p;
+      bool ok = false;
+      ASSERT_NO_THROW(ok = VciParams::parse(spec, p)) << spec;
+      if (!ok) continue;
+      ++accepted;
+      EXPECT_GE(p.channels, 1) << spec;
+      EXPECT_LE(p.channels, 64) << spec;
+    }
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(VciParams, SizeClassMappingAndLabels) {

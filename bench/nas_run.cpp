@@ -3,6 +3,7 @@
 // analyst would use.
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -117,31 +118,38 @@ int main(int argc, char** argv) {
 
   const std::string kernel = flags.getString("kernel", "cg");
   nas::NasResult result;
-  if (kernel == "cg") {
-    result = nas::runCg(params);
-  } else if (kernel == "bt") {
-    result = nas::runBt(params);
-  } else if (kernel == "lu") {
-    result = nas::runLu(params);
-  } else if (kernel == "ft") {
-    result = nas::runFt(params);
-  } else if (kernel == "sp") {
-    result = nas::runSp(params);
-  } else if (kernel == "ep") {
-    result = nas::runEp(params);
-  } else if (kernel == "is") {
-    result = nas::runIs(params);
-  } else if (kernel == "mg") {
-    nas::MgParams mg;
-    static_cast<nas::NasParams&>(mg) = params;
-    const std::string variant = flags.getString("variant", "armci-nb");
-    mg.variant = variant == "mpi" ? nas::MgVariant::MpiBlocking
-                 : variant == "armci" ? nas::MgVariant::ArmciBlocking
-                                      : nas::MgVariant::ArmciNonBlocking;
-    result = nas::runMg(mg);
-  } else {
-    std::fprintf(stderr, "unknown kernel: %s\n", kernel.c_str());
-    return 2;
+  // A run the library cannot finish (a reliable transfer that exhausts its
+  // retries on a lossy fabric) ends the job with an error, as MPI would.
+  try {
+    if (kernel == "cg") {
+      result = nas::runCg(params);
+    } else if (kernel == "bt") {
+      result = nas::runBt(params);
+    } else if (kernel == "lu") {
+      result = nas::runLu(params);
+    } else if (kernel == "ft") {
+      result = nas::runFt(params);
+    } else if (kernel == "sp") {
+      result = nas::runSp(params);
+    } else if (kernel == "ep") {
+      result = nas::runEp(params);
+    } else if (kernel == "is") {
+      result = nas::runIs(params);
+    } else if (kernel == "mg") {
+      nas::MgParams mg;
+      static_cast<nas::NasParams&>(mg) = params;
+      const std::string variant = flags.getString("variant", "armci-nb");
+      mg.variant = variant == "mpi" ? nas::MgVariant::MpiBlocking
+                   : variant == "armci" ? nas::MgVariant::ArmciBlocking
+                                        : nas::MgVariant::ArmciNonBlocking;
+      result = nas::runMg(mg);
+    } else {
+      std::fprintf(stderr, "unknown kernel: %s\n", kernel.c_str());
+      return 2;
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "nas_run: run failed: %s\n", e.what());
+    return 1;
   }
 
   if (!result.error.empty()) {

@@ -1,7 +1,9 @@
 #include "nas/mg.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,277 +14,253 @@ namespace ovp::nas {
 
 namespace {
 
-using tables::kMgCoarseSweeps;
-using tables::kMgTagExch;
-
 constexpr double kOmega = 2.0 / 3.0;  // damped-Jacobi weight
 
-/// One level of the local multigrid hierarchy (interior 1..ln, ghosts at 0
-/// and ln+1, Dirichlet zero outside the global domain).
-struct Level {
-  int n = 0;  // global edge length at this level
-  int lnx = 0, lny = 0, lnz = 0;
-  std::vector<double> u, f, r, scratch;
+/// Tag of the face that arrives from side d at level l.
+constexpr int faceTag(int l, int d) {
+  return tables::kMgTagExch + l * 8 + d;
+}
 
-  [[nodiscard]] std::size_t idx(int i, int j, int k) const {
-    return (static_cast<std::size_t>(k) * (lny + 2) +
-            static_cast<std::size_t>(j)) *
-               static_cast<std::size_t>(lnx + 2) +
-           static_cast<std::size_t>(i);
-  }
-  void alloc() {
-    const std::size_t total = static_cast<std::size_t>(lnx + 2) * (lny + 2) *
-                              (lnz + 2);
-    u.assign(total, 0.0);
-    f.assign(total, 0.0);
-    r.assign(total, 0.0);
-    scratch.assign(total, 0.0);
-  }
-  [[nodiscard]] std::int64_t points() const {
-    return static_cast<std::int64_t>(lnx) * lny * lnz;
+/// The cells [i0,i1] x [j0,j1] x [k0,k1] of a block (none when i1 < i0,
+/// j1 < j0 or k1 < k0).
+struct Box {
+  int i0, i1, j0, j1, k0, k1;
+  [[nodiscard]] std::int64_t cells() const {
+    return static_cast<std::int64_t>(i1 - i0 + 1) * (j1 - j0 + 1) *
+           (k1 - k0 + 1);
   }
 };
 
-// Face geometry: dir 0/1 = -x/+x, 2/3 = -y/+y, 4/5 = -z/+z.
-int faceCount(const Level& L, int dir) {
-  switch (dir / 2) {
-    case 0: return L.lny * L.lnz;
-    case 1: return L.lnx * L.lnz;
-    default: return L.lnx * L.lny;
-  }
-}
+/// One level of a rank's block: interior cells 1..lnx x 1..lny x 1..lnz and
+/// a ghost plane beyond each side, zero (Dirichlet) at the global domain's
+/// edge.  Sides, and the faces across them: 0/1 = -x/+x, 2/3 = -y/+y,
+/// 4/5 = -z/+z.
+struct Shape {
+  int lnx = 0, lny = 0, lnz = 0;
 
-// Ghost-inclusive variant (NPB comm3 style): when the axes are exchanged
-// strictly in x, y, z order, each later axis carries the earlier axes'
-// ghost layers along, so edge and corner ghosts end up correct — which the
-// trilinear prolongation needs.
-int faceCountIncl(const Level& L, int dir) {
-  switch (dir / 2) {
-    case 0: return L.lny * L.lnz;
-    case 1: return (L.lnx + 2) * L.lnz;
-    default: return (L.lnx + 2) * (L.lny + 2);
+  [[nodiscard]] int extent(int axis) const {
+    return axis == 0 ? lnx : (axis == 1 ? lny : lnz);
   }
-}
-
-void packFaceIncl(const Level& L, const std::vector<double>& field, int dir,
-                  std::vector<double>& buf) {
-  std::size_t at = 0;
-  const int axis = dir / 2;
-  const bool high = dir & 1;
-  if (axis == 0) {
-    const int i = high ? L.lnx : 1;
-    for (int k = 1; k <= L.lnz; ++k) {
-      for (int j = 1; j <= L.lny; ++j) buf[at++] = field[L.idx(i, j, k)];
-    }
-  } else if (axis == 1) {
-    const int j = high ? L.lny : 1;
-    for (int k = 1; k <= L.lnz; ++k) {
-      for (int i = 0; i <= L.lnx + 1; ++i) buf[at++] = field[L.idx(i, j, k)];
-    }
-  } else {
-    const int k = high ? L.lnz : 1;
-    for (int j = 0; j <= L.lny + 1; ++j) {
-      for (int i = 0; i <= L.lnx + 1; ++i) buf[at++] = field[L.idx(i, j, k)];
-    }
+  /// Storage distance between neighbouring cells along `axis`.
+  [[nodiscard]] std::size_t stride(int axis) const {
+    const auto sx = static_cast<std::size_t>(lnx + 2);
+    return axis == 0 ? 1
+                     : (axis == 1 ? sx
+                                  : sx * static_cast<std::size_t>(lny + 2));
   }
-}
-
-void unpackGhostIncl(Level& L, std::vector<double>& field, int dir,
-                     const std::vector<double>& buf) {
-  std::size_t at = 0;
-  const int axis = dir / 2;
-  const bool high = dir & 1;
-  if (axis == 0) {
-    const int i = high ? L.lnx + 1 : 0;
-    for (int k = 1; k <= L.lnz; ++k) {
-      for (int j = 1; j <= L.lny; ++j) field[L.idx(i, j, k)] = buf[at++];
-    }
-  } else if (axis == 1) {
-    const int j = high ? L.lny + 1 : 0;
-    for (int k = 1; k <= L.lnz; ++k) {
-      for (int i = 0; i <= L.lnx + 1; ++i) field[L.idx(i, j, k)] = buf[at++];
-    }
-  } else {
-    const int k = high ? L.lnz + 1 : 0;
-    for (int j = 0; j <= L.lny + 1; ++j) {
-      for (int i = 0; i <= L.lnx + 1; ++i) field[L.idx(i, j, k)] = buf[at++];
-    }
+  [[nodiscard]] std::size_t idx(int i, int j, int k) const {
+    return static_cast<std::size_t>(k) * stride(2) +
+           static_cast<std::size_t>(j) * stride(1) +
+           static_cast<std::size_t>(i);
   }
-}
+  [[nodiscard]] std::size_t storage() const {
+    return stride(2) * static_cast<std::size_t>(lnz + 2);
+  }
+  [[nodiscard]] Box whole() const { return {1, lnx, 1, lny, 1, lnz}; }
+  [[nodiscard]] std::int64_t points() const { return whole().cells(); }
+  /// Whether the block splits into an interior box, whose cells read no
+  /// ghost, and the one-cell shell around it (forShell).
+  [[nodiscard]] bool splits() const {
+    return lnx >= 3 && lny >= 3 && lnz >= 3;
+  }
+  [[nodiscard]] Box interior() const {
+    return {2, lnx - 1, 2, lny - 1, 2, lnz - 1};
+  }
+  /// The cells the face across side `dir` spans along another `axis`:
+  /// 1..extent, or 0..extent+1 on an inclusive face when `axis` comes
+  /// before dir's.  Exchanging x, y and z in turn with inclusive faces (NPB
+  /// comm3) carries the earlier axes' ghosts along, so the edge and corner
+  /// ghosts the trilinear prolongation reads end up current.
+  [[nodiscard]] std::array<int, 2> span(int axis, int dir,
+                                        bool inclusive) const {
+    const int g = inclusive && axis < dir / 2 ? 1 : 0;
+    return {1 - g, extent(axis) + g};
+  }
+  [[nodiscard]] int faceSize(int dir, bool inclusive) const {
+    int size = 1;
+    for (int axis = 0; axis < 3; ++axis) {
+      if (axis == dir / 2) continue;
+      const auto [lo, hi] = span(axis, dir, inclusive);
+      size *= hi - lo + 1;
+    }
+    return size;
+  }
+};
 
-void packFace(const Level& L, const std::vector<double>& field, int dir,
-              std::vector<double>& buf) {
-  std::size_t at = 0;
-  const int axis = dir / 2;
-  const bool high = dir & 1;
-  if (axis == 0) {
-    const int i = high ? L.lnx : 1;
-    for (int k = 1; k <= L.lnz; ++k) {
-      for (int j = 1; j <= L.lny; ++j) buf[at++] = field[L.idx(i, j, k)];
-    }
-  } else if (axis == 1) {
-    const int j = high ? L.lny : 1;
-    for (int k = 1; k <= L.lnz; ++k) {
-      for (int i = 1; i <= L.lnx; ++i) buf[at++] = field[L.idx(i, j, k)];
-    }
-  } else {
-    const int k = high ? L.lnz : 1;
-    for (int j = 1; j <= L.lny; ++j) {
-      for (int i = 1; i <= L.lnx; ++i) buf[at++] = field[L.idx(i, j, k)];
+struct Level : Shape {
+  std::vector<double> u, f, r, scratch;
+  explicit Level(const Shape& s)
+      : Shape(s),
+        u(storage(), 0.0),
+        f(storage(), 0.0),
+        r(storage(), 0.0),
+        scratch(storage(), 0.0) {}
+};
+
+/// Calls f(i, j, k, p) for each cell of box b in storage order, where
+/// p = s.idx(i, j, k).
+template <typename F>
+void forBox(const Shape& s, const Box& b, const F& f) {
+  for (int k = b.k0; k <= b.k1; ++k) {
+    for (int j = b.j0; j <= b.j1; ++j) {
+      for (int i = b.i0; i <= b.i1; ++i) f(i, j, k, s.idx(i, j, k));
     }
   }
 }
 
-void unpackGhost(Level& L, std::vector<double>& field, int dir,
-                 const std::vector<double>& buf) {
-  // dir names the side the data arrives FROM (so it fills that ghost).
-  std::size_t at = 0;
-  const int axis = dir / 2;
-  const bool high = dir & 1;
-  if (axis == 0) {
-    const int i = high ? L.lnx + 1 : 0;
-    for (int k = 1; k <= L.lnz; ++k) {
-      for (int j = 1; j <= L.lny; ++j) field[L.idx(i, j, k)] = buf[at++];
-    }
-  } else if (axis == 1) {
-    const int j = high ? L.lny + 1 : 0;
-    for (int k = 1; k <= L.lnz; ++k) {
-      for (int i = 1; i <= L.lnx; ++i) field[L.idx(i, j, k)] = buf[at++];
-    }
-  } else {
-    const int k = high ? L.lnz + 1 : 0;
-    for (int j = 1; j <= L.lny; ++j) {
-      for (int i = 1; i <= L.lnx; ++i) field[L.idx(i, j, k)] = buf[at++];
-    }
-  }
+/// Calls out(p, au) for each cell p of box b, au being the 7-point
+/// operator: 6 u(p) minus u at p's six neighbours.  Reads only u, so
+/// splitting a block into boxes gives the same values.
+template <typename Out>
+void sweep(const Level& L, const Box& b, const Out& out) {
+  const std::vector<double>& u = L.u;
+  const std::size_t sy = L.stride(1), sz = L.stride(2);
+  forBox(L, b, [&](int, int, int, std::size_t p) {
+    out(p, 6.0 * u[p] - u[p - 1] - u[p + 1] - u[p - sy] - u[p + sy] -
+               u[p - sz] - u[p + sz]);
+  });
 }
 
-/// Damped-Jacobi update of the cell range [i0,i1]x[j0,j1]x[k0,k1] into
-/// scratch (reads only u/f, so interior/boundary splitting is exact).
-void jacobiRange(Level& L, int i0, int i1, int j0, int j1, int k0, int k1) {
-  for (int k = k0; k <= k1; ++k) {
-    for (int j = j0; j <= j1; ++j) {
-      for (int i = i0; i <= i1; ++i) {
-        const std::size_t p = L.idx(i, j, k);
-        const double au = 6.0 * L.u[p] - L.u[L.idx(i - 1, j, k)] -
-                          L.u[L.idx(i + 1, j, k)] - L.u[L.idx(i, j - 1, k)] -
-                          L.u[L.idx(i, j + 1, k)] - L.u[L.idx(i, j, k - 1)] -
-                          L.u[L.idx(i, j, k + 1)];
-        L.scratch[p] = L.u[p] + kOmega / 6.0 * (L.f[p] - au);
-      }
-    }
-  }
-}
-
-void jacobiBoundaryShell(Level& L) {
-  const int X = L.lnx, Y = L.lny, Z = L.lnz;
-  if (X < 3 || Y < 3 || Z < 3) {
-    jacobiRange(L, 1, X, 1, Y, 1, Z);  // block too thin to split
+/// Calls f(box) for the six slabs of the one-cell shell around the
+/// interior box, or once for the whole block when it does not split.
+template <typename F>
+void forShell(const Shape& s, const F& f) {
+  const int X = s.lnx, Y = s.lny, Z = s.lnz;
+  if (!s.splits()) {
+    f(s.whole());
     return;
   }
-  jacobiRange(L, 1, X, 1, Y, 1, 1);
-  jacobiRange(L, 1, X, 1, Y, Z, Z);
-  jacobiRange(L, 1, X, 1, 1, 2, Z - 1);
-  jacobiRange(L, 1, X, Y, Y, 2, Z - 1);
-  jacobiRange(L, 1, 1, 2, Y - 1, 2, Z - 1);
-  jacobiRange(L, X, X, 2, Y - 1, 2, Z - 1);
+  f(Box{1, X, 1, Y, 1, 1});
+  f(Box{1, X, 1, Y, Z, Z});
+  f(Box{1, X, 1, 1, 2, Z - 1});
+  f(Box{1, X, Y, Y, 2, Z - 1});
+  f(Box{1, 1, 2, Y - 1, 2, Z - 1});
+  f(Box{X, X, 2, Y - 1, 2, Z - 1});
 }
 
-void commitJacobi(Level& L) {
-  for (int k = 1; k <= L.lnz; ++k) {
-    for (int j = 1; j <= L.lny; ++j) {
-      for (int i = 1; i <= L.lnx; ++i) {
-        const std::size_t p = L.idx(i, j, k);
-        L.u[p] = L.scratch[p];
+/// Copies the face across side `dir` between `field` and `buf`: pack reads
+/// the interior plane next to that side, unpack writes the ghost plane
+/// beyond it.  The faster of the two axes across the face is innermost.
+void copyFace(const Shape& s, std::vector<double>& field, int dir,
+              bool inclusive, bool pack, std::vector<double>& buf) {
+  const int axis = dir / 2;
+  const int fast = axis == 0 ? 1 : 0, slow = axis == 2 ? 1 : 2;
+  const int plane = (dir & 1) != 0 ? s.extent(axis) + (pack ? 0 : 1)
+                                   : (pack ? 1 : 0);
+  const auto [f0, f1] = s.span(fast, dir, inclusive);
+  const auto [s0, s1] = s.span(slow, dir, inclusive);
+  std::size_t at = 0;
+  for (int y = s0; y <= s1; ++y) {
+    std::size_t p = static_cast<std::size_t>(plane) * s.stride(axis) +
+                    static_cast<std::size_t>(y) * s.stride(slow) +
+                    static_cast<std::size_t>(f0) * s.stride(fast);
+    for (int x = f0; x <= f1; ++x, ++at, p += s.stride(fast)) {
+      if (pack) {
+        buf[at] = field[p];
+      } else {
+        field[p] = buf[at];
       }
     }
   }
 }
 
-void computeResidualRange(Level& L, int i0, int i1, int j0, int j1, int k0,
-                          int k1) {
-  for (int k = k0; k <= k1; ++k) {
-    for (int j = j0; j <= j1; ++j) {
-      for (int i = i0; i <= i1; ++i) {
-        const std::size_t p = L.idx(i, j, k);
-        const double au = 6.0 * L.u[p] - L.u[L.idx(i - 1, j, k)] -
-                          L.u[L.idx(i + 1, j, k)] - L.u[L.idx(i, j - 1, k)] -
-                          L.u[L.idx(i, j + 1, k)] - L.u[L.idx(i, j, k - 1)] -
-                          L.u[L.idx(i, j, k + 1)];
-        L.r[p] = L.f[p] - au;
-      }
-    }
-  }
-}
-
-void computeResidualBoundary(Level& L) {
-  const int X = L.lnx, Y = L.lny, Z = L.lnz;
-  if (X < 3 || Y < 3 || Z < 3) {
-    computeResidualRange(L, 1, X, 1, Y, 1, Z);
-    return;
-  }
-  computeResidualRange(L, 1, X, 1, Y, 1, 1);
-  computeResidualRange(L, 1, X, 1, Y, Z, Z);
-  computeResidualRange(L, 1, X, 1, 1, 2, Z - 1);
-  computeResidualRange(L, 1, X, Y, Y, 2, Z - 1);
-  computeResidualRange(L, 1, 1, 2, Y - 1, 2, Z - 1);
-  computeResidualRange(L, X, X, 2, Y - 1, 2, Z - 1);
-}
-
-/// Half-weighted restriction of fine.r into coarse.f over a coarse-cell
-/// range (fine ghosts of r must be current for cells touching them — only
-/// the high faces do, since coarse i maps to fine 2i and reads 2i +- 1).
-void restrictResidualRange(const Level& fine, Level& coarse, int i0, int i1,
-                           int j0, int j1, int k0, int k1) {
-  for (int k = k0; k <= k1; ++k) {
-    for (int j = j0; j <= j1; ++j) {
-      for (int i = i0; i <= i1; ++i) {
-        const int fi = 2 * i, fj = 2 * j, fk = 2 * k;
-        const double center = fine.r[fine.idx(fi, fj, fk)];
-        const double faces =
-            fine.r[fine.idx(fi - 1, fj, fk)] +
-            fine.r[fine.idx(fi + 1, fj, fk)] +
-            fine.r[fine.idx(fi, fj - 1, fk)] +
-            fine.r[fine.idx(fi, fj + 1, fk)] +
-            fine.r[fine.idx(fi, fj, fk - 1)] +
-            fine.r[fine.idx(fi, fj, fk + 1)];
-        coarse.f[coarse.idx(i, j, k)] = 4.0 * (0.5 * center + faces / 12.0);
-      }
-    }
-  }
+/// Half-weighted restriction of fine.r into coarse.f over the coarse cells
+/// of box b.  Coarse i reads fine 2i and 2i +- 1, so only cells on the high
+/// faces read fine ghosts, which must then be current.
+void restrictResidual(const Level& fine, Level& coarse, const Box& b) {
+  const std::vector<double>& r = fine.r;
+  const std::size_t sy = fine.stride(1), sz = fine.stride(2);
+  forBox(coarse, b, [&](int i, int j, int k, std::size_t p) {
+    const std::size_t q = fine.idx(2 * i, 2 * j, 2 * k);
+    const double faces =
+        r[q - 1] + r[q + 1] + r[q - sy] + r[q + sy] + r[q - sz] + r[q + sz];
+    coarse.f[p] = 4.0 * (0.5 * r[q] + faces / 12.0);
+  });
 }
 
 /// Trilinear prolongation of coarse.u added into fine.u (coarse ghosts of u
 /// must be current).
 void prolongAdd(const Level& coarse, Level& fine) {
-  for (int k = 1; k <= fine.lnz; ++k) {
-    const int kc0 = k / 2, kc1 = (k + 1) / 2;
-    const double wk = (k % 2 == 0) ? 1.0 : 0.5;
-    for (int j = 1; j <= fine.lny; ++j) {
-      const int jc0 = j / 2, jc1 = (j + 1) / 2;
-      const double wj = (j % 2 == 0) ? 1.0 : 0.5;
-      for (int i = 1; i <= fine.lnx; ++i) {
-        const int ic0 = i / 2, ic1 = (i + 1) / 2;
-        const double wi = (i % 2 == 0) ? 1.0 : 0.5;
-        double v = 0.0;
-        for (const int kc : {kc0, kc1}) {
-          for (const int jc : {jc0, jc1}) {
-            for (const int ic : {ic0, ic1}) {
-              v += coarse.u[coarse.idx(ic, jc, kc)];
-            }
-          }
+  forBox(fine, fine.whole(), [&](int i, int j, int k, std::size_t p) {
+    double v = 0.0;
+    for (const int kc : {k / 2, (k + 1) / 2}) {
+      for (const int jc : {j / 2, (j + 1) / 2}) {
+        for (const int ic : {i / 2, (i + 1) / 2}) {
+          v += coarse.u[coarse.idx(ic, jc, kc)];
         }
-        // The 8-combination loop visits each distinct coarse point
-        // 2^(#even axes) times; dividing by 8 yields exactly the trilinear
-        // weights (1 on even axes, 1/2-1/2 on odd axes).
-        (void)wi;
-        (void)wj;
-        (void)wk;
-        fine.u[fine.idx(i, j, k)] += v / 8.0;
       }
     }
-  }
+    // The 8-combination loop visits each distinct coarse point
+    // 2^(#even axes) times; dividing by 8 yields exactly the trilinear
+    // weights (1 on even axes, 1/2-1/2 on odd axes).
+    fine.u[p] += v / 8.0;
+  });
 }
+
+/// The sides [lo, hi) one exchange covers: all six, or one axis's two.
+struct Sides {
+  int lo, hi;
+};
+constexpr Sides kAllSides{0, 6};
+
+/// One library's half of a face exchange at level l: post starts it,
+/// complete waits for it and fills `field`'s ghosts.  The overlapped
+/// exchange covers kAllSides with plain faces; NPB comm3's sequential one
+/// covers one axis at a time with inclusive faces.
+using Exchange =
+    std::function<void(int l, std::vector<double>& field, Sides sides,
+                       bool inclusive)>;
+
+/// One rank's end of the face exchange, whichever library carries it: its
+/// cell of the px x py x pz process grid, its neighbour across each side
+/// (-1 at the domain's edge) and its outgoing faces.  The face rank r
+/// receives from side d at level l lands in inbox(l, r, d), which is sized
+/// for the inclusive face.
+struct Halo {
+  const std::vector<Shape>& shapes;
+  std::vector<std::vector<double>>& inboxes;  // by level, rank, side
+  Rank me;
+  int nranks;
+  std::array<int, 3> cell{};
+  std::array<Rank, 6> peer{};
+  std::array<std::vector<double>, 6> out;
+
+  Halo(const std::vector<Shape>& s, std::vector<std::vector<double>>& in,
+       const Grid3D& pg, Rank r)
+      : shapes(s), inboxes(in), me(r), nranks(pg.px * pg.py * pg.pz) {
+    const std::array<int, 3> dims = {pg.px, pg.py, pg.pz};
+    const std::array<int, 3> step = {1, pg.px, pg.px * pg.py};
+    for (int a = 0; a < 3; ++a) cell[a] = me / step[a] % dims[a];
+    for (int d = 0; d < 6; ++d) {
+      const int a = d / 2, delta = (d & 1) != 0 ? 1 : -1;
+      const int c = cell[a] + delta;
+      peer[d] = c < 0 || c >= dims[a] ? -1 : me + delta * step[a];
+    }
+  }
+  std::vector<double>& inbox(int l, Rank r, int d) {
+    return inboxes[(static_cast<std::size_t>(l) * nranks +
+                    static_cast<std::size_t>(r)) * 6 +
+                   static_cast<std::size_t>(d)];
+  }
+  /// Packs field's face across side d into out[d].
+  std::vector<double>& pack(int l, std::vector<double>& field, int d,
+                            bool inclusive) {
+    const Shape& s = shapes[static_cast<std::size_t>(l)];
+    std::vector<double>& face = out[static_cast<std::size_t>(d)];
+    face.resize(static_cast<std::size_t>(s.faceSize(d, inclusive)));
+    copyFace(s, field, d, inclusive, true, face);
+    return face;
+  }
+  /// Copies the faces that arrived across `sides` into field's ghosts.
+  void unpack(int l, std::vector<double>& field, Sides sides,
+              bool inclusive) {
+    for (int d = sides.lo; d < sides.hi; ++d) {
+      if (peer[d] < 0) continue;
+      copyFace(shapes[static_cast<std::size_t>(l)], field, d, inclusive,
+               false, inbox(l, me, d));
+    }
+  }
+};
 
 }  // namespace
 
@@ -292,16 +270,16 @@ NasResult runMg(const MgParams& params) {
   const int P = params.nranks;
   const Grid3D pg = factor3d(P);
 
-  // Build the level geometry (shared by every rank).
-  std::vector<std::array<int, 4>> geom;  // {n, lnx, lny, lnz}
+  // The level shapes every rank shares: halve while the grid splits.
+  std::vector<Shape> shapes;
   for (int n = sz.n;; n /= 2) {
     if (n % pg.px != 0 || n % pg.py != 0 || n % pg.pz != 0) break;
-    const int lx = n / pg.px, ly = n / pg.py, lz = n / pg.pz;
-    if (lx < 1 || ly < 1 || lz < 1) break;
-    geom.push_back({n, lx, ly, lz});
+    const Shape s{n / pg.px, n / pg.py, n / pg.pz};
+    if (s.lnx < 1 || s.lny < 1 || s.lnz < 1) break;
+    shapes.push_back(s);
     if (n / 2 < 4) break;
   }
-  const int nlevels = static_cast<int>(geom.size());
+  const int nlevels = static_cast<int>(shapes.size());
   if (nlevels == 0) {
     return cannotRun("the " + std::to_string(sz.n) + "^3 grid is not " +
                      "divisible by the " + std::to_string(pg.px) + "x" +
@@ -309,20 +287,14 @@ NasResult runMg(const MgParams& params) {
                      " process grid");
   }
 
-  // Shared inbox buffers: inbox[level][rank][dir].
-  std::vector<std::vector<std::array<std::vector<double>, 6>>> inbox(
-      static_cast<std::size_t>(nlevels));
-  for (int l = 0; l < nlevels; ++l) {
-    inbox[static_cast<std::size_t>(l)].resize(static_cast<std::size_t>(P));
-    Level tmp;
-    tmp.lnx = geom[static_cast<std::size_t>(l)][1];
-    tmp.lny = geom[static_cast<std::size_t>(l)][2];
-    tmp.lnz = geom[static_cast<std::size_t>(l)][3];
+  // Every rank's inboxes, by level, rank and side (Halo::inbox).
+  std::vector<std::vector<double>> inboxes;
+  inboxes.reserve(shapes.size() * static_cast<std::size_t>(P) * 6);
+  for (const Shape& s : shapes) {
     for (int rk = 0; rk < P; ++rk) {
       for (int d = 0; d < 6; ++d) {
-        inbox[static_cast<std::size_t>(l)][static_cast<std::size_t>(rk)]
-             [static_cast<std::size_t>(d)]
-                 .assign(static_cast<std::size_t>(faceCountIncl(tmp, d)), 0.0);
+        inboxes.emplace_back(static_cast<std::size_t>(s.faceSize(d, true)),
+                             0.0);
       }
     }
   }
@@ -330,105 +302,101 @@ NasResult runMg(const MgParams& params) {
   double res_out = 0.0;
   bool verified = true;
 
-  // The per-rank program, parameterized over the communication adapter.
-  // `begin(l, field)` starts the 6-face exchange; `end(l, field)` completes
-  // it and fills the ghosts.
-  auto program = [&](Rank me, const CostModel& cost,
+  // The per-rank program; the library comes in as `post`/`complete`.
+  const CostModel& cost = params.cost;
+  auto program = [&](Rank me, const std::array<int, 3>& cell,
                      const std::function<void(DurationNs)>& charge,
-                     const std::function<void(int, std::vector<double>&)>& beginX,
-                     const std::function<void(int, std::vector<double>&)>& endX,
-                     const std::function<void(int, std::vector<double>&)>& seqX,
+                     const Exchange& post, const Exchange& complete,
                      const std::function<double(double)>& sum) {
-    const int cx = static_cast<int>(me) % pg.px;
-    const int cy = (static_cast<int>(me) / pg.px) % pg.py;
-    const int cz = static_cast<int>(me) / (pg.px * pg.py);
-    std::vector<Level> levels(static_cast<std::size_t>(nlevels));
-    for (int l = 0; l < nlevels; ++l) {
-      Level& L = levels[static_cast<std::size_t>(l)];
-      L.n = geom[static_cast<std::size_t>(l)][0];
-      L.lnx = geom[static_cast<std::size_t>(l)][1];
-      L.lny = geom[static_cast<std::size_t>(l)][2];
-      L.lnz = geom[static_cast<std::size_t>(l)][3];
-      L.alloc();
-    }
+    std::vector<Level> levels(shapes.begin(), shapes.end());
+    const auto lvl = [&](int l) -> Level& {
+      return levels[static_cast<std::size_t>(l)];
+    };
     // Smooth, global source on the finest level.
     {
       Level& L = levels[0];
-      const int x0 = cx * L.lnx, y0 = cy * L.lny, z0 = cz * L.lnz;
-      for (int k = 1; k <= L.lnz; ++k) {
-        for (int j = 1; j <= L.lny; ++j) {
-          for (int i = 1; i <= L.lnx; ++i) {
-            L.f[L.idx(i, j, k)] = std::sin(0.37 * (x0 + i)) *
-                                  std::cos(0.21 * (y0 + j)) *
-                                  std::sin(0.29 * (z0 + k));
-          }
-        }
-      }
+      const int x0 = cell[0] * L.lnx, y0 = cell[1] * L.lny,
+                z0 = cell[2] * L.lnz;
+      forBox(L, L.whole(), [&](int i, int j, int k, std::size_t p) {
+        L.f[p] = std::sin(0.37 * (x0 + i)) * std::cos(0.21 * (y0 + j)) *
+                 std::sin(0.29 * (z0 + k));
+      });
       charge(cost.flops(8 * L.points()));
     }
 
-    auto fullExchange = [&](int l, std::vector<double>& field) {
-      beginX(l, field);
-      endX(l, field);
+    // Posts the exchange of field's faces, runs `interior` while they are
+    // in flight — the non-blocking ARMCI variant's overlap (Sec. 4.4) —
+    // then completes it and runs `shell`, which reads the ghosts.
+    const auto overlapped = [&](int l, std::vector<double>& field,
+                                const auto& interior, const auto& shell) {
+      post(l, field, kAllSides, false);
+      interior();
+      complete(l, field, kAllSides, false);
+      shell();
+    };
+    // A 7-point step over level l, out(p, au) on every cell, with the
+    // interior (charged `flops` per cell) overlapped with u's exchange.
+    const auto stencil = [&](int l, int flops, const auto& out) {
+      Level& L = lvl(l);
+      overlapped(
+          l, L.u,
+          [&] {
+            if (!L.splits()) return;
+            sweep(L, L.interior(), out);
+            charge(cost.flops(flops * L.interior().cells()));
+          },
+          [&] { forShell(L, [&](const Box& b) { sweep(L, b, out); }); });
+    };
+    const auto residualOf = [](Level& L) {
+      return [&L](std::size_t p, double au) { L.r[p] = L.f[p] - au; };
     };
 
-    auto smooth = [&](int l) {
-      Level& L = levels[static_cast<std::size_t>(l)];
-      beginX(l, L.u);
-      // Interior while faces are in flight — the ARMCI non-blocking
-      // version's overlap (Sec. 4.4).
-      if (L.lnx >= 3 && L.lny >= 3 && L.lnz >= 3) {
-        jacobiRange(L, 2, L.lnx - 1, 2, L.lny - 1, 2, L.lnz - 1);
-        charge(cost.flops(10 * (L.lnx - 2) * (L.lny - 2) * (L.lnz - 2)));
-      }
-      endX(l, L.u);
-      jacobiBoundaryShell(L);
-      commitJacobi(L);
+    const auto smooth = [&](int l) {
+      Level& L = lvl(l);
+      stencil(l, 10, [&](std::size_t p, double au) {
+        L.scratch[p] = L.u[p] + kOmega / 6.0 * (L.f[p] - au);
+      });
+      forBox(L, L.whole(),
+             [&](int, int, int, std::size_t p) { L.u[p] = L.scratch[p]; });
       charge(cost.flops(12 * L.points()));
     };
 
     std::function<void(int)> vcycle = [&](int l) {
-      Level& L = levels[static_cast<std::size_t>(l)];
+      Level& L = lvl(l);
       if (l == nlevels - 1) {
-        for (int s = 0; s < kMgCoarseSweeps; ++s) smooth(l);
+        for (int s = 0; s < tables::kMgCoarseSweeps; ++s) smooth(l);
         return;
       }
       smooth(l);
       smooth(l);
-      // Residual with the same interior/boundary overlap as the smoother.
-      beginX(l, L.u);
-      if (L.lnx >= 3 && L.lny >= 3 && L.lnz >= 3) {
-        computeResidualRange(L, 2, L.lnx - 1, 2, L.lny - 1, 2, L.lnz - 1);
-        charge(cost.flops(9 * (L.lnx - 2) * (L.lny - 2) * (L.lnz - 2)));
-      }
-      endX(l, L.u);
-      computeResidualBoundary(L);
+      stencil(l, 9, residualOf(L));
       charge(cost.flops(9 * L.points()));
-      // Restrict while the fine-residual faces are in flight: only coarse
-      // cells on the high faces read fine ghosts.
-      Level& C = levels[static_cast<std::size_t>(l) + 1];
-      beginX(l, L.r);
-      const int cx2 = C.lnx - 1, cy2 = C.lny - 1, cz2 = C.lnz - 1;
-      if (cx2 >= 1 && cy2 >= 1 && cz2 >= 1) {
-        restrictResidualRange(L, C, 1, cx2, 1, cy2, 1, cz2);
-        charge(cost.flops(9 * cx2 * cy2 * cz2));
-      }
-      endX(l, L.r);
-      // High-face shell of the coarse grid.
-      restrictResidualRange(L, C, C.lnx, C.lnx, 1, C.lny, 1, C.lnz);
-      if (C.lnx > 1) {
-        restrictResidualRange(L, C, 1, C.lnx - 1, C.lny, C.lny, 1, C.lnz);
-      }
-      if (C.lnx > 1 && C.lny > 1) {
-        restrictResidualRange(L, C, 1, C.lnx - 1, 1, C.lny - 1, C.lnz,
-                              C.lnz);
-      }
+      // Restrict while the fine residual's faces are in flight; then the
+      // coarse grid's high-face shell, the cells that read fine ghosts.
+      Level& C = lvl(l + 1);
+      const Box inner{1, C.lnx - 1, 1, C.lny - 1, 1, C.lnz - 1};
+      overlapped(
+          l, L.r,
+          [&] {
+            if (inner.i1 < 1 || inner.j1 < 1 || inner.k1 < 1) return;
+            restrictResidual(L, C, inner);
+            charge(cost.flops(9 * inner.cells()));
+          },
+          [&] {
+            restrictResidual(L, C, {C.lnx, C.lnx, 1, C.lny, 1, C.lnz});
+            restrictResidual(L, C, {1, C.lnx - 1, C.lny, C.lny, 1, C.lnz});
+            restrictResidual(L, C, {1, C.lnx - 1, 1, C.lny - 1, C.lnz, C.lnz});
+          });
       charge(cost.flops(9 * C.points()));
       std::fill(C.u.begin(), C.u.end(), 0.0);
       vcycle(l + 1);
-      // The trilinear prolongation reads coarse edge/corner ghosts, which
-      // only the sequential ghost-inclusive exchange fills.
-      seqX(l + 1, C.u);
+      // The trilinear prolongation reads coarse edge and corner ghosts,
+      // which only the sequential exchange fills: each axis in turn, with
+      // inclusive faces, completed before the next.
+      for (int a = 0; a < 3; ++a) {
+        post(l + 1, C.u, {2 * a, 2 * a + 2}, true);
+        complete(l + 1, C.u, {2 * a, 2 * a + 2}, true);
+      }
       prolongAdd(C, L);
       charge(cost.flops(12 * L.points()));
       smooth(l);
@@ -437,18 +405,14 @@ NasResult runMg(const MgParams& params) {
 
     auto residualNorm = [&] {
       Level& L = levels[0];
-      fullExchange(0, L.u);
-      computeResidualRange(L, 1, L.lnx, 1, L.lny, 1, L.lnz);
+      post(0, L.u, kAllSides, false);
+      complete(0, L.u, kAllSides, false);
+      sweep(L, L.whole(), residualOf(L));
       charge(cost.flops(9 * L.points()));
       double local = 0;
-      for (int k = 1; k <= L.lnz; ++k) {
-        for (int j = 1; j <= L.lny; ++j) {
-          for (int i = 1; i <= L.lnx; ++i) {
-            const double v = L.r[L.idx(i, j, k)];
-            local += v * v;
-          }
-        }
-      }
+      forBox(L, L.whole(), [&](int, int, int, std::size_t p) {
+        local += L.r[p] * L.r[p];
+      });
       charge(cost.flops(2 * L.points()));
       return std::sqrt(sum(local));
     };
@@ -462,225 +426,94 @@ NasResult runMg(const MgParams& params) {
     }
   };
 
-  // ---- neighbor helpers (shared) ----
-  auto neighbor = [&](Rank me, int dir) -> Rank {
-    const int cx = static_cast<int>(me) % pg.px;
-    const int cy = (static_cast<int>(me) / pg.px) % pg.py;
-    const int cz = static_cast<int>(me) / (pg.px * pg.py);
-    int nx = cx, ny = cy, nzc = cz;
-    switch (dir) {
-      case 0: nx = cx - 1; break;
-      case 1: nx = cx + 1; break;
-      case 2: ny = cy - 1; break;
-      case 3: ny = cy + 1; break;
-      case 4: nzc = cz - 1; break;
-      case 5: nzc = cz + 1; break;
-      default: break;
-    }
-    if (nx < 0 || nx >= pg.px || ny < 0 || ny >= pg.py || nzc < 0 ||
-        nzc >= pg.pz) {
-      return -1;
-    }
-    return static_cast<Rank>((nzc * pg.py + ny) * pg.px + nx);
-  };
-  auto opposite = [](int dir) { return dir ^ 1; };
-
   if (params.variant == MgVariant::MpiBlocking) {
     mpi::Machine machine(makeJobConfig(params));
     machine.run([&](mpi::Mpi& mpi) {
       const Rank me = mpi.rank();
-      std::array<std::vector<double>, 6> outbuf;
+      Halo h(shapes, inboxes, pg, me);
       std::vector<mpi::Request> reqs;
-      auto begin = [&](int l, std::vector<double>& field) {
-        Level L;
-        L.lnx = geom[static_cast<std::size_t>(l)][1];
-        L.lny = geom[static_cast<std::size_t>(l)][2];
-        L.lnz = geom[static_cast<std::size_t>(l)][3];
+      const Exchange post = [&](int l, std::vector<double>& field, Sides sides,
+                                bool inclusive) {
         reqs.clear();
-        for (int d = 0; d < 6; ++d) {
-          const Rank nb = neighbor(me, d);
-          if (nb < 0) continue;
-          auto& in = inbox[static_cast<std::size_t>(l)]
-                          [static_cast<std::size_t>(me)]
-                          [static_cast<std::size_t>(d)];
+        for (int d = sides.lo; d < sides.hi; ++d) {
+          if (h.peer[d] < 0) continue;
+          std::vector<double>& in = h.inbox(l, me, d);
           reqs.push_back(mpi.irecvT(in.data(), static_cast<int>(in.size()),
-                                    nb, kMgTagExch + l * 8 + d));
+                                    h.peer[d], faceTag(l, d)));
         }
-        for (int d = 0; d < 6; ++d) {
-          const Rank nb = neighbor(me, d);
-          if (nb < 0) continue;
-          auto& ob = outbuf[static_cast<std::size_t>(d)];
-          ob.resize(static_cast<std::size_t>(faceCount(L, d)));
-          packFace(L, field, d, ob);
-          reqs.push_back(mpi.isendT(ob.data(), static_cast<int>(ob.size()),
-                                    nb, kMgTagExch + l * 8 + opposite(d)));
+        for (int d = sides.lo; d < sides.hi; ++d) {
+          if (h.peer[d] < 0) continue;
+          const std::vector<double>& out = h.pack(l, field, d, inclusive);
+          reqs.push_back(mpi.isendT(out.data(), static_cast<int>(out.size()),
+                                    h.peer[d], faceTag(l, d ^ 1)));
         }
       };
-      auto end = [&](int l, std::vector<double>& field) {
-        Level L;
-        L.lnx = geom[static_cast<std::size_t>(l)][1];
-        L.lny = geom[static_cast<std::size_t>(l)][2];
-        L.lnz = geom[static_cast<std::size_t>(l)][3];
+      const Exchange complete = [&](int l, std::vector<double>& field,
+                                    Sides sides, bool inclusive) {
         mpi.waitall(reqs.data(), static_cast<int>(reqs.size()));
-        for (int d = 0; d < 6; ++d) {
-          if (neighbor(me, d) < 0) continue;
-          unpackGhost(L, field,
-                      d, inbox[static_cast<std::size_t>(l)]
-                              [static_cast<std::size_t>(me)]
-                              [static_cast<std::size_t>(d)]);
-        }
-      };
-      // Sequential ghost-inclusive exchange (NPB comm3): axis by axis, each
-      // phase fully completed before the next so edges/corners propagate.
-      auto seq = [&](int l, std::vector<double>& field) {
-        Level L;
-        L.lnx = geom[static_cast<std::size_t>(l)][1];
-        L.lny = geom[static_cast<std::size_t>(l)][2];
-        L.lnz = geom[static_cast<std::size_t>(l)][3];
-        for (int axis = 0; axis < 3; ++axis) {
-          std::vector<mpi::Request> rr;
-          for (int s = 0; s < 2; ++s) {
-            const int d = axis * 2 + s;
-            const Rank nb = neighbor(me, d);
-            if (nb < 0) continue;
-            auto& in = inbox[static_cast<std::size_t>(l)]
-                            [static_cast<std::size_t>(me)]
-                            [static_cast<std::size_t>(d)];
-            rr.push_back(mpi.irecvT(in.data(), static_cast<int>(in.size()),
-                                    nb, kMgTagExch + l * 8 + d));
-          }
-          for (int s = 0; s < 2; ++s) {
-            const int d = axis * 2 + s;
-            const Rank nb = neighbor(me, d);
-            if (nb < 0) continue;
-            auto& ob = outbuf[static_cast<std::size_t>(d)];
-            ob.resize(static_cast<std::size_t>(faceCountIncl(L, d)));
-            packFaceIncl(L, field, d, ob);
-            rr.push_back(mpi.isendT(ob.data(), static_cast<int>(ob.size()),
-                                    nb, kMgTagExch + l * 8 + opposite(d)));
-          }
-          mpi.waitall(rr.data(), static_cast<int>(rr.size()));
-          for (int s = 0; s < 2; ++s) {
-            const int d = axis * 2 + s;
-            if (neighbor(me, d) < 0) continue;
-            unpackGhostIncl(L, field,
-                            d, inbox[static_cast<std::size_t>(l)]
-                                    [static_cast<std::size_t>(me)]
-                                    [static_cast<std::size_t>(d)]);
-          }
-        }
+        h.unpack(l, field, sides, inclusive);
       };
       program(
-          me, params.cost, [&](DurationNs d) { mpi.compute(d); }, begin, end,
-          seq, [&](double local) {
+          me, h.cell, [&](DurationNs d) { mpi.compute(d); }, post, complete,
+          [&](double local) {
             double g = 0;
             mpi.allreduce(&local, &g, 1, mpi::Op::Sum);
             return g;
           });
     });
     return nasResult(machine, res_out, verified);
-  } else {
-    armci::ArmciJobConfig cfg;
-    cfg.nranks = params.nranks;
-    cfg.fabric = params.fabric;
-    setLibraryConfig(cfg.armci, params);
-    cfg.trace = params.trace;
-    cfg.workers = params.workers;
-    armci::ArmciMachine machine(cfg);
-    const bool nonblocking = params.variant == MgVariant::ArmciNonBlocking;
-    machine.run([&](armci::Armci& a) {
-      const Rank me = a.rank();
-      // Name this rank's inbox faces as remote-access targets so the traced
-      // puts carry stable (segment, offset) intervals for the race analysis.
-      for (int l = 0; l < nlevels; ++l) {
-        for (int d = 0; d < 6; ++d) {
-          auto& in = inbox[static_cast<std::size_t>(l)]
-                          [static_cast<std::size_t>(me)]
-                          [static_cast<std::size_t>(d)];
-          a.registerLocal(in.data(),
-                          static_cast<Bytes>(in.size()) *
-                              static_cast<Bytes>(sizeof(double)));
+  }
+
+  armci::ArmciJobConfig cfg;
+  cfg.nranks = params.nranks;
+  cfg.fabric = params.fabric;
+  setLibraryConfig(cfg.armci, params);
+  cfg.trace = params.trace;
+  cfg.workers = params.workers;
+  armci::ArmciMachine machine(cfg);
+  const bool nonblocking = params.variant == MgVariant::ArmciNonBlocking;
+  machine.run([&](armci::Armci& a) {
+    const Rank me = a.rank();
+    Halo h(shapes, inboxes, pg, me);
+    const auto bytes = [](const std::vector<double>& v) {
+      return static_cast<Bytes>(v.size()) * static_cast<Bytes>(sizeof(double));
+    };
+    // Name this rank's inboxes as remote-access targets so the traced puts
+    // carry stable (segment, offset) intervals for the race analysis.
+    for (int l = 0; l < nlevels; ++l) {
+      for (int d = 0; d < 6; ++d) {
+        std::vector<double>& in = h.inbox(l, me, d);
+        a.registerLocal(in.data(), bytes(in));
+      }
+    }
+    // Only the overlapped exchange puts non-blocking: the sequential one
+    // completes each axis before it posts the next.
+    const Exchange post = [&](int l, std::vector<double>& field, Sides sides,
+                              bool inclusive) {
+      for (int d = sides.lo; d < sides.hi; ++d) {
+        const Rank nb = h.peer[d];
+        if (nb < 0) continue;
+        const std::vector<double>& out = h.pack(l, field, d, inclusive);
+        double* dest = h.inbox(l, nb, d ^ 1).data();
+        if (nonblocking && !inclusive) {
+          (void)a.nbPut(out.data(), dest, bytes(out), nb);
+        } else {
+          a.put(out.data(), dest, bytes(out), nb);
         }
       }
-      std::array<std::vector<double>, 6> outbuf;
-      auto begin = [&](int l, std::vector<double>& field) {
-        Level L;
-        L.lnx = geom[static_cast<std::size_t>(l)][1];
-        L.lny = geom[static_cast<std::size_t>(l)][2];
-        L.lnz = geom[static_cast<std::size_t>(l)][3];
-        for (int d = 0; d < 6; ++d) {
-          const Rank nb = neighbor(me, d);
-          if (nb < 0) continue;
-          auto& ob = outbuf[static_cast<std::size_t>(d)];
-          ob.resize(static_cast<std::size_t>(faceCount(L, d)));
-          packFace(L, field, d, ob);
-          auto& dest = inbox[static_cast<std::size_t>(l)]
-                            [static_cast<std::size_t>(nb)]
-                            [static_cast<std::size_t>(opposite(d))];
-          const Bytes n = static_cast<Bytes>(ob.size()) *
-                          static_cast<Bytes>(sizeof(double));
-          if (nonblocking) {
-            (void)a.nbPut(ob.data(), dest.data(), n, nb);
-          } else {
-            a.put(ob.data(), dest.data(), n, nb);
-          }
-        }
-      };
-      auto end = [&](int l, std::vector<double>& field) {
-        Level L;
-        L.lnx = geom[static_cast<std::size_t>(l)][1];
-        L.lny = geom[static_cast<std::size_t>(l)][2];
-        L.lnz = geom[static_cast<std::size_t>(l)][3];
-        if (nonblocking) a.fence(0);  // local puts delivered remotely
-        a.barrier();                  // everyone's puts are in the inboxes
-        for (int d = 0; d < 6; ++d) {
-          if (neighbor(me, d) < 0) continue;
-          unpackGhost(L, field,
-                      d, inbox[static_cast<std::size_t>(l)]
-                              [static_cast<std::size_t>(me)]
-                              [static_cast<std::size_t>(d)]);
-        }
-        a.barrier();  // inboxes free for reuse
-      };
-      auto seq = [&](int l, std::vector<double>& field) {
-        Level L;
-        L.lnx = geom[static_cast<std::size_t>(l)][1];
-        L.lny = geom[static_cast<std::size_t>(l)][2];
-        L.lnz = geom[static_cast<std::size_t>(l)][3];
-        for (int axis = 0; axis < 3; ++axis) {
-          for (int s = 0; s < 2; ++s) {
-            const int d = axis * 2 + s;
-            const Rank nb = neighbor(me, d);
-            if (nb < 0) continue;
-            auto& ob = outbuf[static_cast<std::size_t>(d)];
-            ob.resize(static_cast<std::size_t>(faceCountIncl(L, d)));
-            packFaceIncl(L, field, d, ob);
-            auto& dest = inbox[static_cast<std::size_t>(l)]
-                              [static_cast<std::size_t>(nb)]
-                              [static_cast<std::size_t>(opposite(d))];
-            a.put(ob.data(), dest.data(),
-                  static_cast<Bytes>(ob.size()) *
-                      static_cast<Bytes>(sizeof(double)),
-                  nb);
-          }
-          a.barrier();
-          for (int s = 0; s < 2; ++s) {
-            const int d = axis * 2 + s;
-            if (neighbor(me, d) < 0) continue;
-            unpackGhostIncl(L, field,
-                            d, inbox[static_cast<std::size_t>(l)]
-                                    [static_cast<std::size_t>(me)]
-                                    [static_cast<std::size_t>(d)]);
-          }
-          a.barrier();
-        }
-      };
-      program(
-          me, params.cost, [&](DurationNs d) { a.compute(d); }, begin, end,
-          seq, [&](double local) { return a.allreduceSum(local); });
-    });
-    return nasResult(machine, res_out, verified);
-  }
+    };
+    const Exchange complete = [&](int l, std::vector<double>& field,
+                                  Sides sides, bool inclusive) {
+      if (nonblocking && !inclusive) a.fence(0);  // puts delivered remotely
+      a.barrier();  // everyone's puts are in the inboxes
+      h.unpack(l, field, sides, inclusive);
+      a.barrier();  // inboxes free for reuse
+    };
+    program(
+        me, h.cell, [&](DurationNs d) { a.compute(d); }, post, complete,
+        [&](double local) { return a.allreduceSum(local); });
+  });
+  return nasResult(machine, res_out, verified);
 }
 
 }  // namespace ovp::nas

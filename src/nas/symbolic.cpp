@@ -218,123 +218,78 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
   const ExprP nlevels =
       add(sub(clog2(n), clog2(emax(cst(4), pz))), cst(1));
 
-  const auto lnxAt = [&](const ExprP& l) {
-    return floordiv(floordiv(n, pow2(l)), px);
-  };
-  const auto lnyAt = [&](const ExprP& l) {
-    return floordiv(floordiv(n, pow2(l)), py);
-  };
-  const auto lnzAt = [&](const ExprP& l) {
-    return floordiv(floordiv(n, pow2(l)), pz);
+  const ExprP grid[3] = {px, py, pz};
+  const auto extAt = [&](const ExprP& l, int axis) {
+    return floordiv(floordiv(n, pow2(l)), grid[axis]);
   };
   const auto pointsAt = [&](const ExprP& l) {
-    return mul(mul(lnxAt(l), lnyAt(l)), lnzAt(l));
+    return mul(mul(extAt(l, 0), extAt(l, 1)), extAt(l, 2));
   };
-  const auto faceAt = [&](const ExprP& l, int d) {
-    switch (d / 2) {
-      case 0: return mul(lnyAt(l), lnzAt(l));
-      case 1: return mul(lnxAt(l), lnzAt(l));
-      default: return mul(lnxAt(l), lnyAt(l));
+  // Bytes in the face across side d: the two other axes' extents, each
+  // with its two ghosts on an inclusive face when it comes before d's.
+  const auto faceAt = [&](const ExprP& l, int d, bool inclusive) {
+    ExprP size;
+    for (int axis = 0; axis < 3; ++axis) {
+      if (axis == d / 2) continue;
+      ExprP e = extAt(l, axis);
+      if (inclusive && axis < d / 2) e = add(e, cst(2));
+      size = size ? mul(size, e) : e;
     }
-  };
-  const auto faceInclAt = [&](const ExprP& l, int d) {
-    switch (d / 2) {
-      case 0: return mul(lnyAt(l), lnzAt(l));
-      case 1: return mul(add(lnxAt(l), cst(2)), lnzAt(l));
-      default: return mul(add(lnxAt(l), cst(2)), add(lnyAt(l), cst(2)));
-    }
+    return mul(size, cst(kD));
   };
 
-  const ExprP cx = mod(rnk(), px);
-  const ExprP cy = mod(floordiv(rnk(), px), py);
-  const ExprP cz = floordiv(rnk(), mul(px, py));
+  // Rank r's coordinate on each axis of the grid, and the rank distance
+  // to its neighbour along it.
+  const ExprP coord[3] = {mod(rnk(), px), mod(floordiv(rnk(), px), py),
+                          floordiv(rnk(), mul(px, py))};
+  const ExprP step[3] = {cst(1), px, mul(px, py)};
   struct Dir {
     Guard g;
     ExprP peer;
   };
   const auto dirAt = [&](int d) -> Dir {
-    switch (d) {
-      case 0: return {{Cond{cx, CmpOp::Ge, cst(1)}}, sub(rnk(), cst(1))};
-      case 1:
-        return {{Cond{cx, CmpOp::Le, sub(px, cst(2))}}, add(rnk(), cst(1))};
-      case 2: return {{Cond{cy, CmpOp::Ge, cst(1)}}, sub(rnk(), px)};
-      case 3:
-        return {{Cond{cy, CmpOp::Le, sub(py, cst(2))}}, add(rnk(), px)};
-      case 4:
-        return {{Cond{cz, CmpOp::Ge, cst(1)}}, sub(rnk(), mul(px, py))};
-      default:
-        return {{Cond{cz, CmpOp::Le, sub(pz, cst(2))}},
-                add(rnk(), mul(px, py))};
+    const int a = d / 2;
+    if (d % 2 == 0) {
+      return {{Cond{coord[a], CmpOp::Ge, cst(1)}}, sub(rnk(), step[a])};
     }
+    return {{Cond{coord[a], CmpOp::Le, sub(grid[a], cst(2))}},
+            add(rnk(), step[a])};
   };
   const auto tagAt = [&](const ExprP& l, int d) {
     return add(add(cst(tables::kMgTagExch), mul(l, cst(8))), cst(d));
   };
 
-  const auto begin = [&](const ExprP& l) {
+  // mg.cpp's post/complete over sides [lo, hi).  A message is the sender's
+  // packed face, not the receiver's ghost-inclusive inbox: MATCH records
+  // carry the sender's bytes.  Only the overlapped (plain-face) exchange
+  // puts non-blocking.
+  const auto post = [&](const ExprP& l, int lo, int hi, bool inclusive) {
+    const auto each = [&](const auto& op) {
+      for (int d = lo; d < hi; ++d) {
+        const Dir dir = dirAt(d);
+        b.guarded(dir.g, [&] { op(d, dir.peer); });
+      }
+    };
     if (is_mpi) {
-      for (int d = 0; d < 6; ++d) {
-        const Dir dir = dirAt(d);
-        b.guarded(dir.g, [&] {
-          // Message = sender's packed face (not the ghost-inclusive
-          // receive buffer): MATCH records carry the sender's bytes.
-          b.irecv(dir.peer, tagAt(l, d), mul(faceAt(l, d), cst(kD)));
-        });
-      }
-      for (int d = 0; d < 6; ++d) {
-        const Dir dir = dirAt(d);
-        b.guarded(dir.g, [&] {
-          b.isend(dir.peer, tagAt(l, d ^ 1), mul(faceAt(l, d), cst(kD)));
-        });
-      }
+      each([&](int d, const ExprP& peer) {
+        b.irecv(peer, tagAt(l, d), faceAt(l, d, inclusive));
+      });
+      each([&](int d, const ExprP& peer) {
+        b.isend(peer, tagAt(l, d ^ 1), faceAt(l, d, inclusive));
+      });
     } else {
-      for (int d = 0; d < 6; ++d) {
-        const Dir dir = dirAt(d);
-        b.guarded(dir.g, [&] {
-          b.put(dir.peer, mul(faceAt(l, d), cst(kD)), nonblocking);
-        });
-      }
+      each([&](int d, const ExprP& peer) {
+        b.put(peer, faceAt(l, d, inclusive), nonblocking && !inclusive);
+      });
     }
   };
-  const auto end = [&] {
+  const auto complete = [&](bool inclusive) {
     if (is_mpi) {
       b.waitall();
     } else {
-      if (nonblocking) b.fence(cst(0));
+      if (nonblocking && !inclusive) b.fence(cst(0));
       b.barrier();  // everyone's puts are in the inboxes
       b.barrier();  // inboxes free for reuse
-    }
-  };
-  const auto seq = [&](const ExprP& l) {
-    for (int axis = 0; axis < 3; ++axis) {
-      if (is_mpi) {
-        for (int s = 0; s < 2; ++s) {
-          const int d = axis * 2 + s;
-          const Dir dir = dirAt(d);
-          b.guarded(dir.g, [&] {
-            b.irecv(dir.peer, tagAt(l, d), mul(faceInclAt(l, d), cst(kD)));
-          });
-        }
-        for (int s = 0; s < 2; ++s) {
-          const int d = axis * 2 + s;
-          const Dir dir = dirAt(d);
-          b.guarded(dir.g, [&] {
-            b.isend(dir.peer, tagAt(l, d ^ 1),
-                    mul(faceInclAt(l, d), cst(kD)));
-          });
-        }
-        b.waitall();
-      } else {
-        for (int s = 0; s < 2; ++s) {
-          const int d = axis * 2 + s;
-          const Dir dir = dirAt(d);
-          b.guarded(dir.g, [&] {
-            b.put(dir.peer, mul(faceInclAt(l, d), cst(kD)), false);
-          });
-        }
-        b.barrier();
-        b.barrier();
-      }
     }
   };
   const auto globalSum = [&] {
@@ -346,26 +301,35 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
       b.barrier();
     }
   };
-  const auto interior = [&](const ExprP& l) -> Guard {
-    return {Cond{lnxAt(l), CmpOp::Ge, cst(3)},
-            Cond{lnyAt(l), CmpOp::Ge, cst(3)},
-            Cond{lnzAt(l), CmpOp::Ge, cst(3)}};
+  // Cells of the box whose extents are level l's less m.
+  const auto cellsLess = [&](const ExprP& l, int m) {
+    return mul(mul(sub(extAt(l, 0), cst(m)), sub(extAt(l, 1), cst(m))),
+               sub(extAt(l, 2), cst(m)));
+  };
+  const auto splits = [&](const ExprP& l) -> Guard {  // Shape::splits
+    return {Cond{extAt(l, 0), CmpOp::Ge, cst(3)},
+            Cond{extAt(l, 1), CmpOp::Ge, cst(3)},
+            Cond{extAt(l, 2), CmpOp::Ge, cst(3)}};
+  };
+  // mg.cpp's overlapped step: post level l's exchange, compute the guarded
+  // interior while it is in flight, complete it, then compute the rest.
+  const auto overlapped = [&](const char* site, const ExprP& l,
+                              const Guard& g, const ExprP& interior,
+                              const ExprP& rest) {
+    b.site(site);
+    post(l, 0, 6, false);
+    b.guarded(g, [&] { b.compute(interior); });
+    complete(false);
+    b.compute(rest);
   };
   const auto smooth = [&](const ExprP& l) {
-    b.site("mg.smooth");
-    begin(l);
-    b.guarded(interior(l), [&] {
-      b.compute(mul(cst(10), mul(mul(sub(lnxAt(l), cst(2)),
-                                     sub(lnyAt(l), cst(2))),
-                                 sub(lnzAt(l), cst(2)))));
-    });
-    end();
-    b.compute(mul(cst(12), pointsAt(l)));
+    overlapped("mg.smooth", l, splits(l), mul(cst(10), cellsLess(l, 2)),
+               mul(cst(12), pointsAt(l)));
   };
   const auto residualNorm = [&] {
     b.site("mg.norm");
-    begin(cst(0));
-    end();
+    post(cst(0), 0, 6, false);
+    complete(false);
     b.compute(mul(cst(9), pointsAt(cst(0))));
     b.compute(mul(cst(2), pointsAt(cst(0))));
     globalSum();
@@ -381,35 +345,26 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
       const ExprP l = var("l");
       smooth(l);
       smooth(l);
-      b.site("mg.residual");
-      begin(l);
-      b.guarded(interior(l), [&] {
-        b.compute(mul(cst(9), mul(mul(sub(lnxAt(l), cst(2)),
-                                      sub(lnyAt(l), cst(2))),
-                                  sub(lnzAt(l), cst(2)))));
-      });
-      end();
-      b.compute(mul(cst(9), pointsAt(l)));
+      overlapped("mg.residual", l, splits(l), mul(cst(9), cellsLess(l, 2)),
+                 mul(cst(9), pointsAt(l)));
       const ExprP c = add(l, cst(1));
-      b.site("mg.restrict");
-      begin(l);
-      b.guarded({Cond{sub(lnxAt(c), cst(1)), CmpOp::Ge, cst(1)},
-                 Cond{sub(lnyAt(c), cst(1)), CmpOp::Ge, cst(1)},
-                 Cond{sub(lnzAt(c), cst(1)), CmpOp::Ge, cst(1)}},
-                [&] {
-                  b.compute(mul(cst(9), mul(mul(sub(lnxAt(c), cst(1)),
-                                                sub(lnyAt(c), cst(1))),
-                                            sub(lnzAt(c), cst(1)))));
-                });
-      end();
-      b.compute(mul(cst(9), pointsAt(c)));
+      overlapped("mg.restrict", l,
+                 {Cond{sub(extAt(c, 0), cst(1)), CmpOp::Ge, cst(1)},
+                  Cond{sub(extAt(c, 1), cst(1)), CmpOp::Ge, cst(1)},
+                  Cond{sub(extAt(c, 2), cst(1)), CmpOp::Ge, cst(1)}},
+                 mul(cst(9), cellsLess(c, 1)), mul(cst(9), pointsAt(c)));
     });
     b.loop("s", cst(0), cst(tables::kMgCoarseSweeps),
            [&] { smooth(sub(nlevels, cst(1))); });
     b.rloop("u", sub(nlevels, cst(2)), cst(0), [&] {
       const ExprP l = var("u");
+      const ExprP c = add(l, cst(1));
       b.site("mg.prolong");
-      seq(add(l, cst(1)));
+      // NPB comm3's sequential exchange: one axis at a time, inclusive.
+      for (int axis = 0; axis < 3; ++axis) {
+        post(c, 2 * axis, 2 * axis + 2, true);
+        complete(true);
+      }
       b.compute(mul(cst(12), pointsAt(l)));
       smooth(l);
       smooth(l);

@@ -1,35 +1,19 @@
 #include "net/fault.hpp"
 
-#include <cstdlib>
 #include <initializer_list>
 #include <sstream>
 
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace ovp::net {
 
 namespace {
 
-bool parseDouble(std::string_view text, double& out) {
-  const std::string s(text);
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parseInt(std::string_view text, std::int64_t& out) {
-  const std::string s(text);
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
+using util::parseDouble;
+using util::parseInt;
 
 bool applyKey(FaultModel& m, std::string_view key, std::string_view value) {
-  double d = 0;
   std::int64_t i = 0;
   if (key == "drop") return parseDouble(value, m.rates.drop);
   if (key == "corrupt") return parseDouble(value, m.rates.corrupt);
@@ -48,7 +32,9 @@ bool applyKey(FaultModel& m, std::string_view key, std::string_view value) {
     return true;
   }
   if (key == "retries") {
-    if (!parseInt(value, i) || i < 0) return false;
+    if (!parseInt(value, i) || i < 0 || i != static_cast<int>(i)) {
+      return false;
+    }
     m.max_retries = static_cast<int>(i);
     return true;
   }
@@ -57,7 +43,6 @@ bool applyKey(FaultModel& m, std::string_view key, std::string_view value) {
     m.rto_base = i;
     return true;
   }
-  (void)d;
   return false;
 }
 

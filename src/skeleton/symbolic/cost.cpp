@@ -1,10 +1,13 @@
 #include "skeleton/symbolic/cost.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <utility>
+
+#include "util/strings.hpp"
 
 namespace ovp::skel::sym {
 
@@ -295,16 +298,15 @@ bool parseCosts(std::string_view text, SymCostReport* out,
   std::string value;
   if (!takeKeyed(r, "skeleton", &out->skeleton, error)) return false;
   if (!takeKeyed(r, "min-procs", &value, error)) return false;
-  try {
-    out->min_procs = std::stoi(value);
-  } catch (...) {
+  std::int64_t min_procs = 0;  // validateSym's rule: an int of at least 1
+  if (!util::parseInt(value, min_procs) || min_procs < 1 ||
+      min_procs > std::numeric_limits<int>::max()) {
     *error = "bad min-procs '" + value + "'";
     return false;
   }
+  out->min_procs = static_cast<int>(min_procs);
   if (!takeKeyed(r, "ns-per-flop", &value, error)) return false;
-  try {
-    out->ns_per_flop = std::stod(value);
-  } catch (...) {
+  if (!util::parseDouble(value, out->ns_per_flop)) {
     *error = "bad ns-per-flop '" + value + "'";
     return false;
   }

@@ -97,6 +97,7 @@ TEST(FaultModelParse, RejectsMalformedInput) {
   EXPECT_FALSE(FaultModel::parse("drop=abc", m));   // not a number
   EXPECT_FALSE(FaultModel::parse("bogus=1", m));    // unknown key
   EXPECT_FALSE(FaultModel::parse("jitter=-5", m));  // negative duration
+  EXPECT_FALSE(FaultModel::parse("retries=4294967296", m));  // past int
   EXPECT_DOUBLE_EQ(m.rates.drop, before.rates.drop);  // left untouched
 }
 

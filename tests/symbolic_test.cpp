@@ -10,6 +10,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "golden.hpp"
@@ -290,6 +291,26 @@ TEST(SymbolicCost, StrictParserRejectsMalformedInput) {
   // Missing header.
   EXPECT_FALSE(skel::sym::parseCosts(good.substr(good.find('\n') + 1), &r,
                                      &err));
+  // Header values with trailing garbage, or a rank count outside [1, int].
+  const auto withHeader = [&](const std::string& key,
+                              const std::string& value) {
+    std::string text = good;
+    const auto at = text.find("\n" + key + " ") + key.size() + 2;
+    text.replace(at, text.find('\n', at) - at, value);
+    return text;
+  };
+  ASSERT_TRUE(skel::sym::parseCosts(withHeader("min-procs", "1"), &r, &err))
+      << err;
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"min-procs", "1abc"},
+           {"min-procs", "0"},
+           {"min-procs", "4294967297"},
+           {"ns-per-flop", "0.5xyz"}}) {
+    EXPECT_FALSE(skel::sym::parseCosts(withHeader(key, value), &r, &err))
+        << key << " " << value;
+    EXPECT_EQ(err, "bad " + key + " '" + value + "'");
+  }
 }
 
 // The factorizations remember their last argument; a change of argument,

@@ -23,11 +23,12 @@
 // across --ovprof-workers counts.
 #include <sys/resource.h>
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/aggregator.hpp"
@@ -81,27 +82,31 @@ constexpr util::Cli kCli = {
     "Exit code: 0 success, 1 RSS budget exceeded, 2 tool error.",
     kFlags};
 
-/// Parses synth:NJOBS[:SEED[:MAXRANKS]]; false on malformed numbers.
+/// Parses synth:NJOBS[:SEED[:MAXRANKS]]; false on a malformed number, an
+/// NJOBS outside [1, INT_MAX] or a MAXRANKS outside [1, machine_ranks].
 bool parseSynthSpec(const std::string& spec, int machine_ranks,
                     std::vector<cluster::JobSpec>& out) {
-  std::string rest = spec.substr(6);
-  for (char& c : rest) {
-    if (c == ':') c = ' ';
-  }
-  std::istringstream ss(rest);
-  std::int64_t njobs = 0;
-  std::uint64_t seed = 1;
-  int max_ranks = machine_ranks;
-  if (!(ss >> njobs) || njobs < 1) return false;
-  if (ss >> seed) {
-    if (ss >> max_ranks && (max_ranks < 1 || max_ranks > machine_ranks)) {
+  std::vector<std::int64_t> fields;
+  for (std::string_view rest = std::string_view(spec).substr(6);;) {
+    const std::size_t colon = rest.find(':');
+    std::int64_t v = 0;
+    if (fields.size() == 3 || !util::parseInt(rest.substr(0, colon), v)) {
       return false;
     }
+    fields.push_back(v);
+    if (colon == std::string_view::npos) break;
+    rest.remove_prefix(colon + 1);
   }
-  ss.clear();
-  std::string trailing;
-  if (ss >> trailing) return false;
-  out = cluster::synthWorkload(static_cast<int>(njobs), seed, max_ranks);
+  const std::int64_t njobs = fields[0];
+  const std::int64_t max_ranks = fields.size() > 2 ? fields[2] : machine_ranks;
+  if (njobs < 1 || njobs > INT_MAX || max_ranks < 1 ||
+      max_ranks > machine_ranks) {
+    return false;
+  }
+  const auto seed =
+      static_cast<std::uint64_t>(fields.size() > 1 ? fields[1] : 1);
+  out = cluster::synthWorkload(static_cast<int>(njobs), seed,
+                               static_cast<int>(max_ranks));
   return true;
 }
 

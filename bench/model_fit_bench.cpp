@@ -1,6 +1,6 @@
 // Benchmarks the model-fitting pipeline end to end and records the result
-// as a JSON artifact (BENCH_model_fit.json) so CI has a model-quality and
-// fit-cost trajectory:
+// as a JSON artifact (BENCH_model_fit.json), a record of model quality and
+// fit cost:
 //
 //   * run CG at classes S and A (message sizes scale with the class grid),
 //     build model samples, fit the normal-form models, and time the fit

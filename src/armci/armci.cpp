@@ -77,7 +77,7 @@ void Armci::handleCompletion(const net::Completion& c) {
   work_to_op_.erase(wit);
   const auto pit = pending_.find(op);
   assert(pit != pending_.end());
-  if (--pit->second.outstanding > 0) return;
+  if (--pit->second > 0) return;
   pending_.erase(pit);
   const auto xit = op_xfer_.find(op);
   if (xit != op_xfer_.end()) {
@@ -124,81 +124,82 @@ void Armci::handlePacket(net::Packet& pkt) {
   }
 }
 
+NbHandle Armci::openOp(int requests, bool reads_local, const void* local,
+                       Bytes local_bytes, const char* call) {
+  progress();
+  NbHandle h;
+  h.id = next_op_++;
+  pending_[h.id] = requests;
+  if (checker_ != nullptr) {
+    checker_->onRequestPosted(static_cast<std::uint64_t>(h.id), reads_local,
+                              local, local_bytes, call);
+  }
+  return h;
+}
+
+void Armci::retire(NbHandle& h) {
+  progressUntil([&] { return !pending_.contains(h.id); });
+  if (checker_ != nullptr) {
+    checker_->onRequestConsumed(static_cast<std::uint64_t>(h.id));
+  }
+  h.id = -1;
+}
+
 NbHandle Armci::postContig(bool is_put, const void* src, void* dst, Bytes n,
                            Rank target) {
-  const net::FabricParams& p = fabric_.params();
-  const std::int64_t op = next_op_++;
-  pending_[op] = PendingOp{1, n};
-  if (checker_ != nullptr) {
-    // The local side is read by a put and written by a get.
-    checker_->onRequestPosted(static_cast<std::uint64_t>(op), is_put,
-                              is_put ? src : dst, n,
-                              is_put ? "ARMCI_NbPut" : "ARMCI_NbGet");
-  }
-  ctx_.advance(p.post_overhead);
-  stampBeginForOp(op, n);
-  traceRma(is_put ? trace::RecordKind::RmaPut : trace::RecordKind::RmaGet, op,
-           target, is_put ? dst : src, n);
+  // The local side is read by a put and written by a get.
+  const NbHandle h = openOp(1, is_put, is_put ? src : dst, n,
+                            is_put ? "ARMCI_NbPut" : "ARMCI_NbGet");
+  ctx_.advance(fabric_.params().post_overhead);
+  stampBeginForOp(h.id, n);
+  traceRma(is_put ? trace::RecordKind::RmaPut : trace::RecordKind::RmaGet,
+           h.id, target, is_put ? dst : src, n);
   net::WorkId wid;
   if (is_put) {
     wid = nic_.postRdmaWrite(target, src, dst, n, nullptr);
   } else {
     wid = nic_.postRdmaRead(target, dst, src, n);
   }
-  registerWork(wid, op);
-  NbHandle h;
-  h.id = op;
+  registerWork(wid, h.id);
   return h;
 }
 
 NbHandle Armci::postStrided(bool is_put, const void* src, Bytes src_stride,
                             void* dst, Bytes dst_stride, Bytes row_bytes,
                             int count, Rank target) {
-  const net::FabricParams& p = fabric_.params();
-  const std::int64_t op = next_op_++;
-  pending_[op] = PendingOp{count, row_bytes * count};
-  if (checker_ != nullptr) {
-    // Strided regions are non-contiguous; track the request for leak
-    // detection but skip the byte-range hazard check (n = 0).
-    checker_->onRequestPosted(static_cast<std::uint64_t>(op), is_put, nullptr,
-                              0,
-                              is_put ? "ARMCI_NbPutS" : "ARMCI_NbGetS");
-  }
+  // Strided regions are non-contiguous; track the request for leak
+  // detection but skip the byte-range hazard check (no local range).
+  const NbHandle h = openOp(count, is_put, nullptr, 0,
+                            is_put ? "ARMCI_NbPutS" : "ARMCI_NbGetS");
   // One data transfer op for the whole strided region: the NIC moves it as
   // `count` scatter/gather rows.
-  stampBeginForOp(op, row_bytes * count);
+  stampBeginForOp(h.id, row_bytes * count);
   const auto* s = static_cast<const std::byte*>(src);
   auto* d = static_cast<std::byte*>(dst);
   for (int r = 0; r < count; ++r) {
-    ctx_.advance(p.post_overhead);
+    ctx_.advance(fabric_.params().post_overhead);
     // One access record per row, all sharing the op id (rows are the
     // remotely-touched intervals; the gaps between them are not accessed).
     traceRma(is_put ? trace::RecordKind::RmaPut : trace::RecordKind::RmaGet,
-             op, target, is_put ? d : s, row_bytes);
+             h.id, target, is_put ? d : s, row_bytes);
     net::WorkId wid;
     if (is_put) {
       wid = nic_.postRdmaWrite(target, s, d, row_bytes, nullptr);
     } else {
       wid = nic_.postRdmaRead(target, d, s, row_bytes);
     }
-    registerWork(wid, op);
+    registerWork(wid, h.id);
     s += src_stride;
     d += dst_stride;
   }
-  NbHandle h;
-  h.id = op;
   return h;
 }
 
 void Armci::put(const void* local_src, void* remote_dst, Bytes n,
                 Rank target) {
   CallGuard guard(*this);
-  progress();
   NbHandle h = postContig(/*is_put=*/true, local_src, remote_dst, n, target);
-  progressUntil([&] { return !pending_.contains(h.id); });
-  if (checker_ != nullptr) {
-    checker_->onRequestConsumed(static_cast<std::uint64_t>(h.id));
-  }
+  retire(h);
   // Blocking put semantics: ensure remote delivery, not just local CQE.
   ctx_.advance(fabric_.params().wire_latency);
 }
@@ -206,25 +207,19 @@ void Armci::put(const void* local_src, void* remote_dst, Bytes n,
 void Armci::get(const void* remote_src, void* local_dst, Bytes n,
                 Rank target) {
   CallGuard guard(*this);
-  progress();
   NbHandle h = postContig(/*is_put=*/false, remote_src, local_dst, n, target);
-  progressUntil([&] { return !pending_.contains(h.id); });
-  if (checker_ != nullptr) {
-    checker_->onRequestConsumed(static_cast<std::uint64_t>(h.id));
-  }
+  retire(h);
 }
 
 NbHandle Armci::nbPut(const void* local_src, void* remote_dst, Bytes n,
                       Rank target) {
   CallGuard guard(*this);
-  progress();
   return postContig(true, local_src, remote_dst, n, target);
 }
 
 NbHandle Armci::nbGet(const void* remote_src, void* local_dst, Bytes n,
                       Rank target) {
   CallGuard guard(*this);
-  progress();
   return postContig(false, remote_src, local_dst, n, target);
 }
 
@@ -232,7 +227,6 @@ NbHandle Armci::nbPutStrided(const void* local_src, Bytes src_stride,
                              void* remote_dst, Bytes dst_stride,
                              Bytes row_bytes, int count, Rank target) {
   CallGuard guard(*this);
-  progress();
   return postStrided(true, local_src, src_stride, remote_dst, dst_stride,
                      row_bytes, count, target);
 }
@@ -241,7 +235,6 @@ NbHandle Armci::nbGetStrided(const void* remote_src, Bytes src_stride,
                              void* local_dst, Bytes dst_stride,
                              Bytes row_bytes, int count, Rank target) {
   CallGuard guard(*this);
-  progress();
   return postStrided(false, remote_src, src_stride, local_dst, dst_stride,
                      row_bytes, count, target);
 }
@@ -249,20 +242,13 @@ NbHandle Armci::nbGetStrided(const void* remote_src, Bytes src_stride,
 NbHandle Armci::nbAcc(const double* local_src, double* remote_dst, int count,
                       double scale, Rank target) {
   CallGuard guard(*this);
-  progress();
-  const net::FabricParams& p = fabric_.params();
-  const std::int64_t op = next_op_++;
   const Bytes bytes = static_cast<Bytes>(count) *
                       static_cast<Bytes>(sizeof(double));
-  pending_[op] = PendingOp{1, bytes};
-  if (checker_ != nullptr) {
-    checker_->onRequestPosted(static_cast<std::uint64_t>(op),
-                              /*is_send=*/true, local_src, bytes,
-                              "ARMCI_NbAccD");
-  }
-  ctx_.advance(p.post_overhead);
-  stampBeginForOp(op, bytes);
-  traceRma(trace::RecordKind::RmaAcc, op, target, remote_dst, bytes);
+  const NbHandle h =
+      openOp(1, /*reads_local=*/true, local_src, bytes, "ARMCI_NbAccD");
+  ctx_.advance(fabric_.params().post_overhead);
+  stampBeginForOp(h.id, bytes);
+  traceRma(trace::RecordKind::RmaAcc, h.id, target, remote_dst, bytes);
   const net::WorkId wid = nic_.postRdmaApply(
       target, local_src, remote_dst, bytes,
       [scale](const std::byte* staged, void* dst, Bytes n) {
@@ -271,9 +257,7 @@ NbHandle Armci::nbAcc(const double* local_src, double* remote_dst, int count,
         const std::size_t cnt = static_cast<std::size_t>(n) / sizeof(double);
         for (std::size_t i = 0; i < cnt; ++i) out[i] += scale * in[i];
       });
-  registerWork(wid, op);
-  NbHandle h;
-  h.id = op;
+  registerWork(wid, h.id);
   return h;
 }
 
@@ -320,11 +304,7 @@ void Armci::wait(NbHandle& h) {
     return;
   }
   CallGuard guard(*this);
-  progressUntil([&] { return !pending_.contains(h.id); });
-  if (checker_ != nullptr) {
-    checker_->onRequestConsumed(static_cast<std::uint64_t>(h.id));
-  }
-  h.id = -1;
+  retire(h);
 }
 
 void Armci::waitAll() {

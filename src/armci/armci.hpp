@@ -151,11 +151,6 @@ class Armci final : public mpi::LibraryCore<ArmciConfig> {
   void registerLocal(const void* base, Bytes bytes);
 
  private:
-  struct PendingOp {
-    int outstanding = 0;  // NIC work requests not yet completed
-    Bytes bytes = 0;
-  };
-
   /// Retires the work request's op once its last request completed.
   void handleCompletion(const net::Completion& c) override;
   /// Receive-queue drain: the only two-sided traffic an ARMCI NIC sees is
@@ -165,6 +160,14 @@ class Armci final : public mpi::LibraryCore<ArmciConfig> {
   /// channel; never stamps XFER events — control traffic is not user data).
   void sendCtrl(Rank target, CtrlKind kind, std::int64_t epoch, int round,
                 double value);
+  /// Polls progress once, as every post does on entry, then opens one
+  /// operation of `requests` NIC work requests and tracks it with the usage
+  /// checker as `call` over its local buffer.
+  NbHandle openOp(int requests, bool reads_local, const void* local,
+                  Bytes local_bytes, const char* call);
+  /// Blocks until `h`'s operation retired, tells the checker, and clears
+  /// the handle.
+  void retire(NbHandle& h);
   NbHandle postContig(bool is_put, const void* src, void* dst, Bytes n,
                       Rank target);
   NbHandle postStrided(bool is_put, const void* src, Bytes src_stride,
@@ -179,7 +182,8 @@ class Armci final : public mpi::LibraryCore<ArmciConfig> {
   /// Emits a non-access record (RmaComplete / Fence / Barrier).
   void traceSync(trace::RecordKind kind, std::int64_t id, Rank peer);
 
-  std::unordered_map<std::int64_t, PendingOp> pending_;
+  /// Open operations: op id -> NIC work requests not yet completed.
+  std::unordered_map<std::int64_t, int> pending_;
   std::unordered_map<net::WorkId, std::int64_t> work_to_op_;
   std::unordered_map<std::int64_t, TransferId> op_xfer_;
   std::int64_t next_op_ = 1;

@@ -1,5 +1,6 @@
 #include "mpi/mpi.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -37,28 +38,10 @@ const std::byte* dataOf(const Packet& pkt) {
   return pkt.payload.data() + sizeof(wire::Header);
 }
 
-bool matches(Rank want_src, int want_tag, Rank src, int tag) {
-  return (want_src == kAnySource || want_src == src) &&
-         (want_tag == kAnyTag || want_tag == tag);
-}
-
-constexpr int kCollTagBase = 1 << 20;  // internal tag space for collectives
-
 }  // namespace
 
 /// Internal state of one point-to-point operation.
 struct RequestState {
-  enum class Kind : std::uint8_t { Send, Recv };
-  enum class Phase : std::uint8_t {
-    Init,
-    AwaitAck,    // pipelined sender: RTS+frag1 out, waiting for receiver ACK
-    Fragments,   // pipelined sender: RDMA-Write fragments in flight
-    AwaitFin,    // rendezvous peer waiting for the final control packet
-    Done,
-  };
-
-  Kind kind = Kind::Send;
-  Phase phase = Phase::Init;
   bool complete = false;
   Bytes size = 0;
   int tag = 0;
@@ -69,7 +52,6 @@ struct RequestState {
   const void* sbuf = nullptr;
   std::uint64_t seq = 0;
   int frags_outstanding = 0;
-  bool frag1_done = false;
 
   // recv side
   void* rbuf = nullptr;
@@ -82,6 +64,9 @@ struct RequestState {
   // usage-checker request id (0 = untracked, e.g. blocking-call internals)
   std::uint64_t uid = 0;
 };
+// make_shared's block size is part of the heap sequence IS's virtual time
+// depends on (ROADMAP item 1).
+static_assert(sizeof(RequestState) == 104);
 
 struct Mpi::UnexpectedMsg {
   int channel = 0;
@@ -126,9 +111,10 @@ int Mpi::size() const { return lsize_; }
 
 /// One matching-stream record, charged to the rank exactly where a real
 /// tool's callback would run.
-void Mpi::traceP2p(trace::RecordKind kind, Rank peer, int tag, Bytes bytes) {
+void Mpi::traceP2p(trace::RecordKind record_kind, Rank peer, int tag,
+                   Bytes bytes) {
   trace::Record rec;
-  rec.kind = kind;
+  rec.kind = record_kind;
   rec.peer = peer;
   rec.tag = tag;
   rec.bytes = bytes;
@@ -152,54 +138,50 @@ void Mpi::handlePacket(net::Packet& received) {
   const net::Packet pkt = std::move(received);
   const wire::Header hdr = headerOf(pkt);
   switch (pkt.channel) {
-    case wire::kEager: {
-      // The physical transfer of this message is over; this poll is the
+    case wire::kEager:
+    case wire::kRts: {
+      const bool eager = pkt.channel == wire::kEager;
+      // The physical transfer of an eager message is over; this poll is the
       // moment the library learns of it.  The initiation was invisible to
       // this process -> inconclusive bounds (paper case 3).
-      stampXferEndUnmatched(hdr.msg_bytes);
-      for (auto it = posted_recvs_.begin(); it != posted_recvs_.end(); ++it) {
-        const auto& req = *it;
-        if (!matches(req->peer, req->tag, hdr.src, hdr.tag)) continue;
-        if (req->size < hdr.msg_bytes) {
-          throw std::runtime_error("mpi: eager message overflows recv buffer");
-        }
-        ctx_.advance(fabric_.params().hostCopy(hdr.msg_bytes));
-        std::memcpy(req->rbuf, dataOf(pkt),
-                    static_cast<std::size_t>(hdr.msg_bytes));
-        req->status = {hdr.src, hdr.tag, hdr.msg_bytes};
-        req->complete = true;
-        posted_recvs_.erase(it);
-        traceP2p(trace::RecordKind::Match, hdr.src, hdr.tag, hdr.msg_bytes);
+      if (eager) stampXferEndUnmatched(hdr.msg_bytes);
+      const auto it = std::find_if(
+          posted_recvs_.begin(), posted_recvs_.end(), [&](const auto& r) {
+            return receiveMatches(r->peer, r->tag, hdr.src, hdr.tag);
+          });
+      if (it == posted_recvs_.end()) {
+        // No posted receive: stash the message.  An eager header's
+        // frag_bytes is its msg_bytes (startEagerSend), so this keeps an
+        // eager payload whole and an RTS's piggybacked first fragment.
+        UnexpectedMsg u;
+        u.channel = pkt.channel;
+        u.hdr = hdr;
+        u.data.assign(dataOf(pkt), dataOf(pkt) + hdr.frag_bytes);
+        unexpected_.push_back(std::move(u));
         return;
       }
-      UnexpectedMsg u;
-      u.channel = wire::kEager;
-      u.hdr = hdr;
-      u.data.assign(dataOf(pkt), dataOf(pkt) + hdr.msg_bytes);
-      unexpected_.push_back(std::move(u));
+      // An eager message is copied out before its match is recorded; a
+      // rendezvous response starts after it.
+      const std::shared_ptr<RequestState> req = *it;
+      if (eager) deliver(req, hdr, pkt.channel, dataOf(pkt));
+      posted_recvs_.erase(it);
+      traceP2p(trace::RecordKind::Match, hdr.src, hdr.tag, hdr.msg_bytes);
+      if (!eager) deliver(req, hdr, pkt.channel, dataOf(pkt));
       return;
     }
-    case wire::kRts: {
-      handleRts(pkt);
-      return;
-    }
-    case wire::kAck: {
-      const auto it = sends_in_flight_.find(hdr.seq);
-      if (it == sends_in_flight_.end()) return;
-      auto req = it->second;
-      sends_in_flight_.erase(it);
-      sendFragments(req, hdr);
-      return;
-    }
+    case wire::kAck:
     case wire::kFinToSend: {
       const auto it = sends_in_flight_.find(hdr.seq);
       if (it == sends_in_flight_.end()) return;
       auto req = it->second;
       sends_in_flight_.erase(it);
+      if (pkt.channel == wire::kAck) {
+        sendFragments(req, hdr);
+        return;
+      }
       // The receiver's RDMA Read of our buffer has completed.
       stampXferEnd(req->xfer);
       req->complete = true;
-      req->phase = RequestState::Phase::Done;
       return;
     }
     case wire::kFinToRecv: {
@@ -210,7 +192,6 @@ void Mpi::handlePacket(net::Packet& received) {
       stampXferEnd(req->rest_xfer);
       req->status = {hdr.src, req->status.tag, req->size};
       req->complete = true;
-      req->phase = RequestState::Phase::Done;
       return;
     }
     default:
@@ -218,64 +199,57 @@ void Mpi::handlePacket(net::Packet& received) {
   }
 }
 
-void Mpi::handleRts(const net::Packet& pkt) {
-  const wire::Header hdr = headerOf(pkt);
-  for (auto it = posted_recvs_.begin(); it != posted_recvs_.end(); ++it) {
-    if (!matches((*it)->peer, (*it)->tag, hdr.src, hdr.tag)) continue;
-    auto req = *it;
-    posted_recvs_.erase(it);
-    if (req->size < hdr.msg_bytes) {
-      throw std::runtime_error("mpi: rendezvous message overflows recv buffer");
-    }
-    req->status = {hdr.src, hdr.tag, hdr.msg_bytes};
-    traceP2p(trace::RecordKind::Match, hdr.src, hdr.tag, hdr.msg_bytes);
-    if (rendezvousStyle(cfg_.preset) != RendezvousStyle::Read) {
-      // Copy out the first fragment that rode along with the RTS.
-      const Bytes frag1 = hdr.frag_bytes;
-      if (frag1 > 0) {
-        ctx_.advance(fabric_.params().hostCopy(frag1));
-        std::memcpy(req->rbuf, dataOf(pkt), static_cast<std::size_t>(frag1));
-        stampXferEndUnmatched(frag1);
-      }
-      const Bytes rest = hdr.msg_bytes - frag1;
-      if (rest == 0) {
-        req->complete = true;
-        return;
-      }
-      // Register the rest of our buffer and tell the sender where to write.
-      std::byte* rest_ptr = static_cast<std::byte*>(req->rbuf) + frag1;
-      ctx_.advance(nic_.regCache().registerRegion(rest_ptr, rest));
-      ctx_.advance(fabric_.params().post_overhead);
-      // The remaining bytes now move under sender control; stamp BEGIN so
-      // interleaved computation on *this* side is credited if the FIN is
-      // detected in a later call.
-      req->rest_xfer = stampXferBegin(rest);
-      req->recv_id = next_recv_id_++;
-      req->phase = RequestState::Phase::AwaitFin;
-      recvs_awaiting_fin_[req->recv_id] = req;
-      wire::Header ack;
-      ack.src = rank();
-      ack.tag = hdr.tag;
-      ack.msg_bytes = hdr.msg_bytes;
-      ack.frag_bytes = frag1;
-      ack.seq = hdr.seq;
-      ack.peer_seq = req->recv_id;
-      ack.addr = reinterpret_cast<std::uintptr_t>(rest_ptr);
-      (void)nic_.postSend(global(hdr.src), makePacket(rank(), wire::kAck, ack,
-                                                      nullptr, 0));
-    } else {
-      beginRdmaRead(req, hdr);
-    }
+void Mpi::deliver(const std::shared_ptr<RequestState>& req,
+                  const wire::Header& hdr, int channel,
+                  const std::byte* data) {
+  if (req->size < hdr.msg_bytes) {
+    throw std::runtime_error("mpi: message overflows recv buffer");
+  }
+  req->status = {hdr.src, hdr.tag, hdr.msg_bytes};
+  const net::FabricParams& p = fabric_.params();
+  if (channel == wire::kEager) {
+    ctx_.advance(p.hostCopy(hdr.msg_bytes));
+    std::memcpy(req->rbuf, data, static_cast<std::size_t>(hdr.msg_bytes));
+    req->complete = true;
     return;
   }
-  // No posted receive: stash the RTS (and any piggybacked fragment).
-  UnexpectedMsg u;
-  u.channel = wire::kRts;
-  u.hdr = hdr;
-  if (hdr.frag_bytes > 0) {
-    u.data.assign(dataOf(pkt), dataOf(pkt) + hdr.frag_bytes);
+  if (rendezvousStyle(cfg_.preset) == RendezvousStyle::Read) {
+    beginRdmaRead(req, hdr);
+    return;
   }
-  unexpected_.push_back(std::move(u));
+  // Write rendezvous: copy out the first fragment that rode along with the
+  // RTS.
+  const Bytes frag1 = hdr.frag_bytes;
+  if (frag1 > 0) {
+    ctx_.advance(p.hostCopy(frag1));
+    std::memcpy(req->rbuf, data, static_cast<std::size_t>(frag1));
+    stampXferEndUnmatched(frag1);
+  }
+  const Bytes rest = hdr.msg_bytes - frag1;
+  if (rest == 0) {
+    req->complete = true;
+    return;
+  }
+  // Register the rest of our buffer and tell the sender where to write.
+  std::byte* rest_ptr = static_cast<std::byte*>(req->rbuf) + frag1;
+  ctx_.advance(nic_.regCache().registerRegion(rest_ptr, rest));
+  ctx_.advance(p.post_overhead);
+  // The remaining bytes now move under sender control; stamp BEGIN so
+  // interleaved computation on *this* side is credited if the FIN is
+  // detected in a later call.
+  req->rest_xfer = stampXferBegin(rest);
+  req->recv_id = next_recv_id_++;
+  recvs_awaiting_fin_[req->recv_id] = req;
+  wire::Header ack;
+  ack.src = rank();
+  ack.tag = hdr.tag;
+  ack.msg_bytes = hdr.msg_bytes;
+  ack.frag_bytes = frag1;
+  ack.seq = hdr.seq;
+  ack.peer_seq = req->recv_id;
+  ack.addr = reinterpret_cast<std::uintptr_t>(rest_ptr);
+  (void)nic_.postSend(global(hdr.src),
+                      makePacket(rank(), wire::kAck, ack, nullptr, 0));
 }
 
 void Mpi::beginRdmaRead(const std::shared_ptr<RequestState>& req,
@@ -295,7 +269,6 @@ void Mpi::beginRdmaRead(const std::shared_ptr<RequestState>& req,
   on_completion_[wid] = [this, req, sender, sender_seq] {
     stampXferEnd(req->xfer);
     req->complete = true;
-    req->phase = RequestState::Phase::Done;
     // Tell the sender its buffer is free (its XFER_END).
     wire::Header fin;
     fin.src = rank();
@@ -313,9 +286,7 @@ void Mpi::sendFragments(const std::shared_ptr<RequestState>& req,
   // is pipelined with the wire (we charge it per fragment at post time).
   const net::FabricParams& p = fabric_.params();
   const Bytes frag1 = ack.frag_bytes;
-  const Bytes total_rest = req->size - frag1;
   Bytes offset = frag1;
-  req->phase = RequestState::Phase::Fragments;
   // Whole-message write rendezvous is the degenerate single-fragment case.
   const bool pipelined =
       rendezvousStyle(cfg_.preset) == RendezvousStyle::PipelinedWrite;
@@ -354,14 +325,9 @@ void Mpi::sendFragments(const std::shared_ptr<RequestState>& req,
     ++req->frags_outstanding;
     on_completion_[wid] = [this, req, fx] {
       stampXferEnd(fx);
-      if (--req->frags_outstanding == 0 &&
-          req->phase == RequestState::Phase::Fragments) {
-        req->complete = true;
-        req->phase = RequestState::Phase::Done;
-      }
+      if (--req->frags_outstanding == 0) req->complete = true;
     };
     offset += frag;
-    (void)total_rest;
   }
 }
 
@@ -387,7 +353,6 @@ void Mpi::startEagerSend(const std::shared_ptr<RequestState>& req) {
                     nic_.vciFor(global(req->peer), req->tag));
   on_completion_[wid] = [this, req] { stampXferEnd(req->xfer); };
   req->complete = true;
-  req->phase = RequestState::Phase::Done;
 }
 
 void Mpi::startRendezvousSend(const std::shared_ptr<RequestState>& req,
@@ -413,14 +378,11 @@ void Mpi::startRendezvousSend(const std::shared_ptr<RequestState>& req,
         global(req->peer),
         makePacket(rank(), wire::kRts, rts, req->sbuf, frag1),
         nic_.vciFor(global(req->peer), req->tag));
-    req->phase = RequestState::Phase::AwaitAck;
     const bool whole_message = frag1 >= req->size;
     on_completion_[wid] = [this, req, whole_message] {
       stampXferEnd(req->xfer);
-      req->frag1_done = true;
       if (whole_message) {
         req->complete = true;
-        req->phase = RequestState::Phase::Done;
         sends_in_flight_.erase(req->seq);
       }
     };
@@ -430,10 +392,8 @@ void Mpi::startRendezvousSend(const std::shared_ptr<RequestState>& req,
     // write-based design).  Register the user buffer up front.
     ctx_.advance(nic_.regCache().registerRegion(req->sbuf, req->size));
     ctx_.advance(p.post_overhead);
-    rts.frag_bytes = 0;
     (void)nic_.postSend(global(req->peer),
                         makePacket(rank(), wire::kRts, rts, nullptr, 0));
-    req->phase = RequestState::Phase::AwaitAck;
   } else {
     // Zero-copy: pin the user buffer (registration cache!) and expose it;
     // the receiver will RDMA-Read it.  XFER_BEGIN is stamped at the post
@@ -444,7 +404,6 @@ void Mpi::startRendezvousSend(const std::shared_ptr<RequestState>& req,
     rts.addr = reinterpret_cast<std::uintptr_t>(req->sbuf);
     (void)nic_.postSend(global(req->peer),
                         makePacket(rank(), wire::kRts, rts, nullptr, 0));
-    req->phase = RequestState::Phase::AwaitFin;
   }
 }
 
@@ -463,60 +422,27 @@ void Mpi::startSend(const std::shared_ptr<RequestState>& req, bool sync) {
 void Mpi::matchReceive(const std::shared_ptr<RequestState>& req) {
   traceP2p(trace::RecordKind::RecvPost, req->peer, req->tag, req->size);
   // First try the unexpected queue (FIFO), then post.
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (!matches(req->peer, req->tag, it->hdr.src, it->hdr.tag)) continue;
-    UnexpectedMsg u = std::move(*it);
-    unexpected_.erase(it);
-    if (req->size < u.hdr.msg_bytes) {
-      throw std::runtime_error("mpi: message overflows recv buffer");
-    }
-    req->status = {u.hdr.src, u.hdr.tag, u.hdr.msg_bytes};
-    traceP2p(trace::RecordKind::Match, u.hdr.src, u.hdr.tag,
-             u.hdr.msg_bytes);
-    if (u.channel == wire::kEager) {
-      ctx_.advance(fabric_.params().hostCopy(u.hdr.msg_bytes));
-      std::memcpy(req->rbuf, u.data.data(),
-                  static_cast<std::size_t>(u.hdr.msg_bytes));
-      req->complete = true;
-      return;
-    }
-    // Unexpected RTS: run the rendezvous response now.
-    if (rendezvousStyle(cfg_.preset) != RendezvousStyle::Read) {
-      const Bytes frag1 = u.hdr.frag_bytes;
-      if (frag1 > 0) {
-        ctx_.advance(fabric_.params().hostCopy(frag1));
-        std::memcpy(req->rbuf, u.data.data(),
-                    static_cast<std::size_t>(frag1));
-        stampXferEndUnmatched(frag1);
-      }
-      const Bytes rest = u.hdr.msg_bytes - frag1;
-      if (rest == 0) {
-        req->complete = true;
-        return;
-      }
-      std::byte* rest_ptr = static_cast<std::byte*>(req->rbuf) + frag1;
-      ctx_.advance(nic_.regCache().registerRegion(rest_ptr, rest));
-      ctx_.advance(fabric_.params().post_overhead);
-      req->rest_xfer = stampXferBegin(rest);
-      req->recv_id = next_recv_id_++;
-      req->phase = RequestState::Phase::AwaitFin;
-      recvs_awaiting_fin_[req->recv_id] = req;
-      wire::Header ack;
-      ack.src = rank();
-      ack.tag = u.hdr.tag;
-      ack.msg_bytes = u.hdr.msg_bytes;
-      ack.frag_bytes = frag1;
-      ack.seq = u.hdr.seq;
-      ack.peer_seq = req->recv_id;
-      ack.addr = reinterpret_cast<std::uintptr_t>(rest_ptr);
-      (void)nic_.postSend(global(u.hdr.src),
-                          makePacket(rank(), wire::kAck, ack, nullptr, 0));
-    } else {
-      beginRdmaRead(req, u.hdr);
-    }
+  const auto it = findUnexpected(req->peer, req->tag, nullptr);
+  if (it == unexpected_.end()) {
+    posted_recvs_.push_back(req);
     return;
   }
-  posted_recvs_.push_back(req);
+  const UnexpectedMsg u = std::move(*it);
+  unexpected_.erase(it);
+  traceP2p(trace::RecordKind::Match, u.hdr.src, u.hdr.tag, u.hdr.msg_bytes);
+  deliver(req, u.hdr, u.channel, u.data.data());
+}
+
+std::deque<Mpi::UnexpectedMsg>::iterator Mpi::findUnexpected(
+    Rank src, int tag, Status* status) {
+  const auto it = std::find_if(
+      unexpected_.begin(), unexpected_.end(), [&](const UnexpectedMsg& u) {
+        return receiveMatches(src, tag, u.hdr.src, u.hdr.tag);
+      });
+  if (it != unexpected_.end() && status != nullptr) {
+    *status = {it->hdr.src, it->hdr.tag, it->hdr.msg_bytes};
+  }
+  return it;
 }
 
 void Mpi::retire(Request& req) {
@@ -528,20 +454,29 @@ void Mpi::retire(Request& req) {
 
 // ------------------------------------------------------------ public API
 
+std::shared_ptr<RequestState> Mpi::newRequest(bool is_send, const void* buf,
+                                              Bytes n, Rank peer, int tag,
+                                              const char* call) {
+  auto state = std::make_shared<RequestState>();
+  if (is_send) {
+    state->sbuf = buf;
+  } else {
+    state->rbuf = const_cast<void*>(buf);  // irecv's buffer, passed writable
+  }
+  state->size = n;
+  state->peer = peer;
+  state->tag = tag;
+  if (checker_ != nullptr && call != nullptr) {
+    state->uid = next_req_uid_++;
+    checker_->onRequestPosted(state->uid, is_send, buf, n, call);
+  }
+  return state;
+}
+
 Request Mpi::isend(const void* buf, Bytes n, Rank dst, int tag) {
   CallGuard guard(*this);
   progress();
-  auto state = std::make_shared<RequestState>();
-  state->kind = RequestState::Kind::Send;
-  state->sbuf = buf;
-  state->size = n;
-  state->peer = dst;
-  state->tag = tag;
-  if (checker_ != nullptr) {
-    state->uid = next_req_uid_++;
-    checker_->onRequestPosted(state->uid, /*is_send=*/true, buf, n,
-                              "MPI_Isend");
-  }
+  auto state = newRequest(/*is_send=*/true, buf, n, dst, tag, "MPI_Isend");
   startSend(state, /*sync=*/false);
   return Request(state);
 }
@@ -549,17 +484,7 @@ Request Mpi::isend(const void* buf, Bytes n, Rank dst, int tag) {
 Request Mpi::irecv(void* buf, Bytes n, Rank src, int tag) {
   CallGuard guard(*this);
   progress();
-  auto state = std::make_shared<RequestState>();
-  state->kind = RequestState::Kind::Recv;
-  state->rbuf = buf;
-  state->size = n;
-  state->peer = src;
-  state->tag = tag;
-  if (checker_ != nullptr) {
-    state->uid = next_req_uid_++;
-    checker_->onRequestPosted(state->uid, /*is_send=*/false, buf, n,
-                              "MPI_Irecv");
-  }
+  auto state = newRequest(/*is_send=*/false, buf, n, src, tag, "MPI_Irecv");
   matchReceive(state);
   return Request(state);
 }
@@ -605,12 +530,7 @@ void Mpi::send(const void* buf, Bytes n, Rank dst, int tag) {
 void Mpi::ssend(const void* buf, Bytes n, Rank dst, int tag) {
   CallGuard guard(*this);
   progress();
-  auto state = std::make_shared<RequestState>();
-  state->kind = RequestState::Kind::Send;
-  state->sbuf = buf;
-  state->size = n;
-  state->peer = dst;
-  state->tag = tag;
+  auto state = newRequest(/*is_send=*/true, buf, n, dst, tag, nullptr);
   startSend(state, /*sync=*/true);
   progressUntil([&] { return state->complete; });
 }
@@ -653,28 +573,13 @@ void Mpi::recv(void* buf, Bytes n, Rank src, int tag, Status* status) {
 bool Mpi::iprobe(Rank src, int tag, Status* status) {
   CallGuard guard(*this);
   progress();
-  for (const UnexpectedMsg& u : unexpected_) {
-    if (matches(src, tag, u.hdr.src, u.hdr.tag)) {
-      if (status != nullptr) *status = {u.hdr.src, u.hdr.tag, u.hdr.msg_bytes};
-      return true;
-    }
-  }
-  return false;
+  return findUnexpected(src, tag, status) != unexpected_.end();
 }
 
 void Mpi::probe(Rank src, int tag, Status* status) {
   CallGuard guard(*this);
-  progressUntil([&] {
-    for (const UnexpectedMsg& u : unexpected_) {
-      if (matches(src, tag, u.hdr.src, u.hdr.tag)) {
-        if (status != nullptr) {
-          *status = {u.hdr.src, u.hdr.tag, u.hdr.msg_bytes};
-        }
-        return true;
-      }
-    }
-    return false;
-  });
+  progressUntil(
+      [&] { return findUnexpected(src, tag, status) != unexpected_.end(); });
 }
 
 void Mpi::sendrecv(const void* sbuf, Bytes sn, Rank dst, int stag, void* rbuf,

@@ -116,16 +116,34 @@ class Mpi final : public LibraryCore<MpiConfig> {
   }
 
  private:
+  struct UnexpectedMsg;
+
   void handleCompletion(const net::Completion& c) override;
+  /// An eager message or RTS meets its posted receive here, or is queued.
   void handlePacket(net::Packet& received) override;
-  void handleRts(const net::Packet& pkt);
+
+  /// Builds one point-to-point request; a null `call` (ssend's internal
+  /// request) keeps it from the usage checker.
+  std::shared_ptr<RequestState> newRequest(bool is_send, const void* buf,
+                                           Bytes n, Rank peer, int tag,
+                                           const char* call);
 
   // protocol steps
   void startSend(const std::shared_ptr<RequestState>& req, bool sync);
   void startEagerSend(const std::shared_ptr<RequestState>& req);
   void startRendezvousSend(const std::shared_ptr<RequestState>& req,
                            bool sync);
+  /// Posts a receive, or delivers the queued message it matches.
   void matchReceive(const std::shared_ptr<RequestState>& recv_req);
+  /// The first queued message a receive of (src, tag) matches; its status
+  /// goes to `status` when one is found and `status` is not null.
+  std::deque<UnexpectedMsg>::iterator findUnexpected(Rank src, int tag,
+                                                     Status* status);
+  /// A matched receive, whichever came first: checks the size, sets the
+  /// status, then copies out an eager payload, starts a read rendezvous,
+  /// or answers a write rendezvous (`data` is its first fragment).
+  void deliver(const std::shared_ptr<RequestState>& recv_req,
+               const wire::Header& hdr, int channel, const std::byte* data);
   void beginRdmaRead(const std::shared_ptr<RequestState>& recv_req,
                      const wire::Header& rts);
   void sendFragments(const std::shared_ptr<RequestState>& send_req,
@@ -136,7 +154,8 @@ class Mpi final : public LibraryCore<MpiConfig> {
 
   /// One matching-stream record (SEND_POST, RECV_POST or MATCH); no-op
   /// without a trace sink.
-  void traceP2p(trace::RecordKind kind, Rank peer, int tag, Bytes bytes);
+  void traceP2p(trace::RecordKind record_kind, Rank peer, int tag,
+                Bytes bytes);
 
   /// Global engine rank acting as job-local rank `local` (identity without
   /// a group).  Applied exactly where protocol code targets the fabric.
@@ -148,7 +167,6 @@ class Mpi final : public LibraryCore<MpiConfig> {
   int lsize_ = 0;   // job size (group size, or world size)
 
   // Matching structures.
-  struct UnexpectedMsg;
   std::deque<std::shared_ptr<RequestState>> posted_recvs_;
   std::deque<UnexpectedMsg> unexpected_;
 

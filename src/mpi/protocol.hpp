@@ -2,10 +2,11 @@
 //
 // The library (mpi.cpp, collectives.cpp) executes these decisions, and the
 // static skeleton layer (src/skeleton) predicts what the library will do
-// from the same header: which receive arguments are wildcards, which tags
-// the collective decompositions reserve, and which sends go eagerly.
-// Constants only, so the skeleton layer includes it without linking the
-// library.
+// from the same header: which receive arguments are wildcards and what
+// they match, which tags the collective decompositions reserve, and which
+// sends go eagerly.  The trace layer's offline matcher reads the wildcard
+// rule too.  Constants and constexpr rules only, so both include it without
+// linking the library.
 #pragma once
 
 #include "util/types.hpp"
@@ -15,6 +16,14 @@ namespace ovp::mpi {
 /// Receive-side wildcards.
 inline constexpr Rank kAnySource = -1;
 inline constexpr int kAnyTag = -1;
+
+/// The matching rule: a receive for (`want_src`, `want_tag`) accepts a
+/// message from `src` with `tag`; each wildcard accepts any value.
+[[nodiscard]] constexpr bool receiveMatches(Rank want_src, int want_tag,
+                                            Rank src, int tag) {
+  return (want_src == kAnySource || want_src == src) &&
+         (want_tag == kAnyTag || want_tag == tag);
+}
 
 /// Tags the collectives reserve for their point-to-point decompositions,
 /// above any tag application code uses.

@@ -8,8 +8,11 @@
 #include <new>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 #if defined(__SANITIZE_ADDRESS__)
 #include <pthread.h>
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(__SANITIZE_THREAD__)
@@ -89,16 +92,18 @@ extern "C" void ovp_fiber_trampoline() { fiberTrampolineImpl(); }
 
 std::size_t Fiber::defaultStackBytes() {
 #if defined(__SANITIZE_ADDRESS__)
-  std::size_t kb = 1024;  // ASan redzones inflate every frame
+  std::int64_t kb = 1024;  // ASan redzones inflate every frame
 #else
-  std::size_t kb = 256;
+  std::int64_t kb = 256;
 #endif
+  // Only a whole number of KiB in [64 KiB, 1 GiB] overrides it, so the byte
+  // count cannot wrap to a stack too small to run on.
+  std::int64_t v = 0;
   if (const char* env = std::getenv("OVPROF_STACK_KB");
-      env != nullptr && *env != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 64) kb = static_cast<std::size_t>(v);
+      env != nullptr && util::parseInt(env, v) && v >= 64 && v <= 1048576) {
+    kb = v;
   }
-  return kb * 1024;
+  return static_cast<std::size_t>(kb) * 1024;
 }
 
 Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg)
@@ -160,7 +165,14 @@ Fiber::~Fiber() {
 #if !OVP_FIBER_ASM
   delete static_cast<ucontext_t*>(ctx_.impl);
 #endif
-  if (map_base_ != nullptr) munmap(map_base_, map_len_);
+  if (map_base_ == nullptr) return;
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan keeps shadow across munmap: the redzones of the frames this fiber
+  // ended in would stay poisoned under whatever is mapped here next, and a
+  // later fiber's valid stack stores there would be reported as errors.
+  ASAN_UNPOISON_MEMORY_REGION(map_base_, map_len_);
+#endif
+  munmap(map_base_, map_len_);
 }
 
 void Fiber::resume(FiberContext& from) {

@@ -53,8 +53,9 @@ class Fiber {
   /// entry or resumption).  Returns when the fiber switches back to `from`.
   void resume(FiberContext& from);
 
-  /// Default usable stack size (env OVPROF_STACK_KB overrides).  Generous
-  /// under sanitizers, whose redzones inflate frames.
+  /// Default usable stack size (env OVPROF_STACK_KB, a whole number of
+  /// KiB in [64, 1048576], overrides; any other value is ignored).
+  /// Generous under sanitizers, whose redzones inflate frames.
   static std::size_t defaultStackBytes();
 
   /// Saves the current context into `from` and resumes `to` (a suspended

@@ -212,8 +212,8 @@ bool MatchRelation::admitsMatch(Rank src, Rank dst, int tag,
   const auto it = recv_wild_.find(dst);
   if (it == recv_wild_.end()) return false;
   for (const auto& [psrc, ptag, pbytes] : it->second) {
-    if ((psrc == mpi::kAnySource || psrc == src) &&
-        (ptag == mpi::kAnyTag || ptag == tag) && bytesAgree(pbytes, bytes)) {
+    if (mpi::receiveMatches(psrc, ptag, src, tag) &&
+        bytesAgree(pbytes, bytes)) {
       return true;
     }
   }

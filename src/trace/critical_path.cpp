@@ -5,15 +5,15 @@
 #include <map>
 #include <utility>
 
+#include "mpi/protocol.hpp"
+
 namespace ovp::trace {
 
 namespace {
 
-constexpr Rank kAny = -1;
-
 struct PendingRecv {
-  Rank src = kAny;
-  std::int32_t tag = kAny;
+  Rank src = mpi::kAnySource;
+  std::int32_t tag = mpi::kAnyTag;
   TimeNs time = 0;
   bool consumed = false;
 };
@@ -58,8 +58,7 @@ std::vector<MessageEdge> matchMessages(const Collector& c) {
       while (!pending.empty() && pending.front().consumed) pending.pop_front();
       for (PendingRecv& pr : pending) {
         if (pr.consumed || pr.time > e.match) continue;
-        if ((pr.src == kAny || pr.src == e.src) &&
-            (pr.tag == kAny || pr.tag == e.tag)) {
+        if (mpi::receiveMatches(pr.src, pr.tag, e.src, e.tag)) {
           pr.consumed = true;
           e.recv_post = pr.time;
           break;

@@ -12,6 +12,8 @@
 #
 # With FILES set (a list of absolute paths), each file is removed before
 # the run and must exist after it, so the leg sees what this run wrote.
+# With LINE set as well, each must hold a line matching that regular
+# expression; with JSON set, each must parse as JSON.
 foreach(var CODE STDERR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "expect_exit.cmake: -D${var}=... is required")
@@ -62,5 +64,18 @@ endif()
 foreach(file IN LISTS FILES)
   if(NOT EXISTS "${file}")
     message(FATAL_ERROR "${command}: did not write ${file}")
+  endif()
+  if(DEFINED LINE)
+    file(STRINGS "${file}" hits REGEX "${LINE}")
+    if(NOT hits)
+      message(FATAL_ERROR "${command}: no line of ${file} matches '${LINE}'")
+    endif()
+  endif()
+  if(JSON)
+    file(READ "${file}" text)
+    string(JSON type ERROR_VARIABLE bad TYPE "${text}")
+    if(bad)
+      message(FATAL_ERROR "${command}: ${file} is not JSON: ${bad}")
+    endif()
   endif()
 endforeach()

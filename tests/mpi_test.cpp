@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "mpi/machine.hpp"
@@ -193,18 +194,40 @@ TEST(MpiMatching, TagSelectivity) {
   EXPECT_EQ(second, 100);
 }
 
+// Every delivery path refuses a message larger than its receive buffer:
+// eager and rendezvous, under each preset's rendezvous style, whether the
+// receive is posted first or the message waits as unexpected.
 TEST(MpiMatching, OverflowThrows) {
-  Machine m(baseConfig(2));
-  EXPECT_THROW(m.run([&](Mpi& mpi) {
-    std::vector<std::uint8_t> buf(100);
-    if (mpi.rank() == 0) {
-      mpi.send(buf.data(), 100, 1, 0);
-    } else {
-      std::vector<std::uint8_t> tiny(10);
-      mpi.recv(tiny.data(), 10, 0, 0);
+  for (const Preset preset :
+       {Preset::OpenMpiPipelined, Preset::OpenMpiLeavePinned,
+        Preset::Mvapich2, Preset::Mvapich2RdmaWrite}) {
+    for (const Bytes n : {Bytes{1000}, Bytes{300000}}) {
+      for (const bool message_first : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "preset " << static_cast<int>(preset) << ", " << n
+                     << " B, " << (message_first ? "message" : "receive")
+                     << " first");
+        Machine m(baseConfig(2, preset));
+        std::string what;
+        try {
+          m.run([&](Mpi& mpi) {
+            std::vector<std::uint8_t> buf(static_cast<std::size_t>(n));
+            if (mpi.rank() == 0) {
+              mpi.send(buf.data(), n, 1, 0);
+            } else {
+              if (message_first) mpi.compute(usec(500));
+              std::vector<std::uint8_t> tiny(10);
+              mpi.recv(tiny.data(), 10, 0, 0);
+            }
+          });
+        } catch (const std::runtime_error& e) {
+          what = e.what();
+        }
+        EXPECT_NE(what.find("overflows recv buffer"), std::string::npos)
+            << "what: '" << what << "'";
+      }
     }
-  }),
-               std::runtime_error);
+  }
 }
 
 TEST(MpiNonBlocking, TestPollsWithoutBlocking) {
@@ -646,12 +669,12 @@ TEST(Collectives, NonPowerOfTwoRanks) {
   for (double s : sums) EXPECT_DOUBLE_EQ(s, 7.0);
 }
 
-TEST(Collectives, RingAllreduceMatchesBinomial) {
-  // Large vectors take the ring path; the result must equal the
-  // reduce+bcast path bit for bit on associativity-friendly data.
+TEST(Collectives, LargeAllreduceSumIsExact) {
+  // Vectors of 96 KiB and more travel by rendezvous through reduce+bcast;
+  // on small-integer data every rank order gives the exact sum.
   for (const int P : {3, 4, 7}) {
     Machine m(baseConfig(P));
-    const int count = 4096 * P;  // comfortably past the switch threshold
+    const int count = 4096 * P;
     std::vector<double> result(static_cast<std::size_t>(count));
     m.run([&](Mpi& mpi) {
       std::vector<double> in(static_cast<std::size_t>(count));
@@ -673,7 +696,7 @@ TEST(Collectives, RingAllreduceMatchesBinomial) {
   }
 }
 
-TEST(Collectives, RingAllreduceMaxOp) {
+TEST(Collectives, LargeAllreduceMax) {
   Machine m(baseConfig(4));
   const int count = 20000;
   std::vector<double> result(static_cast<std::size_t>(count));
@@ -696,10 +719,12 @@ TEST(Collectives, RingAllreduceMaxOp) {
   }
 }
 
-TEST(Collectives, LargeBcastUsesScatterAllgatherCorrectly) {
+TEST(Collectives, LargeBcastFromTwoRoots) {
+  // A rendezvous-sized message down the binomial tree, rooted at rank 0
+  // and at rank 2.
   for (const Rank root : {Rank{0}, Rank{2}}) {
     Machine m(baseConfig(4));
-    const Bytes n = 256 * 1024;  // divisible by 4, takes the large path
+    const Bytes n = 256 * 1024;
     std::vector<std::vector<std::uint8_t>> bufs(
         4, std::vector<std::uint8_t>(static_cast<std::size_t>(n), 0));
     const auto data = pattern(static_cast<std::size_t>(n),
@@ -715,9 +740,11 @@ TEST(Collectives, LargeBcastUsesScatterAllgatherCorrectly) {
   }
 }
 
-TEST(Collectives, LargeBcastIndivisibleFallsBackToBinomial) {
+TEST(Collectives, LargeBcastOfOddSizeOnThreeRanks) {
+  // A rendezvous-sized message whose size is not a multiple of the rank
+  // count reaches the tree's last rank intact.
   Machine m(baseConfig(3));
-  const Bytes n = 100001;  // >64K but not divisible by 3
+  const Bytes n = 100001;
   std::vector<std::uint8_t> got;
   const auto data = pattern(static_cast<std::size_t>(n), 9);
   m.run([&](Mpi& mpi) {

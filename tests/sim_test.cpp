@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/fiber.hpp"
 
 namespace ovp::sim {
 namespace {
@@ -24,6 +26,20 @@ TEST(Engine, SingleRankComputeAdvancesTime) {
   });
   EXPECT_EQ(observed, 150);
   EXPECT_EQ(eng.finishTime(), 150);
+}
+
+// OVPROF_STACK_KB sizes fiber stacks only when it is a whole number of KiB
+// in range; a value whose byte count wraps would leave a fiber one page.
+TEST(Fiber, StackSizeEnvironmentIsCheckedBeforeUse) {
+  unsetenv("OVPROF_STACK_KB");
+  const std::size_t fallback = Fiber::defaultStackBytes();
+  setenv("OVPROF_STACK_KB", "128", 1);
+  EXPECT_EQ(Fiber::defaultStackBytes(), std::size_t{128} * 1024);
+  for (const char* bad : {"64abc", "-5", "18014398509481984"}) {
+    setenv("OVPROF_STACK_KB", bad, 1);
+    EXPECT_EQ(Fiber::defaultStackBytes(), fallback) << bad;
+  }
+  unsetenv("OVPROF_STACK_KB");
 }
 
 TEST(Engine, ZeroComputeIsLegal) {

@@ -1,7 +1,6 @@
 #include "analysis/deadlock.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -23,21 +22,11 @@ constexpr DurationNs kMinChainBlock = 50 * 1000;  // 50 us
 constexpr std::size_t kMaxChainEdges = 256;
 constexpr std::size_t kMaxChainNotes = 4;
 
-struct Post {
-  TimeNs time = 0;
-  TimeNs next_call_exit = kTimeNever;  // never: blocked until trace end
-  Rank peer = -1;
-  std::int32_t tag = 0;
-  Bytes bytes = 0;
-};
-
 struct Edge {
   Rank from = -1;  // the blocked rank
   Rank to = -1;    // the rank it waits on
   TimeNs lo = 0;
   TimeNs hi = kTimeNever;  // exclusive; kTimeNever = open (never released)
-  Bytes bytes = 0;
-  std::int32_t tag = 0;
 
   [[nodiscard]] bool open() const { return hi == kTimeNever; }
   [[nodiscard]] DurationNs span() const {
@@ -45,115 +34,80 @@ struct Edge {
   }
 };
 
-/// Collects SEND_POST / RECV_POST records per rank with each post's
-/// enclosing-call exit time (the moment the rank stopped being blocked,
-/// whatever else happened).
-void collectPosts(const trace::Collector& c, Rank r, std::vector<Post>& sends,
-                  std::vector<Post>& recvs) {
-  const trace::TraceRing& ring = c.ring(r);
-  std::vector<std::pair<std::size_t, bool>> pending;  // (index, is_send)
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const Record& rec = ring.at(i);
-    if (rec.kind == RecordKind::SendPost || rec.kind == RecordKind::RecvPost) {
-      Post p;
-      p.time = rec.time;
-      p.peer = rec.peer;
-      p.tag = rec.tag;
-      p.bytes = rec.bytes;
-      const bool is_send = rec.kind == RecordKind::SendPost;
-      auto& list = is_send ? sends : recvs;
-      pending.emplace_back(list.size(), is_send);
-      list.push_back(p);
-    } else if (rec.kind == RecordKind::CallExit) {
-      for (const auto& [idx, is_send] : pending) {
-        (is_send ? sends : recvs)[idx].next_call_exit = rec.time;
-      }
-      pending.clear();
-    }
-  }
-}
-
 }  // namespace
 
-std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c) {
+std::vector<Diagnostic> analyzeWaitFor(
+    const trace::Collector& c, const std::vector<trace::MessageEdge>& messages) {
   std::vector<Diagnostic> out;
   const int nranks = c.nranks();
 
-  std::vector<std::vector<Post>> sends(static_cast<std::size_t>(nranks));
-  std::vector<std::vector<Post>> recvs(static_cast<std::size_t>(nranks));
+  // Each rank's CALL_EXIT times, which are in time order (monitor-origin
+  // records), and which of its ring positions a message consumed.
+  std::vector<std::vector<TimeNs>> exits(static_cast<std::size_t>(nranks));
+  std::vector<std::vector<bool>> consumed(static_cast<std::size_t>(nranks));
   for (Rank r = 0; r < nranks; ++r) {
-    collectPosts(c, r, sends[static_cast<std::size_t>(r)],
-                 recvs[static_cast<std::size_t>(r)]);
-  }
-
-  // Non-overtaking pairing: k-th send on (src, dst, tag) matches the k-th
-  // recv on dst naming (src, tag).  Wildcard receives (peer < 0) don't
-  // constrain anyone and are skipped.
-  using Channel = std::tuple<Rank, Rank, std::int32_t>;
-  std::map<Channel, std::vector<std::size_t>> send_idx, recv_idx;
-  for (Rank r = 0; r < nranks; ++r) {
-    const auto& ss = sends[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < ss.size(); ++i) {
-      if (ss[i].peer < 0) continue;
-      send_idx[{r, ss[i].peer, ss[i].tag}].push_back(i);
-    }
-    const auto& rr = recvs[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < rr.size(); ++i) {
-      if (rr[i].peer < 0) continue;
-      recv_idx[{rr[i].peer, r, rr[i].tag}].push_back(i);
-    }
-  }
-
-  std::vector<Edge> edges;
-  for (const auto& [ch, s_list] : send_idx) {
-    const auto& [src, dst, tag] = ch;
-    const auto rit = recv_idx.find(ch);
-    const std::size_t paired =
-        rit == recv_idx.end() ? 0 : std::min(s_list.size(),
-                                             rit->second.size());
-    for (std::size_t k = 0; k < s_list.size(); ++k) {
-      const Post& s = sends[static_cast<std::size_t>(src)][s_list[k]];
-      const TimeNs recv_post =
-          k < paired
-              ? recvs[static_cast<std::size_t>(dst)][rit->second[k]].time
-              : kTimeNever;
-      const TimeNs hi = std::min(s.next_call_exit, recv_post);
-      if (hi > s.time) {
-        edges.push_back({src, dst, s.time, hi, s.bytes, tag});
+    const trace::TraceRing& ring = c.ring(r);
+    consumed[static_cast<std::size_t>(r)].assign(ring.size(), false);
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      if (ring.at(i).kind == RecordKind::CallExit) {
+        exits[static_cast<std::size_t>(r)].push_back(ring.at(i).time);
       }
     }
   }
-  for (const auto& [ch, r_list] : recv_idx) {
-    const auto& [src, dst, tag] = ch;
-    const auto sit = send_idx.find(ch);
-    const std::size_t paired =
-        sit == send_idx.end() ? 0 : std::min(r_list.size(),
-                                             sit->second.size());
-    for (std::size_t k = 0; k < r_list.size(); ++k) {
-      const Post& rp = recvs[static_cast<std::size_t>(dst)][r_list[k]];
-      const TimeNs send_post =
-          k < paired
-              ? sends[static_cast<std::size_t>(src)][sit->second[k]].time
-              : kTimeNever;
-      const TimeNs hi = std::min(rp.next_call_exit, send_post);
-      if (hi > rp.time) {
-        edges.push_back({dst, src, rp.time, hi, rp.bytes, tag});
+
+  // A post blocks its rank from `lo` until its release, the first CALL_EXIT
+  // at or after it, or until its peer acts, whichever comes first.  A
+  // truncated ring may have dropped the release, so there an unreleased
+  // post makes no edge.
+  std::vector<Edge> edges;
+  const auto wait = [&](Rank from, Rank to, TimeNs lo, TimeNs peer_acts) {
+    const std::vector<TimeNs>& ex = exits[static_cast<std::size_t>(from)];
+    const auto release = std::lower_bound(ex.begin(), ex.end(), lo);
+    if (release == ex.end() && c.ring(from).dropped() > 0) return;
+    const TimeNs hi =
+        std::min(release == ex.end() ? kTimeNever : *release, peer_acts);
+    if (hi > lo) edges.push_back({from, to, lo, hi});
+  };
+  // A matched message: the sender waits until the receive is posted, the
+  // receiver until the send is.  A message whose RECV_POST is unknown makes
+  // no edge, and a wildcard receive constrains no one.
+  for (const trace::MessageEdge& m : messages) {
+    consumed[static_cast<std::size_t>(m.src)][m.send_at] = true;
+    if (m.recv_post < 0) continue;
+    consumed[static_cast<std::size_t>(m.dst)][m.recv_at] = true;
+    wait(m.src, m.dst, m.send_post, m.recv_post);
+    if (c.ring(m.dst).at(m.recv_at).peer >= 0) {
+      wait(m.dst, m.src, m.recv_post, m.send_post);
+    }
+  }
+  // A post no message matched waits on its named peer until its release.
+  for (Rank r = 0; r < nranks; ++r) {
+    const trace::TraceRing& ring = c.ring(r);
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const Record& rec = ring.at(i);
+      if ((rec.kind == RecordKind::SendPost ||
+           rec.kind == RecordKind::RecvPost) &&
+          rec.peer >= 0 && !consumed[static_cast<std::size_t>(r)][i]) {
+        wait(r, rec.peer, rec.time, kTimeNever);
       }
     }
   }
 
   // ---- deadlock: cycles among open edges ----
   // An open edge pins its rank forever, so at trace end the open edges form
-  // a static graph; any cycle in it is a certain deadlock.
-  std::vector<std::vector<const Edge*>> open_adj(
-      static_cast<std::size_t>(nranks));
+  // a static graph; any cycle in it is a certain deadlock.  Parallel edges
+  // close the same cycle, so each rank keeps one per peer.
+  std::vector<std::vector<Rank>> waits_on(static_cast<std::size_t>(nranks));
+  std::vector<TimeNs> open_since(static_cast<std::size_t>(nranks), 0);
   for (const Edge& e : edges) {
-    if (e.open()) open_adj[static_cast<std::size_t>(e.from)].push_back(&e);
+    if (!e.open()) continue;
+    const auto from = static_cast<std::size_t>(e.from);
+    waits_on[from].push_back(e.to);
+    open_since[from] = std::max(open_since[from], e.lo);
   }
-  for (auto& v : open_adj) {
-    std::sort(v.begin(), v.end(), [](const Edge* a, const Edge* b) {
-      return std::tie(a->to, a->lo, a->tag) < std::tie(b->to, b->lo, b->tag);
-    });
+  for (std::vector<Rank>& peers : waits_on) {
+    std::sort(peers.begin(), peers.end());
+    peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
   }
   std::vector<int> color(static_cast<std::size_t>(nranks), 0);  // 0/1/2
   std::vector<Rank> stack;
@@ -161,8 +115,7 @@ std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c) {
   auto dfs = [&](auto&& self, Rank u) -> void {
     color[static_cast<std::size_t>(u)] = 1;
     stack.push_back(u);
-    for (const Edge* e : open_adj[static_cast<std::size_t>(u)]) {
-      const Rank v = e->to;
+    for (const Rank v : waits_on[static_cast<std::size_t>(u)]) {
       if (color[static_cast<std::size_t>(v)] == 1) {
         const auto it = std::find(stack.begin(), stack.end(), v);
         cycles.emplace_back(it, stack.end());
@@ -180,9 +133,7 @@ std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c) {
     TimeNs since = 0;
     std::string members;
     for (const Rank r : cyc) {
-      for (const Edge* e : open_adj[static_cast<std::size_t>(r)]) {
-        since = std::max(since, e->lo);
-      }
+      since = std::max(since, open_since[static_cast<std::size_t>(r)]);
       if (!members.empty()) members += " -> ";
       members += std::to_string(r);
     }

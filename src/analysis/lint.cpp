@@ -22,8 +22,12 @@ void append(std::vector<Diagnostic>& to, std::vector<Diagnostic> from) {
 LintResult runLint(const trace::Collector& c) {
   LintResult result;
 
+  std::vector<trace::MessageEdge> messages = trace::matchMessages(c);
+  std::vector<Diagnostic> waits = analyzeWaitFor(c, messages);
   {
-    const HbGraph g = buildHbGraph(c, trace::matchMessages(c));
+    // The edges are freed once the graph is built, so the race pass's
+    // heap peak does not hold them too.
+    const HbGraph g = buildHbGraph(c, std::exchange(messages, {}));
     result.hb_incomplete = g.incomplete;
     for (const std::string& reason : g.incomplete_reasons) {
       Diagnostic d;
@@ -36,7 +40,7 @@ LintResult runLint(const trace::Collector& c) {
     }
     append(result.diagnostics, detectRaces(g));
   }
-  append(result.diagnostics, analyzeWaitFor(c));
+  append(result.diagnostics, std::move(waits));
   append(result.diagnostics, adviseOverlap(c));
 
   // Per-rank dropped-record counts limit every pass, not just HB.

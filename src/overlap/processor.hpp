@@ -4,11 +4,12 @@
 // on-the-fly: no trace is kept.  The paper's state machine — the running
 // integrals of user-computation and in-library time, the call index, the
 // disabled time and one small record per *currently active* transfer — is
-// overlap::Replay (replay.hpp), the same one the offline window analysis
-// and the advisor run over a trace.  The Processor is its live sink: it
-// keeps only the stack of open named sections and the per-section and
-// per-size-class accumulators.  This is what lets the collection queue be
-// a fixed-size circular structure that is simply reset after each drain.
+// overlap::Replay (replay.hpp), the same one the offline window analysis,
+// the advisor and the Chrome export run over a trace.  The Processor is its
+// live sink: it keeps only the stack of open named sections and the
+// per-section and per-size-class accumulators.  This is what lets the
+// collection queue be a fixed-size circular structure that is simply reset
+// after each drain.
 #pragma once
 
 #include <string>

@@ -6,10 +6,10 @@
 // transfer.  At each XFER_END, and in finish() for every transfer still
 // open, it prices the transfer from the a-priori table, computes the
 // three-case bounds and hands them to a sink.  The live Processor, the
-// offline window analysis and the advisor are its sinks.  Attribution is
-// O(1) per transfer: the integrals are snapshot at BEGIN and differenced
-// at END.  Both stamps are in the same call when the END falls inside a
-// call and no CALL_ENTER came after the BEGIN.
+// offline window analysis, the advisor and the Chrome export are its sinks.
+// Attribution is O(1) per transfer: the integrals are snapshot at BEGIN and
+// differenced at END.  Both stamps are in the same call when the END falls
+// inside a call and no CALL_ENTER came after the BEGIN.
 //
 // The sink is passed by reference into consume() and finish(), so dispatch
 // is static.  It provides:
@@ -35,6 +35,7 @@ namespace ovp::overlap {
 
 /// One transfer as the replay hands it to its sink.
 struct PricedXfer {
+  TransferId id = kInvalidTransfer;
   Bytes size = 0;
   BoundsInput in;
   Bounds bounds;
@@ -71,7 +72,8 @@ class Replay {
         if (it == open_.end()) {
           // END with no observed BEGIN: the paper's case 3 (e.g. an eagerly
           // received message whose send initiation was invisible).
-          sink.priced(price(e.size, {.end_seen = true}, e.time), nullptr);
+          sink.priced(price(e.id, e.size, {.end_seen = true}, e.time),
+                      nullptr);
           break;
         }
         const Open& x = it->second;
@@ -81,7 +83,7 @@ class Replay {
             .same_call = in_call_ && x.call_at_begin == call_index_,
             .computation = comp_cum_ - x.comp_at_begin,
             .noncomputation = noncomp_cum_ - x.noncomp_at_begin};
-        sink.priced(price(x.size, in, e.time), &x.payload);
+        sink.priced(price(e.id, x.size, in, e.time), &x.payload);
         open_.erase(it);
         break;
       }
@@ -100,9 +102,9 @@ class Replay {
   template <typename Sink>
   void finish(TimeNs end_time, Sink& sink) {
     if (started_ && end_time > last_time_) advanceTo(end_time, sink);
-    for (const auto& kv : open_) {
-      const Open& x = kv.second;
-      sink.priced(price(x.size, {.begin_seen = true}, last_time_), &x.payload);
+    for (const auto& [id, x] : open_) {
+      sink.priced(price(id, x.size, {.begin_seen = true}, last_time_),
+                  &x.payload);
     }
     open_.clear();
   }
@@ -144,12 +146,12 @@ class Replay {
     sink.occupied(a, t, in_call_);
   }
 
-  PricedXfer price(Bytes size, BoundsInput in, TimeNs end) {
+  PricedXfer price(TransferId id, Bytes size, BoundsInput in, TimeNs end) {
     const XferTimeTable::Lookup lu = table_->lookupEx(size);
     below_range_ += lu.below_range ? 1 : 0;
     above_range_ += lu.above_range ? 1 : 0;
     in.xfer_time = lu.time;
-    return {size, in, computeBounds(in), end, in_call_};
+    return {id, size, in, computeBounds(in), end, in_call_};
   }
 
   const XferTimeTable* table_;

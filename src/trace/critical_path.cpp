@@ -15,6 +15,7 @@ struct PendingRecv {
   Rank src = mpi::kAnySource;
   std::int32_t tag = mpi::kAnyTag;
   TimeNs time = 0;
+  std::size_t at = 0;  // ring position
   bool consumed = false;
 };
 
@@ -35,7 +36,7 @@ std::vector<MessageEdge> matchMessages(const Collector& c) {
         sends[static_cast<std::size_t>(r)][{rec.peer, rec.tag}].push_back(i);
       } else if (rec.kind == RecordKind::RecvPost) {
         recvs[static_cast<std::size_t>(r)].push_back(
-            {rec.peer, rec.tag, rec.time, false});
+            {rec.peer, rec.tag, rec.time, i, false});
       }
     }
   }
@@ -61,6 +62,7 @@ std::vector<MessageEdge> matchMessages(const Collector& c) {
         if (mpi::receiveMatches(pr.src, pr.tag, e.src, e.tag)) {
           pr.consumed = true;
           e.recv_post = pr.time;
+          e.recv_at = pr.at;
           break;
         }
       }

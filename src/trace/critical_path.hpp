@@ -7,7 +7,10 @@
 // with tag T corresponds to the k-th SEND_POST on S to R with tag T — and
 // RECV_POSTs are consumed FIFO per rank, honouring wildcard source/tag
 // (-1).  No protocol knowledge is needed beyond that ordering guarantee,
-// so the same matcher works across eager and all rendezvous presets.
+// so the same matcher works across eager and all rendezvous presets.  Each
+// edge carries the ring positions of its SEND_POST, RECV_POST and MATCH, so
+// a pass over the posts themselves (the lint's wait-for graph) knows which
+// ones a message consumed.
 //
 // Classification per edge (Scalasca's late-sender/late-receiver states):
 //   late sender    — the receive was posted before the send existed
@@ -45,6 +48,7 @@ struct MessageEdge {
   TimeNs recv_post = 0;  // -1 when no RECV_POST was observed (dropped)
   TimeNs match = 0;
   std::size_t send_at = 0;   // ring position of the SEND_POST on src
+  std::size_t recv_at = 0;   // ring position of the RECV_POST on dst, if any
   std::size_t match_at = 0;  // ring position of the MATCH on dst
   [[nodiscard]] bool lateSender() const {
     return recv_post >= 0 && recv_post < send_post;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -15,7 +16,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "overlap/replay.hpp"
 #include "trace/critical_path.hpp"
+#include "trace/timeline.hpp"
 #include "util/strings.hpp"
 
 namespace ovp::trace {
@@ -230,6 +233,76 @@ class EventSink {
   bool any_ = false;
 };
 
+/// Replay sink that draws one rank's compute, call and transfer tracks; the
+/// payload of an open transfer is its BEGIN time.  A compute span is a run
+/// of contiguous out-of-call pieces: a gap (disabled time) closes it and a
+/// CALL_ENTER flushes it.  A call span ends at the CALL_EXIT record the walk
+/// hands to exited(), a transfer span at its END.  What is still open at the
+/// horizon is drawn last, the transfers in id order.
+class TrackSink {
+ public:
+  using Payload = TimeNs;
+
+  TrackSink(EventSink& events, int pid) : events_(events), pid_(pid) {}
+
+  void occupied(TimeNs a, TimeNs b, bool in_call) {
+    if (in_call) return;
+    if (a != compute_end_) {
+      flushCompute();
+      compute_begin_ = a;
+    }
+    compute_end_ = b;
+  }
+  void entered(TimeNs t) {
+    flushCompute();
+    call_begin_ = t;
+  }
+  void exited(TimeNs t) {
+    if (call_begin_ == kTimeNever) return;
+    events_.span("comm-call", "comm", pid_, kTidCalls, call_begin_, t);
+    call_begin_ = kTimeNever;
+  }
+  void begun(TimeNs t, TimeNs& begin) { begin = t; }
+  void priced(const overlap::PricedXfer& x, const TimeNs* begin) {
+    if (begin == nullptr) {
+      events_.instant("xfer-end (case 3)", "xfer", pid_, kTidXfers, x.end,
+                      {{"bytes", x.size}, {"case", 3}});
+    } else if (x.in.end_seen) {
+      events_.span(Numbered("xfer ", x.size, "B"), "xfer", pid_, kTidXfers,
+                   *begin, x.end, {{"bytes", x.size}, {"id", x.id}});
+    } else {
+      unfinished_.emplace(x.id, std::pair{*begin, x.size});
+    }
+  }
+
+  /// Draws what is still open once Replay::finish has run to `horizon`.
+  void close(TimeNs horizon) {
+    flushCompute();
+    if (horizon > call_begin_) exited(horizon);
+    for (const auto& [id, x] : unfinished_) {
+      events_.span(Numbered("xfer ", x.second, "B (open)"), "xfer", pid_,
+                   kTidXfers, x.first, horizon,
+                   {{"bytes", x.second}, {"id", id}, {"open", 1}});
+    }
+  }
+
+ private:
+  void flushCompute() {
+    if (compute_end_ > compute_begin_) {
+      events_.span("compute", "compute", pid_, kTidCompute, compute_begin_,
+                   compute_end_);
+    }
+    compute_begin_ = compute_end_;
+  }
+
+  EventSink& events_;
+  int pid_;
+  TimeNs compute_begin_ = 0;  // the run being extended, empty when equal
+  TimeNs compute_end_ = 0;
+  TimeNs call_begin_ = kTimeNever;  // never: no call is open
+  std::map<TransferId, std::pair<TimeNs, Bytes>> unfinished_;  // by id
+};
+
 void emitRank(EventSink& sink, const Collector& c, Rank r) {
   const int pid = r;
   const TraceRing& ring = c.ring(r);
@@ -244,54 +317,18 @@ void emitRank(EventSink& sink, const Collector& c, Rank r) {
   sink.meta("thread_name", pid, kTidSections, "sections");
   sink.meta("thread_name", pid, kTidWaits, "waits");
 
-  bool started = false;
-  bool in_call = false;
-  bool disabled = false;
-  TimeNs call_begin = 0;
-  TimeNs idle_begin = 0;  // start of the current compute (out-of-call) gap
-  std::unordered_map<std::int64_t, std::pair<TimeNs, Bytes>> open_xfers;
+  overlap::Replay<TimeNs> replay(c.table());
+  TrackSink tracks(sink, pid);
   std::unordered_map<std::int64_t, std::pair<TimeNs, std::uint8_t>> open_work;
   std::vector<std::pair<TimeNs, std::int64_t>> section_stack;
 
-  auto closeCompute = [&](TimeNs t) {
-    if (started && !in_call && !disabled && t > idle_begin) {
-      sink.span("compute", "compute", pid, kTidCompute, idle_begin, t);
-    }
-  };
-
   for (std::size_t i = 0; i < ring.size(); ++i) {
     const Record& rec = ring.at(i);
+    if (isMonitorOrigin(rec.kind)) replay.consume(monitorEvent(rec), tracks);
     switch (rec.kind) {
-      case RecordKind::CallEnter:
-        closeCompute(rec.time);
-        started = true;
-        in_call = true;
-        call_begin = rec.time;
-        break;
       case RecordKind::CallExit:
-        if (in_call) {
-          sink.span("comm-call", "comm", pid, kTidCalls, call_begin, rec.time);
-        }
-        started = true;
-        in_call = false;
-        idle_begin = rec.time;
+        tracks.exited(rec.time);
         break;
-      case RecordKind::XferBegin:
-        open_xfers[rec.id] = {rec.time, rec.bytes};
-        break;
-      case RecordKind::XferEnd: {
-        const auto it = open_xfers.find(rec.id);
-        if (it == open_xfers.end()) {
-          sink.instant("xfer-end (case 3)", "xfer", pid, kTidXfers, rec.time,
-                       {{"bytes", rec.bytes}, {"case", 3}});
-          break;
-        }
-        sink.span(Numbered("xfer ", it->second.second, "B"), "xfer", pid,
-                  kTidXfers, it->second.first, rec.time,
-                  {{"bytes", it->second.second}, {"id", rec.id}});
-        open_xfers.erase(it);
-        break;
-      }
       case RecordKind::SectionBegin:
         section_stack.emplace_back(rec.time, rec.id);
         break;
@@ -304,17 +341,6 @@ void emitRank(EventSink& sink, const Collector& c, Rank r) {
                     kTidSections, begin, rec.time);
         }
         break;
-      case RecordKind::Disable:
-        closeCompute(rec.time);
-        disabled = true;
-        break;
-      case RecordKind::Enable:
-        disabled = false;
-        idle_begin = rec.time;
-        break;
-      case RecordKind::SendPost:
-      case RecordKind::RecvPost:
-        break;  // edges are rendered via matchMessages (waits track)
       case RecordKind::Match:
         sink.instant("match", "comm", pid, kTidCalls, rec.time,
                      {{"src", rec.peer},
@@ -369,21 +395,18 @@ void emitRank(EventSink& sink, const Collector& c, Rank r) {
         sink.instant("barrier", "comm", pid, kTidCalls, rec.time,
                      {{"epoch", rec.id}});
         break;
+      case RecordKind::CallEnter:
+      case RecordKind::XferBegin:
+      case RecordKind::XferEnd:
+      case RecordKind::Disable:
+      case RecordKind::Enable:
+      case RecordKind::SendPost:
+      case RecordKind::RecvPost:
+        break;  // monitor records are drawn by `tracks`, posts as waits
     }
   }
-  // Close whatever is still open at the rank's horizon.
-  closeCompute(rank_end);
-  if (in_call && rank_end > call_begin) {
-    sink.span("comm-call", "comm", pid, kTidCalls, call_begin, rank_end);
-  }
-  std::vector<std::pair<std::int64_t, std::pair<TimeNs, Bytes>>> open(
-      open_xfers.begin(), open_xfers.end());
-  std::sort(open.begin(), open.end());  // deterministic emission order
-  for (const auto& [id, x] : open) {
-    sink.span(Numbered("xfer ", x.second, "B (open)"), "xfer", pid, kTidXfers,
-              x.first, rank_end,
-              {{"bytes", x.second}, {"id", id}, {"open", 1}});
-  }
+  replay.finish(rank_end, tracks);
+  tracks.close(rank_end);
 }
 
 }  // namespace

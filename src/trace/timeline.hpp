@@ -7,7 +7,10 @@
 // closes still-open transfers at the rank's finalize time.  Each transfer
 // therefore yields bit-identical (xfer_time, min, max) values to the
 // summary report; the window pass adds only attribution.  The advisor
-// (analysis/advisor.hpp) is a second sink of the same replay.
+// (analysis/advisor.hpp) is a second sink of the same replay, and the
+// Chrome export (export.cpp) a third: it draws its compute, call and
+// transfer tracks from the replay, interleaved with the ring's other
+// records and closed at its own horizon.
 //
 // Attribution over windows is exact, not approximate: a transfer's values
 // are spread over the windows its [begin, end) span intersects,
@@ -75,6 +78,12 @@ struct RankWindows {
   std::int64_t dropped = 0;
 };
 
+/// The Monitor event a monitor-origin record was made from.
+[[nodiscard]] inline overlap::Event monitorEvent(const Record& rec) {
+  return {static_cast<overlap::EventType>(rec.kind), rec.time, rec.id,
+          rec.bytes};
+}
+
 /// Replays rank r's monitor-origin records through overlap::Replay, closing
 /// at the rank's end time, and hands `sink` every priced transfer (see
 /// replay.hpp for the sink's hooks).  `table_override`, when set, prices
@@ -87,10 +96,7 @@ void replayRank(const Collector& c, Rank r, Sink& sink,
   const TraceRing& ring = c.ring(r);
   for (std::size_t i = 0; i < ring.size(); ++i) {
     const Record& rec = ring.at(i);
-    if (!isMonitorOrigin(rec.kind)) continue;
-    replay.consume({static_cast<overlap::EventType>(rec.kind), rec.time,
-                    rec.id, rec.bytes},
-                   sink);
+    if (isMonitorOrigin(rec.kind)) replay.consume(monitorEvent(rec), sink);
   }
   replay.finish(c.endTime(r), sink);
 }

@@ -69,6 +69,10 @@ bool hasCode(const std::vector<Diagnostic>& diags, DiagCode code) {
                      [code](const Diagnostic& d) { return d.code == code; });
 }
 
+std::vector<Diagnostic> waitFor(const trace::Collector& c) {
+  return analysis::analyzeWaitFor(c, trace::matchMessages(c));
+}
+
 std::string lintJson(const trace::Collector& c) {
   const analysis::LintResult lr = analysis::runLint(c);
   std::ostringstream os;
@@ -337,7 +341,7 @@ TEST(Deadlock, SeededSendSendCycleDetected) {
   c.push(1, rec(RecordKind::SendPost, 1, 110, 0, /*peer=*/0, /*tag=*/0, 64));
   c.setEndTime(0, 1000);
   c.setEndTime(1, 1000);
-  const std::vector<Diagnostic> diags = analysis::analyzeWaitFor(c);
+  const std::vector<Diagnostic> diags = waitFor(c);
   ASSERT_TRUE(hasCode(diags, DiagCode::DeadlockCycle));
   const analysis::LintResult lr = analysis::runLint(c);
   EXPECT_TRUE(hasCode(lr.diagnostics, DiagCode::DeadlockCycle));
@@ -357,8 +361,7 @@ TEST(Deadlock, SendrecvExchangeIsNotACycle) {
     c.push(r, rec(RecordKind::CallExit, r, 200));
     c.setEndTime(r, 1000);
   }
-  EXPECT_FALSE(
-      hasCode(analysis::analyzeWaitFor(c), DiagCode::DeadlockCycle));
+  EXPECT_FALSE(hasCode(waitFor(c), DiagCode::DeadlockCycle));
 }
 
 TEST(Deadlock, HeadOfLineChainReported) {
@@ -378,9 +381,74 @@ TEST(Deadlock, HeadOfLineChainReported) {
   c.push(1, rec(RecordKind::SendPost, 1, 410000, 0, /*peer=*/0, 0, 64));
   c.push(1, rec(RecordKind::CallExit, 1, 415000));
   for (Rank r = 0; r < 3; ++r) c.setEndTime(r, 500000);
-  const std::vector<Diagnostic> diags = analysis::analyzeWaitFor(c);
+  const std::vector<Diagnostic> diags = waitFor(c);
   EXPECT_FALSE(hasCode(diags, DiagCode::DeadlockCycle));
   EXPECT_TRUE(hasCode(diags, DiagCode::BlockingChain));
+}
+
+// Each rank posts two sends to the other in one call that never returns:
+// two parallel open edges each way close one cycle, reported once.
+TEST(Deadlock, EachCycleIsReportedOnce) {
+  trace::Collector c = makeCollector(2);
+  for (Rank r = 0; r < 2; ++r) {
+    c.push(r, rec(RecordKind::CallEnter, r, 100));
+    c.push(r, rec(RecordKind::SendPost, r, 110, 0, /*peer=*/1 - r, 0, 64));
+    c.push(r, rec(RecordKind::SendPost, r, 120, 0, /*peer=*/1 - r, 1, 64));
+    c.setEndTime(r, 1000);
+  }
+  const analysis::LintResult lr = analysis::runLint(c);
+  EXPECT_EQ(std::count_if(lr.diagnostics.begin(), lr.diagnostics.end(),
+                          [](const Diagnostic& d) {
+                            return d.code == DiagCode::DeadlockCycle;
+                          }),
+            1);
+  std::ostringstream os;
+  analysis::printLintText(lr, os);
+  EXPECT_NE(os.str().find(": 1 error(s)"), std::string::npos) << os.str();
+}
+
+// A run pushes library records into the ring as they happen and monitor
+// records in drain batches, so a post can sit before the CALL_EXIT of an
+// earlier call.  Posts are released by time, so the batch's place in the
+// ring changes nothing.
+TEST(Deadlock, FindingsIgnoreWhereTheDrainBatchSits) {
+  // HeadOfLineChainReported's shape, with rank 1 blocking in its second
+  // call and the messages matched.
+  const std::vector<Record> by_time[] = {
+      {rec(RecordKind::CallEnter, 0, 100),
+       rec(RecordKind::RecvPost, 0, 100, 0, /*peer=*/1, 0, 64),
+       rec(RecordKind::Match, 0, 410500, 0, /*peer=*/1, 0, 64),
+       rec(RecordKind::CallExit, 0, 420000)},
+      {rec(RecordKind::CallEnter, 1, 50), rec(RecordKind::CallExit, 1, 60),
+       rec(RecordKind::CallEnter, 1, 100),
+       rec(RecordKind::RecvPost, 1, 100, 0, /*peer=*/2, 0, 64),
+       rec(RecordKind::Match, 1, 390500, 0, /*peer=*/2, 0, 64),
+       rec(RecordKind::CallExit, 1, 400000),
+       rec(RecordKind::CallEnter, 1, 405000),
+       rec(RecordKind::SendPost, 1, 410000, 0, /*peer=*/0, 0, 64),
+       rec(RecordKind::CallExit, 1, 415000)},
+      {rec(RecordKind::CallEnter, 2, 385000),
+       rec(RecordKind::SendPost, 2, 390000, 0, /*peer=*/1, 0, 64),
+       rec(RecordKind::CallExit, 2, 395000)}};
+  std::string json[2];
+  for (const bool batched : {false, true}) {
+    trace::Collector c = makeCollector(3);
+    for (Rank r = 0; r < 3; ++r) {
+      std::vector<Record> ring = by_time[r];
+      if (batched) {
+        std::stable_partition(ring.begin(), ring.end(), [](const Record& x) {
+          return !trace::isMonitorOrigin(x.kind);
+        });
+      }
+      for (const Record& x : ring) c.push(r, x);
+      c.setEndTime(r, 500000);
+    }
+    const analysis::LintResult lr = analysis::runLint(c);
+    EXPECT_TRUE(hasCode(lr.diagnostics, DiagCode::BlockingChain))
+        << (batched ? "batched" : "interleaved");
+    json[batched ? 1 : 0] = lintJson(c);
+  }
+  EXPECT_EQ(json[0], json[1]);
 }
 
 // ---------------------------------------------------------------- advisor
@@ -468,11 +536,12 @@ TEST(Lint, JsonIsDeterministicAcrossReruns) {
 TEST(Lint, GoldenSyntheticFixture) {
   // Fully synthetic trace combining a deadlock cycle and advisor findings:
   // bit-stable by construction (no simulation timestamps involved).
-  // The deadlock is a self-send nothing matches, recorded by its hook
-  // record alone: monitor records must stay in time order for the overlap
-  // replay, and rank 0's last one is at t=530200.
+  // The deadlock is a self-send nothing matches, posted in a final call
+  // that never exits (monitor records stay in time order for the overlap
+  // replay: rank 0's last one before it is at t=530200).
   trace::Collector c = advisorTrace();
-  c.push(0, rec(RecordKind::SendPost, 0, 350010, 0, /*peer=*/0, 0, 64));
+  c.push(0, rec(RecordKind::CallEnter, 0, 550000));
+  c.push(0, rec(RecordKind::SendPost, 0, 550010, 0, /*peer=*/0, 0, 64));
   const analysis::LintResult lr = analysis::runLint(c);
   std::ostringstream os;
   analysis::printLintText(lr, os);

@@ -1,9 +1,10 @@
 // Tests for src/trace/: ring drop accounting, golden Chrome-JSON/CSV
-// exports, JSON well-formedness, exact window/report reconciliation,
-// bit-identical reruns, the CSV reader's rank/peer/time validation, round
-// trip and mutation fuzz, cross-rank matching and the critical path, the
-// library's CALL and MATCH records as an outside tool sees them, and the
-// --ovprof-* flag validation that fronts it all.
+// exports, JSON well-formedness, the Chrome compute and call tracks against
+// the reports, exact window/report reconciliation, bit-identical reruns,
+// the CSV reader's rank/peer/time validation, round trip and mutation fuzz,
+// cross-rank matching and the critical path, the library's CALL and MATCH
+// records as an outside tool sees them, and the --ovprof-* flag validation
+// that fronts it all.
 //
 // To regenerate the golden exports after an intentional format change:
 //   OVPROF_REGOLD=1 ./build/tests/trace_test
@@ -21,7 +22,14 @@
 #include "line_mutator.hpp"
 #include "model/predict.hpp"
 #include "mpi/machine.hpp"
+#include "nas/bt.hpp"
+#include "nas/cg.hpp"
+#include "nas/ep.hpp"
+#include "nas/ft.hpp"
+#include "nas/is.hpp"
+#include "nas/lu.hpp"
 #include "nas/mg.hpp"
+#include "nas/sp.hpp"
 #include "net/fault.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
@@ -295,6 +303,128 @@ TEST(TraceExport, RerunsAreBitIdentical) {
     return json.str() + "\x1e" + csv.str();
   };
   EXPECT_EQ(once(), once());
+}
+
+/// One complete ("X") span of a Chrome export.  The export writes
+/// microseconds with three decimals, so these nanoseconds are exact.
+struct Span {
+  int pid = -1;
+  TimeNs ts = 0;
+  DurationNs dur = 0;
+};
+
+/// Every complete span named `name` in `json`, in file order.
+std::vector<Span> spansNamed(const std::string& json, std::string_view name) {
+  const auto nanos = [](const std::string& line, std::string_view key) {
+    const std::size_t at = line.find(key) + key.size();
+    const std::size_t dot = line.find('.', at);
+    return std::stoll(line.substr(at, dot - at)) * 1000 +
+           std::stoll(line.substr(dot + 1, 3));
+  };
+  const std::string head =
+      "{\"name\":\"" + std::string(name) + "\",\"ph\":\"X\"";
+  std::vector<Span> out;
+  std::istringstream is(json);
+  for (std::string line; std::getline(is, line);) {
+    if (line.find(head) == std::string::npos) continue;
+    out.push_back({std::stoi(line.substr(line.find("\"pid\":") + 6)),
+                   nanos(line, "\"ts\":"), nanos(line, "\"dur\":")});
+  }
+  return out;
+}
+
+// The compute track starts where the report's computation time does, at
+// the first monitor record, not at the first call; disabled time before
+// that call splits it.
+TEST(TraceExport, ComputeBeforeTheFirstCallIsDrawn) {
+  trace::CollectorConfig cfg;
+  cfg.enabled = true;
+  cfg.ring_capacity = 16;
+  trace::Collector c(cfg, 1);
+  const auto push = [&](trace::RecordKind kind, TimeNs t) {
+    trace::Record rec;
+    rec.kind = kind;
+    rec.rank = 0;
+    rec.time = t;
+    c.push(0, rec);
+  };
+  push(trace::RecordKind::SectionBegin, 0);
+  push(trace::RecordKind::Disable, 10);
+  push(trace::RecordKind::Enable, 20);
+  push(trace::RecordKind::CallEnter, 30);
+  push(trace::RecordKind::CallExit, 100);
+  c.setEndTime(0, 200);
+  std::ostringstream os;
+  trace::writeChromeJson(c, os);
+  const std::vector<Span> compute = spansNamed(os.str(), "compute");
+  ASSERT_EQ(compute.size(), 3u) << os.str();
+  EXPECT_EQ(compute[0].ts, 0);
+  EXPECT_EQ(compute[0].dur, 10);
+  EXPECT_EQ(compute[1].ts, 20);
+  EXPECT_EQ(compute[1].dur, 10);
+  EXPECT_EQ(compute[2].ts, 100);
+  EXPECT_EQ(compute[2].dur, 100);
+}
+
+// Over real kernels, each rank's compute and comm-call tracks sum to its
+// report's computation and call time.  A rank whose last ring record
+// (a NIC completion, say) trails its end time is skipped: the export runs
+// its tracks to that record, the report stops at the end time.
+TEST(TraceExport, TrackTotalsMatchTheReports) {
+  const auto traced = [](nas::NasParams& p) {
+    p.cls = nas::Class::S;
+    p.nranks = 4;
+    p.trace.enabled = true;
+  };
+  nas::NasParams base;
+  traced(base);
+  nas::SpParams sp;
+  traced(sp);
+  std::vector<std::pair<std::string, nas::NasResult>> runs;
+  runs.emplace_back("bt", nas::runBt(base));
+  runs.emplace_back("cg", nas::runCg(base));
+  runs.emplace_back("ep", nas::runEp(base));
+  runs.emplace_back("ft", nas::runFt(base));
+  runs.emplace_back("is", nas::runIs(base));
+  runs.emplace_back("lu", nas::runLu(base));
+  runs.emplace_back("sp", nas::runSp(sp));
+  for (const nas::MgVariant v :
+       {nas::MgVariant::MpiBlocking, nas::MgVariant::ArmciBlocking,
+        nas::MgVariant::ArmciNonBlocking}) {
+    nas::MgParams mg;
+    traced(mg);
+    mg.variant = v;
+    runs.emplace_back(std::string("mg ") + nas::mgVariantName(v),
+                      nas::runMg(mg));
+  }
+  int checked = 0;
+  for (const auto& [name, r] : runs) {
+    ASSERT_TRUE(r.verified) << name;
+    ASSERT_NE(r.trace, nullptr) << name;
+    const trace::Collector& tc = *r.trace;
+    std::ostringstream os;
+    trace::writeChromeJson(tc, os);
+    std::vector<DurationNs> compute(r.reports.size(), 0);
+    std::vector<DurationNs> calls(r.reports.size(), 0);
+    for (const Span& s : spansNamed(os.str(), "compute")) {
+      compute[static_cast<std::size_t>(s.pid)] += s.dur;
+    }
+    for (const Span& s : spansNamed(os.str(), "comm-call")) {
+      calls[static_cast<std::size_t>(s.pid)] += s.dur;
+    }
+    for (Rank rank = 0; rank < tc.nranks(); ++rank) {
+      const trace::TraceRing& ring = tc.ring(rank);
+      ASSERT_EQ(ring.dropped(), 0) << name;
+      if (ring.at(ring.size() - 1).time > tc.endTime(rank)) continue;
+      const auto i = static_cast<std::size_t>(rank);
+      EXPECT_EQ(compute[i], r.reports[i].whole.computation_time)
+          << name << " rank " << rank;
+      EXPECT_EQ(calls[i], r.reports[i].whole.communication_call_time)
+          << name << " rank " << rank;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 20);  // 24 of the 40 ranks at this writing
 }
 
 // ---------------------------------------------------------- CSV reader
